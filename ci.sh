@@ -2,7 +2,7 @@
 # Tier-1 verify + perf smoke for psga.
 #
 #   ./ci.sh            build, run the full ctest suite, rebuild the
-#                      cache/async/sweep/service suites under
+#                      cache/sweep/service/session/obs suites under
 #                      ASan/UBSan and run them, run a psga_sweep smoke
 #                      sweep (JSONL + summary validated), run a psgad
 #                      service smoke (submit/watch/cancel/drain over a
@@ -36,10 +36,12 @@ cmake -B "$BUILD_DIR" -S .
 cmake --build "$BUILD_DIR" -j "$JOBS"
 (cd "$BUILD_DIR" && ctest --output-on-failure -j "$JOBS")
 
-# Sanitizer leg: the cache/async suites stress a double-buffered pipeline
-# (coordinator threads writing objective slots the engine thread reads
-# after the fence) and the sweep suite races whole solver runs across
-# lanes, so run exactly those binaries under ASan/UBSan.
+# Sanitizer leg: psga_pipeline_tests holds the suites that race threads
+# against shared state — islands and cluster ranks sharing one sharded
+# evaluation cache, sweeps running whole solver runs across lanes, the
+# service and session suites racing clients against the psgad core, and
+# metric scrapes racing the write path — so run exactly that binary
+# under ASan/UBSan.
 if [[ "${SKIP_SAN:-0}" != "1" ]]; then
   SAN_DIR=${SAN_DIR:-build-asan}
   cmake -B "$SAN_DIR" -S . -DPSGA_SANITIZE=ON \
@@ -156,7 +158,7 @@ if [[ -x "$BUILD_DIR/psgad" && -x "$BUILD_DIR/psgactl" ]] \
     || { echo "ci.sh: psgad did not come up on $SVC_SOCKET"; exit 1; }
 
   SVC_JOB=$("$BUILD_DIR"/psgactl --socket "$SVC_SOCKET" submit \
-    'problem=flowshop instance=ta001 engine=island eval=async_pool seed=7' \
+    'problem=flowshop instance=ta001 engine=island eval=pool seed=7' \
     --generations 10)
   SVC_WATCH=$(mktemp /tmp/psgad_ci_watch.XXXXXX.jsonl)
   "$BUILD_DIR"/psgactl --socket "$SVC_SOCKET" watch "$SVC_JOB" > "$SVC_WATCH"
@@ -422,47 +424,47 @@ if [[ "${SKIP_BENCH:-0}" != "1" ]]; then
     --benchmark_out="$FRESH" \
     --benchmark_out_format=json >/dev/null
 
-  # Keep only the median aggregate per bench, under the plain bench name,
-  # so the snapshot format (and the committed baseline's names) stay the
-  # same as a single-run snapshot.
-  if command -v python3 >/dev/null; then
-    python3 - "$FRESH" <<'PYEOF'
+  # keep_medians SNAPSHOT [RUN]: keep only the median aggregate per bench
+  # of RUN, under the plain bench name, so the snapshot format (and the
+  # committed baseline's names) stay the same as a single-run snapshot.
+  # With RUN the medians are appended to SNAPSHOT; without it SNAPSHOT's
+  # own rows are replaced by their medians.
+  keep_medians() {
+    python3 - "$1" "${2:-$1}" <<'PYEOF'
 import json
 import sys
 
 with open(sys.argv[1]) as f:
     snapshot = json.load(f)
-medians = [b for b in snapshot["benchmarks"]
-           if b.get("aggregate_name") == "median"]
-if medians:
-    for b in medians:
-        b["name"] = b["name"].removesuffix("_median")
+with open(sys.argv[2]) as f:
+    run = json.load(f)["benchmarks"]
+medians = [b for b in run if b.get("aggregate_name") == "median"]
+for b in medians:
+    b["name"] = b["name"].removesuffix("_median")
+if sys.argv[1] != sys.argv[2]:
+    snapshot["benchmarks"].extend(medians)
+elif medians:
     snapshot["benchmarks"] = medians
 with open(sys.argv[1], "w") as f:
     json.dump(snapshot, f, indent=1)
 PYEOF
+  }
+  if command -v python3 >/dev/null; then
+    keep_medians "$FRESH"
   fi
 
-  # Merge the cache/async bench into the same snapshot so the
+  # Merge the cache bench into the same snapshot so the
   # hit-rate/decode-reduction counters live in BENCH_micro.json.
   if [[ -x "$BUILD_DIR/bench_micro_cache" ]] && command -v python3 >/dev/null; then
     CACHE_FRESH=$(mktemp /tmp/psga_bench_cache.XXXXXX.json)
     "$BUILD_DIR"/bench_micro_cache \
       --benchmark_min_time=0.05 \
+      --benchmark_repetitions=5 \
+      --benchmark_report_aggregates_only=true \
       --benchmark_format=json \
       --benchmark_out="$CACHE_FRESH" \
       --benchmark_out_format=json >/dev/null
-    python3 - "$FRESH" "$CACHE_FRESH" <<'PYEOF'
-import json
-import sys
-
-with open(sys.argv[1]) as f:
-    merged = json.load(f)
-with open(sys.argv[2]) as f:
-    merged["benchmarks"].extend(json.load(f)["benchmarks"])
-with open(sys.argv[1], "w") as f:
-    json.dump(merged, f, indent=1)
-PYEOF
+    keep_medians "$FRESH" "$CACHE_FRESH"
     rm -f "$CACHE_FRESH"
   fi
 
@@ -481,21 +483,7 @@ PYEOF
       --benchmark_format=json \
       --benchmark_out="$SES_FRESH" \
       --benchmark_out_format=json >/dev/null
-    python3 - "$FRESH" "$SES_FRESH" <<'PYEOF'
-import json
-import sys
-
-with open(sys.argv[1]) as f:
-    merged = json.load(f)
-with open(sys.argv[2]) as f:
-    session = json.load(f)["benchmarks"]
-medians = [b for b in session if b.get("aggregate_name") == "median"]
-for b in medians:
-    b["name"] = b["name"].removesuffix("_median")
-merged["benchmarks"].extend(medians)
-with open(sys.argv[1], "w") as f:
-    json.dump(merged, f, indent=1)
-PYEOF
+    keep_medians "$FRESH" "$SES_FRESH"
     rm -f "$SES_FRESH"
   fi
 
@@ -550,21 +538,7 @@ PYEOF
     fi
     # The primitive-cost benches ride into BENCH_micro.json with the
     # other micro suites (median aggregates, plain names).
-    python3 - "$FRESH" "$OBS_FRESH" <<'PYEOF'
-import json
-import sys
-
-with open(sys.argv[1]) as f:
-    merged = json.load(f)
-with open(sys.argv[2]) as f:
-    obs = json.load(f)["benchmarks"]
-medians = [b for b in obs if b.get("aggregate_name") == "median"]
-for b in medians:
-    b["name"] = b["name"].removesuffix("_median")
-merged["benchmarks"].extend(medians)
-with open(sys.argv[1], "w") as f:
-    json.dump(merged, f, indent=1)
-PYEOF
+    keep_medians "$FRESH" "$OBS_FRESH"
     rm -f "$OBS_FRESH"
   fi
 

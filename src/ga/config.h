@@ -43,10 +43,10 @@ struct GaConfig;
 
 /// Demotes `base` for an inner engine stepped from a pool thread (an
 /// island, a cluster rank): the non-reentrant ThreadPool must not be
-/// entered again, so kAsyncPool becomes coordinator-only and every other
-/// backend becomes kSerial; `shared_cache` (may be null) is wired in so
-/// all inner engines memoize into one table. Island-structured engines
-/// MUST build their inner configs through this helper.
+/// entered again, so every backend becomes kSerial; `shared_cache` (may
+/// be null) is wired in so all inner engines memoize into one table.
+/// Island-structured engines MUST build their inner configs through this
+/// helper.
 GaConfig inner_engine_config(GaConfig base, EvalCachePtr shared_cache);
 
 struct GaConfig {
@@ -76,8 +76,7 @@ struct GaConfig {
   OperatorConfig ops;
   /// Which runtime evaluates fitness batches (see evaluator.h). Engines
   /// that already parallelize at a coarser level (islands, cluster ranks)
-  /// force this to kSerial for their inner engines — except kAsyncPool,
-  /// which they keep in coordinator-only form (async_coordinator_only).
+  /// force this to kSerial for their inner engines.
   EvalBackend eval_backend = EvalBackend::kSerial;
   /// Objective memoization by genome hash (see eval_cache.h); off by
   /// default. Traces are bit-identical with the cache on or off.
@@ -92,11 +91,6 @@ struct GaConfig {
   /// outlives one problem state (the session layer's cross-replan store).
   /// 0 = no namespacing.
   std::uint64_t cache_salt = 0;
-  /// Restricts the kAsyncPool pipeline to its coordinator thread (no
-  /// thread-pool fan-out). Engines whose outer level owns the pool
-  /// (parallel island steps, cluster ranks) set this on inner configs;
-  /// leave false for single-population engines.
-  bool async_coordinator_only = false;
   /// objective_batch chunk size on every backend: 0 = auto (a lane-width
   /// friendly block, currently 16), otherwise the exact block handed to
   /// the batched decode kernels (1 = per-genome). Never changes any

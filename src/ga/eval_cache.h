@@ -16,9 +16,12 @@
 //
 // The table is sharded: each shard owns a mutex, an open hash map and an
 // LRU list, so evaluator lanes, island threads and cluster ranks can
-// share one cache with little contention. Counters are exact under any
-// synchronous backend; with the async pipeline the hit/miss split of
-// intra-batch duplicates depends on insert timing (the values never do).
+// share one cache with little contention. Counters are exact on every
+// evaluation backend: an Evaluator looks up and inserts on its calling
+// thread, in genome order. Only when several islands or ranks step
+// concurrently into one shared cache can the hit/miss split of a genome
+// they all breed in the same generation depend on timing (the values
+// never do).
 #pragma once
 
 #include <cstdint>

@@ -1,12 +1,7 @@
 #include "src/ga/evaluator.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
-#include <deque>
-#include <mutex>
-#include <thread>
 #include <utility>
 
 #include "src/par/omp_backend.h"
@@ -55,195 +50,14 @@ std::uint64_t salted_key(std::uint64_t hash, std::uint64_t salt) {
 
 }  // namespace
 
-// --- async pipeline ----------------------------------------------------------
-//
-// One coordinator thread per pipelined Evaluator. submit() enqueues a
-// batch and returns to the engine thread, which keeps breeding while the
-// coordinator decodes — either fanning the batch out on the thread pool
-// (single-population engines, where the pool is otherwise idle between
-// fences) or on the coordinator alone (inner engines of islands/ranks,
-// whose outer level owns the pool). The pipeline is self-contained — own
-// problem handle, workspaces, cache pointer and decode counter — so the
-// owning Evaluator can be moved (vectors of engines) while jobs run.
-class AsyncPipeline {
- public:
-  struct Job {
-    // Direct mode: evaluate genomes[i] into out[i] (no cache attached).
-    std::span<const Genome> genomes;
-    std::span<double> out;
-    // Filtered mode: cache misses compacted on the engine thread; each
-    // result lands in *miss_out[j] and is inserted into the cache.
-    bool filtered = false;
-    std::vector<Genome> miss_genomes;
-    std::vector<std::uint64_t> miss_hashes;
-    std::vector<double*> miss_out;
-  };
-
-  AsyncPipeline(ProblemPtr problem, par::ThreadPool* pool, bool use_pool,
-                std::size_t batch_size)
-      : problem_(std::move(problem)),
-        pool_(pool),
-        use_pool_(use_pool),
-        batch_size_(batch_size) {
-    const int lanes = use_pool_ ? pool_->thread_count() : 1;
-    workspaces_.reserve(static_cast<std::size_t>(lanes));
-    for (int i = 0; i < lanes; ++i) {
-      workspaces_.push_back(problem_->make_workspace());
-    }
-    thread_ = std::thread([this] { loop(); });
-  }
-
-  ~AsyncPipeline() {
-    fence();
-    {
-      std::lock_guard lock(mutex_);
-      stop_ = true;
-    }
-    work_cv_.notify_one();
-    thread_.join();
-  }
-
-  void submit(Job job) {
-    std::lock_guard lock(mutex_);
-    queue_.push_back(std::move(job));
-    work_cv_.notify_one();
-  }
-
-  void fence() {
-    std::unique_lock lock(mutex_);
-    idle_cv_.wait(lock, [this] { return queue_.empty() && !busy_; });
-  }
-
-  /// Only call through a fence (the coordinator reads it while busy).
-  void set_cache(EvalCachePtr cache) {
-    std::lock_guard lock(mutex_);
-    cache_ = std::move(cache);
-  }
-
-  /// Same fence rule as set_cache. Raw handles — the owning Evaluator
-  /// keeps the registry/tracer alive for the pipeline's lifetime.
-  void set_obs(obs::Histogram* decode_ns, obs::Histogram* batch_size,
-               obs::Counter* decoded_genomes, obs::Tracer* tracer) {
-    std::lock_guard lock(mutex_);
-    decode_ns_ = decode_ns;
-    batch_size_hist_ = batch_size;
-    decoded_genomes_ = decoded_genomes;
-    tracer_ = tracer;
-  }
-
-  long long decode_calls() const noexcept {
-    return decode_calls_.load(std::memory_order_relaxed);
-  }
-
-  int width() const noexcept { return static_cast<int>(workspaces_.size()); }
-
- private:
-  void loop() {
-    for (;;) {
-      Job job;
-      {
-        std::unique_lock lock(mutex_);
-        work_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-        if (queue_.empty()) return;  // stop_ set and nothing left
-        job = std::move(queue_.front());
-        queue_.pop_front();
-        busy_ = true;
-      }
-      process(job);
-      {
-        std::lock_guard lock(mutex_);
-        busy_ = false;
-      }
-      idle_cv_.notify_all();
-    }
-  }
-
-  void process(Job& job) {
-    if (!job.filtered) {
-      run_batch(job.genomes, job.out);
-      return;
-    }
-    scratch_.resize(job.miss_genomes.size());
-    run_batch(job.miss_genomes, scratch_);
-    for (std::size_t j = 0; j < job.miss_genomes.size(); ++j) {
-      *job.miss_out[j] = scratch_[j];
-      if (cache_ != nullptr) {
-        cache_->insert(job.miss_hashes[j], job.miss_genomes[j], scratch_[j]);
-      }
-    }
-  }
-
-  void run_batch(std::span<const Genome> genomes, std::span<double> out) {
-    decode_calls_.fetch_add(static_cast<long long>(genomes.size()),
-                            std::memory_order_relaxed);
-    if (decode_ns_ != nullptr || tracer_ != nullptr) {
-      const obs::Span span(tracer_, "decode");
-      const auto start = std::chrono::steady_clock::now();
-      run_batch_impl(genomes, out);
-      if (decode_ns_ != nullptr) {
-        decode_ns_->record(static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - start)
-                .count()));
-        batch_size_hist_->record(genomes.size());
-        decoded_genomes_->add(genomes.size());
-      }
-      return;
-    }
-    run_batch_impl(genomes, out);
-  }
-
-  void run_batch_impl(std::span<const Genome> genomes, std::span<double> out) {
-    if (!use_pool_) {
-      chunked_objective_batch(*problem_, genomes, out, *workspaces_[0],
-                              batch_size_);
-      return;
-    }
-    pool_->parallel_lanes(
-        genomes.size(),
-        [&](std::size_t lane, std::size_t begin, std::size_t end) {
-          chunked_objective_batch(*problem_,
-                                  genomes.subspan(begin, end - begin),
-                                  out.subspan(begin, end - begin),
-                                  *workspaces_[lane], batch_size_);
-        });
-  }
-
-  ProblemPtr problem_;
-  par::ThreadPool* pool_;
-  bool use_pool_;
-  std::size_t batch_size_;
-  std::vector<std::unique_ptr<Workspace>> workspaces_;
-  EvalCachePtr cache_;
-  std::vector<double> scratch_;
-  std::atomic<long long> decode_calls_{0};
-  obs::Histogram* decode_ns_ = nullptr;
-  obs::Histogram* batch_size_hist_ = nullptr;
-  obs::Counter* decoded_genomes_ = nullptr;
-  obs::Tracer* tracer_ = nullptr;
-
-  std::mutex mutex_;
-  std::condition_variable work_cv_;
-  std::condition_variable idle_cv_;
-  std::deque<Job> queue_;
-  bool busy_ = false;
-  bool stop_ = false;
-  std::thread thread_;
-};
-
-// --- evaluator ---------------------------------------------------------------
-
 Evaluator::Evaluator(ProblemPtr problem, EvalBackend backend,
-                     par::ThreadPool* pool, bool async_coordinator_only,
-                     int eval_batch)
+                     par::ThreadPool* pool, int eval_batch)
     : problem_(std::move(problem)),
       backend_(backend),
-      // Only the pool-carried backends need a pool; don't materialize the
+      // Only the pool backend needs a pool; don't materialize the
       // process-wide default pool (and its worker threads) for serial or
       // OpenMP evaluators.
-      pool_((backend == EvalBackend::kThreadPool ||
-             (backend == EvalBackend::kAsyncPool && !async_coordinator_only)) &&
-                    pool == nullptr
+      pool_(backend == EvalBackend::kThreadPool && pool == nullptr
                 ? &par::default_pool()
                 : pool),
       batch_size_(resolve_eval_batch(eval_batch)) {
@@ -257,22 +71,12 @@ Evaluator::Evaluator(ProblemPtr problem, EvalBackend backend,
     case EvalBackend::kOpenMp:
       lanes = par::omp_worker_count();
       break;
-    case EvalBackend::kAsyncPool:
-      // Lane 0 here serves evaluate_one; batch workspaces live inside the
-      // pipeline, which owns the threads that use them.
-      pipeline_ = std::make_unique<AsyncPipeline>(
-          problem_, pool_, !async_coordinator_only, batch_size_);
-      break;
   }
   workspaces_.reserve(static_cast<std::size_t>(lanes));
   for (int i = 0; i < lanes; ++i) {
     workspaces_.push_back(problem_->make_workspace());
   }
 }
-
-Evaluator::~Evaluator() = default;
-Evaluator::Evaluator(Evaluator&&) noexcept = default;
-Evaluator& Evaluator::operator=(Evaluator&&) noexcept = default;
 
 void Evaluator::raw_evaluate(std::span<const Genome> genomes,
                              std::span<double> objectives) {
@@ -298,7 +102,6 @@ void Evaluator::raw_evaluate_impl(std::span<const Genome> genomes,
   const std::size_t n = genomes.size();
   switch (backend_) {
     case EvalBackend::kSerial:
-    case EvalBackend::kAsyncPool:  // unreachable: async goes via submit()
       chunked_objective_batch(*problem_, genomes, objectives, workspace(0),
                               batch_size_);
       return;
@@ -347,11 +150,6 @@ void Evaluator::raw_evaluate_impl(std::span<const Genome> genomes,
 
 void Evaluator::evaluate(std::span<const Genome> genomes,
                          std::span<double> objectives) {
-  if (backend_ == EvalBackend::kAsyncPool) {
-    submit(genomes, objectives);
-    fence();
-    return;
-  }
   const std::size_t n = genomes.size();
   evaluations_ += static_cast<long long>(n);
   if (cache_ == nullptr) {
@@ -364,14 +162,18 @@ void Evaluator::evaluate(std::span<const Genome> genomes,
   miss_genomes_.clear();
   miss_hashes_.clear();
   miss_slots_.clear();
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t hash = salted_key(genome_hash(genomes[i]), hash_salt_);
-    if (const auto value = cache_->lookup(hash, genomes[i])) {
-      objectives[i] = *value;
-    } else {
-      miss_genomes_.push_back(genomes[i]);
-      miss_hashes_.push_back(hash);
-      miss_slots_.push_back(i);
+  {
+    const obs::Span span(tracer_.get(), "cache_filter");
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint64_t hash =
+          salted_key(genome_hash(genomes[i]), hash_salt_);
+      if (const auto value = cache_->lookup(hash, genomes[i])) {
+        objectives[i] = *value;
+      } else {
+        miss_genomes_.push_back(genomes[i]);
+        miss_hashes_.push_back(hash);
+        miss_slots_.push_back(i);
+      }
     }
   }
   if (miss_genomes_.empty()) return;
@@ -384,77 +186,7 @@ void Evaluator::evaluate(std::span<const Genome> genomes,
   }
 }
 
-void Evaluator::submit(std::span<const Genome> genomes,
-                       std::span<double> objectives) {
-  if (backend_ != EvalBackend::kAsyncPool) {
-    evaluate(genomes, objectives);
-    return;
-  }
-  const std::size_t n = genomes.size();
-  evaluations_ += static_cast<long long>(n);
-  if (n == 0) return;
-  const obs::Span span(tracer_.get(), "submit");
-  if (submit_to_fence_ns_ != nullptr && !inflight_timed_) {
-    // First submit of this generation: the fence closes the interval.
-    inflight_since_ns_ = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-    inflight_timed_ = true;
-  }
-  AsyncPipeline::Job job;
-  if (cache_ == nullptr) {
-    job.genomes = genomes;
-    job.out = objectives;
-    pipeline_->submit(std::move(job));
-    return;
-  }
-  // Hits resolve right here on the engine thread; only misses travel.
-  job.filtered = true;
-  {
-    const obs::Span filter_span(tracer_.get(), "cache_filter");
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t hash =
-          salted_key(genome_hash(genomes[i]), hash_salt_);
-      if (const auto value = cache_->lookup(hash, genomes[i])) {
-        objectives[i] = *value;
-      } else {
-        job.miss_genomes.push_back(genomes[i]);
-        job.miss_hashes.push_back(hash);
-        job.miss_out.push_back(&objectives[i]);
-      }
-    }
-  }
-  if (!job.miss_genomes.empty()) pipeline_->submit(std::move(job));
-}
-
-void Evaluator::fence() {
-  if (pipeline_ == nullptr) return;
-  if (fence_wait_ns_ == nullptr && tracer_ == nullptr) {
-    pipeline_->fence();
-    return;
-  }
-  const obs::Span span(tracer_.get(), "fence");
-  const auto start = std::chrono::steady_clock::now();
-  pipeline_->fence();
-  const auto now = std::chrono::steady_clock::now();
-  if (fence_wait_ns_ != nullptr) {
-    fence_wait_ns_->record(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(now - start)
-            .count()));
-    if (inflight_timed_) {
-      const auto now_ns = static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              now.time_since_epoch())
-              .count());
-      submit_to_fence_ns_->record(now_ns - inflight_since_ns_);
-      inflight_timed_ = false;
-    }
-  }
-}
-
 double Evaluator::evaluate_one(const Genome& genome) {
-  fence();
   ++evaluations_;
   if (cache_ != nullptr) {
     const std::uint64_t hash = salted_key(genome_hash(genome), hash_salt_);
@@ -468,49 +200,23 @@ double Evaluator::evaluate_one(const Genome& genome) {
   return problem_->objective(genome, workspace(0));
 }
 
-void Evaluator::set_cache(EvalCachePtr cache) {
-  fence();
-  cache_ = std::move(cache);
-  if (pipeline_ != nullptr) pipeline_->set_cache(cache_);
-}
+void Evaluator::set_cache(EvalCachePtr cache) { cache_ = std::move(cache); }
 
-void Evaluator::set_hash_salt(std::uint64_t salt) {
-  fence();
-  hash_salt_ = salt;
-}
+void Evaluator::set_hash_salt(std::uint64_t salt) { hash_salt_ = salt; }
 
 void Evaluator::set_obs(obs::RegistryPtr metrics,
                         std::shared_ptr<obs::Tracer> tracer) {
-  fence();
   metrics_ = std::move(metrics);
   tracer_ = std::move(tracer);
   if (metrics_ != nullptr) {
     decode_ns_ = &metrics_->histogram("eval.decode_ns");
     batch_size_hist_ = &metrics_->histogram("eval.batch_size");
     decoded_genomes_ = &metrics_->counter("eval.decoded_genomes");
-    if (backend_ == EvalBackend::kAsyncPool) {
-      fence_wait_ns_ = &metrics_->histogram("eval.fence_wait_ns");
-      submit_to_fence_ns_ = &metrics_->histogram("eval.submit_to_fence_ns");
-    }
   } else {
     decode_ns_ = nullptr;
     batch_size_hist_ = nullptr;
     decoded_genomes_ = nullptr;
-    fence_wait_ns_ = nullptr;
-    submit_to_fence_ns_ = nullptr;
   }
-  if (pipeline_ != nullptr) {
-    pipeline_->set_obs(decode_ns_, batch_size_hist_, decoded_genomes_,
-                       tracer_.get());
-  }
-}
-
-long long Evaluator::decode_calls() const noexcept {
-  return decode_calls_ + (pipeline_ != nullptr ? pipeline_->decode_calls() : 0);
-}
-
-int Evaluator::pipeline_width() const noexcept {
-  return pipeline_ != nullptr ? pipeline_->width() : 0;
 }
 
 }  // namespace psga::ga

@@ -8,33 +8,23 @@
 //   kThreadPool — the library thread pool, one static chunk + Workspace
 //                 per lane (the master-slave model of Table III);
 //   kOpenMp     — the OpenMP runtime with the same static chunking
-//                 (serial when OpenMP is not compiled in);
-//   kAsyncPool  — the pipelined mode: submit() enqueues batches on a
-//                 coordinator thread and returns immediately, so an
-//                 engine keeps breeding generation g+1 while earlier
-//                 blocks of it are already being evaluated; fence() is
-//                 the generation fence that every objective read (elitism
-//                 sort, migration, run-loop bookkeeping) must cross.
-// Objectives are pure, and the chunk→lane mapping is deterministic, so
-// results are bit-identical across backends and thread counts; Workspaces
-// only recycle allocations, never carry state between genomes. The async
-// pipeline preserves that contract: it changes *when* a batch is decoded,
-// never what the decode returns, and evaluations() counts at submit time
-// on the engine thread, so evaluation-budget stops are backend-invariant.
+//                 (serial when OpenMP is not compiled in).
+// Every backend is synchronous: evaluate() returns with every objective
+// written. Objectives are pure, and the chunk→lane mapping is
+// deterministic, so results are bit-identical across backends and thread
+// counts; Workspaces only recycle allocations, never carry state between
+// genomes.
 //
 // An optional EvalCache (set_cache) memoizes objectives by genome hash;
-// lookups happen on the engine thread, only the misses reach the backend,
-// and decode_calls() reports how many genomes were actually decoded.
-// Several evaluators may share one cache (islands, cluster ranks): cached
-// values come from the same pure objectives, so sharing never perturbs a
-// trace. Cache counters are exact on synchronous backends; under the
-// async pipeline the hit/miss split of intra-flight duplicates depends on
-// insert timing (values never do).
+// lookups and inserts happen on the calling thread in genome order, only
+// the misses reach the backend, and decode_calls() reports how many
+// genomes were actually decoded. Several evaluators may share one cache
+// (islands, cluster ranks): cached values come from the same pure
+// objectives, so sharing never perturbs a trace.
 //
 // An Evaluator instance is NOT re-entrant: it owns one Workspace per lane.
 // Engines that evaluate from several threads at once (islands stepping in
-// parallel) give each inner engine its own serial — or coordinator-only
-// async — Evaluator instead.
+// parallel) give each inner engine its own serial Evaluator instead.
 #pragma once
 
 #include <memory>
@@ -54,63 +44,40 @@ enum class EvalBackend {
   kSerial,      ///< calling thread only
   kThreadPool,  ///< the library thread pool (master-slave slaves)
   kOpenMp,      ///< OpenMP parallel-for (serial if not compiled in)
-  kAsyncPool,   ///< pipelined submit()/fence() on a coordinator thread
 };
-
-class AsyncPipeline;  // internal to evaluator.cpp
 
 class Evaluator {
  public:
   /// `pool` may be null — the library default pool is used (only relevant
-  /// for the thread-pool and async backends). `async_coordinator_only`
-  /// restricts the async pipeline to its coordinator thread instead of
-  /// fanning batches out on the pool — set by engines whose outer level
-  /// already owns the pool (parallel island steps, cluster ranks), where
-  /// a nested fork-join would contend or deadlock. `eval_batch` is the
-  /// chunk size handed to Problem::objective_batch on every backend:
-  /// 0 = auto (a lane-width-friendly default block), otherwise the exact
-  /// block size (1 degenerates to per-genome calls). Objectives are pure
-  /// and the chunk→genome mapping is deterministic, so the value never
-  /// changes any objective — only how many genomes each batched decode
-  /// kernel invocation sees.
+  /// for the thread-pool backend). `eval_batch` is the chunk size handed
+  /// to Problem::objective_batch on every backend: 0 = auto (a
+  /// lane-width-friendly default block), otherwise the exact block size
+  /// (1 degenerates to per-genome calls). Objectives are pure and the
+  /// chunk→genome mapping is deterministic, so the value never changes
+  /// any objective — only how many genomes each batched decode kernel
+  /// invocation sees.
   explicit Evaluator(ProblemPtr problem,
                      EvalBackend backend = EvalBackend::kSerial,
                      par::ThreadPool* pool = nullptr,
-                     bool async_coordinator_only = false,
                      int eval_batch = 0);
-  ~Evaluator();
-  Evaluator(Evaluator&&) noexcept;
-  Evaluator& operator=(Evaluator&&) noexcept;
 
   /// Fills objectives[i] = problem objective of genomes[i]. Spans must
-  /// have equal size. Counts toward evaluations(). Synchronous on every
-  /// backend: on kAsyncPool this is submit() + fence().
+  /// have equal size. Counts toward evaluations().
   void evaluate(std::span<const Genome> genomes, std::span<double> objectives);
 
-  /// Pipelined entry point. On kAsyncPool: resolves cache hits
-  /// immediately, enqueues the rest and returns — both spans must stay
-  /// valid and untouched until the next fence(). On synchronous backends
-  /// this is evaluate(). Counts toward evaluations() at submit time.
-  void submit(std::span<const Genome> genomes, std::span<double> objectives);
-
-  /// The generation fence: blocks until every submitted batch has been
-  /// evaluated and written back. No-op on synchronous backends.
-  void fence();
-
   /// Single-genome convenience on lane 0's Workspace (local search, B&B
-  /// comparisons). Fences first on kAsyncPool. Counts toward
-  /// evaluations().
+  /// comparisons). Counts toward evaluations().
   double evaluate_one(const Genome& genome);
 
-  /// Attaches (or clears) the memoization cache. Call while no batch is
-  /// in flight. The cache may be shared with other evaluators.
+  /// Attaches (or clears) the memoization cache. The cache may be shared
+  /// with other evaluators.
   void set_cache(EvalCachePtr cache);
 
-  /// Namespaces this evaluator's cache keys (same in-flight rule as
-  /// set_cache). A cache shared across *different* objective landscapes —
-  /// the session layer's cross-replan store, where the same suffix genome
-  /// means different schedules under different frozen prefixes and
-  /// downtimes — must keep their entries apart. The salt is folded into
+  /// Namespaces this evaluator's cache keys. A cache shared across
+  /// *different* objective landscapes — the session layer's cross-replan
+  /// store, where the same suffix genome means different schedules under
+  /// different frozen prefixes and downtimes — must keep their entries
+  /// apart. The salt is folded into
   /// the key through a bijective mixer, so for any fixed genome distinct
   /// salts can never produce the same key: a cross-namespace hit is
   /// impossible, not merely improbable, and the cache's genome-equality
@@ -121,10 +88,8 @@ class Evaluator {
   /// Attaches the observability sinks (both may be null). Handles into
   /// `metrics` are resolved once, here — the hot path then costs two
   /// clock reads plus a few relaxed adds per *batch*, never per genome.
-  /// Fences first; call while no batch is in flight (the set_cache rule).
   /// Metric names: eval.decode_ns / eval.batch_size / eval.decoded_genomes
-  /// on every decode batch, eval.fence_wait_ns + eval.submit_to_fence_ns
-  /// on the pipelined backend. Spans: decode, submit, fence, cache_filter.
+  /// on every decode batch. Spans: decode, cache_filter.
   void set_obs(obs::RegistryPtr metrics, std::shared_ptr<obs::Tracer> tracer);
   const EvalCache* cache() const { return cache_.get(); }
   /// Shared handle for per-run stat snapshots (Engine::eval_cache_shared).
@@ -137,24 +102,16 @@ class Evaluator {
 
   /// Genomes actually decoded (cache misses reaching the backend).
   /// Equals evaluations() when no cache is attached.
-  long long decode_calls() const noexcept;
+  long long decode_calls() const noexcept { return decode_calls_; }
 
   EvalBackend backend() const noexcept { return backend_; }
   /// Resolved objective_batch chunk size (the auto default when the
   /// constructor was given 0).
   int eval_batch() const noexcept { return static_cast<int>(batch_size_); }
-  /// True when submit() actually pipelines (kAsyncPool).
-  bool pipelined() const noexcept { return backend_ == EvalBackend::kAsyncPool; }
   const Problem& problem() const noexcept { return *problem_; }
 
-  /// Worker-lane count of the active backend (1 for kSerial and for the
-  /// engine-thread side of kAsyncPool).
+  /// Worker-lane count of the active backend (1 for kSerial).
   int lanes() const noexcept { return static_cast<int>(workspaces_.size()); }
-
-  /// Decode lanes behind the async pipeline (0 when not pipelined).
-  /// Engines size their submit blocks from this so a wide pool is not
-  /// dispatched over a handful of genomes.
-  int pipeline_width() const noexcept;
 
  private:
   Workspace& workspace(std::size_t lane) { return *workspaces_[lane]; }
@@ -172,11 +129,8 @@ class Evaluator {
   std::vector<std::unique_ptr<Workspace>> workspaces_;  // one per lane
   EvalCachePtr cache_;
   std::uint64_t hash_salt_ = 0;  ///< cache-key namespace (see set_hash_salt)
-  /// Present only on kAsyncPool; self-contained (own workspaces, own
-  /// decode counter) so the Evaluator stays movable while jobs run.
-  std::unique_ptr<AsyncPipeline> pipeline_;
   long long evaluations_ = 0;
-  long long decode_calls_ = 0;  ///< engine-thread decodes (sync paths)
+  long long decode_calls_ = 0;
   // Reusable scratch for the cache-filtering path.
   std::vector<Genome> miss_genomes_;
   std::vector<std::uint64_t> miss_hashes_;
@@ -190,10 +144,6 @@ class Evaluator {
   obs::Histogram* decode_ns_ = nullptr;
   obs::Histogram* batch_size_hist_ = nullptr;
   obs::Counter* decoded_genomes_ = nullptr;
-  obs::Histogram* fence_wait_ns_ = nullptr;
-  obs::Histogram* submit_to_fence_ns_ = nullptr;
-  std::uint64_t inflight_since_ns_ = 0;  ///< first submit since last fence
-  bool inflight_timed_ = false;
 };
 
 }  // namespace psga::ga

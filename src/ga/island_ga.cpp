@@ -168,9 +168,8 @@ void IslandGa::init() {
   for (int i = 0; i < k; ++i) {
     // Islands step concurrently on the pool; inner_engine_config keeps
     // their evaluators off it (the pool is not re-entrant) — serial on
-    // the stepping thread, or a coordinator-only async pipeline so an
-    // island's breeding still overlaps its own evaluation. The fan-out
-    // parallelism of this model lives at the island level either way.
+    // the stepping thread. The fan-out parallelism of this model lives
+    // at the island level.
     GaConfig cfg = inner_engine_config(config_.base, cache_);
     // Deal an injected population round-robin: genome j seeds island
     // j mod k (the copy from base above would otherwise clone the whole

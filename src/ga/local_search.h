@@ -19,9 +19,9 @@ double local_search_swap(const Problem& problem, Genome& genome,
                          Workspace* workspace = nullptr);
 
 /// Same climb, but every objective goes through `evaluator` — so climbs
-/// are counted toward evaluation budgets exactly like GA evaluations,
-/// memoized by the evaluation cache, and fenced against an async
-/// pipeline. The memetic engine uses this overload.
+/// are counted toward evaluation budgets exactly like GA evaluations and
+/// memoized by the evaluation cache. The memetic engine uses this
+/// overload.
 double local_search_swap(Evaluator& evaluator, Genome& genome,
                          int max_evaluations, par::Rng& rng);
 

@@ -26,9 +26,7 @@ class MasterSlaveGa : public Engine {
   /// `pool` may be null — the library default pool is used. The parallel
   /// runtime comes from config.eval_backend; a config still set to
   /// kSerial is promoted to kThreadPool (a serial master-slave engine is
-  /// a contradiction in terms), while kAsyncPool keeps the pipelined
-  /// master: breeding overlaps the slaves' evaluation up to the
-  /// generation fence.
+  /// a contradiction in terms).
   MasterSlaveGa(ProblemPtr problem, GaConfig config,
                 par::ThreadPool* pool = nullptr);
 

@@ -39,8 +39,7 @@ void MemeticGa::step() {
       const double before =
           inner_->objectives()[static_cast<std::size_t>(slot)];
       // Climbs evaluate through the inner engine's Evaluator: counted
-      // toward budgets like any evaluation, memoized by the cache, and
-      // fenced against the async pipeline.
+      // toward budgets like any evaluation and memoized by the cache.
       climbs_->add();
       double after = local_search_swap(inner_->evaluator(), candidate,
                                        config_.search_budget, rng_);

@@ -96,8 +96,7 @@ struct QuantumGa::State {
 
   State(ProblemPtr problem, EvalBackend backend, par::ThreadPool* pool,
         int eval_batch)
-      : evaluator(std::move(problem), backend, pool,
-                  /*async_coordinator_only=*/false, eval_batch) {}
+      : evaluator(std::move(problem), backend, pool, eval_batch) {}
 
   std::vector<Island> islands;
   /// All measurements of a generation in one flat batch (island-major)

@@ -22,8 +22,7 @@ EvalBackend parse_eval(const std::string& value, const std::string& token) {
   if (value == "serial") return EvalBackend::kSerial;
   if (value == "pool") return EvalBackend::kThreadPool;
   if (value == "omp") return EvalBackend::kOpenMp;
-  if (value == "async_pool" || value == "async") return EvalBackend::kAsyncPool;
-  bad_token(token, "unknown eval backend");
+  bad_token(token, "unknown eval backend (serial|pool|omp)");
 }
 
 Topology parse_topology(const std::string& value, const std::string& token) {
@@ -205,7 +204,6 @@ const char* eval_name(EvalBackend backend) {
     case EvalBackend::kSerial: return "serial";
     case EvalBackend::kThreadPool: return "pool";
     case EvalBackend::kOpenMp: return "omp";
-    case EvalBackend::kAsyncPool: return "async_pool";
   }
   return "serial";
 }

@@ -22,8 +22,7 @@
 //   engine=quantum islands=4 pop=20
 //   engine=memetic pop=60 interval=5 refine=2 budget=150
 //   engine=cluster ranks=6 interval=5 broadcast=25
-//   engine=island eval_backend=async_pool eval_cache=lru:65536
-//   engine=island eval=async_pool eval_cache=lru:65536 eval_batch=16
+//   engine=island eval_cache=lru:65536 eval_batch=16
 #pragma once
 
 #include <functional>
@@ -54,7 +53,7 @@ struct SolverSpec {
   std::optional<int> population;       ///< pop= (per island for island engines)
   std::optional<int> elites;           ///< elites=
   std::optional<std::uint64_t> seed;   ///< seed=
-  /// eval= (alias eval_backend=): serial|pool|omp|async_pool
+  /// eval= (alias eval_backend=): serial|pool|omp
   std::optional<EvalBackend> eval;
   /// eval_cache=off|unbounded|lru:<capacity> — both cached modes accept
   /// an optional trailing :<shards> (e.g. lru:65536:16)
@@ -96,7 +95,7 @@ struct SolverSpec {
 
   /// trace=on|off — opt-in stage tracing: the built engine gets a
   /// psga::obs::Tracer and records begin/end spans (breed, decode,
-  /// submit, fence, migration, ...) retrievable via
+  /// cache_filter, migration, ...) retrievable via
   /// Engine::tracer_shared() and exportable as Chrome trace JSON
   /// (psga_sweep --trace). Purely observational: traces never change a
   /// RunResult. Metrics need no token — they are always on.

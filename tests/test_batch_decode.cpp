@@ -346,13 +346,11 @@ TEST_P(BatchScalarEquivalence, ChunkedBatchesMatchScalarOnEveryBackend) {
   }
 
   for (EvalBackend backend :
-       {EvalBackend::kSerial, EvalBackend::kThreadPool, EvalBackend::kOpenMp,
-        EvalBackend::kAsyncPool}) {
+       {EvalBackend::kSerial, EvalBackend::kThreadPool, EvalBackend::kOpenMp}) {
     for (int eval_batch : {1, 2, 7, 16, 33}) {
       SCOPED_TRACE("backend=" + std::to_string(static_cast<int>(backend)) +
                    " eval_batch=" + std::to_string(eval_batch));
-      Evaluator evaluator(problem, backend, nullptr,
-                          /*async_coordinator_only=*/false, eval_batch);
+      Evaluator evaluator(problem, backend, nullptr, eval_batch);
       EXPECT_EQ(evaluator.eval_batch(), eval_batch);
       std::vector<double> got(genomes.size(), -1.0);
       evaluator.evaluate(genomes, got);
@@ -367,7 +365,7 @@ INSTANTIATE_TEST_SUITE_P(AllRegistryProblems, BatchScalarEquivalence,
 TEST(BatchScalarEquivalence, AutoResolvesToAPositiveBlockSize) {
   const ProblemPtr problem =
       ProblemSpec::parse("problem=flowshop instance=ta001").build();
-  Evaluator evaluator(problem, EvalBackend::kSerial, nullptr, false,
+  Evaluator evaluator(problem, EvalBackend::kSerial, nullptr,
                       /*eval_batch=*/0);
   EXPECT_GT(evaluator.eval_batch(), 0);
 }
@@ -401,7 +399,7 @@ INSTANTIATE_TEST_SUITE_P(
         "problem=flowshop instance=gen:jobs=10,machines=4,seed=3 "
         "engine=simple pop=14 elites=2 seed=5",
         "problem=jobshop instance=ft06 decoder=active engine=island "
-        "islands=3 pop=8 interval=2 seed=5 eval=async_pool "
+        "islands=3 pop=8 interval=2 seed=5 eval=pool "
         "eval_cache=lru:4096",
         "problem=flowshop encoding=random-key "
         "instance=gen:jobs=10,machines=4,seed=3 engine=cellular width=4 "

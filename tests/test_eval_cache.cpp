@@ -2,12 +2,14 @@
 // memoization on, every engine's best-fitness trace is bit-identical to
 // the uncached run on every backend, only the number of decode calls
 // changes. These tests pin that down, plus the genome hash the cache
-// keys on, exact counter accounting, and LRU eviction.
+// keys on, exact counter accounting (identical on every backend and
+// pool width), evaluation budgets, and LRU eviction.
 #include "src/ga/eval_cache.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -295,6 +297,76 @@ TEST(EvaluatorCache, SharedAndReusedCachesReportPerRunDeltas) {
   }
 }
 
+TEST(EvaluatorCache, EvaluationBudgetCountsCacheHitsExactlyOnce) {
+  // Regression: a cache hit must count toward the evaluation budget
+  // exactly like a decode, so the budget cuts every variant at the same
+  // generation with identical traces.
+  const ProblemPtr problem = flow_shop();
+  const StopCondition budget = StopCondition::evaluation_budget(95);
+  const std::string base = "engine=simple pop=10 elites=4 seed=29";
+  const RunResult reference =
+      Solver::build(SolverSpec::parse(base + " eval=serial"), problem)
+          .run(budget);
+  EXPECT_GE(reference.evaluations, 95);
+  for (const char* variant : {" eval=serial eval_cache=unbounded",
+                              " eval=pool eval_cache=lru:4096"}) {
+    SCOPED_TRACE(variant);
+    const RunResult got =
+        Solver::build(SolverSpec::parse(base + variant), problem).run(budget);
+    EXPECT_EQ(reference.generations, got.generations);
+    EXPECT_EQ(reference.evaluations, got.evaluations);
+    EXPECT_EQ(reference.history, got.history);
+    EXPECT_EQ(reference.best.seq, got.best.seq);
+  }
+}
+
+// The suite name is the one this stress test had while it drove the
+// (now deleted) asynchronous pipeline; it now drives the pool backend.
+TEST(AsyncPipeline, StressOneToSixteenThreadsRepeatedSeeds) {
+  // 1-16 pool workers x repeated seeds, cache off and on: every run
+  // equals the serial one, and the cache counters are the serial ones.
+  const ProblemPtr problem = flow_shop();
+  const StopCondition stop = StopCondition::generations(5);
+  for (const std::uint64_t seed : {1ull, 5ull, 9ull, 13ull, 17ull}) {
+    GaConfig cfg;
+    cfg.population = 16;
+    cfg.elites = 2;
+    cfg.seed = seed;
+    SimpleGa serial(problem, cfg);
+    const RunResult expect = serial.run(stop);
+    GaConfig cached_cfg = cfg;
+    cached_cfg.eval_cache.mode = EvalCacheMode::kLru;
+    cached_cfg.eval_cache.capacity = 4096;
+    SimpleGa serial_cached(problem, cached_cfg);
+    const RunResult expect_cached = serial_cached.run(stop);
+    ASSERT_TRUE(expect_cached.cache.has_value());
+    for (const int threads : {1, 2, 3, 4, 8, 16}) {
+      SCOPED_TRACE("seed=" + std::to_string(seed) +
+                   " threads=" + std::to_string(threads));
+      par::ThreadPool pool(threads);
+      GaConfig pool_cfg = cfg;
+      pool_cfg.eval_backend = EvalBackend::kThreadPool;
+      SimpleGa pooled(problem, pool_cfg, &pool);
+      const RunResult got = pooled.run(stop);
+      EXPECT_EQ(expect.history, got.history);
+      EXPECT_EQ(expect.best.seq, got.best.seq);
+      EXPECT_EQ(expect.evaluations, got.evaluations);
+
+      GaConfig pool_cached_cfg = cached_cfg;
+      pool_cached_cfg.eval_backend = EvalBackend::kThreadPool;
+      SimpleGa pooled_cached(problem, pool_cached_cfg, &pool);
+      const RunResult got_cached = pooled_cached.run(stop);
+      EXPECT_EQ(expect.history, got_cached.history);
+      EXPECT_EQ(expect.best.seq, got_cached.best.seq);
+      EXPECT_EQ(expect.evaluations, got_cached.evaluations);
+      ASSERT_TRUE(got_cached.cache.has_value());
+      EXPECT_EQ(expect_cached.cache->hits, got_cached.cache->hits);
+      EXPECT_EQ(expect_cached.cache->misses, got_cached.cache->misses);
+      EXPECT_EQ(expect_cached.cache->inserts, got_cached.cache->inserts);
+    }
+  }
+}
+
 TEST(EvaluatorCache, HitsPlusMissesEqualsEvaluations) {
   Solver solver = Solver::build(
       SolverSpec::parse("engine=simple pop=16 elites=6 seed=3 "
@@ -326,6 +398,10 @@ TEST_P(CacheEquivalence, BitIdenticalTracesAcrossBackendsAndCacheModes) {
   const std::string base = GetParam();
   const StopCondition stop = StopCondition::generations(6);
   const ProblemPtr problem = flow_shop();
+  // Serial-run counters per cache mode. Every backend looks up and
+  // inserts on the evaluating thread in genome order, so pool and omp
+  // must record exactly the same hits, misses and inserts.
+  std::map<std::string, EvalCacheStats> serial_counts;
   for (const char* eval : {" eval=serial", " eval=pool", " eval=omp"}) {
     SCOPED_TRACE(base + eval);
     const RunResult off =
@@ -342,6 +418,11 @@ TEST_P(CacheEquivalence, BitIdenticalTracesAcrossBackendsAndCacheModes) {
           << "cache hits must count like decodes";
       ASSERT_TRUE(on.cache.has_value());
       EXPECT_EQ(on.cache->hits + on.cache->misses, on.evaluations);
+      const EvalCacheStats& serial =
+          serial_counts.try_emplace(cache, *on.cache).first->second;
+      EXPECT_EQ(on.cache->hits, serial.hits);
+      EXPECT_EQ(on.cache->misses, serial.misses);
+      EXPECT_EQ(on.cache->inserts, serial.inserts);
     }
   }
 }

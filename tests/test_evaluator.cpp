@@ -194,7 +194,7 @@ TEST(Evaluator, EngineRunInvariantAcrossBackendsAndThreadCounts) {
     cfg.seed = 17;
     SimpleGa serial(problem, cfg);
     const GaResult reference = serial.run();
-    for (int threads : {1, 2, 4}) {
+    for (int threads : {1, 2, 4, 8, 16}) {
       par::ThreadPool pool(threads);
       GaConfig parallel_cfg = cfg;
       parallel_cfg.eval_backend = EvalBackend::kThreadPool;

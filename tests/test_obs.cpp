@@ -7,6 +7,7 @@
 // trace plumbing, and the daemon-side JobTable/stats surfaces.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <set>
@@ -253,7 +254,7 @@ ga::RunResult run_observed(const std::string& text, bool obs_on,
 
 TEST(ObsDeterminism, RunResultsBitIdenticalObsOnVsOff) {
   // The contract the whole subsystem hangs on: observation never alters
-  // an evolutionary trace. Every engine × serial/async backend, same
+  // an evolutionary trace. Every engine × serial/pool backend, same
   // seed, metrics+tracing fully on vs metrics disabled and no tracer —
   // the runs must be bit-identical.
   const std::vector<std::string> engines = {
@@ -266,7 +267,7 @@ TEST(ObsDeterminism, RunResultsBitIdenticalObsOnVsOff) {
       "engine=memetic pop=12 seed=53 interval=2 budget=20",
       "engine=cluster ranks=2 pop=8 seed=55 interval=2 broadcast=4"};
   for (const std::string& engine : engines) {
-    for (const std::string& eval : {" eval=serial", " eval=async_pool"}) {
+    for (const char* eval : {" eval=serial", " eval=pool"}) {
       const std::string text = engine + eval;
       SCOPED_TRACE(text);
       const ga::RunResult on = run_observed(text, true, true);
@@ -303,6 +304,19 @@ TEST(ObsDeterminism, TracedRunRecordsSpans) {
   ga::Solver untraced = ga::Solver::build(
       ga::SolverSpec::parse("engine=island islands=2 pop=8 seed=3"), problem);
   EXPECT_EQ(untraced.engine().tracer_shared(), nullptr);
+  // With a cache attached, the synchronous filter stage shows up too.
+  ga::Solver cached = ga::Solver::build(
+      ga::SolverSpec::parse("engine=island islands=2 pop=8 seed=3 trace=on "
+                            "eval_cache=lru:4096"),
+      problem);
+  cached.run(ga::StopCondition::generations(4));
+  const std::vector<obs::SpanEvent> cached_events =
+      cached.engine().tracer_shared()->events();
+  EXPECT_TRUE(std::any_of(cached_events.begin(), cached_events.end(),
+                          [](const obs::SpanEvent& event) {
+                            return std::string(event.name) == "cache_filter";
+                          }))
+      << "no cache_filter span in a traced cached run";
 }
 
 TEST(ObsCache, ZeroCountersAlwaysEngagedWithoutACache) {

@@ -74,7 +74,7 @@ SubmitOptions long_budget() {
 TEST(Service, SubmitRoundTripMatchesInProcessSolver) {
   const std::string spec =
       "problem=flowshop instance=ta001 engine=island islands=4 pop=12 "
-      "eval=async_pool seed=42";
+      "eval=pool seed=42";
   const ga::StopCondition stop = ga::StopCondition::generations(12);
   const ga::RunResult direct =
       ga::Solver::build(ga::RunSpec::parse(spec)).run(stop);
@@ -207,8 +207,12 @@ TEST(Service, DrainCancelsQueuedFinishesRunning) {
   std::vector<long long> rest;
   {
     Client client(config.socket_path);
+    // Long enough (tens of ms) to still be running while the three
+    // queued submits and the drain cross the socket: a job that ends
+    // first would free the worker for rest[0] and leave only two to
+    // cancel. Short enough that the drain's wait for it stays brief.
     SubmitOptions quick;
-    quick.generations = 40;
+    quick.generations = 20000;
     first = client.submit(
         "problem=flowshop instance=ta001 engine=simple pop=10 seed=3", quick);
     await_running(client, first);

@@ -250,9 +250,9 @@ TEST(SolverSpecRoundTrip, CanonicalStringReparsesToTheSameSpec) {
         "engine=master-slave pop=200 eval=omp",
         "engine=cellular width=16 height=16 neighborhood=moore radius=2",
         "engine=island islands=8 topology=hypercube policy=best-random "
-        "interval=5 eval=async_pool eval_cache=lru:65536",
-        "engine=island eval_backend=async_pool eval_cache=lru:65536",
-        "engine=quantum islands=4 pop=20 eval=async_pool",
+        "interval=5 eval=serial eval_cache=lru:65536",
+        "engine=island eval_backend=pool eval_cache=lru:65536",
+        "engine=quantum islands=4 pop=20 eval=pool",
         "engine=cluster ranks=6 interval=5 broadcast=25 eval_cache=unbounded",
         "engine=memetic pop=60 interval=5 refine=2 budget=150 "
         "eval_cache=off xover-rate=0.85 mut-rate=0.15"}) {
@@ -265,10 +265,10 @@ TEST(SolverSpecRoundTrip, CanonicalStringReparsesToTheSameSpec) {
 TEST(SolverSpecRoundTrip, RandomSpecsSurviveParsePrintParse) {
   // Property-style sweep: random subsets of the whole token grammar,
   // random values, 200 draws — spec -> to_string -> parse must be the
-  // identity, including the async/cache tokens.
+  // identity, including the eval backend/cache tokens.
   par::Rng rng(4242);
   const std::vector<std::string> engines = engine_names();
-  const char* evals[] = {"serial", "pool", "omp", "async_pool"};
+  const char* evals[] = {"serial", "pool", "omp"};
   const char* caches[] = {"off", "unbounded", "lru:16", "lru:65536"};
   const char* topologies[] = {"ring", "grid",  "torus",     "full",
                               "star", "hypercube", "random"};
@@ -279,7 +279,7 @@ TEST(SolverSpecRoundTrip, RandomSpecsSurviveParsePrintParse) {
     if (rng.chance(0.5)) text += " pop=" + std::to_string(rng.range(2, 500));
     if (rng.chance(0.5)) text += " elites=" + std::to_string(rng.range(0, 8));
     if (rng.chance(0.5)) text += " seed=" + std::to_string(rng() >> 1);
-    if (rng.chance(0.5)) text += std::string(" eval=") + evals[rng.below(4)];
+    if (rng.chance(0.5)) text += std::string(" eval=") + evals[rng.below(3)];
     if (rng.chance(0.5)) {
       text += std::string(" eval_cache=") + caches[rng.below(4)];
     }
@@ -311,7 +311,7 @@ TEST(SolverSpecRoundTrip, RandomSpecsSurviveParsePrintParse) {
 TEST(SolverSpecRoundTrip, SpecToSolverToSpecIsTheIdentity) {
   // The full loop the satellite asks for: spec -> Solver -> spec.
   for (const char* text :
-       {"engine=simple pop=12 seed=3 eval=async_pool eval_cache=lru:512",
+       {"engine=simple pop=12 seed=3 eval=pool eval_cache=lru:512",
         "engine=island islands=2 pop=8 interval=2 eval_cache=unbounded",
         "engine=cellular width=4 height=3 eval=serial"}) {
     SCOPED_TRACE(text);
@@ -373,16 +373,14 @@ TEST(SolverSpecRoundTrip, ProgrammaticEvalCacheConfigsSurviveToString) {
                std::invalid_argument);
 }
 
-TEST(SolverSpec, EvalCacheAndAsyncTokensParse) {
+TEST(SolverSpec, EvalCacheAndBackendTokensParse) {
   const SolverSpec spec = SolverSpec::parse(
-      "engine=island eval_backend=async_pool eval_cache=lru:65536");
+      "engine=island eval_backend=pool eval_cache=lru:65536");
   ASSERT_TRUE(spec.eval.has_value());
-  EXPECT_EQ(*spec.eval, EvalBackend::kAsyncPool);
+  EXPECT_EQ(*spec.eval, EvalBackend::kThreadPool);
   ASSERT_TRUE(spec.eval_cache.has_value());
   EXPECT_EQ(spec.eval_cache->mode, EvalCacheMode::kLru);
   EXPECT_EQ(spec.eval_cache->capacity, 65536u);
-  EXPECT_EQ(*SolverSpec::parse("engine=simple eval=async").eval,
-            EvalBackend::kAsyncPool);
   EXPECT_EQ(SolverSpec::parse("engine=simple eval_cache=off").eval_cache->mode,
             EvalCacheMode::kOff);
   EXPECT_EQ(
@@ -416,7 +414,21 @@ TEST(SolverSpec, MalformedTokenThrowsWithOffendingToken) {
     EXPECT_NE(std::string(e.what()).find("pop=abc"), std::string::npos);
   }
   EXPECT_THROW(SolverSpec::parse("topology=moebius"), std::invalid_argument);
-  EXPECT_THROW(SolverSpec::parse("eval=gpu"), std::invalid_argument);
+  // Unknown backends fail loudly, naming the token and listing the
+  // accepted values. The async pipeline's old tokens get no alias on
+  // purpose: a stale spec must not silently run another configuration.
+  for (const char* token :
+       {"eval=gpu", "eval=async_pool", "eval_backend=async"}) {
+    SCOPED_TRACE(token);
+    try {
+      SolverSpec::parse(std::string("engine=simple ") + token);
+      FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(token), std::string::npos) << what;
+      EXPECT_NE(what.find("serial|pool|omp"), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(Solver, UnknownEngineThrowsListingRegistered) {

@@ -19,6 +19,15 @@ GenomeTraits perm_traits(int n) {
   return t;
 }
 
+/// `jobs` jobs of `ops` operations each: Args({10, 10}) is ft10's shape.
+GenomeTraits job_traits(int jobs, int ops) {
+  GenomeTraits t;
+  t.seq_kind = SeqKind::kJobRepetition;
+  t.repeats.assign(static_cast<std::size_t>(jobs), ops);
+  t.seq_length = jobs * ops;
+  return t;
+}
+
 Genome random_perm(const GenomeTraits& traits, par::Rng& rng) {
   Genome g;
   g.seq.resize(static_cast<std::size_t>(traits.seq_length));
@@ -27,12 +36,22 @@ Genome random_perm(const GenomeTraits& traits, par::Rng& rng) {
   return g;
 }
 
-void BM_Crossover(benchmark::State& state, const char* name) {
+Genome random_job_sequence(const GenomeTraits& traits, par::Rng& rng) {
+  Genome g;
+  for (std::size_t j = 0; j < traits.repeats.size(); ++j) {
+    g.seq.insert(g.seq.end(), static_cast<std::size_t>(traits.repeats[j]),
+                 static_cast<int>(j));
+  }
+  rng.shuffle(g.seq);
+  return g;
+}
+
+/// One item is one crossover of a pair; the children are reused, as the
+/// engines reuse their next-generation slots.
+void run_crossover(benchmark::State& state, const char* name,
+                   const GenomeTraits& traits, const Genome& a,
+                   const Genome& b, par::Rng& rng) {
   const CrossoverPtr cx = make_crossover(name);
-  const GenomeTraits traits = perm_traits(static_cast<int>(state.range(0)));
-  par::Rng rng(1);
-  const Genome a = random_perm(traits, rng);
-  const Genome b = random_perm(traits, rng);
   Genome c1;
   Genome c2;
   for (auto _ : state) {
@@ -41,12 +60,35 @@ void BM_Crossover(benchmark::State& state, const char* name) {
   }
   state.SetItemsProcessed(state.iterations());
 }
+
+void BM_Crossover(benchmark::State& state, const char* name) {
+  const GenomeTraits traits = perm_traits(static_cast<int>(state.range(0)));
+  par::Rng rng(1);
+  const Genome a = random_perm(traits, rng);
+  const Genome b = random_perm(traits, rng);
+  run_crossover(state, name, traits, a, b, rng);
+}
 BENCHMARK_CAPTURE(BM_Crossover, ox, "ox")->Arg(20)->Arg(100);
 BENCHMARK_CAPTURE(BM_Crossover, pmx, "pmx")->Arg(20)->Arg(100);
 BENCHMARK_CAPTURE(BM_Crossover, cycle, "cycle")->Arg(20)->Arg(100);
 BENCHMARK_CAPTURE(BM_Crossover, jox, "jox")->Arg(20)->Arg(100);
 BENCHMARK_CAPTURE(BM_Crossover, ppx, "ppx")->Arg(20)->Arg(100);
 BENCHMARK_CAPTURE(BM_Crossover, two_point, "two-point")->Arg(20)->Arg(100);
+BENCHMARK_CAPTURE(BM_Crossover, position_based, "position-based")->Arg(100);
+
+/// Job-repetition sequences, the encoding every job-shop solve breeds.
+void BM_CrossoverJobShop(benchmark::State& state, const char* name) {
+  const GenomeTraits traits = job_traits(static_cast<int>(state.range(0)),
+                                         static_cast<int>(state.range(1)));
+  par::Rng rng(1);
+  const Genome a = random_job_sequence(traits, rng);
+  const Genome b = random_job_sequence(traits, rng);
+  run_crossover(state, name, traits, a, b, rng);
+}
+BENCHMARK_CAPTURE(BM_CrossoverJobShop, jox, "jox")->Args({10, 10});
+BENCHMARK_CAPTURE(BM_CrossoverJobShop, ppx, "ppx")->Args({10, 10});
+BENCHMARK_CAPTURE(BM_CrossoverJobShop, two_point, "two-point")->Args({10, 10});
+BENCHMARK_CAPTURE(BM_CrossoverJobShop, thx, "thx")->Args({10, 10});
 
 void BM_Mutation(benchmark::State& state, const char* name) {
   const MutationPtr mut = make_mutation(name);
@@ -77,6 +119,24 @@ void BM_Selection(benchmark::State& state, const char* name) {
 BENCHMARK_CAPTURE(BM_Selection, roulette, "roulette")->Arg(100)->Arg(1000);
 BENCHMARK_CAPTURE(BM_Selection, tournament2, "tournament2")->Arg(100)->Arg(1000);
 BENCHMARK_CAPTURE(BM_Selection, rank, "rank")->Arg(100);
+
+/// One item is one pick_many of a whole generation's parents.
+void BM_SelectionPickMany(benchmark::State& state, const char* name) {
+  const SelectionPtr sel = make_selection(name);
+  const int n = static_cast<int>(state.range(0));
+  par::Rng rng(5);
+  std::vector<double> fitness(static_cast<std::size_t>(n));
+  for (auto& f : fitness) f = rng.uniform(0.1, 1.0);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sel->pick_many(fitness, n, rng));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_CAPTURE(BM_SelectionPickMany, rank, "rank")->Arg(100);
+BENCHMARK_CAPTURE(BM_SelectionPickMany, roulette, "roulette")->Arg(100);
+BENCHMARK_CAPTURE(BM_SelectionPickMany, elitist_roulette, "elitist-roulette")
+    ->Arg(100);
+BENCHMARK_CAPTURE(BM_SelectionPickMany, tournament2, "tournament2")->Arg(100);
 
 void BM_SusPickMany(benchmark::State& state) {
   StochasticUniversalSelection sel;

@@ -10,17 +10,18 @@
 #                      replanning trace, SLO met, transcript hash stable
 #                      across two runs), emit a fresh bench JSON snapshot
 #                      (bench_micro_decoders + bench_micro_cache +
-#                      bench_session_latency merged), diff it against the
-#                      committed BENCH_micro.json (per-bench deltas),
-#                      then refresh the snapshot
+#                      bench_session_latency + bench_micro_operators
+#                      merged), diff it against the committed
+#                      BENCH_micro.json (per-bench deltas), then refresh
+#                      the snapshot
 #   SKIP_BENCH=1 ./ci.sh        tests only
 #   SKIP_SAN=1 ./ci.sh          skip the sanitizer leg
 #   SKIP_BENCH_DIFF=1 ./ci.sh   snapshot without the regression gate
-#   BENCH_TOLERANCE=0.25        decode-bench regression threshold (fraction)
+#   BENCH_TOLERANCE=0.25        gated-bench regression threshold (fraction)
 #
 # The JSON snapshot gives future PRs a perf trajectory: the diff prints
 # the per-benchmark change vs the committed baseline and FAILS when any
-# decode bench regresses by more than BENCH_TOLERANCE (default 25%)
+# gated bench regresses by more than BENCH_TOLERANCE (default 25%)
 # beyond the suite-wide median drift (shared-host slowdowns move every
 # bench together and are not regressions).
 # Snapshots carry a psga_build_type context stamp and are refused
@@ -487,6 +488,25 @@ PYEOF
     rm -f "$SES_FRESH"
   fi
 
+  # Operator snapshot: breeding is a generation's other half beside
+  # decoding, so the crossover, mutation and selection benches (among
+  # them ft10-shaped job-repetition crossovers and whole-generation
+  # pick_many rows) ride into BENCH_micro.json as medians-of-5, and the
+  # BM_Crossover tag puts the crossover rows under the >25% gate.
+  if [[ -x "$BUILD_DIR/bench_micro_operators" ]] \
+     && command -v python3 >/dev/null; then
+    OPS_FRESH=$(mktemp /tmp/psga_bench_operators.XXXXXX.json)
+    "$BUILD_DIR"/bench_micro_operators \
+      --benchmark_min_time=0.05 \
+      --benchmark_repetitions=5 \
+      --benchmark_report_aggregates_only=true \
+      --benchmark_format=json \
+      --benchmark_out="$OPS_FRESH" \
+      --benchmark_out_format=json >/dev/null
+    keep_medians "$FRESH" "$OPS_FRESH"
+    rm -f "$OPS_FRESH"
+  fi
+
   # Obs overhead gate: the always-on metrics write path must stay under
   # OBS_TOLERANCE (default 2%) of a decode-heavy engine run. The
   # enabled/disabled legs run back to back in one process so host drift
@@ -560,7 +580,7 @@ PYEOF
   if [[ "${SKIP_BENCH_DIFF:-0}" != "1" && -f BENCH_micro.json ]] \
      && command -v python3 >/dev/null; then
     # The gate python prints the delta table and writes the names of
-    # regressed decode benches to $3 (empty file = pass).
+    # regressed gated benches to $3 (empty file = pass).
     GATE_FAILS=$(mktemp /tmp/psga_bench_fails.XXXXXX)
     # Optional $1: file of bench names — only those may fail the gate
     # (used by the retry pass so a drift re-estimate over the updated
@@ -598,7 +618,7 @@ drift = max(drift, 1.0)
 
 width = max((len(n) for n in fresh), default=20)
 print(f"\n-- bench deltas vs committed BENCH_micro.json "
-      f"(host drift x{drift:.2f}; gate: decode benches "
+      f"(host drift x{drift:.2f}; gate: gated benches "
       f"> {tolerance:.0%} slower than drift fail)")
 failures = []
 for name, bench in fresh.items():
@@ -609,12 +629,13 @@ for name, bench in fresh.items():
     delta = bench["real_time"] / old["real_time"] - 1.0
     normalized = bench["real_time"] / old["real_time"] / drift - 1.0
     # The regression gate covers the decoder benches (the evaluation hot
-    # path this snapshot exists to guard) plus the session event-latency
-    # p95s; *_Scratch twins included.
+    # path this snapshot exists to guard), the crossover benches (the
+    # breeding hot path) and the session event-latency p95s; *_Scratch
+    # twins included.
     gated = any(tag in name for tag in
                 ("Decode", "SemiActive", "GifflerThompson", "Makespan",
                  "Flexible", "LotStreaming", "OpenShop", "HybridFlowShop",
-                 "SessionEvent"))
+                 "SessionEvent", "BM_Crossover"))
     marker = ""
     if only and name not in only:
         gated = False
@@ -631,7 +652,7 @@ with open(sys.argv[3], "w") as f:
     for name, delta in failures:
         f.write(f"{name}\n")
 if failures:
-    print(f"\nci.sh: {len(failures)} decode bench(es) regressed more than "
+    print(f"\nci.sh: {len(failures)} gated bench(es) regressed more than "
           f"{tolerance:.0%} beyond the suite-wide drift")
 print()
 PYEOF
@@ -655,15 +676,20 @@ PYEOF
       echo "ci.sh: re-measuring $(wc -l < "$GATE_FAILS") failing bench(es) in isolation"
       RETRY_FILES=()
       for attempt in 1 2 3 4; do
-        RETRY=$(mktemp "/tmp/psga_bench_retry.${attempt}.XXXXXX.json")
-        RETRY_FILES+=("$RETRY")
-        "$BUILD_DIR"/bench_micro_decoders \
-          --benchmark_filter="$FILTER" \
-          --benchmark_min_time=0.05 \
-          --benchmark_repetitions=3 \
-          --benchmark_format=json \
-          --benchmark_out="$RETRY" \
-          --benchmark_out_format=json >/dev/null
+        # Decoder and operator bench names carry no suffix, so the
+        # exact-name filter applies to both binaries as is.
+        for bench in bench_micro_decoders bench_micro_operators; do
+          [[ -x "$BUILD_DIR/$bench" ]] || continue
+          RETRY=$(mktemp "/tmp/psga_bench_retry.${attempt}.XXXXXX.json")
+          RETRY_FILES+=("$RETRY")
+          "$BUILD_DIR/$bench" \
+            --benchmark_filter="$FILTER" \
+            --benchmark_min_time=0.05 \
+            --benchmark_repetitions=3 \
+            --benchmark_format=json \
+            --benchmark_out="$RETRY" \
+            --benchmark_out_format=json >/dev/null
+        done
         # The session benches live in their own binary; re-measure them
         # too when one of them is what failed (family-level filter — the
         # reported /manual_time suffix is not part of the filter name).
@@ -690,8 +716,8 @@ remeasured = {}
 for path in sys.argv[2:]:
     with open(path) as f:
         # A retry binary whose filter matched nothing leaves an empty
-        # out file (exit 0, no JSON) — e.g. bench_micro_decoders when
-        # only session benches failed. Skip it.
+        # out file (exit 0, no JSON) — e.g. bench_micro_operators when
+        # only decoder or session benches failed. Skip it.
         text = f.read()
     if not text.strip():
         continue
@@ -716,7 +742,7 @@ PYEOF
       rm -f "$RETRY_LIST"
     fi
     if [[ -s "$GATE_FAILS" ]]; then
-      echo "ci.sh: decode bench regression confirmed by isolated re-run:"
+      echo "ci.sh: gated bench regression confirmed by isolated re-run:"
       cat "$GATE_FAILS"
       rm -f "$GATE_FAILS"
       exit 1

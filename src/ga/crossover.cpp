@@ -53,6 +53,44 @@ void one_point_multiset(const std::vector<int>& keep,
   fill_in_donor_order(donor, remaining, holes, child);
 }
 
+/// Buffers of the keep-and-fill kernel. Operators are `const` and shared
+/// by island and cell threads, so the buffers live per thread; one thread
+/// serves genomes of every length, so each call resizes them.
+struct KeepFillScratch {
+  std::vector<unsigned char> take;  ///< per value: 1 = supplied by the donor
+  std::vector<std::size_t> holes;   ///< positions to refill, in visit order
+  std::vector<int> fill;            ///< donor-supplied values, in visit order
+};
+
+thread_local KeepFillScratch keep_fill_scratch;
+
+/// Order-preserving keep-and-fill, shared by JOX, OX and position-based.
+/// `child` arrives equal to `keep`. A value v is supplied by the donor iff
+/// take[v]; every position of `keep` holding a supplied value is a hole,
+/// and the holes receive the donor's supplied values in order. Holes and
+/// donor are both visited from position `start`, wrapping around. No
+/// branch per gene: each visit writes its candidates unconditionally and
+/// advances the cursors by the flags.
+void keep_and_fill(KeepFillScratch& s, std::span<const int> keep,
+                   std::span<const int> donor,
+                   std::span<const unsigned char> take, std::size_t start,
+                   std::vector<int>& child) {
+  const std::size_t n = keep.size();
+  s.holes.resize(n);
+  s.fill.resize(n);
+  std::size_t holes = 0;
+  std::size_t filled = 0;
+  const auto visit = [&](std::size_t i) {
+    s.holes[holes] = i;
+    holes += take[static_cast<std::size_t>(keep[i])];
+    s.fill[filled] = donor[i];
+    filled += take[static_cast<std::size_t>(donor[i])];
+  };
+  for (std::size_t i = start; i < n; ++i) visit(i);
+  for (std::size_t i = 0; i < start; ++i) visit(i);
+  for (std::size_t k = 0; k < holes; ++k) child[s.holes[k]] = s.fill[k];
+}
+
 }  // namespace
 
 void Crossover::cross(const Genome& a, const Genome& b,
@@ -177,27 +215,18 @@ void OxCrossover::cross_seq(const Genome& a, const Genome& b,
   if (lo > hi) std::swap(lo, hi);
   ++hi;  // window [lo, hi)
 
-  auto build = [&](const std::vector<int>& keep, const std::vector<int>& donor,
-                   std::vector<int>& child) {
-    child.assign(keep.size(), -1);
-    std::vector<bool> used(n, false);
-    for (std::size_t i = lo; i < hi; ++i) {
-      child[i] = keep[i];
-      used[static_cast<std::size_t>(keep[i])] = true;
-    }
-    // Fill from donor starting after the window, wrapping around.
-    std::size_t write = hi % n;
-    for (std::size_t step = 0; step < n; ++step) {
-      const int v = donor[(hi + step) % n];
-      if (used[static_cast<std::size_t>(v)]) continue;
-      child[write] = v;
-      used[static_cast<std::size_t>(v)] = true;
-      write = (write + 1) % n;
-      if (write == lo) break;
-    }
-  };
-  build(a.seq, b.seq, child1.seq);
-  build(b.seq, a.seq, child2.seq);
+  // Each child keeps its parent's window and takes every other value in
+  // donor order, read and written from just after the window. take[0, n)
+  // flags child1's donor values, take[n, 2n) child2's.
+  KeepFillScratch& s = keep_fill_scratch;
+  s.take.assign(2 * n, 1);
+  for (std::size_t i = lo; i < hi; ++i) {
+    s.take[static_cast<std::size_t>(a.seq[i])] = 0;
+    s.take[n + static_cast<std::size_t>(b.seq[i])] = 0;
+  }
+  const std::span<const unsigned char> take(s.take);
+  keep_and_fill(s, a.seq, b.seq, take.first(n), hi % n, child1.seq);
+  keep_and_fill(s, b.seq, a.seq, take.last(n), hi % n, child2.seq);
 }
 
 // --- CycleCrossover ---------------------------------------------------------
@@ -239,29 +268,19 @@ void PositionBasedCrossover::cross_seq(const Genome& a, const Genome& b,
                                        par::Rng& rng) const {
   const std::size_t n = a.seq.size();
   if (n < 2) return;
-  std::vector<bool> keep(n);
-  for (std::size_t i = 0; i < n; ++i) keep[i] = rng.chance(0.5);
-
-  auto build = [&](const std::vector<int>& base, const std::vector<int>& donor,
-                   std::vector<int>& child) {
-    child.assign(base.size(), -1);
-    std::vector<bool> used(n, false);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (keep[i]) {
-        child[i] = base[i];
-        used[static_cast<std::size_t>(base[i])] = true;
-      }
-    }
-    std::size_t write = 0;
-    for (int v : donor) {
-      if (used[static_cast<std::size_t>(v)]) continue;
-      while (write < n && child[write] >= 0) ++write;
-      if (write >= n) break;
-      child[write] = v;
-    }
-  };
-  build(a.seq, b.seq, child1.seq);
-  build(b.seq, a.seq, child2.seq);
+  // One coin per position, shared by both children: a kept position keeps
+  // its parent's value, every other value comes in donor order. take[0, n)
+  // flags child1's donor values, take[n, 2n) child2's.
+  KeepFillScratch& s = keep_fill_scratch;
+  s.take.resize(2 * n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const unsigned char hole = !rng.chance(0.5);
+    s.take[static_cast<std::size_t>(a.seq[i])] = hole;
+    s.take[n + static_cast<std::size_t>(b.seq[i])] = hole;
+  }
+  const std::span<const unsigned char> take(s.take);
+  keep_and_fill(s, a.seq, b.seq, take.first(n), 0, child1.seq);
+  keep_and_fill(s, b.seq, a.seq, take.last(n), 0, child2.seq);
 }
 
 // --- JoxCrossover ---------------------------------------------------------
@@ -275,30 +294,13 @@ void JoxCrossover::cross_seq(const Genome& a, const Genome& b,
                              Genome& child2, par::Rng& rng) const {
   const std::size_t n = a.seq.size();
   if (n < 2) return;
-  const int values = max_value(traits);
-  std::vector<bool> chosen(static_cast<std::size_t>(values));
-  for (auto&& flag : chosen) flag = rng.chance(0.5);
-
-  auto build = [&](const std::vector<int>& keep, const std::vector<int>& donor,
-                   std::vector<int>& child) {
-    child.assign(keep.size(), -1);
-    std::vector<std::size_t> holes;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (chosen[static_cast<std::size_t>(keep[i])]) {
-        child[i] = keep[i];
-      } else {
-        holes.push_back(i);
-      }
-    }
-    std::size_t hole = 0;
-    for (int v : donor) {
-      if (chosen[static_cast<std::size_t>(v)]) continue;
-      child[holes[hole++]] = v;
-      if (hole >= holes.size()) break;
-    }
-  };
-  build(a.seq, b.seq, child1.seq);
-  build(b.seq, a.seq, child2.seq);
+  // One coin per job: a chosen job keeps its positions in both children,
+  // the other jobs' operations come in donor order.
+  KeepFillScratch& s = keep_fill_scratch;
+  s.take.resize(static_cast<std::size_t>(max_value(traits)));
+  for (auto& flag : s.take) flag = !rng.chance(0.5);
+  keep_and_fill(s, a.seq, b.seq, s.take, 0, child1.seq);
+  keep_and_fill(s, b.seq, a.seq, s.take, 0, child2.seq);
 }
 
 // --- PpxCrossover ---------------------------------------------------------

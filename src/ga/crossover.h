@@ -16,6 +16,12 @@
 // Every operator recombines the auxiliary channels (assignment via uniform
 // mix, keys via whole-arithmetic blend) so flexible-shop genomes stay
 // complete regardless of which sequencing crossover is configured.
+//
+// Threading contract: operators are `const` and one instance is shared by
+// every island and cellular-grid thread, so cross() keeps no per-object
+// mutable state. Operators that need buffers (JOX, OX, position-based)
+// keep them thread-local and resize them per call; once grown they
+// allocate nothing. Children must not alias either parent.
 #pragma once
 
 #include <memory>
@@ -36,7 +42,8 @@ class Crossover {
   /// True if the operator keeps genomes of this sequencing kind valid.
   virtual bool supports(SeqKind kind) const = 0;
 
-  /// Produces two children from two parents.
+  /// Produces two children from two parents. `child1` and `child2` are
+  /// overwritten; neither may be the same object as `a` or `b`.
   void cross(const Genome& a, const Genome& b, const GenomeTraits& traits,
              Genome& child1, Genome& child2, par::Rng& rng) const;
 

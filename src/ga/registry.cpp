@@ -1,6 +1,8 @@
 #include "src/ga/registry.h"
 
+#include <charconv>
 #include <stdexcept>
+#include <string_view>
 
 namespace psga::ga {
 
@@ -12,8 +14,18 @@ SelectionPtr make_selection(const std::string& name) {
     return std::make_shared<ElitistRouletteSelection>();
   }
   if (name.rfind("tournament", 0) == 0) {
-    const std::string arg = name.substr(10);
-    const int k = arg.empty() ? 2 : std::stoi(arg);
+    // tournament<k>: k is a whole positive integer; a bare "tournament"
+    // means k = 2.
+    const std::string_view arg = std::string_view(name).substr(10);
+    int k = 2;
+    if (!arg.empty()) {
+      const auto [end, error] =
+          std::from_chars(arg.data(), arg.data() + arg.size(), k);
+      if (error != std::errc{} || end != arg.data() + arg.size() || k <= 0) {
+        throw std::invalid_argument(
+            "selection: tournament size must be a positive integer: " + name);
+      }
+    }
     return std::make_shared<TournamentSelection>(k);
   }
   throw std::invalid_argument("unknown selection: " + name);

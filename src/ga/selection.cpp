@@ -21,24 +21,87 @@ double total_fitness(std::span<const double> fitness) {
   return total;
 }
 
-int spin_wheel(std::span<const double> fitness, double target) {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < fitness.size(); ++i) {
-    acc += std::max(fitness[i], 0.0);
-    if (target < acc) return static_cast<int>(i);
+/// A roulette wheel: the running sums of the fitness (negative values
+/// count as zero), built once for any number of spins.
+class Wheel {
+ public:
+  explicit Wheel(std::span<const double> fitness) : sums_(fitness.size()) {
+    for (std::size_t i = 0; i < fitness.size(); ++i) {
+      total_ += std::max(fitness[i], 0.0);
+      sums_[i] = total_;
+    }
   }
-  return static_cast<int>(fitness.size()) - 1;
+
+  /// Uniform when the wheel holds no fitness mass; otherwise the first
+  /// slot whose running sum exceeds one uniform draw scaled to the total.
+  int spin(par::Rng& rng) const {
+    if (total_ <= 0.0) return static_cast<int>(rng.below(sums_.size()));
+    const double target = rng.uniform() * total_;
+    const auto hit = std::upper_bound(sums_.begin(), sums_.end(), target);
+    return static_cast<int>(
+        std::min<std::ptrdiff_t>(hit - sums_.begin(),
+                                 static_cast<std::ptrdiff_t>(sums_.size()) - 1));
+  }
+
+ private:
+  std::vector<double> sums_;
+  double total_ = 0.0;
+};
+
+/// Linear ranking: worst gets 2 - pressure, best gets pressure.
+std::vector<double> rank_fitness(std::span<const double> fitness,
+                                 double pressure) {
+  const std::size_t n = fitness.size();
+  std::vector<int> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+    return fitness[static_cast<std::size_t>(a)] <
+           fitness[static_cast<std::size_t>(b)];
+  });
+  std::vector<double> ranked(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    const double value =
+        (2.0 - pressure) +
+        2.0 * (pressure - 1.0) * static_cast<double>(r) /
+            std::max<double>(1.0, static_cast<double>(n - 1));
+    ranked[static_cast<std::size_t>(order[r])] = value;
+  }
+  return ranked;
+}
+
+/// The indices of the top max(1, fraction * n) fitness values, best first.
+std::vector<int> elite_order(std::span<const double> fitness,
+                             double fraction) {
+  const std::size_t n = fitness.size();
+  const int elite_count =
+      std::max(1, static_cast<int>(fraction * static_cast<double>(n)));
+  std::vector<int> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  std::partial_sort(order.begin(),
+                    order.begin() + static_cast<std::ptrdiff_t>(elite_count),
+                    order.end(), [&](int a, int b) {
+                      return fitness[static_cast<std::size_t>(a)] >
+                             fitness[static_cast<std::size_t>(b)];
+                    });
+  order.resize(static_cast<std::size_t>(elite_count));
+  return order;
 }
 
 }  // namespace
 
 int RouletteSelection::pick(std::span<const double> fitness,
                             par::Rng& rng) const {
-  const double total = total_fitness(fitness);
-  if (total <= 0.0) {
-    return static_cast<int>(rng.below(fitness.size()));
-  }
-  return spin_wheel(fitness, rng.uniform() * total);
+  return Wheel(fitness).spin(rng);
+}
+
+std::vector<int> RouletteSelection::pick_many(std::span<const double> fitness,
+                                              int count, par::Rng& rng) const {
+  std::vector<int> out;
+  if (count <= 0) return out;
+  out.reserve(static_cast<std::size_t>(count));
+  const Wheel wheel(fitness);
+  for (int i = 0; i < count; ++i) out.push_back(wheel.spin(rng));
+  return out;
 }
 
 int StochasticUniversalSelection::pick(std::span<const double> fitness,
@@ -83,42 +146,35 @@ int TournamentSelection::pick(std::span<const double> fitness,
 }
 
 int RankSelection::pick(std::span<const double> fitness, par::Rng& rng) const {
-  const std::size_t n = fitness.size();
-  std::vector<int> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-    return fitness[static_cast<std::size_t>(a)] <
-           fitness[static_cast<std::size_t>(b)];
-  });
-  // Linear ranking: worst gets 2 - pressure, best gets pressure.
-  std::vector<double> rank_fitness(n);
-  for (std::size_t r = 0; r < n; ++r) {
-    const double value =
-        (2.0 - pressure_) +
-        2.0 * (pressure_ - 1.0) * static_cast<double>(r) /
-            std::max<double>(1.0, static_cast<double>(n - 1));
-    rank_fitness[static_cast<std::size_t>(order[r])] = value;
-  }
-  return RouletteSelection{}.pick(rank_fitness, rng);
+  return RouletteSelection{}.pick(rank_fitness(fitness, pressure_), rng);
+}
+
+std::vector<int> RankSelection::pick_many(std::span<const double> fitness,
+                                          int count, par::Rng& rng) const {
+  return RouletteSelection{}.pick_many(rank_fitness(fitness, pressure_), count,
+                                       rng);
 }
 
 int ElitistRouletteSelection::pick(std::span<const double> fitness,
                                    par::Rng& rng) const {
-  const std::size_t n = fitness.size();
-  if (rng.chance(elite_bias_)) {
-    const int elite_count = std::max(
-        1, static_cast<int>(elite_fraction_ * static_cast<double>(n)));
-    std::vector<int> order(n);
-    std::iota(order.begin(), order.end(), 0);
-    std::partial_sort(order.begin(),
-                      order.begin() + static_cast<std::ptrdiff_t>(elite_count),
-                      order.end(), [&](int a, int b) {
-                        return fitness[static_cast<std::size_t>(a)] >
-                               fitness[static_cast<std::size_t>(b)];
-                      });
-    return order[rng.below(static_cast<std::uint64_t>(elite_count))];
+  return pick_many(fitness, 1, rng).front();
+}
+
+std::vector<int> ElitistRouletteSelection::pick_many(
+    std::span<const double> fitness, int count, par::Rng& rng) const {
+  std::vector<int> out;
+  if (count <= 0) return out;
+  out.reserve(static_cast<std::size_t>(count));
+  const Wheel wheel(fitness);
+  const std::vector<int> elite = elite_order(fitness, elite_fraction_);
+  for (int i = 0; i < count; ++i) {
+    if (rng.chance(elite_bias_)) {
+      out.push_back(elite[rng.below(elite.size())]);
+    } else {
+      out.push_back(wheel.spin(rng));
+    }
   }
-  return RouletteSelection{}.pick(fitness, rng);
+  return out;
 }
 
 }  // namespace psga::ga

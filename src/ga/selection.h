@@ -39,6 +39,9 @@ class RouletteSelection final : public Selection {
  public:
   std::string name() const override { return "roulette"; }
   int pick(std::span<const double> fitness, par::Rng& rng) const override;
+  /// Same picks and draws as repeated pick(); sums the wheel once.
+  std::vector<int> pick_many(std::span<const double> fitness, int count,
+                             par::Rng& rng) const override;
 };
 
 /// Stochastic universal sampling: one spin, `count` equally spaced
@@ -70,6 +73,9 @@ class RankSelection final : public Selection {
   explicit RankSelection(double pressure = 1.8) : pressure_(pressure) {}
   std::string name() const override { return "rank"; }
   int pick(std::span<const double> fitness, par::Rng& rng) const override;
+  /// Same picks and draws as repeated pick(); ranks the population once.
+  std::vector<int> pick_many(std::span<const double> fitness, int count,
+                             par::Rng& rng) const override;
 
  private:
   double pressure_;
@@ -83,6 +89,10 @@ class ElitistRouletteSelection final : public Selection {
       : elite_fraction_(elite_fraction), elite_bias_(elite_bias) {}
   std::string name() const override { return "elitist-roulette"; }
   int pick(std::span<const double> fitness, par::Rng& rng) const override;
+  /// Same picks and draws as repeated pick(); sums the wheel and sorts
+  /// the elite once.
+  std::vector<int> pick_many(std::span<const double> fitness, int count,
+                             par::Rng& rng) const override;
 
  private:
   double elite_fraction_;

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <set>
+#include <thread>
 
 #include "src/ga/problems.h"
 #include "src/ga/registry.h"
+#include "src/ga/solver.h"
 #include "src/sched/classics.h"
 
 namespace psga::ga {
@@ -273,6 +277,136 @@ TEST(PathRelink, ChildValidAndNotWorseThanStart) {
     cx.cross(a, b, problem->traits(), c1, c2, rng);
     ASSERT_TRUE(genome_valid(c1, problem->traits()));
     EXPECT_LE(problem->objective(c1), problem->objective(a) + 1e-9);
+  }
+}
+
+// --- golden output -------------------------------------------------------------
+//
+// The determinism suites compare backends with one another, so a rewrite
+// that changed every child the same way would still pass them. These
+// constants pin the operators' output absolutely. They were recorded from
+// the earlier allocating implementations; an optimization of an operator
+// must reproduce them, never re-record them.
+
+/// Job-repetition traits are as even as possible over max(2, n / 10)
+/// jobs, so n = 100 is ft10's shape (10 jobs x 10 operations).
+GenomeTraits golden_traits(SeqKind kind, int n) {
+  if (kind == SeqKind::kPermutation) return perm_traits(n);
+  const int jobs = std::max(2, n / 10);
+  std::vector<int> repeats(static_cast<std::size_t>(jobs), n / jobs);
+  for (int j = 0; j < n % jobs; ++j) ++repeats[static_cast<std::size_t>(j)];
+  return rep_traits(repeats);
+}
+
+/// Folds both children's genome_hash and the next RNG draw of 40 rounds
+/// over n in {100, 2, 7, 3}. The sizes interleave so per-thread scratch
+/// shrinks and grows, and the reused children always arrive holding
+/// genomes of another length.
+std::uint64_t golden_digest(const std::string& name, SeqKind kind) {
+  const CrossoverPtr cx = make_crossover(name);
+  par::Rng rng(0x5eed);
+  Genome c1;
+  Genome c2;
+  std::uint64_t digest = 0;
+  for (int round = 0; round < 40; ++round) {
+    for (int n : {100, 2, 7, 3}) {
+      const GenomeTraits traits = golden_traits(kind, n);
+      const Genome a = random_genome(traits, rng);
+      const Genome b = random_genome(traits, rng);
+      cx->cross(a, b, traits, c1, c2, rng);
+      for (std::uint64_t value : {genome_hash(c1), genome_hash(c2), rng()}) {
+        std::uint64_t state = digest ^ value;
+        digest = par::splitmix64(state);
+      }
+    }
+  }
+  return digest;
+}
+
+struct GoldenCrossover {
+  const char* name;
+  SeqKind kind;
+  std::uint64_t digest;
+};
+
+constexpr GoldenCrossover kGoldenCrossovers[] = {
+    {"one-point", SeqKind::kPermutation, 0xddc19531107480aaULL},
+    {"two-point", SeqKind::kPermutation, 0xd1b44aa6d9587438ULL},
+    {"pmx", SeqKind::kPermutation, 0x31b680f6e506a6fdULL},
+    {"ox", SeqKind::kPermutation, 0x850783723eb0d168ULL},
+    {"cycle", SeqKind::kPermutation, 0xcf830f59972841e3ULL},
+    {"jox", SeqKind::kPermutation, 0x92b5acc3565d9966ULL},
+    {"position-based", SeqKind::kPermutation, 0x81300f62f3b40248ULL},
+    {"ppx", SeqKind::kPermutation, 0x4a010d65eff31d03ULL},
+    {"thx", SeqKind::kPermutation, 0x6a5d9d9374d99097ULL},
+    {"one-point", SeqKind::kJobRepetition, 0x30dd3c80054056eeULL},
+    {"two-point", SeqKind::kJobRepetition, 0x2d52aad98d09f999ULL},
+    {"jox", SeqKind::kJobRepetition, 0xf4a4a4b43d6619bfULL},
+    {"ppx", SeqKind::kJobRepetition, 0xf6750eab373b45b4ULL},
+    {"thx", SeqKind::kJobRepetition, 0xe88f8772726257abULL},
+};
+
+TEST(CrossoverGolden, TableCoversEverySequencingCrossover) {
+  for (SeqKind kind : {SeqKind::kPermutation, SeqKind::kJobRepetition}) {
+    std::set<std::string> pinned;
+    for (const auto& golden : kGoldenCrossovers) {
+      if (golden.kind == kind) pinned.insert(golden.name);
+    }
+    const auto names = crossover_names(kind);
+    EXPECT_EQ(pinned, std::set<std::string>(names.begin(), names.end()));
+  }
+}
+
+TEST(CrossoverGolden, ChildrenAndDrawsPinned) {
+  for (const auto& golden : kGoldenCrossovers) {
+    EXPECT_EQ(golden_digest(golden.name, golden.kind), golden.digest)
+        << golden.name << " on "
+        << (golden.kind == SeqKind::kPermutation ? "permutation"
+                                                 : "job repetition");
+  }
+}
+
+TEST(CrossoverGolden, ConcurrentThreadsReproduceDigests) {
+  // Operators are shared const across island and cell threads; each
+  // thread must get exactly the single-thread children.
+  std::vector<std::uint64_t> expected;
+  for (const auto& golden : kGoldenCrossovers) {
+    expected.push_back(golden_digest(golden.name, golden.kind));
+  }
+  std::vector<std::vector<std::uint64_t>> seen(4);
+  std::vector<std::thread> threads;
+  for (auto& digests : seen) {
+    threads.emplace_back([&digests] {
+      for (const auto& golden : kGoldenCrossovers) {
+        digests.push_back(golden_digest(golden.name, golden.kind));
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (const auto& digests : seen) EXPECT_EQ(digests, expected);
+}
+
+TEST(CrossoverGolden, EngineRunsPinned) {
+  struct PinnedRun {
+    const char* spec;
+    int generations;
+    double best_objective;
+    std::uint64_t best_hash;
+    long long evaluations;
+  };
+  const PinnedRun runs[] = {
+      {"problem=jobshop instance=ft10 engine=simple pop=100 seed=1", 50,
+       1087, 0x5a1ba357b4371420ULL, 5100},
+      {"problem=flowshop instance=gen:jobs=50,machines=10 engine=island "
+       "islands=4 pop=32 eval_cache=lru:4096 seed=1",
+       30, 3358, 0xd5645c63009e83d2ULL, 3968},
+  };
+  for (const auto& run : runs) {
+    const RunResult result = Solver::build(RunSpec::parse(run.spec))
+                                 .run(StopCondition::generations(run.generations));
+    EXPECT_EQ(result.best_objective, run.best_objective) << run.spec;
+    EXPECT_EQ(genome_hash(result.best), run.best_hash) << run.spec;
+    EXPECT_EQ(result.evaluations, run.evaluations) << run.spec;
   }
 }
 

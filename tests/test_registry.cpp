@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 namespace psga::ga {
 namespace {
@@ -41,6 +42,24 @@ TEST(Registry, UnknownNamesThrow) {
   EXPECT_THROW(make_selection("bogus"), std::invalid_argument);
   EXPECT_THROW(make_crossover("bogus"), std::invalid_argument);
   EXPECT_THROW(make_mutation("bogus"), std::invalid_argument);
+}
+
+TEST(Registry, MalformedTournamentSizeNamesTheToken) {
+  // Only a whole positive integer may follow "tournament": no stray
+  // suffix, no overflow, no k <= 0 silently running as uniform picks.
+  for (const std::string name :
+       {"tournamentx", "tournament99999999999", "tournament0",
+        "tournament-3", "tournament3x"}) {
+    try {
+      make_selection(name);
+      ADD_FAILURE() << name << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+          << name << ": " << e.what();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << name << " threw a non-invalid_argument: " << e.what();
+    }
+  }
 }
 
 TEST(Registry, CrossoverNameListsAreUsable) {

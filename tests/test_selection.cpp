@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
+
+#include "src/ga/registry.h"
 
 namespace psga::ga {
 namespace {
@@ -116,6 +119,85 @@ TEST(Selection, PickManyDefaultMatchesCount) {
   par::Rng rng(13);
   EXPECT_EQ(sel.pick_many(fitness, 7, rng).size(), 7u);
   EXPECT_TRUE(sel.pick_many(fitness, 0, rng).empty());
+}
+
+/// One individual, zero fitness mass, negative and tied values, 40 values
+/// in three tie groups (too many for a sort to stay stable by accident),
+/// and a random population of 100.
+std::vector<std::vector<double>> pick_populations() {
+  par::Rng setup(14);
+  std::vector<std::vector<double>> populations = {
+      {2.0},
+      {0.0, 0.0, 0.0},
+      {-1.0, 0.0, 3.0, 3.0, 0.5},
+      {1.0, 1.0, 1.0, 1.0, 2.0, 2.0},
+  };
+  std::vector<double> tied(40);
+  for (std::size_t i = 0; i < tied.size(); ++i) {
+    tied[i] = static_cast<double>(i % 3);
+  }
+  populations.push_back(tied);
+  std::vector<double> random(100);
+  for (auto& f : random) f = setup.uniform(0.1, 1.0);
+  populations.push_back(random);
+  return populations;
+}
+
+TEST(Selection, PickManyMatchesSequentialPicks) {
+  // Batch overrides may hoist per-call work (sums, ranks, elite order) but
+  // must pick and draw exactly as `count` independent pick() calls. SUS is
+  // the exception by design: its pick_many is one equally-spaced sweep.
+  for (const char* name : {"roulette", "rank", "elitist-roulette",
+                           "tournament2", "tournament5"}) {
+    const SelectionPtr sel = make_selection(name);
+    for (const auto& fitness : pick_populations()) {
+      for (int count : {1, 7, 100}) {
+        par::Rng batch_rng(static_cast<std::uint64_t>(count) + fitness.size());
+        par::Rng single_rng = batch_rng;
+        const std::vector<int> batch = sel->pick_many(fitness, count, batch_rng);
+        std::vector<int> single;
+        for (int i = 0; i < count; ++i) {
+          single.push_back(sel->pick(fitness, single_rng));
+        }
+        EXPECT_EQ(batch, single) << name << " n=" << fitness.size();
+        for (int draw = 0; draw < 4; ++draw) {
+          EXPECT_EQ(batch_rng(), single_rng()) << name << " RNG state";
+        }
+      }
+    }
+  }
+}
+
+TEST(Selection, PicksPinned) {
+  // The test above compares pick() with pick_many(), so a change that
+  // moved both alike would pass it. These constants pin the picks and
+  // draws absolutely; they were recorded from the earlier implementations
+  // that re-summed, re-ranked or re-sorted the population on every pick.
+  const std::pair<const char*, std::uint64_t> pinned[] = {
+      {"roulette", 0xad3f9c89c795a15fULL},
+      {"sus", 0xe8a88ee78b124f6cULL},
+      {"rank", 0x463f11e8268ef3d5ULL},
+      {"elitist-roulette", 0x39377a5cdfe9254cULL},
+      {"tournament2", 0xa4fd08c799e8bd8fULL},
+      {"tournament5", 0x6a4ce7d5a43bdcb6ULL},
+  };
+  for (const auto& [name, digest] : pinned) {
+    const SelectionPtr sel = make_selection(name);
+    par::Rng rng(0x5e1ec7);
+    std::uint64_t folded = 0;
+    const auto fold = [&folded](std::uint64_t value) {
+      std::uint64_t state = folded ^ value;
+      folded = par::splitmix64(state);
+    };
+    for (const auto& fitness : pick_populations()) {
+      for (int index : sel->pick_many(fitness, 50, rng)) {
+        fold(static_cast<std::uint64_t>(index));
+      }
+      fold(static_cast<std::uint64_t>(sel->pick(fitness, rng)));
+      fold(rng());
+    }
+    EXPECT_EQ(folded, digest) << name << std::hex << " got 0x" << folded;
+  }
 }
 
 TEST(Selection, Names) {

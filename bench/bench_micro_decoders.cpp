@@ -159,8 +159,8 @@ void BM_JobShopSemiActiveBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_JobShopSemiActiveBatch)->Arg(16);
 
-void BM_JobShopGifflerThompsonBatch(benchmark::State& state) {
-  const auto& inst = sched::ft10().instance;
+void BM_JobShopGifflerThompsonBatch(benchmark::State& state,
+                                    const sched::JobShopInstance& inst) {
   const auto batch = static_cast<int>(state.range(0));
   const auto seqs = random_op_sequences(inst, batch, 1);
   std::vector<std::span<const int>> lanes(seqs.begin(), seqs.end());
@@ -175,7 +175,14 @@ void BM_JobShopGifflerThompsonBatch(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * batch);
 }
-BENCHMARK(BM_JobShopGifflerThompsonBatch)->Arg(16);
+// ft10 keeps its plain row name; the 50 x 10 shop adds a J > M shape under
+// the same gate tag.
+BENCHMARK_CAPTURE(BM_JobShopGifflerThompsonBatch, ft10, sched::ft10().instance)
+    ->Name("BM_JobShopGifflerThompsonBatch")
+    ->Arg(16);
+BENCHMARK_CAPTURE(BM_JobShopGifflerThompsonBatch, random_50x10,
+                  sched::random_job_shop(50, 10, 1))
+    ->Arg(16);
 
 void BM_OpenShopDecode(benchmark::State& state) {
   const auto inst = sched::random_open_shop(15, 8, 7);

@@ -143,7 +143,8 @@ fi
 # Service smoke: the psgad/psgactl pair end to end (docs/service.md) —
 # start a daemon on a temp socket, submit a small flowshop job and watch
 # its telemetry stream (every line must parse and carry schema_version),
-# cancel a long-running job mid-flight, drain, and require the daemon to
+# cancel a long-running job mid-flight, run an active-decoder job on a
+# shop with zero-duration operations, drain, and require the daemon to
 # exit 0 and unlink its socket.
 if [[ -x "$BUILD_DIR/psgad" && -x "$BUILD_DIR/psgactl" ]] \
    && command -v python3 >/dev/null; then
@@ -218,6 +219,21 @@ PYEOF
   CANCELLED=$("$BUILD_DIR"/psgactl --socket "$SVC_SOCKET" wait "$CANCEL_JOB")
   grep -q cancelled <<<"$CANCELLED" \
     || { echo "ci.sh: cancel did not land: $CANCELLED"; exit 1; }
+
+  # Zero-duration operations: this 2x2 shop has one in each job. The
+  # active (Giffler–Thompson) decoder must schedule them like any other
+  # operation, and the daemon must finish the job and keep answering.
+  ZERO_JSP=$(mktemp /tmp/psgad_ci_zero.XXXXXX.jsp)
+  printf '2 2\n0 3 1 0\n1 0 0 2\n' > "$ZERO_JSP"
+  ZERO_JOB=$("$BUILD_DIR"/psgactl --socket "$SVC_SOCKET" submit \
+    "problem=jobshop instance=$ZERO_JSP decoder=active engine=simple pop=8 seed=1" \
+    --generations 5)
+  "$BUILD_DIR"/psgactl --socket "$SVC_SOCKET" wait "$ZERO_JOB" --timeout 30 \
+    >/dev/null \
+    || { echo "ci.sh: zero-duration active job did not finish cleanly"; exit 1; }
+  "$BUILD_DIR"/psgactl --socket "$SVC_SOCKET" ping >/dev/null \
+    || { echo "ci.sh: psgad died on a zero-duration active job"; exit 1; }
+  rm -f "$ZERO_JSP"
 
   "$BUILD_DIR"/psgactl --socket "$SVC_SOCKET" drain >/dev/null
   if ! wait "$SVC_PID"; then

@@ -283,19 +283,25 @@ void job_shop_objective_batch(const JobShopInstance& inst,
                               JobShopBatchDecoder decoder, Criterion criterion,
                               std::span<double> out,
                               JobShopBatchScratch& scratch, double incumbent) {
-  pack_job_shop(inst, scratch);
   const int total = inst.total_ops();
   for (const auto& seq : seqs) {
     check_lane_length(seq.size(), total, "job-shop operation sequence");
   }
-  const auto jobs = static_cast<std::size_t>(inst.jobs);
-  const auto machines = static_cast<std::size_t>(inst.machines);
   // The early exit is only sound for makespan-like monotone criteria: the
   // running horizon never decreases, so horizon >= incumbent proves the
   // final makespan is too. Criteria mixing due dates/weights are not
   // monotone in the horizon, so the incumbent is ignored for them.
   const bool may_prune =
       criterion == Criterion::kMakespan && incumbent < kNoIncumbent;
+  if (decoder == JobShopBatchDecoder::kActive) {
+    detail::giffler_thompson_objective_batch(
+        inst, seqs, criterion, out, scratch.active,
+        may_prune ? incumbent : kNoIncumbent);
+    return;
+  }
+  pack_job_shop(inst, scratch);
+  const auto jobs = static_cast<std::size_t>(inst.jobs);
+  const auto machines = static_cast<std::size_t>(inst.machines);
 
   const int* const job_offset = scratch.job_offset.data();
   const int* const op_machine = scratch.op_machine.data();
@@ -314,86 +320,20 @@ void job_shop_objective_batch(const JobShopInstance& inst,
 
     Time horizon = 0;
     bool pruned = false;
-
-    if (decoder == JobShopBatchDecoder::kSemiActive) {
-      // Mirrors decode_operation_based without materializing ScheduledOps.
-      for (int gene : seq) {
-        const auto j = static_cast<std::size_t>(gene);
-        const int flat = job_offset[j] + next_op[j]++;
-        const auto m = static_cast<std::size_t>(op_machine[flat]);
-        const Time start = std::max(job_free[j], machine_free[m]);
-        const Time end = start + op_duration[flat];
-        job_free[j] = end;
-        machine_free[m] = end;
-        completion[j] = end;
-        horizon = std::max(horizon, end);
-        if (may_prune && static_cast<double>(horizon) >= incumbent) {
-          pruned = true;
-          break;
-        }
-      }
-    } else {
-      // Mirrors giffler_thompson_sequence: same conflict-machine scan,
-      // same strict comparisons, same job-id iteration order.
-      auto& positions = scratch.positions;
-      positions.resize(jobs);
-      for (auto& p : positions) p.clear();
-      for (int pos = 0; pos < static_cast<int>(seq.size()); ++pos) {
-        positions[static_cast<std::size_t>(seq[static_cast<std::size_t>(pos)])]
-            .push_back(pos);
-      }
-      for (int scheduled = 0; scheduled < total; ++scheduled) {
-        Time best_completion = std::numeric_limits<Time>::max();
-        int conflict_machine = -1;
-        for (int j = 0; j < inst.jobs; ++j) {
-          const auto js = static_cast<std::size_t>(j);
-          const int k = next_op[js];
-          if (job_offset[j] + k >= job_offset[j + 1]) continue;
-          const int flat = job_offset[j] + k;
-          const Time start = std::max(
-              job_free[js],
-              machine_free[static_cast<std::size_t>(op_machine[flat])]);
-          const Time op_completion = start + op_duration[flat];
-          if (op_completion < best_completion) {
-            best_completion = op_completion;
-            conflict_machine = op_machine[flat];
-          }
-        }
-        scratch.conflict_jobs.clear();
-        for (int j = 0; j < inst.jobs; ++j) {
-          const auto js = static_cast<std::size_t>(j);
-          const int k = next_op[js];
-          if (job_offset[j] + k >= job_offset[j + 1]) continue;
-          const int flat = job_offset[j] + k;
-          if (op_machine[flat] != conflict_machine) continue;
-          const Time start = std::max(
-              job_free[js],
-              machine_free[static_cast<std::size_t>(conflict_machine)]);
-          if (start < best_completion) scratch.conflict_jobs.push_back(j);
-        }
-        int winner = scratch.conflict_jobs.front();
-        int best_pos = std::numeric_limits<int>::max();
-        for (int j : scratch.conflict_jobs) {
-          const auto js = static_cast<std::size_t>(j);
-          const int pos = positions[js][static_cast<std::size_t>(next_op[js])];
-          if (pos < best_pos) {
-            best_pos = pos;
-            winner = j;
-          }
-        }
-        const auto ws = static_cast<std::size_t>(winner);
-        const int flat = job_offset[winner] + next_op[ws]++;
-        const auto m = static_cast<std::size_t>(op_machine[flat]);
-        const Time start = std::max(job_free[ws], machine_free[m]);
-        const Time end = start + op_duration[flat];
-        job_free[ws] = end;
-        machine_free[m] = end;
-        completion[ws] = end;
-        horizon = std::max(horizon, end);
-        if (may_prune && static_cast<double>(horizon) >= incumbent) {
-          pruned = true;
-          break;
-        }
+    // Mirrors decode_operation_based without materializing ScheduledOps.
+    for (int gene : seq) {
+      const auto j = static_cast<std::size_t>(gene);
+      const int flat = job_offset[j] + next_op[j]++;
+      const auto m = static_cast<std::size_t>(op_machine[flat]);
+      const Time start = std::max(job_free[j], machine_free[m]);
+      const Time end = start + op_duration[flat];
+      job_free[j] = end;
+      machine_free[m] = end;
+      completion[j] = end;
+      horizon = std::max(horizon, end);
+      if (may_prune && static_cast<double>(horizon) >= incumbent) {
+        pruned = true;
+        break;
       }
     }
 

@@ -11,12 +11,12 @@
 //     block-wide duration row out of a machine-major matrix packed once
 //     per instance, then runs a unit-stride max+add recurrence over the
 //     lanes (explicit vector code on GCC/Clang).
-//   * job shop — semi-active and active (Giffler–Thompson) decoders that
-//     compute completion times directly into reused frontier arrays,
-//     never materializing a Schedule, and optionally stop a lane early
-//     once its partial makespan already reaches a caller-supplied
-//     incumbent (legal only when the caller treats "≥ incumbent" as
-//     "discard": the returned value is then a lower bound, not exact).
+//   * job shop — semi-active (here) and active (job_shop.cpp's one
+//     Giffler–Thompson core) decoders that compute completion times
+//     directly, never materializing a Schedule, and optionally stop a
+//     lane early once its partial makespan already reaches a caller-
+//     supplied incumbent (legal only when the caller treats "≥ incumbent"
+//     as "discard": the returned value is then a lower bound, not exact).
 //
 // Determinism contract: with no incumbent, every lane performs exactly
 // the arithmetic of its scalar twin in the same order, so results are
@@ -92,8 +92,7 @@ struct JobShopBatchScratch {
   std::vector<Time> job_free;
   std::vector<Time> machine_free;
   std::vector<Time> completion;
-  std::vector<int> conflict_jobs;
-  std::vector<std::vector<int>> positions;  ///< per-job gene positions (G&T)
+  JobShopScratch active;  ///< the active lanes' scalar-decoder scratch
 };
 
 /// Which decoder the batch kernel mirrors (JobShopProblem::Decoder twin).
@@ -111,12 +110,22 @@ inline constexpr double kNoIncumbent = std::numeric_limits<double>::infinity();
 /// so the early exit is legal exactly when the caller discards any value
 /// >= its current best (elitist replacement, branch-and-bound style
 /// probes). Throws std::invalid_argument when a sequence length is not
-/// inst.total_ops().
+/// inst.total_ops(); for kActive also when a sequence is not a
+/// permutation with repetition of the jobs (see giffler_thompson_sequence).
 void job_shop_objective_batch(const JobShopInstance& inst,
                               std::span<const std::span<const int>> seqs,
                               JobShopBatchDecoder decoder, Criterion criterion,
                               std::span<double> out,
                               JobShopBatchScratch& scratch,
                               double incumbent = kNoIncumbent);
+
+/// job_shop_objective_batch's kActive path (a lane stops once its horizon
+/// reaches `stop_at`), defined in job_shop.cpp by the shared GT core.
+namespace detail {
+void giffler_thompson_objective_batch(
+    const JobShopInstance& inst, std::span<const std::span<const int>> seqs,
+    Criterion criterion, std::span<double> out, JobShopScratch& scratch,
+    double stop_at);
+}  // namespace detail
 
 }  // namespace psga::sched

@@ -1,8 +1,14 @@
 #include "src/sched/job_shop.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <optional>
+#include <stdexcept>
+#include <string>
+#include <type_traits>
+
+#include "src/sched/batch_decode.h"
 
 namespace psga::sched {
 
@@ -75,151 +81,195 @@ Schedule decode_operation_based(const JobShopInstance& inst,
 
 namespace {
 
-/// Shared Giffler–Thompson scaffold. `pick` chooses the winner among the
-/// conflict set (indices into `candidates`). Decodes into
-/// scratch.schedule; all working vectors live in the scratch.
-template <typename Pick>
-const Schedule& giffler_thompson_impl(const JobShopInstance& inst,
-                                      JobShopScratch& scratch, Pick&& pick) {
-  Schedule& schedule = scratch.schedule;
-  schedule.ops.clear();
-  schedule.ops.reserve(static_cast<std::size_t>(inst.total_ops()));
-  std::vector<int>& next_op = scratch.next_op;
-  std::vector<Time>& job_free = scratch.job_free;
-  std::vector<Time>& work_left = scratch.work_left;
-  std::vector<Time>& machine_free = scratch.machine_free;
-  next_op.assign(static_cast<std::size_t>(inst.jobs), 0);
-  job_free.resize(static_cast<std::size_t>(inst.jobs));
-  work_left.assign(static_cast<std::size_t>(inst.jobs), 0);
-  for (int j = 0; j < inst.jobs; ++j) {
-    job_free[static_cast<std::size_t>(j)] = inst.attrs.release_of(j);
-    for (const auto& op : inst.ops[static_cast<std::size_t>(j)]) {
-      work_left[static_cast<std::size_t>(j)] += op.duration;
-    }
+/// s.gene_pos[job_offset[j] + k] = position of job j's k-th gene. Throws
+/// std::invalid_argument unless `seq` names every job once per operation.
+void place_genes(const JobShopInstance& inst, std::span<const int> seq,
+                 JobShopScratch& s) {
+  s.job_offset.assign(1, 0);
+  for (const auto& route : inst.ops) {
+    s.job_offset.push_back(s.job_offset.back() +
+                           static_cast<int>(route.size()));
   }
-  machine_free.assign(static_cast<std::size_t>(inst.machines), 0);
+  const auto total = static_cast<std::size_t>(s.job_offset.back());
+  if (seq.size() != total) {
+    throw std::invalid_argument("job-shop operation sequence length " +
+                                std::to_string(seq.size()) + " != expected " +
+                                std::to_string(total));
+  }
+  s.gene_pos.resize(total);
+  s.next_op.assign(s.job_offset.begin(), s.job_offset.end() - 1);
+  for (std::size_t pos = 0; pos < total; ++pos) {
+    const int j = seq[pos];
+    if (j < 0 || j >= inst.jobs || s.next_op[j] == s.job_offset[j + 1]) {
+      throw std::invalid_argument(
+          "job-shop operation sequence gene " + std::to_string(j) +
+          " at position " + std::to_string(pos) +
+          " names no job with an operation left");
+    }
+    s.gene_pos[s.next_op[j]++] = static_cast<int>(pos);
+  }
+}
 
-  const int total = inst.total_ops();
-  for (int scheduled = 0; scheduled < total; ++scheduled) {
-    // Earliest-completing candidate determines the conflict machine.
-    Time best_completion = std::numeric_limits<Time>::max();
-    int conflict_machine = -1;
-    for (int j = 0; j < inst.jobs; ++j) {
-      const int k = next_op[static_cast<std::size_t>(j)];
-      if (k >= inst.ops_of(j)) continue;
-      const JsOperation& op = inst.op(j, k);
-      const Time start =
-          std::max(job_free[static_cast<std::size_t>(j)],
-                   machine_free[static_cast<std::size_t>(op.machine)]);
-      const Time completion = start + op.duration;
-      if (completion < best_completion) {
-        best_completion = completion;
-        conflict_machine = op.machine;
-      }
+struct SequencePick {};  ///< the sequence decoder's pick, fused into scan 2
+
+/// The one Giffler–Thompson core, over a per-job frontier: each job's next
+/// operation (route index, machine, duration and, for SequencePick, gene
+/// key) and job_free. A finished job points at the sentinel machine
+/// `machines`, free at the Time maximum, with duration 0, so no scan
+/// branches on it. Scan 1 finds the earliest completion (first minimum:
+/// lowest job id) and its machine; scan 2 takes the jobs whose next
+/// operation is on that machine and starts before that completion, plus
+/// the job that set it (a zero-duration setter starts at it). Any `pick`
+/// but SequencePick gets them in ascending id order. `emit(job, index,
+/// machine, start, end)` returns true to stop.
+template <typename Pick, typename Emit>
+void giffler_thompson_core(const JobShopInstance& inst, JobShopScratch& s,
+                           Pick&& pick, Emit&& emit) {
+  constexpr bool kSequence = std::is_same_v<std::decay_t<Pick>, SequencePick>;
+  const auto jobs = static_cast<std::size_t>(inst.jobs);
+  const int machines = inst.machines;
+  s.next_op.assign(jobs, 0);
+  s.next_machine.resize(jobs);
+  s.next_duration.resize(jobs);
+  s.gene_key.resize(jobs);
+  s.job_free.resize(jobs);
+  s.machine_free.assign(static_cast<std::size_t>(machines), 0);
+  s.machine_free.push_back(std::numeric_limits<Time>::max());
+  int* const next = s.next_op.data();
+  int* const next_machine = s.next_machine.data();
+  Time* const next_duration = s.next_duration.data();
+  std::uint64_t* const gene_key = s.gene_key.data();
+  Time* const job_free = s.job_free.data();
+  Time* const machine_free = s.machine_free.data();
+  const auto load_next = [&](std::size_t j) {
+    const auto& route = inst.ops[j];
+    const auto k = static_cast<std::size_t>(next[j]);
+    const bool done = k == route.size();
+    next_machine[j] = done ? machines : route[k].machine;
+    next_duration[j] = done ? 0 : route[k].duration;
+    if constexpr (kSequence) {
+      const auto pos = done ? ~0U : static_cast<std::uint32_t>(
+                                        s.gene_pos[s.job_offset[j] + k]);
+      gene_key[j] = std::uint64_t{pos} << 32 | j;
     }
-    // Conflict set: schedulable ops on that machine that would start
-    // before the earliest completion.
-    std::vector<int>& conflict_jobs = scratch.conflict_jobs;
-    conflict_jobs.clear();
-    for (int j = 0; j < inst.jobs; ++j) {
-      const int k = next_op[static_cast<std::size_t>(j)];
-      if (k >= inst.ops_of(j)) continue;
-      const JsOperation& op = inst.op(j, k);
-      if (op.machine != conflict_machine) continue;
-      const Time start =
-          std::max(job_free[static_cast<std::size_t>(j)],
-                   machine_free[static_cast<std::size_t>(op.machine)]);
-      if (start < best_completion) conflict_jobs.push_back(j);
-    }
-    const int winner = pick(conflict_jobs, next_op, work_left);
-    const int k = next_op[static_cast<std::size_t>(winner)]++;
-    const JsOperation& op = inst.op(winner, k);
-    const Time start =
-        std::max(job_free[static_cast<std::size_t>(winner)],
-                 machine_free[static_cast<std::size_t>(op.machine)]);
-    const Time end = start + op.duration;
-    schedule.ops.push_back(ScheduledOp{winner, k, op.machine, start, end});
-    job_free[static_cast<std::size_t>(winner)] = end;
-    machine_free[static_cast<std::size_t>(op.machine)] = end;
-    work_left[static_cast<std::size_t>(winner)] -= op.duration;
+  };
+  for (std::size_t j = 0; j < jobs; ++j) {
+    job_free[j] = inst.attrs.release_of(static_cast<int>(j));
+    load_next(j);
   }
-  return schedule;
+  std::vector<int> conflict(kSequence ? 0 : jobs);
+
+  for (int step = 0, total = inst.total_ops(); step < total; ++step) {
+    Time best = std::numeric_limits<Time>::max();
+    std::size_t setter = 0;
+    for (std::size_t j = 0; j < jobs; ++j) {
+      const Time completion =
+          std::max(job_free[j], machine_free[next_machine[j]]) +
+          next_duration[j];
+      const bool earlier = completion < best;
+      best = earlier ? completion : best;
+      setter = earlier ? j : setter;
+    }
+    const int conflict_machine = next_machine[setter];
+    const Time machine_ready = machine_free[conflict_machine];
+    // Eligible besides the setter, which always is.
+    const auto starts_before = [&](std::size_t j) {
+      return (next_machine[j] == conflict_machine) &
+             (std::max(job_free[j], machine_ready) < best);
+    };
+    std::size_t winner = setter;
+    if constexpr (kSequence) {
+      // Min over gene keys, masked to all ones when ineligible, so nothing
+      // branches. Gene positions are distinct: the lowest key wins.
+      std::uint64_t win = gene_key[setter];
+      for (std::size_t j = 0; j < jobs; ++j) {
+        const std::uint64_t mask = 0 - std::uint64_t{!starts_before(j)};
+        win = std::min(win, gene_key[j] | mask);
+      }
+      winner = static_cast<std::uint32_t>(win);
+    } else {
+      std::size_t size = 0;
+      for (std::size_t j = 0; j < jobs; ++j) {
+        conflict[size] = static_cast<int>(j);
+        size += starts_before(j) | (j == setter) ? 1 : 0;
+      }
+      winner = static_cast<std::size_t>(pick(std::span(conflict.data(), size)));
+    }
+    const int index = next[winner]++;
+    const int machine = next_machine[winner];
+    const Time start = std::max(job_free[winner], machine_free[machine]);
+    const Time end = start + next_duration[winner];
+    job_free[winner] = end;
+    machine_free[machine] = end;
+    load_next(winner);
+    if (emit(static_cast<int>(winner), index, machine, start, end)) return;
+  }
+}
+
+/// The rule decoders: `rule_at(step)` resolves the step-th conflict.
+template <typename RuleAt>
+Schedule giffler_thompson_by_rule(const JobShopInstance& inst,
+                                  RuleAt&& rule_at, par::Rng* rng) {
+  JobShopScratch s;
+  s.work_left.assign(inst.ops.size(), 0);
+  for (std::size_t j = 0; j < inst.ops.size(); ++j) {
+    for (const JsOperation& op : inst.ops[j]) s.work_left[j] += op.duration;
+  }
+  s.schedule.ops.reserve(static_cast<std::size_t>(inst.total_ops()));
+  int step = 0;
+  giffler_thompson_core(
+      inst, s,
+      [&](std::span<const int> jobs) {
+        const Time* const duration = s.next_duration.data();
+        const Time* const work = s.work_left.data();
+        int best = jobs.front();
+        switch (rule_at(step++)) {
+          case PriorityRule::kSpt:
+            for (int j : jobs) best = duration[j] < duration[best] ? j : best;
+            break;
+          case PriorityRule::kLpt:
+            for (int j : jobs) best = duration[j] > duration[best] ? j : best;
+            break;
+          case PriorityRule::kMostWorkRemaining:
+            for (int j : jobs) best = work[j] > work[best] ? j : best;
+            break;
+          case PriorityRule::kFcfs:  // the first job id in the conflict set
+            break;
+          case PriorityRule::kRandom:
+            best = jobs[static_cast<std::size_t>(rng->below(jobs.size()))];
+            break;
+        }
+        return best;
+      },
+      [&](int j, int index, int machine, Time start, Time end) {
+        s.schedule.ops.push_back(ScheduledOp{j, index, machine, start, end});
+        s.work_left[static_cast<std::size_t>(j)] -= end - start;
+        return false;
+      });
+  return std::move(s.schedule);
 }
 
 }  // namespace
 
 Schedule giffler_thompson(const JobShopInstance& inst, PriorityRule rule,
                           par::Rng& rng) {
-  JobShopScratch scratch;
-  int tick = 0;  // FCFS tiebreak counter
-  return giffler_thompson_impl(
-      inst, scratch,
-      [&](const std::vector<int>& jobs, const std::vector<int>& next_op,
-          const std::vector<Time>& work_left) {
-        ++tick;
-        int best = jobs.front();
-        auto duration_of = [&](int j) {
-          return inst.op(j, next_op[static_cast<std::size_t>(j)]).duration;
-        };
-        switch (rule) {
-          case PriorityRule::kSpt:
-            for (int j : jobs) {
-              if (duration_of(j) < duration_of(best)) best = j;
-            }
-            break;
-          case PriorityRule::kLpt:
-            for (int j : jobs) {
-              if (duration_of(j) > duration_of(best)) best = j;
-            }
-            break;
-          case PriorityRule::kMostWorkRemaining:
-            for (int j : jobs) {
-              if (work_left[static_cast<std::size_t>(j)] >
-                  work_left[static_cast<std::size_t>(best)]) {
-                best = j;
-              }
-            }
-            break;
-          case PriorityRule::kFcfs:
-            // Conflict set is already in job-id order; keep the first.
-            break;
-          case PriorityRule::kRandom:
-            best = jobs[static_cast<std::size_t>(rng.below(jobs.size()))];
-            break;
-        }
-        return best;
-      });
+  return giffler_thompson_by_rule(inst, [rule](int) { return rule; }, &rng);
 }
 
 const Schedule& giffler_thompson_sequence(const JobShopInstance& inst,
                                           std::span<const int> op_sequence,
                                           JobShopScratch& scratch) {
-  // For each job, the positions of its genes in the chromosome; the
-  // conflict winner is the job whose next unconsumed gene occurs earliest.
-  std::vector<std::vector<int>>& positions = scratch.positions;
-  positions.resize(static_cast<std::size_t>(inst.jobs));
-  for (auto& p : positions) p.clear();
-  for (int pos = 0; pos < static_cast<int>(op_sequence.size()); ++pos) {
-    positions[static_cast<std::size_t>(op_sequence[static_cast<std::size_t>(pos)])]
-        .push_back(pos);
-  }
-  return giffler_thompson_impl(
-      inst, scratch,
-      [&](const std::vector<int>& jobs, const std::vector<int>& next_op,
-          const std::vector<Time>& /*work_left*/) {
-        int best = jobs.front();
-        int best_pos = std::numeric_limits<int>::max();
-        for (int j : jobs) {
-          const auto& pos_list = positions[static_cast<std::size_t>(j)];
-          const int k = next_op[static_cast<std::size_t>(j)];
-          const int pos = pos_list[static_cast<std::size_t>(k)];
-          if (pos < best_pos) {
-            best_pos = pos;
-            best = j;
-          }
-        }
-        return best;
+  place_genes(inst, op_sequence, scratch);
+  Schedule& schedule = scratch.schedule;
+  schedule.ops.clear();
+  schedule.ops.reserve(op_sequence.size());
+  giffler_thompson_core(
+      inst, scratch, SequencePick{},
+      [&](int j, int index, int machine, Time start, Time end) {
+        schedule.ops.push_back(ScheduledOp{j, index, machine, start, end});
+        return false;
       });
+  return schedule;
 }
 
 Schedule giffler_thompson_sequence(const JobShopInstance& inst,
@@ -230,48 +280,45 @@ Schedule giffler_thompson_sequence(const JobShopInstance& inst,
 
 Schedule giffler_thompson_rules(const JobShopInstance& inst,
                                 std::span<const int> rule_per_step) {
-  JobShopScratch scratch;
-  int step = 0;
-  return giffler_thompson_impl(
-      inst, scratch,
-      [&](const std::vector<int>& jobs, const std::vector<int>& next_op,
-          const std::vector<Time>& work_left) {
-        const int raw =
-            step < static_cast<int>(rule_per_step.size())
-                ? rule_per_step[static_cast<std::size_t>(step)]
-                : 0;
-        ++step;
-        const int rule = ((raw % kDispatchRuleCount) + kDispatchRuleCount) %
-                         kDispatchRuleCount;
-        int best = jobs.front();
-        auto duration_of = [&](int j) {
-          return inst.op(j, next_op[static_cast<std::size_t>(j)]).duration;
-        };
-        switch (rule) {
-          case 0:  // SPT
-            for (int j : jobs) {
-              if (duration_of(j) < duration_of(best)) best = j;
-            }
-            break;
-          case 1:  // LPT
-            for (int j : jobs) {
-              if (duration_of(j) > duration_of(best)) best = j;
-            }
-            break;
-          case 2:  // MWR
-            for (int j : jobs) {
-              if (work_left[static_cast<std::size_t>(j)] >
-                  work_left[static_cast<std::size_t>(best)]) {
-                best = j;
-              }
-            }
-            break;
-          default:  // FCFS: first job id in the conflict set
-            break;
-        }
-        return best;
-      });
+  // Rules 0..3 are the first four PriorityRules: SPT, LPT, MWR, FCFS.
+  return giffler_thompson_by_rule(
+      inst,
+      [rule_per_step](int step) {
+        const int raw = step < static_cast<int>(rule_per_step.size())
+                            ? rule_per_step[static_cast<std::size_t>(step)]
+                            : 0;
+        return static_cast<PriorityRule>(
+            ((raw % kDispatchRuleCount) + kDispatchRuleCount) %
+            kDispatchRuleCount);
+      },
+      nullptr);
 }
+
+namespace detail {
+
+void giffler_thompson_objective_batch(
+    const JobShopInstance& inst, std::span<const std::span<const int>> seqs,
+    Criterion criterion, std::span<double> out, JobShopScratch& scratch,
+    double stop_at) {
+  for (std::size_t lane = 0; lane < seqs.size(); ++lane) {
+    place_genes(inst, seqs[lane], scratch);
+    scratch.completion.assign(static_cast<std::size_t>(inst.jobs), 0);
+    Time horizon = 0;
+    bool pruned = false;
+    giffler_thompson_core(
+        inst, scratch, SequencePick{}, [&](int j, int, int, Time, Time end) {
+          scratch.completion[static_cast<std::size_t>(j)] = end;
+          horizon = std::max(horizon, end);
+          pruned = static_cast<double>(horizon) >= stop_at;
+          return pruned;
+        });
+    out[lane] = pruned ? static_cast<double>(horizon)
+                       : evaluate_criterion(criterion, scratch.completion,
+                                            inst.attrs);
+  }
+}
+
+}  // namespace detail
 
 double job_shop_objective(const JobShopInstance& inst,
                           const Schedule& schedule, Criterion criterion,

@@ -47,9 +47,12 @@ struct JobShopScratch {
   std::vector<Time> job_free;
   std::vector<Time> machine_free;
   std::vector<Time> work_left;
-  std::vector<int> conflict_jobs;
-  std::vector<std::vector<int>> positions;  ///< per-job gene positions (G&T)
   std::vector<Time> completion;
+  std::vector<int> job_offset;  ///< Giffler–Thompson: gene_pos index of (j, 0)
+  std::vector<int> gene_pos;    ///< chromosome position of gene (j, k)
+  std::vector<int> next_machine;  ///< per job, of its next operation
+  std::vector<Time> next_duration;
+  std::vector<std::uint64_t> gene_key;  ///< (gene position << 32) | job
 };
 
 /// Decodes an operation-based chromosome (permutation with repetition: job
@@ -75,7 +78,8 @@ Schedule giffler_thompson(const JobShopInstance& inst, PriorityRule rule,
 /// Giffler–Thompson where conflicts are resolved by an operation-based
 /// chromosome: among the conflict set, the operation whose gene occurs
 /// earliest (among not-yet-consumed genes) wins. Always yields an active
-/// schedule for any permutation-with-repetition.
+/// schedule for any permutation-with-repetition, and throws
+/// std::invalid_argument for any other sequence.
 Schedule giffler_thompson_sequence(const JobShopInstance& inst,
                                    std::span<const int> op_sequence);
 

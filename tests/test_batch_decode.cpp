@@ -5,22 +5,29 @@
 // the raw kernels against their scalar twins, the Evaluator's chunked
 // objective_batch across every registered problem × batch size ×
 // backend, and whole engine traces across eval_batch= values — plus the
-// early-exit semantics of the job-shop kernel and the eval_batch spec
-// token round-trip.
+// early-exit semantics of the job-shop kernel, the one Giffler–Thompson
+// core every active decoder shares (oracle fuzz, golden constants,
+// zero-duration and malformed inputs) and the eval_batch spec token
+// round-trip.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "src/ga/genome.h"
 #include "src/ga/problem_spec.h"
 #include "src/ga/problems.h"
 #include "src/ga/solver.h"
 #include "src/sched/batch_decode.h"
 #include "src/sched/classics.h"
+#include "src/sched/generators.h"
+#include "src/sched/schedule.h"
 #include "src/sched/taillard.h"
 
 namespace psga::ga {
@@ -247,45 +254,49 @@ TEST(JobShopBatchKernel, EarlyExitIsExactBelowTheIncumbentAndBoundsAbove) {
   sched::JobShopBatchScratch batch;
   const auto seqs = random_op_sequences(inst, 33, 67);
   const auto lanes = as_lanes(seqs);
+  for (auto decoder : {sched::JobShopBatchDecoder::kSemiActive,
+                       sched::JobShopBatchDecoder::kActive}) {
+    SCOPED_TRACE(static_cast<int>(decoder));
+    std::vector<double> exact(lanes.size());
+    sched::job_shop_objective_batch(inst, lanes, decoder,
+                                    Criterion::kMakespan, exact, batch);
 
-  std::vector<double> exact(lanes.size());
-  sched::job_shop_objective_batch(inst, lanes,
-                                  sched::JobShopBatchDecoder::kSemiActive,
-                                  Criterion::kMakespan, exact, batch);
+    // Incumbent at the median: roughly half the lanes must prune.
+    std::vector<double> sorted = exact;
+    std::sort(sorted.begin(), sorted.end());
+    const double incumbent = sorted[sorted.size() / 2];
 
-  // Incumbent at the median: roughly half the lanes must prune.
-  std::vector<double> sorted = exact;
-  std::sort(sorted.begin(), sorted.end());
-  const double incumbent = sorted[sorted.size() / 2];
-
-  std::vector<double> pruned(lanes.size(), -1.0);
-  sched::job_shop_objective_batch(inst, lanes,
-                                  sched::JobShopBatchDecoder::kSemiActive,
-                                  Criterion::kMakespan, pruned, batch,
-                                  incumbent);
-  for (std::size_t l = 0; l < lanes.size(); ++l) {
-    SCOPED_TRACE(l);
-    if (exact[l] < incumbent) {
-      // Survivors are bit-identical to the exact decode.
-      EXPECT_EQ(pruned[l], exact[l]);
-    } else {
-      // Pruned lanes report a lower bound that still certifies the
-      // discard: >= incumbent, never above the true value.
-      EXPECT_GE(pruned[l], incumbent);
-      EXPECT_LE(pruned[l], exact[l]);
+    std::vector<double> pruned(lanes.size(), -1.0);
+    sched::job_shop_objective_batch(inst, lanes, decoder,
+                                    Criterion::kMakespan, pruned, batch,
+                                    incumbent);
+    int stopped = 0;
+    for (std::size_t l = 0; l < lanes.size(); ++l) {
+      SCOPED_TRACE(l);
+      if (exact[l] < incumbent) {
+        // Survivors are bit-identical to the exact decode.
+        EXPECT_EQ(pruned[l], exact[l]);
+      } else {
+        // Pruned lanes report a lower bound that still certifies the
+        // discard: >= incumbent, never above the true value.
+        EXPECT_GE(pruned[l], incumbent);
+        EXPECT_LE(pruned[l], exact[l]);
+        stopped += pruned[l] < exact[l] ? 1 : 0;
+      }
     }
-  }
+    EXPECT_GT(stopped, 0) << "no lane stopped before its full decode";
 
-  // A non-makespan criterion must ignore the incumbent entirely.
-  std::vector<double> tardiness_exact(lanes.size());
-  std::vector<double> tardiness_incumbent(lanes.size());
-  sched::job_shop_objective_batch(
-      inst, lanes, sched::JobShopBatchDecoder::kSemiActive,
-      Criterion::kTotalWeightedCompletion, tardiness_exact, batch);
-  sched::job_shop_objective_batch(
-      inst, lanes, sched::JobShopBatchDecoder::kSemiActive,
-      Criterion::kTotalWeightedCompletion, tardiness_incumbent, batch, 1.0);
-  EXPECT_EQ(tardiness_exact, tardiness_incumbent);
+    // A non-makespan criterion must ignore the incumbent entirely.
+    std::vector<double> tardiness_exact(lanes.size());
+    std::vector<double> tardiness_incumbent(lanes.size());
+    sched::job_shop_objective_batch(inst, lanes, decoder,
+                                    Criterion::kTotalWeightedCompletion,
+                                    tardiness_exact, batch);
+    sched::job_shop_objective_batch(inst, lanes, decoder,
+                                    Criterion::kTotalWeightedCompletion,
+                                    tardiness_incumbent, batch, 1.0);
+    EXPECT_EQ(tardiness_exact, tardiness_incumbent);
+  }
 }
 
 TEST(JobShopBatchKernel, ThrowsOnWrongSequenceLength) {
@@ -298,6 +309,447 @@ TEST(JobShopBatchKernel, ThrowsOnWrongSequenceLength) {
                    inst, as_lanes(seqs), sched::JobShopBatchDecoder::kSemiActive,
                    Criterion::kMakespan, out, batch),
                std::invalid_argument);
+}
+
+// --- the one Giffler–Thompson core ------------------------------------------
+//
+// Every active decoder (the scalar sequence, rule and rules-per-step
+// entry points, and the batch kernel's kActive lanes) runs one core. The
+// tests below pin it three ways: against a test-only oracle (the
+// two-scan loop the decoders ran before the core was shared), against
+// golden constants recorded from that older code, and on the inputs the
+// older code crashed on or read out of bounds for.
+
+const Criterion kAllCriteria[] = {
+    Criterion::kMakespan, Criterion::kTotalWeightedCompletion,
+    Criterion::kTotalWeightedTardiness, Criterion::kWeightedUnitPenalty,
+    Criterion::kMaxTardiness};
+
+const sched::PriorityRule kAllRules[] = {
+    sched::PriorityRule::kSpt, sched::PriorityRule::kLpt,
+    sched::PriorityRule::kMostWorkRemaining, sched::PriorityRule::kFcfs,
+    sched::PriorityRule::kRandom};
+
+/// The oracle: per-job gene position lists, a conflict vector and a
+/// branch on every comparison. `pick(conflict, next_op, work_left)`
+/// chooses the winner. Positive durations only: when the operation that
+/// sets the earliest completion takes no time, its conflict set can be
+/// empty.
+template <typename Pick>
+sched::Schedule oracle_giffler_thompson(const sched::JobShopInstance& inst,
+                                        Pick&& pick) {
+  const auto jobs = static_cast<std::size_t>(inst.jobs);
+  sched::Schedule schedule;
+  std::vector<int> next_op(jobs, 0);
+  std::vector<Time> job_free(jobs);
+  std::vector<Time> work_left(jobs, 0);
+  std::vector<Time> machine_free(static_cast<std::size_t>(inst.machines), 0);
+  for (int j = 0; j < inst.jobs; ++j) {
+    job_free[static_cast<std::size_t>(j)] = inst.attrs.release_of(j);
+    for (const auto& op : inst.ops[static_cast<std::size_t>(j)]) {
+      work_left[static_cast<std::size_t>(j)] += op.duration;
+    }
+  }
+  std::vector<int> conflict;
+  for (int scheduled = 0; scheduled < inst.total_ops(); ++scheduled) {
+    Time best = std::numeric_limits<Time>::max();
+    int conflict_machine = -1;
+    for (int j = 0; j < inst.jobs; ++j) {
+      const int k = next_op[static_cast<std::size_t>(j)];
+      if (k >= inst.ops_of(j)) continue;
+      const auto& op = inst.op(j, k);
+      const Time start =
+          std::max(job_free[static_cast<std::size_t>(j)],
+                   machine_free[static_cast<std::size_t>(op.machine)]);
+      if (start + op.duration < best) {
+        best = start + op.duration;
+        conflict_machine = op.machine;
+      }
+    }
+    conflict.clear();
+    for (int j = 0; j < inst.jobs; ++j) {
+      const int k = next_op[static_cast<std::size_t>(j)];
+      if (k >= inst.ops_of(j)) continue;
+      const auto& op = inst.op(j, k);
+      if (op.machine != conflict_machine) continue;
+      const Time start =
+          std::max(job_free[static_cast<std::size_t>(j)],
+                   machine_free[static_cast<std::size_t>(op.machine)]);
+      if (start < best) conflict.push_back(j);
+    }
+    const int winner = pick(conflict, next_op, work_left);
+    const int k = next_op[static_cast<std::size_t>(winner)]++;
+    const auto& op = inst.op(winner, k);
+    const Time start =
+        std::max(job_free[static_cast<std::size_t>(winner)],
+                 machine_free[static_cast<std::size_t>(op.machine)]);
+    const Time end = start + op.duration;
+    schedule.ops.push_back(
+        sched::ScheduledOp{winner, k, op.machine, start, end});
+    job_free[static_cast<std::size_t>(winner)] = end;
+    machine_free[static_cast<std::size_t>(op.machine)] = end;
+    work_left[static_cast<std::size_t>(winner)] -= op.duration;
+  }
+  return schedule;
+}
+
+/// Oracle sequence picker: the conflict job whose next gene is earliest.
+sched::Schedule oracle_sequence(const sched::JobShopInstance& inst,
+                                std::span<const int> seq) {
+  std::vector<std::vector<int>> positions(static_cast<std::size_t>(inst.jobs));
+  for (int pos = 0; pos < static_cast<int>(seq.size()); ++pos) {
+    positions[static_cast<std::size_t>(seq[static_cast<std::size_t>(pos)])]
+        .push_back(pos);
+  }
+  return oracle_giffler_thompson(
+      inst, [&](const std::vector<int>& jobs, const std::vector<int>& next_op,
+                const std::vector<Time>&) {
+        int best = jobs.front();
+        int best_pos = std::numeric_limits<int>::max();
+        for (int j : jobs) {
+          const int pos = positions[static_cast<std::size_t>(j)][static_cast<
+              std::size_t>(next_op[static_cast<std::size_t>(j)])];
+          if (pos < best_pos) {
+            best_pos = pos;
+            best = j;
+          }
+        }
+        return best;
+      });
+}
+
+/// Oracle rule picker; `rule_at(step)` names the step-th conflict's rule.
+template <typename RuleAt>
+sched::Schedule oracle_rules(const sched::JobShopInstance& inst,
+                             RuleAt&& rule_at, par::Rng& rng) {
+  int step = 0;
+  return oracle_giffler_thompson(
+      inst, [&](const std::vector<int>& jobs, const std::vector<int>& next_op,
+                const std::vector<Time>& work_left) {
+        const auto duration_of = [&](int j) {
+          return inst.op(j, next_op[static_cast<std::size_t>(j)]).duration;
+        };
+        const auto work_of = [&](int j) {
+          return work_left[static_cast<std::size_t>(j)];
+        };
+        int best = jobs.front();
+        switch (rule_at(step++)) {
+          case sched::PriorityRule::kSpt:
+            for (int j : jobs) {
+              if (duration_of(j) < duration_of(best)) best = j;
+            }
+            break;
+          case sched::PriorityRule::kLpt:
+            for (int j : jobs) {
+              if (duration_of(j) > duration_of(best)) best = j;
+            }
+            break;
+          case sched::PriorityRule::kMostWorkRemaining:
+            for (int j : jobs) {
+              if (work_of(j) > work_of(best)) best = j;
+            }
+            break;
+          case sched::PriorityRule::kFcfs:
+            break;
+          case sched::PriorityRule::kRandom:
+            best = jobs[static_cast<std::size_t>(rng.below(jobs.size()))];
+            break;
+        }
+        return best;
+      });
+}
+
+bool same_ops(const sched::Schedule& a, const sched::Schedule& b) {
+  const auto same = [](const sched::ScheduledOp& x,
+                       const sched::ScheduledOp& y) {
+    return x.job == y.job && x.index == y.index && x.machine == y.machine &&
+           x.start == y.start && x.end == y.end;
+  };
+  return std::equal(a.ops.begin(), a.ops.end(), b.ops.begin(), b.ops.end(),
+                    same);
+}
+
+/// Release dates, due dates and integer weights on every job.
+void add_job_attributes(sched::JobShopInstance& inst, std::uint64_t seed) {
+  par::Rng rng(seed);
+  std::vector<Time> work(static_cast<std::size_t>(inst.jobs), 0);
+  inst.attrs.release.assign(static_cast<std::size_t>(inst.jobs), 0);
+  for (int j = 0; j < inst.jobs; ++j) {
+    for (const auto& op : inst.ops[static_cast<std::size_t>(j)]) {
+      work[static_cast<std::size_t>(j)] += op.duration;
+    }
+    inst.attrs.release[static_cast<std::size_t>(j)] = rng.range(0, 30);
+  }
+  sched::assign_due_dates(inst.attrs, work, 1.5, 5, seed + 1);
+}
+
+/// The fuzz corpus: every classic instance, J = 1 x M = 1, a 70 x 3 shop
+/// (more jobs than any 64-bit key can pack), and 400 random shops with
+/// J in [1, 20], M in [1, 10] and durations 1..3, 1..10 or 1..99 (narrow
+/// ranges force ties), half of them with release dates, due dates and
+/// weights.
+std::vector<sched::JobShopInstance> fuzz_instances() {
+  std::vector<sched::JobShopInstance> instances;
+  for (const auto* classic : sched::classic_instances()) {
+    instances.push_back(classic->instance);
+  }
+  instances.push_back(sched::random_job_shop(1, 1, 5));
+  instances.push_back(sched::random_job_shop(70, 3, 6));
+  add_job_attributes(instances.back(), 7);
+  par::Rng rng(2024);
+  const Time highs[] = {3, 10, 99};
+  for (int i = 0; i < 400; ++i) {
+    const int jobs = rng.range(1, 20);
+    const int machines = rng.range(1, 10);
+    instances.push_back(sched::random_job_shop(jobs, machines, 100 + i, 1,
+                                               highs[i % 3]));
+    if (i % 2 == 1) add_job_attributes(instances.back(), 500 + i);
+  }
+  return instances;
+}
+
+TEST(GifflerThompsonCore, MatchesTheOracleOnEveryEntryPoint) {
+  sched::JobShopScratch scalar;
+  sched::JobShopBatchScratch batch;
+  int pairs = 0;
+  int mismatches = 0;
+  std::uint64_t instance_seed = 0;
+  for (const sched::JobShopInstance& inst : fuzz_instances()) {
+    SCOPED_TRACE(std::to_string(inst.jobs) + "x" +
+                 std::to_string(inst.machines) + " #" +
+                 std::to_string(instance_seed));
+    const auto seqs = random_op_sequences(inst, 37, 900 + instance_seed++);
+    const auto lanes = as_lanes(seqs);
+    std::vector<sched::Schedule> expect;
+    for (const auto& lane : lanes) {
+      expect.push_back(oracle_sequence(inst, lane));
+      mismatches +=
+          same_ops(sched::giffler_thompson_sequence(inst, lane, scalar),
+                   expect.back())
+              ? 0
+              : 1;
+      ++pairs;
+    }
+    for (Criterion c : kAllCriteria) {
+      std::vector<double> got(lanes.size(), -1.0);
+      sched::job_shop_objective_batch(inst, lanes,
+                                      sched::JobShopBatchDecoder::kActive, c,
+                                      got, batch);
+      for (std::size_t l = 0; l < lanes.size(); ++l) {
+        mismatches +=
+            got[l] == sched::job_shop_objective(inst, expect[l], c) ? 0 : 1;
+      }
+    }
+    for (sched::PriorityRule rule : kAllRules) {
+      par::Rng core_rng(instance_seed);
+      par::Rng oracle_rng(instance_seed);
+      mismatches +=
+          same_ops(sched::giffler_thompson(inst, rule, core_rng),
+                   oracle_rules(inst, [rule](int) { return rule; },
+                                oracle_rng))
+              ? 0
+              : 1;
+    }
+    par::Rng rules_rng(instance_seed);
+    std::vector<int> rule_per_step(static_cast<std::size_t>(inst.total_ops()));
+    for (int& r : rule_per_step) r = rules_rng.range(-5, 9);
+    mismatches +=
+        same_ops(sched::giffler_thompson_rules(inst, rule_per_step),
+                 oracle_rules(
+                     inst,
+                     [&](int step) {
+                       const int raw = rule_per_step[static_cast<std::size_t>(
+                           step)];
+                       return static_cast<sched::PriorityRule>(
+                           ((raw % sched::kDispatchRuleCount) +
+                            sched::kDispatchRuleCount) %
+                           sched::kDispatchRuleCount);
+                     },
+                     rules_rng))
+            ? 0
+            : 1;
+    ASSERT_EQ(mismatches, 0);
+  }
+  EXPECT_GE(pairs, 10000);
+}
+
+/// The 2x2 shop "2 2 / 0 3 1 0 / 1 0 0 2" in .jsp form: both jobs have a
+/// zero-duration operation on machine 1.
+sched::JobShopInstance zero_duration_2x2() {
+  sched::JobShopInstance inst;
+  inst.jobs = 2;
+  inst.machines = 2;
+  inst.ops = {{{0, 3}, {1, 0}}, {{1, 0}, {0, 2}}};
+  return inst;
+}
+
+/// ft06 with every third operation (in flat route order) taking no time.
+sched::JobShopInstance ft06_with_zero_durations() {
+  sched::JobShopInstance inst = sched::ft06().instance;
+  int flat = 0;
+  for (auto& route : inst.ops) {
+    for (auto& op : route) {
+      if (flat++ % 3 == 0) op.duration = 0;
+    }
+  }
+  return inst;
+}
+
+TEST(GifflerThompsonCore, ZeroDurationOperationsDecodeOnEveryEntryPoint) {
+  for (const sched::JobShopInstance& inst :
+       {zero_duration_2x2(), ft06_with_zero_durations()}) {
+    SCOPED_TRACE(inst.jobs);
+    const auto spec = inst.validation_spec();
+    const auto total = static_cast<std::size_t>(inst.total_ops());
+    const auto check = [&](const sched::Schedule& s, const char* what) {
+      EXPECT_EQ(s.ops.size(), total) << what;
+      const auto error = sched::validate(s, spec);
+      EXPECT_FALSE(error.has_value()) << what << ": " << error.value_or("");
+    };
+    sched::JobShopScratch scalar;
+    sched::JobShopBatchScratch batch;
+    const auto seqs = random_op_sequences(inst, 16, 77);
+    const auto lanes = as_lanes(seqs);
+    for (Criterion c : kAllCriteria) {
+      std::vector<double> got(lanes.size(), -1.0);
+      sched::job_shop_objective_batch(inst, lanes,
+                                      sched::JobShopBatchDecoder::kActive, c,
+                                      got, batch);
+      for (std::size_t l = 0; l < lanes.size(); ++l) {
+        const sched::Schedule& s =
+            sched::giffler_thompson_sequence(inst, lanes[l], scalar);
+        check(s, "giffler_thompson_sequence");
+        EXPECT_EQ(got[l], sched::job_shop_objective(inst, s, c)) << l;
+      }
+    }
+    check(sched::giffler_thompson_sequence(inst, seqs.front()),
+          "giffler_thompson_sequence (allocating)");
+    for (sched::PriorityRule rule : kAllRules) {
+      par::Rng rng(3);
+      check(sched::giffler_thompson(inst, rule, rng), "giffler_thompson");
+    }
+    par::Rng rng(4);
+    std::vector<int> rule_per_step(total);
+    for (int& r : rule_per_step) r = rng.range(0, 3);
+    check(sched::giffler_thompson_rules(inst, rule_per_step),
+          "giffler_thompson_rules");
+  }
+}
+
+TEST(GifflerThompsonCore, RejectsMalformedSequences) {
+  const sched::JobShopInstance& inst = sched::ft06().instance;
+  const std::vector<int> good = random_op_sequences(inst, 1, 5).front();
+  std::vector<int> swapped = good;  // one job one gene short, one too many
+  swapped[4] = (swapped[4] + 1) % inst.jobs;
+  std::vector<int> out_of_range = good;
+  out_of_range[9] = inst.jobs;
+  sched::JobShopScratch scalar;
+  sched::JobShopBatchScratch batch;
+  for (const std::vector<int>& bad : {swapped, out_of_range}) {
+    EXPECT_THROW(sched::giffler_thompson_sequence(inst, bad),
+                 std::invalid_argument);
+    EXPECT_THROW(sched::giffler_thompson_sequence(inst, bad, scalar),
+                 std::invalid_argument);
+    const std::vector<std::span<const int>> lanes = {good, bad};
+    std::vector<double> out(lanes.size());
+    EXPECT_THROW(sched::job_shop_objective_batch(
+                     inst, lanes, sched::JobShopBatchDecoder::kActive,
+                     Criterion::kMakespan, out, batch),
+                 std::invalid_argument);
+  }
+  // The scratch stays usable after a rejected sequence.
+  EXPECT_EQ(sched::giffler_thompson_sequence(inst, good, scalar).makespan(),
+            sched::giffler_thompson_sequence(inst, good).makespan());
+}
+
+// Golden constants, recorded from the two-scan decoders the core
+// replaced and never re-recorded: a change here is a behaviour change.
+
+/// FNV-1a over every ScheduledOp field, in order.
+std::uint64_t schedule_hash(const sched::Schedule& s) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::int64_t v) {
+    h = (h ^ static_cast<std::uint64_t>(v)) * 0x100000001b3ULL;
+  };
+  for (const auto& op : s.ops) {
+    mix(op.job);
+    mix(op.index);
+    mix(op.machine);
+    mix(op.start);
+    mix(op.end);
+  }
+  return h;
+}
+
+/// ft10, plus a 15 x 8 shop with release dates, due dates and weights.
+std::vector<sched::JobShopInstance> golden_instances() {
+  std::vector<sched::JobShopInstance> instances = {sched::ft10().instance,
+                                                   sched::random_job_shop(
+                                                       15, 8, 41, 1, 10)};
+  add_job_attributes(instances.back(), 43);
+  return instances;
+}
+
+TEST(GifflerThompsonGolden, ScalarEntryPointsArePinned) {
+  // Per instance: the sequence decoder over 8 sequences, each
+  // PriorityRule (kRandom seeded), then the rules-per-step decoder.
+  const std::uint64_t expect[2][3] = {
+      {16334255221120503490ULL, 17011599289515092480ULL,
+       13091454840871497358ULL},
+      {1410799953888316800ULL, 8750742104325429250ULL,
+       9733732400555526368ULL},
+  };
+  const auto instances = golden_instances();
+  for (std::size_t i = 0; i < instances.size(); ++i) {
+    const sched::JobShopInstance& inst = instances[i];
+    std::uint64_t sequence = 0;
+    for (const auto& seq : random_op_sequences(inst, 8, 61)) {
+      sequence = sequence * 31 +
+                 schedule_hash(sched::giffler_thompson_sequence(inst, seq));
+    }
+    std::uint64_t rules = 0;
+    for (sched::PriorityRule rule : kAllRules) {
+      par::Rng rng(62);
+      rules = rules * 31 +
+              schedule_hash(sched::giffler_thompson(inst, rule, rng));
+    }
+    par::Rng rng(63);
+    std::vector<int> rule_per_step(static_cast<std::size_t>(inst.total_ops()));
+    for (int& r : rule_per_step) r = rng.range(0, 3);
+    const std::uint64_t per_step =
+        schedule_hash(sched::giffler_thompson_rules(inst, rule_per_step));
+    EXPECT_EQ(sequence, expect[i][0]) << "instance " << i;
+    EXPECT_EQ(rules, expect[i][1]) << "instance " << i;
+    EXPECT_EQ(per_step, expect[i][2]) << "instance " << i;
+  }
+}
+
+TEST(GifflerThompsonGolden, BatchObjectivesArePinned) {
+  // Sum over 16 lanes of the 15 x 8 golden shop, one per criterion.
+  const double expect[] = {2310, 67366, 21325, 544, 1118};
+  const sched::JobShopInstance inst = golden_instances().back();
+  const auto seqs = random_op_sequences(inst, 16, 71);
+  sched::JobShopBatchScratch batch;
+  for (std::size_t c = 0; c < std::size(kAllCriteria); ++c) {
+    std::vector<double> got(seqs.size());
+    sched::job_shop_objective_batch(inst, as_lanes(seqs),
+                                    sched::JobShopBatchDecoder::kActive,
+                                    kAllCriteria[c], got, batch);
+    double sum = 0;
+    for (double v : got) sum += v;
+    EXPECT_EQ(sum, expect[c]) << sched::to_string(kAllCriteria[c]);
+  }
+}
+
+TEST(GifflerThompsonGolden, Ft10ActiveRunIsPinned) {
+  const RunResult result =
+      Solver::build(RunSpec::parse("problem=jobshop instance=ft10 "
+                                   "decoder=active engine=simple pop=256 "
+                                   "eval=serial seed=1"))
+          .run(StopCondition::generations(20));
+  EXPECT_EQ(result.best_objective, 1020.0);
+  EXPECT_EQ(genome_hash(result.best), 12493598725303043655ULL);
+  EXPECT_EQ(result.evaluations, 5376);
 }
 
 // --- batch-vs-scalar equivalence across the whole registry -------------------

@@ -9,9 +9,11 @@
 #include <vector>
 
 #include "src/ga/problem_registry.h"
+#include "src/ga/problems.h"
 #include "src/par/rng.h"
 #include "src/sched/batch_decode.h"
 #include "src/sched/classics.h"
+#include "src/sched/dynamic.h"
 #include "src/sched/generators.h"
 #include "src/sched/taillard.h"
 
@@ -183,6 +185,41 @@ BENCHMARK_CAPTURE(BM_JobShopGifflerThompsonBatch, ft10, sched::ft10().instance)
 BENCHMARK_CAPTURE(BM_JobShopGifflerThompsonBatch, random_50x10,
                   sched::random_job_shop(50, 10, 1))
     ->Arg(16);
+
+void BM_DynamicSuffixDecode(benchmark::State& state,
+                            const sched::JobShopInstance& inst,
+                            int window_count) {
+  // One session event's evaluations: a plan split at mid-plan under
+  // breakdown windows, 16 suffix genomes per objective_batch call on one
+  // workspace, each replayed from the prefix frontier. items/s is per
+  // genome.
+  par::Rng rng(3);
+  const auto plan = sched::random_operation_sequence(inst, rng);
+  const sched::Time horizon =
+      sched::decode_operation_based(inst, plan).makespan();
+  const auto windows = sched::random_downtimes(
+      inst.machines, window_count, horizon, horizon / 20 + 1,
+      horizon / 8 + 1, 5);
+  const auto context = sched::split_at(inst, plan, windows, horizon / 2);
+  const ga::DynamicSuffixProblem problem(&inst, context.frozen_prefix,
+                                         context.remaining, windows);
+  std::vector<ga::Genome> genomes;
+  for (int i = 0; i < kGenomePool; ++i) {
+    genomes.push_back(problem.random_genome(rng));
+  }
+  std::vector<double> out(genomes.size());
+  const auto workspace = problem.make_workspace();
+  for (auto _ : state) {
+    problem.objective_batch(genomes, out, *workspace);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(genomes.size()));
+}
+BENCHMARK_CAPTURE(BM_DynamicSuffixDecode, ft10, sched::ft10().instance, 3);
+BENCHMARK_CAPTURE(BM_DynamicSuffixDecode, random_50x10,
+                  sched::random_job_shop(50, 10, 1), 8);
 
 void BM_OpenShopDecode(benchmark::State& state) {
   const auto inst = sched::random_open_shop(15, 8, 7);

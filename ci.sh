@@ -7,8 +7,9 @@
 #                      sweep (JSONL + summary validated), run a psgad
 #                      service smoke (submit/watch/cancel/drain over a
 #                      temp socket) and a session smoke (10-event seeded
-#                      replanning trace, SLO met, transcript hash stable
-#                      across two runs), emit a fresh bench JSON snapshot
+#                      replanning trace, SLO met, transcript hash equal
+#                      across two runs and to its pinned value), emit a
+#                      fresh bench JSON snapshot
 #                      (bench_micro_decoders + bench_micro_cache +
 #                      bench_session_latency + bench_micro_operators
 #                      merged), diff it against the committed
@@ -252,8 +253,9 @@ fi
 # `psgactl session event` (which exits 1 on an SLO miss), replay the
 # identical trace in a second session and require bit-identical
 # transcript hashes (the determinism invariant, exercised through the
-# daemon's shared cache and manager workers), check the daemon reports no
-# active sessions afterwards, then drain cleanly.
+# daemon's shared cache and manager workers) equal to the pinned hash,
+# check the daemon reports no active sessions afterwards, then drain
+# cleanly.
 if [[ -x "$BUILD_DIR/psgad" && -x "$BUILD_DIR/psgactl" ]]; then
   SES_SOCKET=$(mktemp -u /tmp/psgad_ses.XXXXXX.sock)
   "$BUILD_DIR"/psgad --socket "$SES_SOCKET" --workers 2 &
@@ -296,6 +298,13 @@ if [[ -x "$BUILD_DIR/psgad" && -x "$BUILD_DIR/psgactl" ]]; then
   if [[ -z "${SES_HASHES[0]}" \
         || "${SES_HASHES[0]}" != "${SES_HASHES[1]}" ]]; then
     echo "ci.sh: session transcripts diverged: ${SES_HASHES[*]}"; exit 1
+  fi
+  # Pinned absolutely as well: two runs of one build agree even when a
+  # change shifts every objective the same way.
+  SES_PINNED=f9244a97bafe1cd6
+  if [[ "${SES_HASHES[0]}" != "$SES_PINNED" ]]; then
+    echo "ci.sh: session transcript hash ${SES_HASHES[0]} is not the" \
+         "pinned $SES_PINNED"; exit 1
   fi
   grep -q '"sessions": 0' \
     <<<"$("$BUILD_DIR"/psgactl --socket "$SES_SOCKET" info)" \

@@ -463,13 +463,11 @@ double EnergyFlowShopProblem::objective(const Genome& genome) const {
 DynamicSuffixProblem::DynamicSuffixProblem(
     const sched::JobShopInstance* inst, std::vector<int> frozen_prefix,
     std::vector<int> remaining, std::vector<sched::Downtime> downtimes)
-    : inst_(inst),
-      frozen_prefix_(std::move(frozen_prefix)),
-      remaining_(std::move(remaining)),
-      downtimes_(std::move(downtimes)) {
+    : frontier_(*inst, frozen_prefix, downtimes),
+      remaining_(std::move(remaining)) {
   traits_.seq_kind = SeqKind::kJobRepetition;
   traits_.seq_length = static_cast<int>(remaining_.size());
-  traits_.repeats.assign(static_cast<std::size_t>(inst_->jobs), 0);
+  traits_.repeats.assign(static_cast<std::size_t>(inst->jobs), 0);
   for (int j : remaining_) ++traits_.repeats[static_cast<std::size_t>(j)];
 }
 
@@ -478,9 +476,7 @@ DynamicSuffixProblem::DynamicSuffixProblem(
     std::vector<int> frozen_prefix, std::vector<int> remaining,
     std::vector<sched::Downtime> downtimes)
     : DynamicSuffixProblem(inst.get(), std::move(frozen_prefix),
-                           std::move(remaining), std::move(downtimes)) {
-  owned_ = std::move(inst);
-}
+                           std::move(remaining), std::move(downtimes)) {}
 
 Genome DynamicSuffixProblem::random_genome(par::Rng& rng) const {
   Genome g;
@@ -490,8 +486,13 @@ Genome DynamicSuffixProblem::random_genome(par::Rng& rng) const {
 }
 
 double DynamicSuffixProblem::objective(const Genome& genome) const {
-  return static_cast<double>(sched::realized_makespan_with_prefix(
-      *inst_, frozen_prefix_, genome.seq, downtimes_));
+  sched::DowntimeFrontier::Scratch scratch;
+  return objective_with(genome, scratch);
+}
+
+double DynamicSuffixProblem::objective_with(
+    const Genome& genome, sched::DowntimeFrontier::Scratch& scratch) const {
+  return static_cast<double>(frontier_.makespan_with(genome.seq, scratch));
 }
 
 }  // namespace psga::ga

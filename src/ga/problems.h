@@ -383,15 +383,20 @@ class EnergyFlowShopProblem final : public Problem {
 /// Reactive re-optimization problem for dynamic scheduling (Section II,
 /// [9]): the genome orders the not-yet-started operations; the objective
 /// is the realized makespan of frozen-prefix + suffix under downtimes.
-class DynamicSuffixProblem final : public Problem {
+/// The prefix is decoded once, at construction, into a
+/// sched::DowntimeFrontier; each evaluation replays only the suffix from
+/// it on lane scratch.
+class DynamicSuffixProblem final
+    : public WorkspaceProblem<DynamicSuffixProblem,
+                              sched::DowntimeFrontier::Scratch> {
  public:
   DynamicSuffixProblem(const sched::JobShopInstance* inst,
                        std::vector<int> frozen_prefix,
                        std::vector<int> remaining,
                        std::vector<sched::Downtime> downtimes);
 
-  /// Owning variant for registry-built problems (problem=dynamic-jobshop):
-  /// keeps the instance alive for the problem's lifetime.
+  /// Owning variant for registry-built problems (problem=dynamic-jobshop).
+  /// The problem keeps no reference to the instance in either form.
   DynamicSuffixProblem(std::shared_ptr<const sched::JobShopInstance> inst,
                        std::vector<int> frozen_prefix,
                        std::vector<int> remaining,
@@ -399,14 +404,14 @@ class DynamicSuffixProblem final : public Problem {
 
   const GenomeTraits& traits() const override { return traits_; }
   Genome random_genome(par::Rng& rng) const override;
+  using WorkspaceProblem::objective;
   double objective(const Genome& genome) const override;
+  double objective_with(const Genome& genome,
+                        sched::DowntimeFrontier::Scratch& scratch) const;
 
  private:
-  std::shared_ptr<const sched::JobShopInstance> owned_;  // may be null
-  const sched::JobShopInstance* inst_;  // borrowed unless owned_ holds it
-  std::vector<int> frozen_prefix_;
+  sched::DowntimeFrontier frontier_;
   std::vector<int> remaining_;
-  std::vector<sched::Downtime> downtimes_;
   GenomeTraits traits_;
 };
 

@@ -1,70 +1,127 @@
 #include "src/sched/dynamic.h"
 
 #include <algorithm>
+#include <limits>
+#include <tuple>
 
 #include "src/par/rng.h"
 
 namespace psga::sched {
 
-namespace {
-
-/// Earliest start >= `earliest` on `machine` such that [start, start+dur)
-/// avoids every downtime window of that machine.
-Time next_feasible_start(int machine, Time earliest, Time duration,
-                         std::span<const Downtime> downtimes) {
-  Time start = earliest;
-  bool moved = true;
-  while (moved) {
-    moved = false;
-    for (const Downtime& w : downtimes) {
-      if (w.machine != machine) continue;
-      if (start < w.end && start + duration > w.start) {
-        start = w.end;  // push past this window and re-check all
-        moved = true;
-      }
+DowntimeFrontier::DowntimeFrontier(const JobShopInstance& inst,
+                                   std::span<const int> prefix,
+                                   std::span<const Downtime> downtimes)
+    : machines_(inst.machines) {
+  const auto jobs = static_cast<std::size_t>(inst.jobs);
+  job_offset_.assign(jobs + 1, 0);
+  for (std::size_t j = 0; j < jobs; ++j) {
+    job_offset_[j + 1] = job_offset_[j] + static_cast<int>(inst.ops[j].size());
+    for (const JsOperation& op : inst.ops[j]) {
+      op_machine_.push_back(op.machine);
+      op_duration_.push_back(op.duration);
     }
   }
-  return start;
+  next_op_.assign(job_offset_.begin(), job_offset_.end() - 1);
+  job_free_.resize(jobs);
+  for (int j = 0; j < inst.jobs; ++j) {
+    job_free_[static_cast<std::size_t>(j)] = inst.attrs.release_of(j);
+  }
+  machine_free_.assign(static_cast<std::size_t>(machines_), 0);
+
+  std::vector<Downtime> sorted;
+  for (const Downtime& w : downtimes) {
+    if (w.machine >= 0 && w.machine < machines_) sorted.push_back(w);
+  }
+  std::sort(sorted.begin(), sorted.end(),
+            [](const Downtime& a, const Downtime& b) {
+              return std::tie(a.machine, a.start, a.end) <
+                     std::tie(b.machine, b.start, b.end);
+            });
+  pack_windows(sorted);
+  prefix_makespan_ = run(prefix, next_op_.data(), job_free_.data(),
+                         machine_free_.data(), 0, nullptr);
+  std::erase_if(sorted, [&](const Downtime& w) {
+    return w.end <= machine_free_[static_cast<std::size_t>(w.machine)];
+  });
+  pack_windows(sorted);
 }
 
-}  // namespace
+void DowntimeFrontier::pack_windows(std::span<const Downtime> sorted) {
+  std::vector<int> count(static_cast<std::size_t>(machines_), 0);
+  for (const Downtime& w : sorted) ++count[static_cast<std::size_t>(w.machine)];
+  width_ = count.empty() ? 0 : *std::max_element(count.begin(), count.end());
+  // Padding slots never overlap: start < Time max holds, but
+  // start + duration > Time max cannot.
+  constexpr Time kNever = std::numeric_limits<Time>::max();
+  windows_.assign(static_cast<std::size_t>(machines_ * width_),
+                  Window{kNever, kNever});
+  std::fill(count.begin(), count.end(), 0);
+  for (const Downtime& w : sorted) {
+    const auto m = static_cast<std::size_t>(w.machine);
+    windows_[m * static_cast<std::size_t>(width_) +
+             static_cast<std::size_t>(count[m]++)] = Window{w.start, w.end};
+  }
+}
+
+Time DowntimeFrontier::run(std::span<const int> genes, int* next_op,
+                           Time* job_free, Time* machine_free, Time makespan,
+                           std::vector<ScheduledOp>* out) const {
+  for (const int job : genes) {
+    const int flat = next_op[job]++;
+    const int machine = op_machine_[static_cast<std::size_t>(flat)];
+    const Time duration = op_duration_[static_cast<std::size_t>(flat)];
+    Time start = std::max(job_free[job], machine_free[machine]);
+    const Window* row = windows_.data() + machine * width_;
+    for (int i = 0; i < width_; ++i) {
+      // Push past the window if [start, start + duration) overlaps it.
+      const Time mask = -static_cast<Time>((start < row[i].end) &
+                                           (start + duration > row[i].start));
+      start ^= (start ^ row[i].end) & mask;
+    }
+    const Time end = start + duration;
+    job_free[job] = end;
+    machine_free[machine] = end;
+    makespan = std::max(makespan, end);
+    if (out != nullptr) {
+      out->push_back(ScheduledOp{
+          job, flat - job_offset_[static_cast<std::size_t>(job)], machine,
+          start, end});
+    }
+  }
+  return makespan;
+}
+
+Time DowntimeFrontier::makespan_with(std::span<const int> suffix,
+                                     Scratch& scratch) const {
+  scratch.next_op.assign(next_op_.begin(), next_op_.end());
+  scratch.job_free.assign(job_free_.begin(), job_free_.end());
+  scratch.machine_free.assign(machine_free_.begin(), machine_free_.end());
+  return run(suffix, scratch.next_op.data(), scratch.job_free.data(),
+             scratch.machine_free.data(), prefix_makespan_, nullptr);
+}
+
+Schedule DowntimeFrontier::decode(std::span<const int> suffix) const {
+  Scratch scratch{next_op_, job_free_, machine_free_};
+  Schedule schedule;
+  schedule.ops.reserve(suffix.size());
+  run(suffix, scratch.next_op.data(), scratch.job_free.data(),
+      scratch.machine_free.data(), prefix_makespan_, &schedule.ops);
+  return schedule;
+}
 
 Schedule decode_with_downtime(const JobShopInstance& inst,
                               std::span<const int> op_sequence,
                               std::span<const Downtime> downtimes) {
-  Schedule schedule;
-  schedule.ops.reserve(op_sequence.size());
-  std::vector<int> next_op(static_cast<std::size_t>(inst.jobs), 0);
-  std::vector<Time> job_free(static_cast<std::size_t>(inst.jobs));
-  for (int j = 0; j < inst.jobs; ++j) {
-    job_free[static_cast<std::size_t>(j)] = inst.attrs.release_of(j);
-  }
-  std::vector<Time> machine_free(static_cast<std::size_t>(inst.machines), 0);
-  for (int job : op_sequence) {
-    const int index = next_op[static_cast<std::size_t>(job)]++;
-    const JsOperation& op = inst.op(job, index);
-    const Time earliest =
-        std::max(job_free[static_cast<std::size_t>(job)],
-                 machine_free[static_cast<std::size_t>(op.machine)]);
-    const Time start =
-        next_feasible_start(op.machine, earliest, op.duration, downtimes);
-    const Time end = start + op.duration;
-    schedule.ops.push_back(ScheduledOp{job, index, op.machine, start, end});
-    job_free[static_cast<std::size_t>(job)] = end;
-    machine_free[static_cast<std::size_t>(op.machine)] = end;
-  }
-  return schedule;
+  return DowntimeFrontier(inst, {}, downtimes).decode(op_sequence);
 }
 
 Time realized_makespan_with_prefix(const JobShopInstance& inst,
                                    std::span<const int> frozen_prefix,
                                    std::span<const int> suffix,
                                    std::span<const Downtime> downtimes) {
-  std::vector<int> full;
-  full.reserve(frozen_prefix.size() + suffix.size());
-  full.insert(full.end(), frozen_prefix.begin(), frozen_prefix.end());
-  full.insert(full.end(), suffix.begin(), suffix.end());
-  return decode_with_downtime(inst, full, downtimes).makespan();
+  DowntimeFrontier::Scratch scratch;
+  return DowntimeFrontier(inst, frozen_prefix, downtimes)
+      .makespan_with(suffix, scratch);
 }
 
 ReplanContext split_at(const JobShopInstance& inst,

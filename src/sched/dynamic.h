@@ -14,6 +14,7 @@
 #pragma once
 
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "src/sched/job_shop.h"
@@ -28,10 +29,77 @@ struct Downtime {
 };
 
 /// Semi-active list decode honoring downtime windows: a non-preemptive
-/// operation is pushed past every window it would overlap.
+/// operation starts at the least instant >= its earliest start whose
+/// [start, start + duration) overlaps no window of its machine. Windows
+/// naming a machine outside [0, machines) are ignored.
 Schedule decode_with_downtime(const JobShopInstance& inst,
                               std::span<const int> op_sequence,
                               std::span<const Downtime> downtimes);
+
+/// A plan's frozen prefix decoded once against the downtime windows: the
+/// per-job and per-machine frontier every candidate suffix replays from.
+/// This is the one downtime decode loop; decode_with_downtime,
+/// realized_makespan_with_prefix and DynamicSuffixProblem all run it.
+///
+/// Routes are flattened (job j's k-th operation is `job_offset[j] + k`).
+/// Windows are grouped per machine, sorted by start and padded to one
+/// common row width with slots that never overlap, so the window rule is
+/// a single branch-free pass over the machine's row. One pass in start
+/// order reaches the same least feasible start as rescanning until
+/// nothing moves. A push past window w skips only instants that overlap
+/// w. A window that did not overlap when its turn came either ends by
+/// the start, and starts only grow; or it begins at or after the end,
+/// and then so does every later window in start order, so none of them
+/// pushes. After the prefix decode, windows ending at or before their
+/// machine's frontier are dropped: with non-negative durations no suffix
+/// operation starts earlier. Keeps no reference to the instance.
+class DowntimeFrontier {
+ public:
+  /// Replay scratch: the saved frontier is copied in on every call, so
+  /// this is capacity, not state (one per evaluator lane).
+  struct Scratch {
+    std::vector<int> next_op;  ///< flat index of each job's next operation
+    std::vector<Time> job_free;
+    std::vector<Time> machine_free;
+  };
+
+  DowntimeFrontier(const JobShopInstance& inst, std::span<const int> prefix,
+                   std::span<const Downtime> downtimes);
+
+  /// Makespan of prefix + `suffix` (Schedule::makespan semantics),
+  /// replaying only the suffix. Allocation-free once `scratch` has grown.
+  Time makespan_with(std::span<const int> suffix, Scratch& scratch) const;
+
+  /// The suffix's operations as scheduled after the prefix.
+  Schedule decode(std::span<const int> suffix) const;
+
+ private:
+  struct Window {
+    Time start = 0;
+    Time end = 0;
+  };
+
+  /// Lays `sorted` (by machine, then start) out as padded per-machine rows.
+  void pack_windows(std::span<const Downtime> sorted);
+  /// The decode loop: schedules `genes` from the given frontier, appends
+  /// their ScheduledOps to `out` when it is non-null, and returns the
+  /// running makespan.
+  Time run(std::span<const int> genes, int* next_op, Time* job_free,
+           Time* machine_free, Time makespan,
+           std::vector<ScheduledOp>* out) const;
+
+  int machines_ = 0;
+  std::vector<int> job_offset_;  ///< jobs + 1 entries
+  std::vector<int> op_machine_;
+  std::vector<Time> op_duration_;
+  int width_ = 0;                ///< window slots per machine row
+  std::vector<Window> windows_;  ///< machines_ * width_, padded rows
+  // The frontier after the prefix.
+  std::vector<int> next_op_;
+  std::vector<Time> job_free_;
+  std::vector<Time> machine_free_;
+  Time prefix_makespan_ = 0;
+};
 
 /// The state handed to a reactive re-optimizer at a disruption instant.
 struct ReplanContext {
@@ -78,7 +146,9 @@ std::vector<Downtime> random_downtimes(int machines, int count, Time horizon,
                                        std::uint64_t seed);
 
 /// Objective wrapper used by a reactive GA: the realized makespan of
-/// (frozen prefix + candidate suffix) under the downtimes.
+/// (frozen prefix + candidate suffix) under the downtimes. Builds a
+/// DowntimeFrontier for the prefix; callers scoring many suffixes of one
+/// prefix should keep the frontier instead.
 Time realized_makespan_with_prefix(const JobShopInstance& inst,
                                    std::span<const int> frozen_prefix,
                                    std::span<const int> suffix,

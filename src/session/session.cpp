@@ -33,6 +33,50 @@ std::uint64_t replan_salt(long long session_id, int index) {
   throw std::invalid_argument("session::Event: " + message);
 }
 
+/// The decode-overflow rule. A semi-active start is a release date, the
+/// end of an earlier operation or a window end, so no start or end of any
+/// decode exceeds the latest release date, window end or session clock
+/// plus the total processing time. A state whose bound fits in Time can
+/// therefore never overflow a decode (nor the window pass's padding test).
+struct TimeBound {
+  sched::Time latest = 0;  ///< latest release date, window end or clock
+  sched::Time work = 0;    ///< total processing time
+  bool overflow = false;
+
+  void include(sched::Time instant) { latest = std::max(latest, instant); }
+  void add_work(sched::Time duration) {
+    overflow |= duration < 0 || __builtin_add_overflow(work, duration, &work);
+  }
+  bool fits() const {
+    sched::Time sum = 0;
+    return !overflow && !__builtin_add_overflow(latest, work, &sum);
+  }
+};
+
+TimeBound time_bound(const sched::JobShopInstance& inst,
+                     const std::vector<sched::Downtime>& downtimes,
+                     sched::Time clock) {
+  TimeBound bound;
+  bound.include(clock);
+  for (int job = 0; job < inst.jobs; ++job) {
+    bound.include(inst.attrs.release_of(job));
+  }
+  for (const sched::Downtime& w : downtimes) bound.include(w.end);
+  for (const auto& route : inst.ops) {
+    for (const sched::JsOperation& op : route) bound.add_work(op.duration);
+  }
+  return bound;
+}
+
+void require_fits(const TimeBound& bound, const std::string& what) {
+  if (!bound.fits()) {
+    throw std::invalid_argument(
+        what + ": times out of range (the latest release date, window end "
+               "or event time plus the total processing time must fit in "
+               "a 64-bit Time, with no negative duration)");
+  }
+}
+
 long long parse_ll(const std::string& key, const std::string& value) {
   try {
     std::size_t used = 0;
@@ -263,6 +307,7 @@ Session::Session(sched::JobShopInstance inst, SessionConfig config,
       config_(std::move(config)),
       solver_spec_(ga::SolverSpec::parse(config_.solver)),
       inst_(std::move(inst)) {
+  require_fits(time_bound(inst_, downtimes_, now_), "session::Session");
   // The canonical fresh plan: job 0's ops, then job 1's, ... — legal for
   // any job shop, and the deterministic starting point open() improves.
   remaining_.reserve(static_cast<std::size_t>(inst_.total_ops()));
@@ -310,7 +355,9 @@ EventReply Session::apply(const Event& event, const ga::StopCondition& stop) {
         " precedes session clock " + std::to_string(now_));
   }
 
-  // 1. Mutate the instance/downtime state.
+  // 1. Validate the event, check the overflow rule on the state it would
+  // produce, then mutate the instance/downtime state.
+  TimeBound bound = time_bound(inst_, downtimes_, event.time);
   int arrival_job = -1;
   switch (event.kind) {
     case EventKind::kBreakdown: {
@@ -318,8 +365,11 @@ EventReply Session::apply(const Event& event, const ga::StopCondition& stop) {
         event_error("breakdown machine out of range");
       }
       if (event.duration <= 0) event_error("breakdown duration must be > 0");
-      downtimes_.push_back(sched::Downtime{
-          event.machine, event.time, event.time + event.duration});
+      sched::Time end = 0;
+      bound.overflow |= __builtin_add_overflow(event.time, event.duration, &end);
+      bound.include(end);
+      require_fits(bound, "session::Event");
+      downtimes_.push_back(sched::Downtime{event.machine, event.time, end});
       break;
     }
     case EventKind::kArrival: {
@@ -329,7 +379,9 @@ EventReply Session::apply(const Event& event, const ga::StopCondition& stop) {
           event_error("arrival route machine out of range");
         }
         if (op.duration <= 0) event_error("arrival durations must be > 0");
+        bound.add_work(op.duration);
       }
+      require_fits(bound, "session::Event");
       arrival_job = inst_.jobs;
       inst_.ops.push_back(event.route);
       inst_.jobs += 1;
@@ -346,6 +398,7 @@ EventReply Session::apply(const Event& event, const ga::StopCondition& stop) {
       if (event.job < 0 || event.job >= inst_.jobs) {
         event_error("due-date job out of range");
       }
+      require_fits(bound, "session::Event");  // the clock moves
       inst_.attrs.due.resize(static_cast<std::size_t>(inst_.jobs),
                              sched::JobAttributes::kNoDueDate);
       inst_.attrs.due[static_cast<std::size_t>(event.job)] = event.due;

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <span>
 
+#include "src/ga/evaluator.h"
 #include "src/ga/problems.h"
 #include "src/ga/simple_ga.h"
 #include "src/par/rng.h"
@@ -12,6 +15,75 @@
 
 namespace psga::sched {
 namespace {
+
+// --- test-only oracle ---------------------------------------------------------
+// The downtime decode this repository used before the one-pass frontier
+// core: rescan every window of the machine until nothing moves, on the
+// whole concatenated sequence.
+
+Time oracle_next_feasible_start(int machine, Time earliest, Time duration,
+                                std::span<const Downtime> downtimes) {
+  Time start = earliest;
+  bool moved = true;
+  while (moved) {
+    moved = false;
+    for (const Downtime& w : downtimes) {
+      if (w.machine != machine) continue;
+      if (start < w.end && start + duration > w.start) {
+        start = w.end;  // push past this window and re-check all
+        moved = true;
+      }
+    }
+  }
+  return start;
+}
+
+Schedule oracle_decode(const JobShopInstance& inst,
+                       std::span<const int> op_sequence,
+                       std::span<const Downtime> downtimes) {
+  Schedule schedule;
+  std::vector<int> next_op(static_cast<std::size_t>(inst.jobs), 0);
+  std::vector<Time> job_free(static_cast<std::size_t>(inst.jobs));
+  for (int j = 0; j < inst.jobs; ++j) {
+    job_free[static_cast<std::size_t>(j)] = inst.attrs.release_of(j);
+  }
+  std::vector<Time> machine_free(static_cast<std::size_t>(inst.machines), 0);
+  for (int job : op_sequence) {
+    const int index = next_op[static_cast<std::size_t>(job)]++;
+    const JsOperation& op = inst.op(job, index);
+    const Time earliest =
+        std::max(job_free[static_cast<std::size_t>(job)],
+                 machine_free[static_cast<std::size_t>(op.machine)]);
+    const Time start = oracle_next_feasible_start(op.machine, earliest,
+                                                  op.duration, downtimes);
+    const Time end = start + op.duration;
+    schedule.ops.push_back(ScheduledOp{job, index, op.machine, start, end});
+    job_free[static_cast<std::size_t>(job)] = end;
+    machine_free[static_cast<std::size_t>(op.machine)] = end;
+  }
+  return schedule;
+}
+
+Time oracle_makespan(const JobShopInstance& inst, std::span<const int> prefix,
+                     std::span<const int> suffix,
+                     std::span<const Downtime> downtimes) {
+  std::vector<int> full(prefix.begin(), prefix.end());
+  full.insert(full.end(), suffix.begin(), suffix.end());
+  return oracle_decode(inst, full, downtimes).makespan();
+}
+
+bool same_ops(const Schedule& a, const Schedule& b) {
+  if (a.ops.size() != b.ops.size()) return false;
+  for (std::size_t i = 0; i < a.ops.size(); ++i) {
+    const ScheduledOp& x = a.ops[i];
+    const ScheduledOp& y = b.ops[i];
+    if (x.job != y.job || x.index != y.index || x.machine != y.machine ||
+        x.start != y.start || x.end != y.end) {
+      return false;
+    }
+  }
+  return true;
+}
 
 JobShopInstance tiny() {
   JobShopInstance inst;
@@ -179,13 +251,145 @@ TEST(SplitAt, FuzzRebaseAgreesWithFullDecode) {
 
     ga::DynamicSuffixProblem problem(&inst, context.frozen_prefix,
                                      context.remaining, windows);
+    const auto workspace = problem.make_workspace();
     for (int s = 0; s < 3; ++s) {
       const ga::Genome suffix = problem.random_genome(rng);
-      EXPECT_EQ(problem.objective(suffix),
-                static_cast<double>(realized_makespan_with_prefix(
-                    inst, context.frozen_prefix, suffix.seq, windows)));
+      const double realized = static_cast<double>(realized_makespan_with_prefix(
+          inst, context.frozen_prefix, suffix.seq, windows));
+      EXPECT_EQ(problem.objective(suffix), realized);
+      EXPECT_EQ(problem.objective(suffix, *workspace), realized);
     }
   }
+}
+
+/// The one downtime core against the oracle, on every entry point: full
+/// ScheduledOp equality for decode_with_downtime, and for each split of
+/// the plan the frozen prefix, realized_makespan_with_prefix, the suffix
+/// problem's scalar and workspace objectives, and serial Evaluators with
+/// eval_batch 1 and 16 over the same genomes. Instances cover J 1-12,
+/// M 1-8, durations 0-3 / the generator's with about a quarter zeroed /
+/// the generator's, release dates on half, 0-8 windows (zero-length,
+/// overlapping, nested, ending before the prefix frontier, and one on a
+/// machine outside [0, M)), and one 70 x 3 shop.
+TEST(DowntimeCore, MatchesTheOracleOnEveryEntryPoint) {
+  par::Rng rng(2026);
+  long long checks = 0;
+  long long mismatches = 0;
+  int t = 0;
+  auto check = [&](bool ok, const char* what) {
+    ++checks;
+    if (!ok && ++mismatches <= 5) {
+      ADD_FAILURE() << "instance " << t << ": " << what;
+    }
+  };
+
+  for (; t <= 1000; ++t) {
+    const bool wide = t == 1000;
+    const int jobs = wide ? 70 : 1 + static_cast<int>(rng.below(12));
+    const int machines = wide ? 3 : 1 + static_cast<int>(rng.below(8));
+    const int mode = static_cast<int>(rng.below(3));
+    JobShopInstance inst =
+        mode == 0 ? random_job_shop(jobs, machines, 500u + t, 0, 3)
+                  : random_job_shop(jobs, machines, 500u + t);
+    if (mode == 1) {
+      for (auto& route : inst.ops) {
+        for (JsOperation& op : route) {
+          if (rng.below(4) == 0) op.duration = 0;
+        }
+      }
+    }
+    if (rng.below(2) == 0) {
+      inst.attrs.release.resize(static_cast<std::size_t>(jobs));
+      for (Time& r : inst.attrs.release) r = rng.range(0, 40);
+    }
+    const std::vector<int> seq = random_operation_sequence(inst, rng);
+    const Time horizon = oracle_decode(inst, seq, {}).makespan();
+    const int span = static_cast<int>(horizon) + 1;
+
+    std::vector<Downtime> windows;
+    const int count = static_cast<int>(rng.below(9));
+    for (int w = 0; w < count; ++w) {
+      Downtime window;
+      window.machine = static_cast<int>(rng.below(
+          static_cast<std::uint64_t>(machines)));
+      switch (rng.below(4)) {
+        case 0:  // zero-length
+          window.start = rng.range(0, span);
+          window.end = window.start;
+          break;
+        case 1:  // nested in or overlapping an earlier window
+          if (!windows.empty()) {
+            const Downtime& outer = windows[rng.below(windows.size())];
+            window.machine = outer.machine;
+            window.start = outer.start + rng.range(-2, 2);
+            window.end = outer.end + rng.range(-2, 2);
+            break;
+          }
+          [[fallthrough]];
+        case 2:  // early: ends before most of the plan's frontier
+          window.start = rng.range(0, span / 4 + 1);
+          window.end = window.start + rng.range(0, 3);
+          break;
+        default:
+          window.start = rng.range(0, span);
+          window.end = window.start + rng.range(0, span / 3 + 1);
+          break;
+      }
+      windows.push_back(window);
+    }
+    if (t % 7 == 0) {
+      windows.push_back(Downtime{t % 2 == 0 ? machines : -1, 0, span});
+    }
+
+    const Schedule full = oracle_decode(inst, seq, windows);
+    check(same_ops(decode_with_downtime(inst, seq, windows), full),
+          "decode_with_downtime");
+
+    const int splits = wide ? 40 : 3;
+    for (int k = 0; k < splits; ++k) {
+      const Time now = rng.range(0, span + 5);
+      const ReplanContext context = split_at(inst, seq, windows, now);
+      std::size_t frozen = 0;
+      while (frozen < full.ops.size() && full.ops[frozen].start < now) {
+        ++frozen;
+      }
+      check(context.frozen_prefix.size() == frozen, "split_at frozen count");
+
+      auto problem = std::make_shared<const ga::DynamicSuffixProblem>(
+          &inst, context.frozen_prefix, context.remaining, windows);
+      const auto workspace = problem->make_workspace();
+      std::vector<ga::Genome> genomes;
+      std::vector<double> expected;
+      for (int g = 0; g < 20; ++g) {
+        genomes.push_back(problem->random_genome(rng));
+        const Time oracle = oracle_makespan(inst, context.frozen_prefix,
+                                            genomes.back().seq, windows);
+        expected.push_back(static_cast<double>(oracle));
+        check(realized_makespan_with_prefix(inst, context.frozen_prefix,
+                                            genomes.back().seq,
+                                            windows) == oracle,
+              "realized_makespan_with_prefix");
+        check(problem->objective(genomes.back()) == expected.back(),
+              "objective(g)");
+        check(problem->objective(genomes.back(), *workspace) ==
+                  expected.back(),
+              "objective(g, workspace)");
+      }
+      for (const int batch : {1, 16}) {
+        ga::Evaluator evaluator(problem, ga::EvalBackend::kSerial, nullptr,
+                                batch);
+        std::vector<double> objectives(genomes.size());
+        evaluator.evaluate(genomes, objectives);
+        for (std::size_t g = 0; g < genomes.size(); ++g) {
+          check(objectives[g] == expected[g],
+                batch == 1 ? "Evaluator eval_batch=1"
+                           : "Evaluator eval_batch=16");
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+  EXPECT_GE(checks, 50000);
 }
 
 TEST(DynamicSuffixProblem, GenomesArePermutationsOfRemaining) {

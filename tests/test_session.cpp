@@ -10,11 +10,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "src/ga/problem_registry.h"
+#include "src/ga/problems.h"
 #include "src/ga/solver.h"
 #include "src/session/manager.h"
 #include "src/session/session.h"
@@ -194,6 +196,40 @@ TEST(Session, ApplyRejectsTimeTravelAndUnopenedSessions) {
   session.apply(event);
   Event earlier = Event::parse("kind=breakdown time=4 machine=1 duration=5");
   EXPECT_THROW(session.apply(earlier), std::invalid_argument);
+}
+
+/// The decode-overflow rule: an event whose state would let a decode
+/// overflow Time is rejected before it changes anything, and the session
+/// keeps serving.
+TEST(Session, RejectsEventsThatOverflowTime) {
+  const sched::JobShopInstance inst = ga::resolve_job_shop_instance("ft06");
+  Session session(inst, quick_config(3), 1);
+  session.open();
+  session.apply(Event::parse("kind=breakdown time=5 machine=1 duration=4"));
+  const int events = session.events();
+  const std::uint64_t plan = session.plan_hash();
+  const std::uint64_t transcript = session.transcript_hash();
+  for (const char* hostile :
+       {"kind=breakdown time=10 machine=0 duration=9223372036854775800",
+        "kind=arrival time=10 route=0:4611686018427387904,"
+        "1:4611686018427387904"}) {
+    EXPECT_THROW(session.apply(Event::parse(hostile)), std::invalid_argument)
+        << hostile;
+    EXPECT_EQ(session.events(), events);
+    EXPECT_EQ(session.plan_hash(), plan);
+    EXPECT_EQ(session.transcript_hash(), transcript);
+    EXPECT_EQ(session.now(), 5);
+  }
+  const EventReply reply =
+      session.apply(Event::parse("kind=arrival time=10 route=0:4,1:4"));
+  EXPECT_EQ(reply.index, events);
+  EXPECT_EQ(session.now(), 10);
+
+  // The same rule guards the opening instance.
+  sched::JobShopInstance huge = inst;
+  huge.attrs.release.assign(static_cast<std::size_t>(huge.jobs), 0);
+  huge.attrs.release[0] = std::numeric_limits<sched::Time>::max() - 10;
+  EXPECT_THROW(Session(huge, quick_config(3), 2), std::invalid_argument);
 }
 
 TEST(Session, TranscriptIsBitIdenticalAcrossRuns) {
@@ -384,6 +420,32 @@ TEST(SessionService, DaemonTranscriptMatchesInProcess) {
   server.stop();
 }
 
+TEST(SessionService, OverflowingEventGetsAnErrorReply) {
+  svc::ServerConfig server_config;
+  server_config.socket_path = temp_socket_path();
+  svc::Server server(server_config);
+  server.start();
+  {
+    svc::Client client(server.socket_path());
+    svc::SessionOptions options;
+    options.solver = quick_config(5).solver;
+    options.generations = quick_config(5).replan_generations;
+    const long long id = client.session_open("ft06", options);
+    const Event hostile = Event::parse(
+        "kind=arrival time=10 route=0:4611686018427387904,"
+        "1:4611686018427387904");
+    EXPECT_THROW(client.session_event(id, hostile.to_json()),
+                 svc::ServiceError);
+    client.ping();
+    const exp::Json reply = client.session_event(
+        id, Event::parse("kind=breakdown time=12 machine=0 duration=3")
+                .to_json());
+    EXPECT_EQ(reply.find("index")->as_i64(), 1);
+    client.session_close(id);
+  }
+  server.stop();
+}
+
 TEST(SessionService, OpenRejectsBadInstanceAndSolver) {
   svc::ServerConfig server_config;
   server_config.socket_path = temp_socket_path();
@@ -400,6 +462,50 @@ TEST(SessionService, OpenRejectsBadInstanceAndSolver) {
     client.session_close(id);
   }
   server.stop();
+}
+
+// --- pinned results ------------------------------------------------------------
+
+/// Absolute pins. Every other determinism check compares two runs of one
+/// build, which a change shifting every objective the same way would
+/// pass. These constants were recorded against the full re-decode the
+/// suffix objective used before the prefix frontier, and must never be
+/// re-recorded.
+TEST(SessionGolden, TranscriptIsPinned) {
+  const sched::JobShopInstance inst = ga::resolve_job_shop_instance("ft10");
+  SessionConfig config;
+  config.solver = "engine=simple pop=64";
+  config.replan_generations = 40;
+  config.seed = 2718;
+  Session session(inst, config, 1);
+  session.open();
+  for (const Event& event : random_trace(inst, 16, 314)) {
+    session.apply(event);
+  }
+  EXPECT_EQ(session.transcript_hash(), 1905840638867151475u);
+  EXPECT_EQ(session.plan_hash(), 4404167995955772396u);
+
+  // The suffix objective itself, at one split of a seeded plan.
+  par::Rng rng(1618);
+  const std::vector<int> plan = sched::random_operation_sequence(inst, rng);
+  const std::vector<sched::Downtime> windows =
+      sched::random_downtimes(inst.machines, 4, 700, 20, 90, 42);
+  const sched::ReplanContext context =
+      sched::split_at(inst, plan, windows, 350);
+  const ga::DynamicSuffixProblem problem(&inst, context.frozen_prefix,
+                                         context.remaining, windows);
+  const ga::Problem& evaluated = problem;  // the Evaluator's entry points
+  const auto workspace = evaluated.make_workspace();
+  double sum = 0.0;
+  double workspace_sum = 0.0;
+  for (int i = 0; i < 1000; ++i) {
+    const ga::Genome genome = problem.random_genome(rng);
+    sum += problem.objective(genome);
+    workspace_sum += evaluated.objective(genome, *workspace);
+  }
+  EXPECT_EQ(context.frozen_prefix.size(), 14u);
+  EXPECT_EQ(sum, 1785354.0);
+  EXPECT_EQ(workspace_sum, 1785354.0);
 }
 
 }  // namespace

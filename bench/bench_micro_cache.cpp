@@ -2,14 +2,20 @@
 // BENCH_micro.json via ci.sh:
 //   - hit_rate / decode_reduction counters on a heavy-elitism island run
 //     (the acceptance bar: >= 30% fewer decode calls with the cache on);
-//   - cached vs uncached engine throughput on a decode-heavy job shop.
+//   - cached vs uncached engine throughput on a decode-heavy job shop;
+//   - the cache layer's own cost per genome: a hit (BM_CacheHitBatch) and
+//     a miss that decodes and evicts (BM_CacheMissBatch, beside its
+//     uncached twin), on ft10 and flowshop 50x10.
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "src/ga/problem_registry.h"
 #include "src/ga/solver.h"
 #include "src/sched/classics.h"
+#include "src/sched/taillard.h"
 
 namespace {
 
@@ -81,17 +87,35 @@ BENCHMARK(BM_SimpleElitistRun)
     ->ArgNames({"cache"})
     ->Unit(benchmark::kMillisecond);
 
-// Raw cache-layer overhead: lookup+hit on a full batch (the per-genome
-// cost a hit must beat is one decode).
-void BM_CacheHitBatch(benchmark::State& state) {
-  const ProblemPtr problem = job_shop();
+// The two genome shapes the cache rows price: ft10 (100 genes, the
+// session and ft10 workloads' shape) and flowshop 50x10 (50 genes,
+// serve-mixed's job shape). The semi-active decoder is the cheap one a
+// hit must beat.
+enum class Shape { kFt10, kFlowShop50x10 };
+
+ProblemPtr shape_problem(Shape shape) {
+  if (shape == Shape::kFt10) return make_problem(psga::sched::ft10().instance);
+  return make_problem(psga::sched::taillard_flow_shop(50, 10, 42));
+}
+
+std::vector<Genome> random_genomes(const Problem& problem, std::size_t count) {
   psga::par::Rng rng(3);
-  std::vector<Genome> population;
-  const std::size_t pop = 256;
-  for (std::size_t i = 0; i < pop; ++i) {
-    population.push_back(problem->random_genome(rng));
+  std::vector<Genome> genomes;
+  genomes.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    genomes.push_back(problem.random_genome(rng));
   }
-  std::vector<double> objectives(pop, 0.0);
+  return genomes;
+}
+
+constexpr std::size_t kBatch = 256;
+
+// Raw cache-layer cost of a hit: key, lookup and recency touch on a full
+// batch, per genome. A hit must cost less than the decode it saves.
+void BM_CacheHitBatch(benchmark::State& state, Shape shape) {
+  const ProblemPtr problem = shape_problem(shape);
+  const std::vector<Genome> population = random_genomes(*problem, kBatch);
+  std::vector<double> objectives(kBatch, 0.0);
   Evaluator evaluator(problem, EvalBackend::kSerial);
   EvalCacheConfig cache_cfg;
   cache_cfg.mode = EvalCacheMode::kUnbounded;
@@ -101,9 +125,56 @@ void BM_CacheHitBatch(benchmark::State& state) {
     evaluator.evaluate(population, objectives);  // all hits
     benchmark::DoNotOptimize(objectives);
   }
-  state.SetItemsProcessed(state.iterations() * static_cast<long long>(pop));
+  state.SetItemsProcessed(state.iterations() * static_cast<long long>(kBatch));
 }
-BENCHMARK(BM_CacheHitBatch);
+BENCHMARK_CAPTURE(BM_CacheHitBatch, ft10, Shape::kFt10);
+BENCHMARK_CAPTURE(BM_CacheHitBatch, flowshop_50x10, Shape::kFlowShop50x10);
+
+// The cost of a miss: fresh genomes into a full lru:4096, so every lookup
+// misses, decodes, inserts and evicts. The pool cycles through twice the
+// capacity, so a genome is always evicted before it comes round again.
+// The *_uncached twin decodes the same batches with no cache attached:
+// the difference between the two rows is the miss overhead.
+void BM_CacheMissBatch(benchmark::State& state, Shape shape, bool cached) {
+  const ProblemPtr problem = shape_problem(shape);
+  const std::size_t capacity = 4096;
+  const std::vector<Genome> pool = random_genomes(*problem, 2 * capacity);
+  std::vector<double> objectives(kBatch, 0.0);
+  Evaluator evaluator(problem, EvalBackend::kSerial);
+  EvalCachePtr cache;
+  if (cached) {
+    EvalCacheConfig cache_cfg;
+    cache_cfg.mode = EvalCacheMode::kLru;
+    cache_cfg.capacity = capacity;
+    cache = std::make_shared<EvalCache>(cache_cfg);
+    evaluator.set_cache(cache);
+  }
+  const std::span<const Genome> genomes(pool);
+  std::size_t begin = 0;
+  const auto next_batch = [&] {
+    evaluator.evaluate(genomes.subspan(begin, kBatch), objectives);
+    begin = (begin + kBatch) % pool.size();
+  };
+  for (std::size_t i = 0; i < pool.size(); i += kBatch) next_batch();  // fill
+  const EvalCacheStats before = cache ? cache->stats() : EvalCacheStats{};
+  for (auto _ : state) {
+    next_batch();
+    benchmark::DoNotOptimize(objectives);
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<long long>(kBatch));
+  if (cache) {
+    EvalCacheStats during = cache->stats();
+    during -= before;
+    state.counters["hit_rate"] = static_cast<double>(during.hits) /
+                                 static_cast<double>(during.hits + during.misses);
+  }
+}
+BENCHMARK_CAPTURE(BM_CacheMissBatch, ft10, Shape::kFt10, true);
+BENCHMARK_CAPTURE(BM_CacheMissBatch, ft10_uncached, Shape::kFt10, false);
+BENCHMARK_CAPTURE(BM_CacheMissBatch, flowshop_50x10, Shape::kFlowShop50x10,
+                  true);
+BENCHMARK_CAPTURE(BM_CacheMissBatch, flowshop_50x10_uncached,
+                  Shape::kFlowShop50x10, false);
 
 }  // namespace
 

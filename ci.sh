@@ -8,8 +8,9 @@
 #                      service smoke (submit/watch/cancel/drain over a
 #                      temp socket) and a session smoke (10-event seeded
 #                      replanning trace, SLO met, transcript hash equal
-#                      across two runs and to its pinned value), emit a
-#                      fresh bench JSON snapshot
+#                      across two runs and to its pinned value), run the
+#                      e2ebench harness self-test (every workload in
+#                      smoke mode), emit a fresh bench JSON snapshot
 #                      (bench_micro_decoders + bench_micro_cache +
 #                      bench_session_latency + bench_micro_operators
 #                      merged), diff it against the committed
@@ -253,7 +254,7 @@ fi
 # `psgactl session event` (which exits 1 on an SLO miss), replay the
 # identical trace in a second session and require bit-identical
 # transcript hashes (the determinism invariant, exercised through the
-# daemon's shared cache and manager workers) equal to the pinned hash,
+# daemon's manager workers) equal to the pinned hash,
 # check the daemon reports no active sessions afterwards, then drain
 # cleanly.
 if [[ -x "$BUILD_DIR/psgad" && -x "$BUILD_DIR/psgactl" ]]; then
@@ -416,6 +417,17 @@ PYEOF
   rm -f "$DSP_JSONL" "$DSP_SUMMARY" "$DSP_CSV" "$DSP_HTML"
 else
   echo "psga_sweep/psgad/psga_report or python3 missing; skipping dispatch resume smoke"
+fi
+
+# End-to-end harness self-test: every e2ebench workload runs in smoke
+# mode and must emit exactly the metric set BENCHMARK.json declares. The
+# harness compiles against the session and solver APIs, so this keeps it
+# from rotting. It builds psga_e2e (Release) into .bench_build/e2e.
+if command -v python3 >/dev/null; then
+  python3 -m unittest discover -s e2ebench -p 'test_*.py'
+  echo "ci.sh: e2ebench self-test OK"
+else
+  echo "python3 missing; skipping the e2ebench self-test"
 fi
 
 if [[ "${SKIP_BENCH:-0}" != "1" && ! -x "$BUILD_DIR/bench_micro_decoders" ]]; then
@@ -655,12 +667,12 @@ for name, bench in fresh.items():
     normalized = bench["real_time"] / old["real_time"] / drift - 1.0
     # The regression gate covers the decoder benches (the evaluation hot
     # path this snapshot exists to guard), the crossover benches (the
-    # breeding hot path) and the session event-latency p95s; *_Scratch
-    # twins included.
+    # breeding hot path), the cache-layer hit and miss rows and the
+    # session event-latency p95s; *_Scratch twins included.
     gated = any(tag in name for tag in
                 ("Decode", "SemiActive", "GifflerThompson", "Makespan",
                  "Flexible", "LotStreaming", "OpenShop", "HybridFlowShop",
-                 "SessionEvent", "BM_Crossover"))
+                 "SessionEvent", "BM_Crossover", "BM_Cache"))
     marker = ""
     if only and name not in only:
         gated = False
@@ -701,9 +713,10 @@ PYEOF
       echo "ci.sh: re-measuring $(wc -l < "$GATE_FAILS") failing bench(es) in isolation"
       RETRY_FILES=()
       for attempt in 1 2 3 4; do
-        # Decoder and operator bench names carry no suffix, so the
-        # exact-name filter applies to both binaries as is.
-        for bench in bench_micro_decoders bench_micro_operators; do
+        # Decoder, operator and cache-row bench names carry no suffix, so
+        # the exact-name filter applies to these binaries as is.
+        for bench in bench_micro_decoders bench_micro_operators \
+                     bench_micro_cache; do
           [[ -x "$BUILD_DIR/$bench" ]] || continue
           RETRY=$(mktemp "/tmp/psga_bench_retry.${attempt}.XXXXXX.json")
           RETRY_FILES+=("$RETRY")

@@ -44,8 +44,6 @@ struct CellularConfig {
   EvalCacheConfig eval_cache;
   /// Pre-built cache shared across islands (islands-of-cellular).
   EvalCachePtr shared_eval_cache;
-  /// Cache-key namespace (see GaConfig::cache_salt); 0 = none.
-  std::uint64_t cache_salt = 0;
   /// objective_batch chunk size (0 = auto; see GaConfig::eval_batch).
   int eval_batch = 0;
   Termination termination;

@@ -78,7 +78,7 @@ struct GaConfig {
   /// that already parallelize at a coarser level (islands, cluster ranks)
   /// force this to kSerial for their inner engines.
   EvalBackend eval_backend = EvalBackend::kSerial;
-  /// Objective memoization by genome hash (see eval_cache.h); off by
+  /// Objective memoization by genome key (see eval_cache.h); off by
   /// default. Traces are bit-identical with the cache on or off.
   EvalCacheConfig eval_cache;
   /// Pre-built cache to share across engines — island-structured engines
@@ -86,11 +86,6 @@ struct GaConfig {
   /// subpopulations. When null and eval_cache.mode != kOff, the engine
   /// builds its own cache from eval_cache.
   EvalCachePtr shared_eval_cache;
-  /// Namespaces the engine's cache keys (Evaluator::set_hash_salt): set a
-  /// distinct nonzero salt per objective landscape when a shared cache
-  /// outlives one problem state (the session layer's cross-replan store).
-  /// 0 = no namespacing.
-  std::uint64_t cache_salt = 0;
   /// objective_batch chunk size on every backend: 0 = auto (a lane-width
   /// friendly block, currently 16), otherwise the exact block handed to
   /// the batched decode kernels (1 = per-genome). Never changes any

@@ -4,33 +4,34 @@
 // unchanged into every generation, migrants cloned across islands and
 // cluster ranks, crossover-skipped children that are verbatim parent
 // copies. Each duplicate re-runs a full schedule decode today. EvalCache
-// memoizes objective values by a well-mixed 64-bit genome hash so the
+// memoizes objective values by a 64-bit key (EvalCache::key) so the
 // Evaluator decodes each distinct genome once.
 //
-// Correctness over trust-the-hash: every entry stores the genome itself
-// and a lookup only hits when the stored genome compares equal, so a
+// Correctness over trust-the-key: every entry stores the genome itself
+// and a lookup only hits when the stored words equal the genome's, so a
 // 64-bit collision degrades to a miss (and the colliding insert replaces
 // the entry) instead of silently returning a wrong objective. Cached
 // values are produced by the same pure objective functions, so traces
 // are bit-identical with the cache on or off.
 //
-// The table is sharded: each shard owns a mutex, an open hash map and an
-// LRU list, so evaluator lanes, island threads and cluster ranks can
-// share one cache with little contention. Counters are exact on every
-// evaluation backend: an Evaluator looks up and inserts on its calling
-// thread, in genome order. Only when several islands or ranks step
-// concurrently into one shared cache can the hit/miss split of a genome
-// they all breed in the same generation depend on timing (the values
-// never do).
+// The table is sharded: each shard owns a mutex and flat arrays — slot
+// keys and objectives with intrusive recency links, the genomes inline
+// at one fixed stride, and a power-of-two linear-probing index — so
+// evaluator lanes, island threads and cluster ranks can share one cache
+// with little contention, and a shard that has reached its budget
+// allocates nothing per lookup, insert or eviction. Counters are exact on
+// every evaluation backend: an Evaluator looks up and inserts on its
+// calling thread, in genome order. Only when several islands or ranks
+// step concurrently into one shared cache can the hit/miss split of a
+// genome they all breed in the same generation depend on timing (the
+// values never do).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <unordered_map>
-#include <vector>
 
 #include "src/ga/genome.h"
 
@@ -43,11 +44,17 @@ enum class EvalCacheMode {
   kLru,        ///< bounded: evict the least-recently-used entries
 };
 
+/// Upper bound on the shards a cache builds (and the spec accepts).
+inline constexpr int kMaxEvalCacheShards = 64;
+
 struct EvalCacheConfig {
   EvalCacheMode mode = EvalCacheMode::kOff;
   /// Total entry budget across all shards (kLru only).
   std::size_t capacity = 1 << 16;
-  /// Lock shards; clamped to >= 1. The default is plenty below ~32 lanes.
+  /// Lock shards. EvalCache clamps the count it builds to
+  /// [1, min(kMaxEvalCacheShards, capacity)] for kLru and
+  /// [1, kMaxEvalCacheShards] otherwise, so the budget holds. The default
+  /// is plenty below ~32 lanes.
   int shards = 8;
 
   /// Semantic equality: fields that cannot affect behavior under `mode`
@@ -84,6 +91,7 @@ using EvalCachePtr = std::shared_ptr<EvalCache>;
 class EvalCache {
  public:
   explicit EvalCache(EvalCacheConfig config);
+  ~EvalCache();  // Shard is complete only in eval_cache.cpp
 
   /// The one construction idiom every engine uses: a pre-built shared
   /// cache wins, otherwise `config` decides between a fresh cache and
@@ -95,13 +103,23 @@ class EvalCache {
     return std::make_shared<EvalCache>(config);
   }
 
-  /// Memoized objective of `genome` (whose genome_hash() is `hash`), or
-  /// nullopt. A hash match with a different stored genome is a miss.
-  std::optional<double> lookup(std::uint64_t hash, const Genome& genome);
+  /// The cache key of `genome`: each chromosome is length-prefixed and
+  /// absorbed 16 bytes per 64x64->128-bit multiply-fold, and a
+  /// splitmix64 finalizer mixes the result. The high 32 bits pick the
+  /// shard and the low bits the index slot. Equal genomes give equal
+  /// keys; this is not genome_hash.
+  static std::uint64_t key(const Genome& genome);
 
-  /// Records `objective` for `genome`. A colliding entry (same hash,
-  /// different genome) is replaced; an equal entry is refreshed in place.
-  void insert(std::uint64_t hash, const Genome& genome, double objective);
+  /// Memoized objective of `genome` (whose key is `key`), or nullopt. A
+  /// key match with a different stored genome is a miss, and so is a
+  /// genome whose chromosome lengths differ from the cache's shape.
+  std::optional<double> lookup(std::uint64_t key, const Genome& genome);
+
+  /// Records `objective` for `genome`. An equal entry is refreshed in
+  /// place; a colliding one (same key, different genome) is replaced.
+  /// The first insert fixes the cache's shape (the three chromosome
+  /// lengths); a genome of any other shape is never stored.
+  void insert(std::uint64_t key, const Genome& genome, double objective);
 
   EvalCacheStats stats() const;
   /// Entries currently stored (sums the shards).
@@ -109,28 +127,35 @@ class EvalCache {
   const EvalCacheConfig& config() const { return config_; }
 
  private:
-  struct Entry {
-    Genome genome;
-    double objective = 0.0;
-    /// Position in the shard's recency list (kLru only).
-    std::list<std::uint64_t>::iterator lru;
-  };
-  struct Shard {
-    mutable std::mutex mutex;
-    std::unordered_map<std::uint64_t, Entry> map;
-    std::list<std::uint64_t> order;  ///< front = most recently used
-    EvalCacheStats stats;
+  struct Shard;
+  /// The chromosome lengths of every stored genome. A genome is stored as
+  /// seq + assign + 2 * keys 32-bit words (a double takes two).
+  struct Shape {
+    std::size_t seq = 0;
+    std::size_t assign = 0;
+    std::size_t keys = 0;
+
+    std::size_t stride() const { return seq + assign + 2 * keys; }
+    bool equal(const std::uint32_t* words, const Genome& genome) const;
+    void store(std::uint32_t* words, const Genome& genome) const;
   };
 
-  Shard& shard_for(std::uint64_t hash) {
-    // High bits pick the shard; the map keys on the full hash, and
-    // genome_hash mixes well enough that both stay uniform.
-    return *shards_[static_cast<std::size_t>(hash >> 32) % shards_.size()];
-  }
+  Shard& shard_for(std::uint64_t key) const;
+  /// True once the shape is published and `genome` has it.
+  bool has_shape(const Genome& genome) const;
+  /// Fixes the shape from `genome` unless another insert already did.
+  void publish_shape(const Genome& genome);
 
   EvalCacheConfig config_;
-  std::size_t shard_capacity_;  ///< per-shard entry bound (kLru)
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::size_t shard_count_ = 1;
+  std::uint32_t shard_budget_ = 0;  ///< per-shard entry bound
+  std::unique_ptr<Shard[]> shards_;
+
+  // Written once under shape_mutex_ before shaped_ is set, then read
+  // without the mutex by any thread that has seen shaped_.
+  std::atomic<bool> shaped_{false};
+  std::mutex shape_mutex_;
+  Shape shape_;
 };
 
 }  // namespace psga::ga

@@ -35,17 +35,11 @@ void chunked_objective_batch(const Problem& problem,
   }
 }
 
-/// Folds the evaluator's namespace salt into a cache key. splitmix64's
-/// finalizer is a bijection on 64-bit words, so for a fixed genome hash
-/// the map salt -> key is injective: entries written under different
-/// salts can never answer each other's lookups (see set_hash_salt).
-/// Salt 0 keeps the raw genome hash, preserving pre-salt key layouts.
-std::uint64_t salted_key(std::uint64_t hash, std::uint64_t salt) {
-  if (salt == 0) return hash;
-  std::uint64_t z = hash ^ salt;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
+std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point start) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count());
 }
 
 }  // namespace
@@ -88,10 +82,7 @@ void Evaluator::raw_evaluate(std::span<const Genome> genomes,
   const auto start = std::chrono::steady_clock::now();
   raw_evaluate_impl(genomes, objectives);
   if (decode_ns_ != nullptr) {
-    decode_ns_->record(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count()));
+    decode_ns_->record(elapsed_ns(start));
     batch_size_hist_->record(genomes.size());
     decoded_genomes_->add(genomes.size());
   }
@@ -157,43 +148,63 @@ void Evaluator::evaluate(std::span<const Genome> genomes,
     decode_calls_ += static_cast<long long>(n);
     return;
   }
+  // eval.cache_ns times the filter and the inserts, not the decode.
+  const bool timed = cache_ns_ != nullptr;
+  auto start = timed ? std::chrono::steady_clock::now()
+                     : std::chrono::steady_clock::time_point{};
   // Filter hits on the calling thread, decode only the misses (still
   // batched through the backend), then publish the fresh values.
-  miss_genomes_.clear();
-  miss_hashes_.clear();
+  if (cache_keys_.size() < n) cache_keys_.resize(n);
   miss_slots_.clear();
   {
     const obs::Span span(tracer_.get(), "cache_filter");
     for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t hash =
-          salted_key(genome_hash(genomes[i]), hash_salt_);
-      if (const auto value = cache_->lookup(hash, genomes[i])) {
+      cache_keys_[i] = EvalCache::key(genomes[i]);
+      if (const auto value = cache_->lookup(cache_keys_[i], genomes[i])) {
         objectives[i] = *value;
       } else {
-        miss_genomes_.push_back(genomes[i]);
-        miss_hashes_.push_back(hash);
         miss_slots_.push_back(i);
       }
     }
   }
-  if (miss_genomes_.empty()) return;
-  miss_values_.resize(miss_genomes_.size());
-  raw_evaluate(miss_genomes_, miss_values_);
-  decode_calls_ += static_cast<long long>(miss_genomes_.size());
-  for (std::size_t j = 0; j < miss_genomes_.size(); ++j) {
-    cache_->insert(miss_hashes_[j], miss_genomes_[j], miss_values_[j]);
-    objectives[miss_slots_[j]] = miss_values_[j];
+  const std::size_t misses = miss_slots_.size();
+  // An all-miss batch decodes the caller's span in place; a mixed one
+  // copy-assigns its misses into buffers that only ever grow, so their
+  // genomes keep their capacity from batch to batch.
+  std::span<const Genome> miss_genomes = genomes;
+  std::span<double> miss_values = objectives;
+  if (misses < n) {
+    if (miss_genomes_.size() < misses) miss_genomes_.resize(misses);
+    if (miss_values_.size() < misses) miss_values_.resize(misses);
+    for (std::size_t j = 0; j < misses; ++j) {
+      miss_genomes_[j] = genomes[miss_slots_[j]];
+    }
+    miss_genomes = {miss_genomes_.data(), misses};
+    miss_values = {miss_values_.data(), misses};
   }
+  std::uint64_t spent = timed ? elapsed_ns(start) : 0;
+  if (misses > 0) {
+    raw_evaluate(miss_genomes, miss_values);
+    decode_calls_ += static_cast<long long>(misses);
+    if (timed) start = std::chrono::steady_clock::now();
+    for (std::size_t j = 0; j < misses; ++j) {
+      const std::size_t i = miss_slots_[j];
+      cache_->insert(cache_keys_[i], miss_genomes[j], miss_values[j]);
+      objectives[i] = miss_values[j];
+    }
+    if (timed) spent += elapsed_ns(start);
+  }
+  if (timed) cache_ns_->record(spent);
 }
 
 double Evaluator::evaluate_one(const Genome& genome) {
   ++evaluations_;
   if (cache_ != nullptr) {
-    const std::uint64_t hash = salted_key(genome_hash(genome), hash_salt_);
-    if (const auto value = cache_->lookup(hash, genome)) return *value;
+    const std::uint64_t key = EvalCache::key(genome);
+    if (const auto value = cache_->lookup(key, genome)) return *value;
     const double objective = problem_->objective(genome, workspace(0));
     ++decode_calls_;
-    cache_->insert(hash, genome, objective);
+    cache_->insert(key, genome, objective);
     return objective;
   }
   ++decode_calls_;
@@ -201,8 +212,6 @@ double Evaluator::evaluate_one(const Genome& genome) {
 }
 
 void Evaluator::set_cache(EvalCachePtr cache) { cache_ = std::move(cache); }
-
-void Evaluator::set_hash_salt(std::uint64_t salt) { hash_salt_ = salt; }
 
 void Evaluator::set_obs(obs::RegistryPtr metrics,
                         std::shared_ptr<obs::Tracer> tracer) {
@@ -212,10 +221,12 @@ void Evaluator::set_obs(obs::RegistryPtr metrics,
     decode_ns_ = &metrics_->histogram("eval.decode_ns");
     batch_size_hist_ = &metrics_->histogram("eval.batch_size");
     decoded_genomes_ = &metrics_->counter("eval.decoded_genomes");
+    cache_ns_ = &metrics_->histogram("eval.cache_ns");
   } else {
     decode_ns_ = nullptr;
     batch_size_hist_ = nullptr;
     decoded_genomes_ = nullptr;
+    cache_ns_ = nullptr;
   }
 }
 

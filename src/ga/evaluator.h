@@ -15,7 +15,7 @@
 // counts; Workspaces only recycle allocations, never carry state between
 // genomes.
 //
-// An optional EvalCache (set_cache) memoizes objectives by genome hash;
+// An optional EvalCache (set_cache) memoizes objectives by EvalCache::key;
 // lookups and inserts happen on the calling thread in genome order, only
 // the misses reach the backend, and decode_calls() reports how many
 // genomes were actually decoded. Several evaluators may share one cache
@@ -73,23 +73,13 @@ class Evaluator {
   /// with other evaluators.
   void set_cache(EvalCachePtr cache);
 
-  /// Namespaces this evaluator's cache keys. A cache shared across
-  /// *different* objective landscapes — the session layer's cross-replan
-  /// store, where the same suffix genome means different schedules under
-  /// different frozen prefixes and downtimes — must keep their entries
-  /// apart. The salt is folded into
-  /// the key through a bijective mixer, so for any fixed genome distinct
-  /// salts can never produce the same key: a cross-namespace hit is
-  /// impossible, not merely improbable, and the cache's genome-equality
-  /// check still catches ordinary hash collisions within a namespace.
-  /// Salt 0 (the default) leaves keys exactly as before.
-  void set_hash_salt(std::uint64_t salt);
-
   /// Attaches the observability sinks (both may be null). Handles into
   /// `metrics` are resolved once, here — the hot path then costs two
   /// clock reads plus a few relaxed adds per *batch*, never per genome.
   /// Metric names: eval.decode_ns / eval.batch_size / eval.decoded_genomes
-  /// on every decode batch. Spans: decode, cache_filter.
+  /// on every decode batch, and eval.cache_ns (the filter plus the
+  /// inserts, decode excluded) once per evaluate() call with a cache.
+  /// Spans: decode, cache_filter.
   void set_obs(obs::RegistryPtr metrics, std::shared_ptr<obs::Tracer> tracer);
   const EvalCache* cache() const { return cache_.get(); }
   /// Shared handle for per-run stat snapshots (Engine::eval_cache_shared).
@@ -128,13 +118,13 @@ class Evaluator {
   std::size_t batch_size_;  ///< objective_batch chunk size (resolved)
   std::vector<std::unique_ptr<Workspace>> workspaces_;  // one per lane
   EvalCachePtr cache_;
-  std::uint64_t hash_salt_ = 0;  ///< cache-key namespace (see set_hash_salt)
   long long evaluations_ = 0;
   long long decode_calls_ = 0;
-  // Reusable scratch for the cache-filtering path.
-  std::vector<Genome> miss_genomes_;
-  std::vector<std::uint64_t> miss_hashes_;
+  // Reusable scratch for the cache-filtering path. The key and miss
+  // buffers only ever grow, so a warmed filter allocates nothing.
+  std::vector<std::uint64_t> cache_keys_;  ///< per genome of the batch
   std::vector<std::size_t> miss_slots_;
+  std::vector<Genome> miss_genomes_;
   std::vector<double> miss_values_;
   // Observability sinks (set_obs). The shared handles keep the registry
   // and tracer alive; the raw pointers are the pre-resolved hot-path
@@ -144,6 +134,7 @@ class Evaluator {
   obs::Histogram* decode_ns_ = nullptr;
   obs::Histogram* batch_size_hist_ = nullptr;
   obs::Counter* decoded_genomes_ = nullptr;
+  obs::Histogram* cache_ns_ = nullptr;
 };
 
 }  // namespace psga::ga

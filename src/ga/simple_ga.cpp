@@ -50,7 +50,6 @@ SimpleGa::SimpleGa(ProblemPtr problem, GaConfig config, par::ThreadPool* pool)
   }
   evaluator_.set_cache(
       EvalCache::make(config_.eval_cache, config_.shared_eval_cache));
-  evaluator_.set_hash_salt(config_.cache_salt);
   obs::ensure_registry(config_.metrics);
   attach_obs(config_.metrics, config_.tracer);
   evaluator_.set_obs(config_.metrics, config_.tracer);

@@ -81,7 +81,10 @@ EvalCacheConfig parse_eval_cache(std::string value, const std::string& token) {
     const std::size_t colon = rest.find(':');
     if (colon != std::string::npos) {
       cache.shards = parse_int(rest.substr(colon + 1), token);
-      if (cache.shards < 1) bad_token(token, "shard count must be positive");
+      if (cache.shards < 1 || cache.shards > kMaxEvalCacheShards) {
+        bad_token(token, "shard count must be in [1, " +
+                             std::to_string(kMaxEvalCacheShards) + "]");
+      }
       rest = rest.substr(0, colon);
     }
     return rest;
@@ -324,8 +327,6 @@ GaConfig base_config(const SolverSpec& spec) {
   if (spec.trace.value_or(false)) {
     cfg.tracer = std::make_shared<obs::Tracer>();
   }
-  cfg.shared_eval_cache = spec.shared_cache;
-  cfg.cache_salt = spec.cache_salt;
   return cfg;
 }
 
@@ -356,8 +357,6 @@ CellularConfig cellular_config(const SolverSpec& spec) {
   if (spec.trace.value_or(false)) {
     cell.tracer = std::make_shared<obs::Tracer>();
   }
-  cell.shared_eval_cache = spec.shared_cache;
-  cell.cache_salt = spec.cache_salt;
   return cell;
 }
 

@@ -56,7 +56,7 @@ struct SolverSpec {
   /// eval= (alias eval_backend=): serial|pool|omp
   std::optional<EvalBackend> eval;
   /// eval_cache=off|unbounded|lru:<capacity> — both cached modes accept
-  /// an optional trailing :<shards> (e.g. lru:65536:16)
+  /// an optional trailing :<shards> in [1, 64] (e.g. lru:65536:16)
   std::optional<EvalCacheConfig> eval_cache;
   /// eval_batch=auto|<N> — objective_batch chunk size on every backend
   /// (auto = 0 = the evaluator's lane-width-friendly default). Purely a
@@ -100,17 +100,6 @@ struct SolverSpec {
   /// (psga_sweep --trace). Purely observational: traces never change a
   /// RunResult. Metrics need no token — they are always on.
   std::optional<bool> trace;
-
-  /// Runtime-only: a pre-built cache shared across solver builds (the
-  /// session layer's cross-replan memoization seam). Never parsed or
-  /// printed — parse()/to_string() ignore it, and the defaulted
-  /// operator== compares the pointer (all spec-string paths leave it
-  /// null, so canonical round-trips are unaffected). When set, the built
-  /// engine layers its configured eval_cache over this shared store.
-  EvalCachePtr shared_cache;
-  /// Runtime-only twin of shared_cache: cache-key namespace for the built
-  /// engine (GaConfig::cache_salt). 0 = none.
-  std::uint64_t cache_salt = 0;
 
   /// Parses a whitespace-separated "key=value ..." spec. Throws
   /// std::invalid_argument naming the offending token for unknown keys,

@@ -8,7 +8,6 @@ namespace psga::session {
 SessionManager::SessionManager(SessionManagerConfig config)
     : config_(std::move(config)) {
   if (config_.workers < 1) config_.workers = 1;
-  cache_ = ga::EvalCache::make(config_.cache);
   metrics_ = obs::ensure_registry(config_.metrics);
   active_ = &metrics_->gauge("session.active");
   opened_ = &metrics_->counter("session.opened");
@@ -32,7 +31,6 @@ SessionManager::~SessionManager() {
 
 long long SessionManager::open(sched::JobShopInstance inst,
                                SessionConfig config) {
-  if (config.shared_cache == nullptr) config.shared_cache = cache_;
   if (config.metrics == nullptr) config.metrics = metrics_;
   long long id = 0;
   {

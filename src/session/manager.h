@@ -1,5 +1,4 @@
-// Multiplexes many concurrent replanning sessions over a shared worker
-// pool and one shared (salted) objective cache.
+// Multiplexes many concurrent replanning sessions over a shared worker pool.
 //
 // Ordering and fairness: every session owns a FIFO event queue; at most
 // one worker processes a given session at a time (so per-session event
@@ -24,9 +23,6 @@ namespace psga::session {
 
 struct SessionManagerConfig {
   int workers = 2;  ///< event-processing threads (clamped to >= 1)
-  /// The shared objective store handed to every session (kOff = none).
-  /// Safe across sessions: replans namespace their keys (cache salt).
-  ga::EvalCacheConfig cache;
   obs::RegistryPtr metrics;  ///< ensured when null
 };
 
@@ -42,7 +38,7 @@ class SessionManager {
 
   /// Creates a session, runs its opening solve inline (the caller needs
   /// the first answer anyway) and returns its id. The manager injects
-  /// its shared cache and metrics registry into `config`.
+  /// its metrics registry into `config`.
   long long open(sched::JobShopInstance inst, SessionConfig config);
 
   /// Enqueues an event (FIFO within the session); returns a ticket.
@@ -99,7 +95,6 @@ class SessionManager {
   const Entry& entry_or_throw(long long session) const;
 
   SessionManagerConfig config_;
-  ga::EvalCachePtr cache_;
   obs::RegistryPtr metrics_;
   obs::Gauge* active_ = nullptr;
   obs::Counter* opened_ = nullptr;

@@ -19,16 +19,6 @@ std::uint64_t event_seed(std::uint64_t session_seed, int index) {
   return par::splitmix64(sm);
 }
 
-/// Cache-key namespace for one replan: distinct per (session, event), so
-/// a store shared across sessions keeps each objective landscape apart.
-std::uint64_t replan_salt(long long session_id, int index) {
-  std::uint64_t sm = static_cast<std::uint64_t>(session_id + 1) *
-                         0xda942042e4dd58b5ULL ^
-                     static_cast<std::uint64_t>(index + 1);
-  const std::uint64_t salt = par::splitmix64(sm);
-  return salt != 0 ? salt : 1;
-}
-
 [[noreturn]] void event_error(const std::string& message) {
   throw std::invalid_argument("session::Event: " + message);
 }
@@ -468,8 +458,6 @@ EventReply Session::replan_locked(const std::string& kind, sched::Time time,
 
   ga::SolverSpec spec = solver_spec_;
   spec.seed = event_seed(config_.seed, index);
-  spec.shared_cache = config_.shared_cache;
-  spec.cache_salt = replan_salt(id_, index);
 
   replanning_ = true;
   lock.unlock();

@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "src/exp/json.h"
-#include "src/ga/eval_cache.h"
 #include "src/ga/genome.h"
 #include "src/ga/solver.h"
 #include "src/ga/stop.h"
@@ -97,8 +96,8 @@ struct WarmStart {
 };
 
 struct SessionConfig {
-  /// SolverSpec tokens for the per-event engine; the per-event seed and
-  /// shared cache are overridden by the session.
+  /// SolverSpec tokens for the per-event engine; the per-event seed is
+  /// overridden by the session.
   std::string solver = "engine=simple pop=64";
   /// Deterministic per-event budget (the primary stop).
   int replan_generations = 40;
@@ -109,10 +108,6 @@ struct SessionConfig {
   double slo_seconds = 0.0;
   WarmStart warm;
   std::uint64_t seed = 1;
-  /// Cross-replan/cross-session objective cache (SessionManager injects
-  /// its shared store here). Safe to share: each replan namespaces its
-  /// keys with a distinct cache salt (Evaluator::set_hash_salt).
-  ga::EvalCachePtr shared_cache;
   obs::RegistryPtr metrics;  ///< session.* metrics land here (may be null)
 };
 

@@ -181,10 +181,6 @@ Server::Server(ServerConfig config)
   table_.set_metrics(&registry_);
   session::SessionManagerConfig sessions;
   sessions.workers = std::max(1, config_.session_workers);
-  // One shared LRU store across every session: replans namespace their
-  // keys (cache salt), so sharing is safe and repeats hit across events.
-  sessions.cache.mode = ga::EvalCacheMode::kLru;
-  sessions.cache.capacity = 1 << 16;
   // Alias the daemon registry (destroyed after sessions_ by member
   // order), so session.* metrics land in the same `stats` payload.
   sessions.metrics = obs::RegistryPtr(&registry_, [](obs::Registry*) {});

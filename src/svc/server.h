@@ -100,7 +100,8 @@ class Server {
   const std::string& socket_path() const { return config_.socket_path; }
   JobTable& jobs() { return table_; }
   /// The online-replanning multiplexer behind the session_* ops
-  /// (sessions share its cache and the daemon's metrics registry).
+  /// (sessions share its workers and the daemon's metrics registry;
+  /// replans run uncached).
   session::SessionManager& sessions() { return *sessions_; }
   /// The daemon's process-lifetime metrics registry (queue depth, job
   /// counters, latency histograms — see JobTable::set_metrics). The

@@ -1,17 +1,21 @@
 // The evaluation cache must be an invisible optimization: with
 // memoization on, every engine's best-fitness trace is bit-identical to
 // the uncached run on every backend, only the number of decode calls
-// changes. These tests pin that down, plus the genome hash the cache
-// keys on, exact counter accounting (identical on every backend and
-// pool width), evaluation budgets, and LRU eviction.
+// changes. These tests pin that down, plus genome_hash, the key the
+// cache computes, exact counter accounting (identical on every backend
+// and pool width), evaluation budgets, the shard and shape rules, and the
+// flat table against a reference LRU.
 #include "src/ga/eval_cache.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <list>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/ga/problems.h"
@@ -107,6 +111,57 @@ TEST(GenomeHash, SingleSwapChangesHash) {
   EXPECT_NE(genome_hash(a), genome_hash(b));
 }
 
+// --- the cache's own key -----------------------------------------------------
+
+TEST(EvalCacheKey, EqualGenomesGiveEqualKeys) {
+  Genome a;
+  a.seq = {3, 1, 0, 2};
+  a.assign = {0, 1};
+  a.keys = {0.25, 0.75};
+  const Genome b = a;
+  EXPECT_EQ(EvalCache::key(a), EvalCache::key(a));
+  EXPECT_EQ(EvalCache::key(a), EvalCache::key(b));
+}
+
+TEST(EvalCacheKey, AllPermutationsOfSixKeyDistinct) {
+  std::vector<int> seq = {0, 1, 2, 3, 4, 5};
+  std::set<std::uint64_t> keys;
+  std::size_t count = 0;
+  do {
+    keys.insert(EvalCache::key(perm_genome(seq)));
+    ++count;
+  } while (std::next_permutation(seq.begin(), seq.end()));
+  EXPECT_EQ(count, 720u);
+  EXPECT_EQ(keys.size(), count) << "permutation key collision";
+}
+
+TEST(EvalCacheKey, ChromosomeBoundariesDisambiguate) {
+  Genome seq_both;
+  seq_both.seq = {1, 2};
+  Genome split;
+  split.seq = {1};
+  split.assign = {2};
+  Genome assign_both;
+  assign_both.assign = {1, 2};
+  Genome keys_only;
+  keys_only.keys = {1.0, 2.0};
+  // Zero padding of a partial block must not alias a longer chromosome.
+  Genome padded;
+  padded.seq = {1, 2, 0};
+  const std::set<std::uint64_t> keys = {
+      EvalCache::key(seq_both), EvalCache::key(split),
+      EvalCache::key(assign_both), EvalCache::key(keys_only),
+      EvalCache::key(padded), EvalCache::key(Genome{})};
+  EXPECT_EQ(keys.size(), 6u);
+}
+
+TEST(EvalCacheKey, SingleSwapChangesKey) {
+  const Genome a = perm_genome({0, 1, 2, 3, 4, 5, 6, 7});
+  Genome b = a;
+  std::swap(b.seq[2], b.seq[6]);
+  EXPECT_NE(EvalCache::key(a), EvalCache::key(b));
+}
+
 // --- cache unit behavior -----------------------------------------------------
 
 EvalCacheConfig one_shard(EvalCacheMode mode, std::size_t capacity) {
@@ -183,6 +238,245 @@ TEST(EvalCacheUnit, UnboundedNeverEvicts) {
   EXPECT_EQ(cache.stats().evictions, 0);
   EXPECT_GT(cache.size(), 2u);
 }
+
+TEST(EvalCacheUnit, OffShapeGenomeIsACountedMissAndNeverStored) {
+  // The first insert fixes the shape (chromosome lengths); a genome of any
+  // other shape misses, and inserting it changes nothing.
+  EvalCache cache(one_shard(EvalCacheMode::kLru, 16));
+  const Genome a = perm_genome({2, 0, 1});
+  cache.insert(EvalCache::key(a), a, 1.0);
+  Genome longer = perm_genome({2, 0, 1, 3});
+  Genome with_keys = a;
+  with_keys.keys = {0.5};
+  for (const Genome& off : {longer, with_keys}) {
+    const std::uint64_t key = EvalCache::key(off);
+    EXPECT_FALSE(cache.lookup(key, off).has_value());
+    cache.insert(key, off, 2.0);
+    EXPECT_FALSE(cache.lookup(key, off).has_value());
+  }
+  EXPECT_EQ(cache.size(), 1u);
+  const EvalCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.inserts, 1);
+  EXPECT_EQ(stats.misses, 4);
+  EXPECT_EQ(stats.hits, 0);
+  EXPECT_EQ(cache.lookup(EvalCache::key(a), a), 1.0);
+}
+
+TEST(EvalCacheUnit, LruSizeNeverExceedsCapacity) {
+  // EvalCacheConfig::capacity is the total budget across all shards, so
+  // the shard count is clamped to the capacity.
+  const ProblemPtr problem = flow_shop();
+  par::Rng rng(23);
+  std::vector<Genome> genomes;
+  for (int i = 0; i < 1000; ++i) genomes.push_back(problem->random_genome(rng));
+  for (std::size_t capacity = 1; capacity <= 16; ++capacity) {
+    for (int shards = 1; shards <= 16; ++shards) {
+      SCOPED_TRACE("capacity=" + std::to_string(capacity) +
+                   " shards=" + std::to_string(shards));
+      EvalCache cache(EvalCacheConfig{EvalCacheMode::kLru, capacity, shards});
+      for (const Genome& g : genomes) {
+        cache.insert(EvalCache::key(g), g, 1.0);
+        ASSERT_LE(cache.size(), capacity);
+      }
+      EXPECT_GE(cache.size(), 1u);
+    }
+  }
+}
+
+TEST(EvalCacheUnit, HugeCapacityBuildsCheaply) {
+  // Nothing is sized from the capacity up front: shards grow on demand.
+  EvalCache cache(EvalCacheConfig{EvalCacheMode::kLru, 1'000'000'000'000, 8});
+  const Genome g = perm_genome({1, 0, 2});
+  cache.insert(EvalCache::key(g), g, 3.0);
+  EXPECT_EQ(cache.lookup(EvalCache::key(g), g), 3.0);
+  EXPECT_EQ(cache.size(), 1u);
+}
+
+// --- differential test against a reference LRU ------------------------------
+
+// The policy EvalCache implements, written the obvious way: per shard, a
+// std::list of keys in recency order plus a std::map of entries. One entry
+// per key; a lookup hits only on an equal genome; an insert refreshes an
+// equal genome, replaces a colliding one, and evicts the shard's least
+// recently used entry past the budget. Shards are picked by the key's
+// high 32 bits, and their count is clamped like EvalCache's.
+class ReferenceCache {
+ public:
+  explicit ReferenceCache(const EvalCacheConfig& config)
+      : lru_(config.mode == EvalCacheMode::kLru) {
+    std::size_t limit = kMaxEvalCacheShards;
+    if (lru_) limit = std::min(limit, std::max<std::size_t>(1, config.capacity));
+    shards_.resize(std::min(
+        static_cast<std::size_t>(std::max(1, config.shards)), limit));
+    budget_ = std::max<std::size_t>(1, config.capacity / shards_.size());
+  }
+
+  std::optional<double> lookup(std::uint64_t key, const Genome& genome) {
+    Shard& shard = shard_for(key);
+    const auto it = shard.map.find(key);
+    if (!has_shape(genome) || it == shard.map.end() ||
+        !(it->second.genome == genome)) {
+      ++stats_.misses;
+      return std::nullopt;
+    }
+    if (lru_) shard.order.splice(shard.order.begin(), shard.order, it->second.lru);
+    ++stats_.hits;
+    return it->second.objective;
+  }
+
+  void insert(std::uint64_t key, const Genome& genome, double objective) {
+    if (!shape_) {
+      shape_ = {genome.seq.size(), genome.assign.size(), genome.keys.size()};
+    }
+    if (!has_shape(genome)) return;
+    Shard& shard = shard_for(key);
+    ++stats_.inserts;
+    const auto it = shard.map.find(key);
+    if (it != shard.map.end()) {
+      it->second.genome = genome;
+      it->second.objective = objective;
+      if (lru_) shard.order.splice(shard.order.begin(), shard.order, it->second.lru);
+      return;
+    }
+    shard.order.push_front(key);
+    shard.map.emplace(key, Entry{genome, objective, shard.order.begin()});
+    if (lru_ && shard.map.size() > budget_) {
+      shard.map.erase(shard.order.back());
+      shard.order.pop_back();
+      ++stats_.evictions;
+    }
+  }
+
+  const EvalCacheStats& stats() const { return stats_; }
+  std::size_t size() const {
+    std::size_t size = 0;
+    for (const Shard& shard : shards_) size += shard.map.size();
+    return size;
+  }
+
+ private:
+  struct Entry {
+    Genome genome;
+    double objective = 0.0;
+    std::list<std::uint64_t>::iterator lru;
+  };
+  struct Shard {
+    std::list<std::uint64_t> order;  ///< front = most recently used
+    std::map<std::uint64_t, Entry> map;
+  };
+
+  Shard& shard_for(std::uint64_t key) {
+    return shards_[static_cast<std::size_t>(key >> 32) % shards_.size()];
+  }
+  bool has_shape(const Genome& genome) const {
+    return shape_ && genome.seq.size() == std::get<0>(*shape_) &&
+           genome.assign.size() == std::get<1>(*shape_) &&
+           genome.keys.size() == std::get<2>(*shape_);
+  }
+
+  bool lru_;
+  std::size_t budget_ = 0;
+  std::vector<Shard> shards_;
+  std::optional<std::tuple<std::size_t, std::size_t, std::size_t>> shape_;
+  EvalCacheStats stats_;
+};
+
+struct ModelCase {
+  EvalCacheMode mode;
+  int shards;
+};
+
+class EvalCacheModel : public ::testing::TestWithParam<ModelCase> {};
+
+TEST_P(EvalCacheModel, MatchesTheReferenceLruOnRandomTraffic) {
+  const ModelCase param = GetParam();
+  for (const std::size_t capacity : {1u, 2u, 3u, 7u, 64u, 4096u}) {
+    SCOPED_TRACE("capacity=" + std::to_string(capacity));
+    const EvalCacheConfig config{param.mode, capacity, param.shards};
+    par::Rng rng(1000 * capacity + static_cast<std::uint64_t>(param.shards));
+
+    // A small pool of genomes with all three chromosomes: four bases, each
+    // with a twin differing only in `assign` and one only in `keys`, so
+    // every chromosome takes part in the equality check. Plus two genomes
+    // of other shapes that must never be stored.
+    std::vector<Genome> pool;
+    for (int g = 0; g < 4; ++g) {
+      Genome genome;
+      for (int i = 0; i < 6; ++i) genome.seq.push_back(static_cast<int>(rng.below(4)));
+      for (int i = 0; i < 3; ++i) genome.assign.push_back(static_cast<int>(rng.below(3)));
+      for (int i = 0; i < 2; ++i) genome.keys.push_back(rng.below(4) * 0.25);
+      Genome assign_twin = genome;
+      assign_twin.assign[rng.below(3)] += 1;
+      Genome keys_twin = genome;
+      keys_twin.keys[rng.below(2)] += 0.125;
+      pool.push_back(std::move(genome));
+      pool.push_back(std::move(assign_twin));
+      pool.push_back(std::move(keys_twin));
+    }
+    Genome short_seq = pool[0];
+    short_seq.seq.pop_back();
+    Genome no_keys = pool[1];
+    no_keys.keys.clear();
+
+    // Keys from a small space: random high halves spread them over the
+    // shards; half of them share a few low halves, so index probe runs
+    // collide and deletions shift. Most traffic pairs key k with genome
+    // k % 12; the rest is a same-key, different-genome collision.
+    const std::size_t key_space = std::min<std::size_t>(2 * capacity + 8, 512);
+    std::vector<std::uint64_t> keys;
+    for (std::size_t k = 0; k < key_space; ++k) {
+      const std::uint64_t low = rng.chance(0.5) ? rng.below(8) : (rng() & 0xffffffffu);
+      keys.push_back((rng() & 0xffffffff00000000ULL) | low);
+    }
+
+    EvalCache cache(config);
+    ReferenceCache model(config);
+    long long mismatches = 0;
+    for (int op = 0; op < 100'000; ++op) {
+      const std::size_t k = rng.below(keys.size());
+      const Genome* genome = &pool[k % pool.size()];
+      if (rng.chance(0.2)) genome = &pool[rng.below(pool.size())];
+      if (rng.chance(0.02)) genome = rng.chance(0.5) ? &short_seq : &no_keys;
+      if (rng.chance(0.5)) {
+        const std::optional<double> got = cache.lookup(keys[k], *genome);
+        const std::optional<double> want = model.lookup(keys[k], *genome);
+        mismatches += got != want;
+      } else {
+        const double objective = static_cast<double>(rng.below(1000));
+        cache.insert(keys[k], *genome, objective);
+        model.insert(keys[k], *genome, objective);
+      }
+    }
+    EXPECT_EQ(mismatches, 0);
+    const EvalCacheStats got = cache.stats();
+    const EvalCacheStats& want = model.stats();
+    EXPECT_EQ(got.hits, want.hits);
+    EXPECT_EQ(got.misses, want.misses);
+    EXPECT_EQ(got.inserts, want.inserts);
+    EXPECT_EQ(got.evictions, want.evictions);
+    EXPECT_EQ(cache.size(), model.size());
+    EXPECT_GT(want.hits, 0);
+    if (param.mode == EvalCacheMode::kLru && capacity < key_space) {
+      EXPECT_GT(want.evictions, 0);
+    }
+  }
+}
+
+std::vector<ModelCase> model_cases() {
+  std::vector<ModelCase> cases;
+  for (const EvalCacheMode mode : {EvalCacheMode::kLru, EvalCacheMode::kUnbounded}) {
+    for (const int shards : {1, 2, 3, 8}) cases.push_back({mode, shards});
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ShardsAndModes, EvalCacheModel, ::testing::ValuesIn(model_cases()),
+    [](const ::testing::TestParamInfo<ModelCase>& info) {
+      return std::string(info.param.mode == EvalCacheMode::kLru ? "lru"
+                                                                 : "unbounded") +
+             "_shards" + std::to_string(info.param.shards);
+    });
 
 // --- evaluator integration: exact accounting ---------------------------------
 

@@ -338,6 +338,26 @@ TEST(ObsCache, ZeroCountersAlwaysEngagedWithoutACache) {
   EXPECT_EQ(*hits, static_cast<std::uint64_t>(cached.cache->hits));
 }
 
+TEST(ObsCache, CacheNsRecordsTheCacheLayerOnlyWithACache) {
+  // eval.cache_ns: one sample per evaluate() call with a cache, timing the
+  // filter and the inserts; an uncached run records none.
+  const ga::RunResult cached = run_observed(
+      "engine=simple pop=10 seed=9 eval_cache=lru:4096", true, false);
+  ASSERT_TRUE(cached.metrics.has_value());
+  const obs::HistogramSnapshot* cache_ns =
+      cached.metrics->histogram("eval.cache_ns");
+  ASSERT_NE(cache_ns, nullptr);
+  EXPECT_GT(cache_ns->count, 0u);
+  EXPECT_GT(cache_ns->sum, 0u);
+
+  const ga::RunResult uncached =
+      run_observed("engine=simple pop=10 seed=9", true, false);
+  ASSERT_TRUE(uncached.metrics.has_value());
+  const obs::HistogramSnapshot* none =
+      uncached.metrics->histogram("eval.cache_ns");
+  EXPECT_TRUE(none == nullptr || none->count == 0u);
+}
+
 // --- tracer buffer and Chrome export ----------------------------------------
 
 TEST(ObsTracer, BoundedBufferDropsInsteadOfWrapping) {

@@ -300,15 +300,13 @@ TEST(SessionManager, MultiplexedSessionsMatchStandaloneTranscripts) {
 
   SessionManagerConfig manager_config;
   manager_config.workers = 2;
-  manager_config.cache.mode = ga::EvalCacheMode::kLru;
-  manager_config.cache.capacity = 1 << 14;
   SessionManager manager(manager_config);
   const long long a = manager.open(inst, quick_config(41));
   const long long b = manager.open(inst, quick_config(42));
   EXPECT_EQ(manager.active(), 2);
 
   // Interleave submissions; FIFO within each session must hold even with
-  // two workers and a shared cache racing underneath.
+  // two workers racing underneath.
   std::vector<long long> tickets_a, tickets_b;
   for (std::size_t i = 0; i < trace_a.size(); ++i) {
     tickets_a.push_back(manager.submit(a, trace_a[i]));
@@ -322,9 +320,8 @@ TEST(SessionManager, MultiplexedSessionsMatchStandaloneTranscripts) {
   const SessionManager::CloseResult closed_b = manager.close(b);
   EXPECT_EQ(manager.active(), 0);
 
-  // Each multiplexed transcript is bit-identical to a standalone session
-  // with no shared cache: neither the manager's scheduling freedom nor
-  // cross-session cache sharing may leak into results.
+  // Each multiplexed transcript is bit-identical to a standalone session:
+  // the manager's scheduling freedom may not leak into results.
   const auto expect_standalone = [&](const std::vector<Event>& trace,
                                      const SessionManager::CloseResult& closed,
                                      std::uint64_t seed) {

@@ -373,6 +373,30 @@ TEST(SolverSpecRoundTrip, ProgrammaticEvalCacheConfigsSurviveToString) {
                std::invalid_argument);
 }
 
+TEST(SolverSpec, EvalCacheShardCountIsBounded) {
+  // Every shard is a lock and its arrays, and psgad takes specs from any
+  // client, so the grammar caps the shard count.
+  for (const char* text : {"engine=simple eval_cache=lru:16:65",
+                           "engine=simple eval_cache=unbounded:65",
+                           "engine=simple eval_cache=lru:16:2000000"}) {
+    SCOPED_TRACE(text);
+    try {
+      SolverSpec::parse(text);
+      ADD_FAILURE() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("eval_cache="),
+                std::string::npos)
+          << error.what();
+    }
+  }
+  const SolverSpec widest =
+      SolverSpec::parse("engine=simple eval_cache=lru:16:64");
+  EXPECT_EQ(widest.eval_cache->shards, 64);
+  const SolverSpec sharded =
+      SolverSpec::parse("engine=simple eval_cache=lru:1024:16");
+  EXPECT_EQ(SolverSpec::parse(sharded.to_string()), sharded);
+}
+
 TEST(SolverSpec, EvalCacheAndBackendTokensParse) {
   const SolverSpec spec = SolverSpec::parse(
       "engine=island eval_backend=pool eval_cache=lru:65536");

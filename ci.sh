@@ -3,12 +3,14 @@
 #
 #   ./ci.sh            build, run the full ctest suite, rebuild the
 #                      cache/sweep/service/session/obs suites under
-#                      ASan/UBSan and run them, run a psga_sweep smoke
+#                      ASan/UBSan and run them, run the session and
+#                      service suites under TSan, run a psga_sweep smoke
 #                      sweep (JSONL + summary validated), run a psgad
 #                      service smoke (submit/watch/cancel/drain over a
 #                      temp socket) and a session smoke (10-event seeded
 #                      replanning trace, SLO met, transcript hash equal
-#                      across two runs and to its pinned value), run the
+#                      across two concurrent runs and to its pinned
+#                      value), run the
 #                      e2ebench harness self-test (every workload in
 #                      smoke mode), emit a fresh bench JSON snapshot
 #                      (bench_micro_decoders + bench_micro_cache +
@@ -17,7 +19,7 @@
 #                      BENCH_micro.json (per-bench deltas), then refresh
 #                      the snapshot
 #   SKIP_BENCH=1 ./ci.sh        tests only
-#   SKIP_SAN=1 ./ci.sh          skip the sanitizer leg
+#   SKIP_SAN=1 ./ci.sh          skip the sanitizer legs (ASan/UBSan, TSan)
 #   SKIP_BENCH_DIFF=1 ./ci.sh   snapshot without the regression gate
 #   BENCH_TOLERANCE=0.25        gated-bench regression threshold (fraction)
 #
@@ -59,6 +61,25 @@ if [[ "${SKIP_SAN:-0}" != "1" ]]; then
     echo "ci.sh: sanitizer leg OK"
   else
     echo "psga_pipeline_tests not configured (GTest missing?); skipping sanitizer leg"
+  fi
+
+  # ThreadSanitizer leg: the session and service suites — callers sharing
+  # session solve slots, readers racing close(), clients racing daemon
+  # connection threads. The filter keeps to suites that never run the omp
+  # backend: its uninstrumented libgomp frames are the only TSan reports
+  # known in this repo.
+  TSAN_DIR=${TSAN_DIR:-build-tsan}
+  cmake -B "$TSAN_DIR" -S . -DCMAKE_CXX_FLAGS=-fsanitize=thread \
+        -DCMAKE_EXE_LINKER_FLAGS=-fsanitize=thread \
+        -DPSGA_BUILD_BENCHES=OFF -DPSGA_BUILD_EXAMPLES=OFF
+  TSAN_TARGETS=$(cmake --build "$TSAN_DIR" --target help 2>/dev/null || true)
+  if grep -q psga_pipeline_tests <<<"$TSAN_TARGETS"; then
+    cmake --build "$TSAN_DIR" -j "$JOBS" --target psga_pipeline_tests
+    TSAN_OPTIONS=halt_on_error=1 "$TSAN_DIR"/psga_pipeline_tests \
+      --gtest_brief=1 --gtest_filter='Session*:Service*'
+    echo "ci.sh: thread sanitizer leg OK"
+  else
+    echo "psga_pipeline_tests not configured (GTest missing?); skipping thread sanitizer leg"
   fi
 fi
 
@@ -250,11 +271,11 @@ else
 fi
 
 # Session smoke: the online replanning path end to end (docs/sessions.md)
-# — open a session on a live psgad, stream a fixed 10-event trace through
-# `psgactl session event` (which exits 1 on an SLO miss), replay the
-# identical trace in a second session and require bit-identical
-# transcript hashes (the determinism invariant, exercised through the
-# daemon's manager workers) equal to the pinned hash,
+# — open two sessions on a live psgad at once and stream the same fixed
+# 10-event trace into each through `psgactl session event` (which exits 1
+# on an SLO miss), so psgad's default session_workers=2 runs two
+# connection-thread replans concurrently; require bit-identical
+# transcript hashes (the determinism invariant) equal to the pinned hash,
 # check the daemon reports no active sessions afterwards, then drain
 # cleanly.
 if [[ -x "$BUILD_DIR/psgad" && -x "$BUILD_DIR/psgactl" ]]; then
@@ -282,20 +303,30 @@ if [[ -x "$BUILD_DIR/psgad" && -x "$BUILD_DIR/psgactl" ]]; then
     "kind=breakdown time=45 machine=2 duration=9"
     "kind=arrival time=52 route=2:3,4:5"
   )
-  SES_HASHES=()
-  for _ in 1 2; do
-    SES_ID=$("$BUILD_DIR"/psgactl --socket "$SES_SOCKET" session open ft06 \
+  # One replay of the trace; writes its transcript hash to file $1.
+  ses_replay() {
+    local id closed
+    id=$("$BUILD_DIR"/psgactl --socket "$SES_SOCKET" session open ft06 \
       --generations 12 --seed 7 --slo 5)
     for event in "${SES_TRACE[@]}"; do
-      "$BUILD_DIR"/psgactl --socket "$SES_SOCKET" session event "$SES_ID" \
+      "$BUILD_DIR"/psgactl --socket "$SES_SOCKET" session event "$id" \
         "$event" >/dev/null \
         || { echo "ci.sh: session event failed or missed its SLO: $event"
              exit 1; }
     done
-    SES_CLOSE=$("$BUILD_DIR"/psgactl --socket "$SES_SOCKET" session close \
-      "$SES_ID")
-    SES_HASHES+=("${SES_CLOSE##*transcript_hash=}")
+    closed=$("$BUILD_DIR"/psgactl --socket "$SES_SOCKET" session close "$id")
+    echo "${closed##*transcript_hash=}" >"$1"
+  }
+  SES_OUT=$(mktemp -d /tmp/psga_ses.XXXXXX)
+  (ses_replay "$SES_OUT/1") &
+  SES_RUN1=$!
+  (ses_replay "$SES_OUT/2") &
+  SES_RUN2=$!
+  for run in "$SES_RUN1" "$SES_RUN2"; do
+    wait "$run" || { echo "ci.sh: a concurrent session replay failed"; exit 1; }
   done
+  SES_HASHES=("$(cat "$SES_OUT/1")" "$(cat "$SES_OUT/2")")
+  rm -rf "$SES_OUT"
   if [[ -z "${SES_HASHES[0]}" \
         || "${SES_HASHES[0]}" != "${SES_HASHES[1]}" ]]; then
     echo "ci.sh: session transcripts diverged: ${SES_HASHES[*]}"; exit 1
@@ -315,7 +346,8 @@ if [[ -x "$BUILD_DIR/psgad" && -x "$BUILD_DIR/psgactl" ]]; then
   if ! wait "$SES_PID"; then
     echo "ci.sh: psgad exited non-zero after session smoke"; exit 1
   fi
-  echo "ci.sh: session smoke OK (${#SES_TRACE[@]} events x 2 runs, SLO met," \
+  echo "ci.sh: session smoke OK (${#SES_TRACE[@]} events x 2 concurrent runs," \
+       "SLO met," \
        "transcript hash ${SES_HASHES[0]})"
 else
   echo "psgad/psgactl missing; skipping session smoke"

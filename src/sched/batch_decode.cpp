@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -282,21 +283,14 @@ void job_shop_objective_batch(const JobShopInstance& inst,
                               std::span<const std::span<const int>> seqs,
                               JobShopBatchDecoder decoder, Criterion criterion,
                               std::span<double> out,
-                              JobShopBatchScratch& scratch, double incumbent) {
+                              JobShopBatchScratch& scratch) {
   const int total = inst.total_ops();
   for (const auto& seq : seqs) {
     check_lane_length(seq.size(), total, "job-shop operation sequence");
   }
-  // The early exit is only sound for makespan-like monotone criteria: the
-  // running horizon never decreases, so horizon >= incumbent proves the
-  // final makespan is too. Criteria mixing due dates/weights are not
-  // monotone in the horizon, so the incumbent is ignored for them.
-  const bool may_prune =
-      criterion == Criterion::kMakespan && incumbent < kNoIncumbent;
   if (decoder == JobShopBatchDecoder::kActive) {
-    detail::giffler_thompson_objective_batch(
-        inst, seqs, criterion, out, scratch.active,
-        may_prune ? incumbent : kNoIncumbent);
+    detail::giffler_thompson_objective_batch(inst, seqs, criterion, out,
+                                             scratch.active);
     return;
   }
   pack_job_shop(inst, scratch);
@@ -318,8 +312,6 @@ void job_shop_objective_batch(const JobShopInstance& inst,
     Time* const machine_free = scratch.machine_free.data();
     Time* const completion = scratch.completion.data();
 
-    Time horizon = 0;
-    bool pruned = false;
     // Mirrors decode_operation_based without materializing ScheduledOps.
     for (int gene : seq) {
       const auto j = static_cast<std::size_t>(gene);
@@ -330,21 +322,9 @@ void job_shop_objective_batch(const JobShopInstance& inst,
       job_free[j] = end;
       machine_free[m] = end;
       completion[j] = end;
-      horizon = std::max(horizon, end);
-      if (may_prune && static_cast<double>(horizon) >= incumbent) {
-        pruned = true;
-        break;
-      }
     }
-
-    if (pruned) {
-      // Lower bound: the partial horizon already proves the lane cannot
-      // beat the incumbent.
-      out[lane] = static_cast<double>(horizon);
-    } else {
-      out[lane] = evaluate_criterion(
-          criterion, std::span<const Time>(completion, jobs), inst.attrs);
-    }
+    out[lane] = evaluate_criterion(
+        criterion, std::span<const Time>(completion, jobs), inst.attrs);
   }
 }
 

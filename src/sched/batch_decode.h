@@ -13,20 +13,16 @@
 //     lanes (explicit vector code on GCC/Clang).
 //   * job shop — semi-active (here) and active (job_shop.cpp's one
 //     Giffler–Thompson core) decoders that compute completion times
-//     directly, never materializing a Schedule, and optionally stop a
-//     lane early once its partial makespan already reaches a caller-
-//     supplied incumbent (legal only when the caller treats "≥ incumbent"
-//     as "discard": the returned value is then a lower bound, not exact).
+//     directly, never materializing a Schedule.
 //
-// Determinism contract: with no incumbent, every lane performs exactly
-// the arithmetic of its scalar twin in the same order, so results are
-// bit-identical to flow_shop_objective / job_shop_objective for any
-// batch size and any batch composition. Scratch structs carry capacity
-// only, never state (see docs/architecture.md, "Workspace = capacity").
+// Determinism contract: every lane performs exactly the arithmetic of
+// its scalar twin in the same order, so results are bit-identical to
+// flow_shop_objective / job_shop_objective for any batch size and any
+// batch composition. Scratch structs carry capacity only, never state
+// (see docs/architecture.md, "Workspace = capacity").
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <span>
 #include <vector>
 
@@ -98,34 +94,23 @@ struct JobShopBatchScratch {
 /// Which decoder the batch kernel mirrors (JobShopProblem::Decoder twin).
 enum class JobShopBatchDecoder { kSemiActive, kActive };
 
-/// Sentinel: no incumbent, decode every lane exactly.
-inline constexpr double kNoIncumbent = std::numeric_limits<double>::infinity();
-
-/// Criterion values of B operation sequences; without an incumbent each
-/// lane equals job_shop_objective(inst, decode(seq_l), criterion)
-/// bit-for-bit. With a finite `incumbent` AND criterion == kMakespan, a
-/// lane whose partial schedule horizon already reaches the incumbent
-/// stops decoding and reports that horizon — a lower bound that is
-/// itself >= incumbent. Lanes strictly below the incumbent stay exact,
-/// so the early exit is legal exactly when the caller discards any value
-/// >= its current best (elitist replacement, branch-and-bound style
-/// probes). Throws std::invalid_argument when a sequence length is not
+/// Criterion values of B operation sequences: each lane equals
+/// job_shop_objective(inst, decode(seq_l), criterion) bit-for-bit.
+/// Throws std::invalid_argument when a sequence length is not
 /// inst.total_ops(); for kActive also when a sequence is not a
 /// permutation with repetition of the jobs (see giffler_thompson_sequence).
 void job_shop_objective_batch(const JobShopInstance& inst,
                               std::span<const std::span<const int>> seqs,
                               JobShopBatchDecoder decoder, Criterion criterion,
                               std::span<double> out,
-                              JobShopBatchScratch& scratch,
-                              double incumbent = kNoIncumbent);
+                              JobShopBatchScratch& scratch);
 
-/// job_shop_objective_batch's kActive path (a lane stops once its horizon
-/// reaches `stop_at`), defined in job_shop.cpp by the shared GT core.
+/// job_shop_objective_batch's kActive path, defined in job_shop.cpp by
+/// the shared GT core.
 namespace detail {
 void giffler_thompson_objective_batch(
     const JobShopInstance& inst, std::span<const std::span<const int>> seqs,
-    Criterion criterion, std::span<double> out, JobShopScratch& scratch,
-    double stop_at);
+    Criterion criterion, std::span<double> out, JobShopScratch& scratch);
 }  // namespace detail
 
 }  // namespace psga::sched

@@ -121,7 +121,7 @@ struct SequencePick {};  ///< the sequence decoder's pick, fused into scan 2
 /// operation is on that machine and starts before that completion, plus
 /// the job that set it (a zero-duration setter starts at it). Any `pick`
 /// but SequencePick gets them in ascending id order. `emit(job, index,
-/// machine, start, end)` returns true to stop.
+/// machine, start, end)` receives every scheduled operation.
 template <typename Pick, typename Emit>
 void giffler_thompson_core(const JobShopInstance& inst, JobShopScratch& s,
                            Pick&& pick, Emit&& emit) {
@@ -202,7 +202,7 @@ void giffler_thompson_core(const JobShopInstance& inst, JobShopScratch& s,
     job_free[winner] = end;
     machine_free[machine] = end;
     load_next(winner);
-    if (emit(static_cast<int>(winner), index, machine, start, end)) return;
+    emit(static_cast<int>(winner), index, machine, start, end);
   }
 }
 
@@ -244,7 +244,6 @@ Schedule giffler_thompson_by_rule(const JobShopInstance& inst,
       [&](int j, int index, int machine, Time start, Time end) {
         s.schedule.ops.push_back(ScheduledOp{j, index, machine, start, end});
         s.work_left[static_cast<std::size_t>(j)] -= end - start;
-        return false;
       });
   return std::move(s.schedule);
 }
@@ -267,7 +266,6 @@ const Schedule& giffler_thompson_sequence(const JobShopInstance& inst,
       inst, scratch, SequencePick{},
       [&](int j, int index, int machine, Time start, Time end) {
         schedule.ops.push_back(ScheduledOp{j, index, machine, start, end});
-        return false;
       });
   return schedule;
 }
@@ -298,23 +296,15 @@ namespace detail {
 
 void giffler_thompson_objective_batch(
     const JobShopInstance& inst, std::span<const std::span<const int>> seqs,
-    Criterion criterion, std::span<double> out, JobShopScratch& scratch,
-    double stop_at) {
+    Criterion criterion, std::span<double> out, JobShopScratch& scratch) {
   for (std::size_t lane = 0; lane < seqs.size(); ++lane) {
     place_genes(inst, seqs[lane], scratch);
     scratch.completion.assign(static_cast<std::size_t>(inst.jobs), 0);
-    Time horizon = 0;
-    bool pruned = false;
     giffler_thompson_core(
         inst, scratch, SequencePick{}, [&](int j, int, int, Time, Time end) {
           scratch.completion[static_cast<std::size_t>(j)] = end;
-          horizon = std::max(horizon, end);
-          pruned = static_cast<double>(horizon) >= stop_at;
-          return pruned;
         });
-    out[lane] = pruned ? static_cast<double>(horizon)
-                       : evaluate_criterion(criterion, scratch.completion,
-                                            inst.attrs);
+    out[lane] = evaluate_criterion(criterion, scratch.completion, inst.attrs);
   }
 }
 

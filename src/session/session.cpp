@@ -323,10 +323,24 @@ ga::StopCondition Session::default_stop() const {
   return stop;
 }
 
+void Session::wait_for_turn(std::unique_lock<std::mutex>& lock) {
+  replan_done_.wait(lock, [this] { return !replanning_; });
+  if (closed_) {
+    throw std::invalid_argument("session " + std::to_string(id_) +
+                                " is closed");
+  }
+}
+
 EventReply Session::open() {
   std::unique_lock<std::mutex> lock(mutex_);
-  replan_done_.wait(lock, [this] { return !replanning_; });
+  wait_for_turn(lock);
   return replan_locked("open", 0, default_stop(), lock);
+}
+
+void Session::close() {
+  std::unique_lock<std::mutex> lock(mutex_);
+  replan_done_.wait(lock, [this] { return !replanning_; });
+  closed_ = true;
 }
 
 EventReply Session::apply(const Event& event) {
@@ -335,7 +349,7 @@ EventReply Session::apply(const Event& event) {
 
 EventReply Session::apply(const Event& event, const ga::StopCondition& stop) {
   std::unique_lock<std::mutex> lock(mutex_);
-  replan_done_.wait(lock, [this] { return !replanning_; });
+  wait_for_turn(lock);
   if (transcript_.empty()) {
     throw std::logic_error("session::Session: apply() before open()");
   }
@@ -447,9 +461,9 @@ EventReply Session::replan_locked(const std::string& kind, sched::Time time,
   }
 
   // Snapshot the state the solve runs against, then release the lock so
-  // readers stay live while the engine works (replans themselves stay
-  // serialized: apply() holds the session's event order by construction,
-  // and the manager never dispatches two events of one session at once).
+  // readers stay live while the engine works. Replans stay serialized:
+  // replanning_ makes every other open(), apply() or close() wait until
+  // this one commits.
   auto snapshot = std::make_shared<const sched::JobShopInstance>(inst_);
   std::vector<int> frozen = frozen_;
   std::vector<int> remaining = remaining_;

@@ -153,6 +153,11 @@ class Session {
   /// Same, with an explicit per-event stop (tests pin targets this way).
   EventReply apply(const Event& event, const ga::StopCondition& stop);
 
+  /// Waits for the replan in flight, then seals the session: a later
+  /// open() or apply() throws std::invalid_argument and changes nothing.
+  /// The readers below keep working.
+  void close();
+
   long long id() const { return id_; }
   double best_objective() const;
   /// The current full plan: frozen prefix + best known suffix.
@@ -169,6 +174,9 @@ class Session {
   std::uint64_t transcript_hash() const;
 
  private:
+  /// Waits until no replan is in flight; throws once the session is
+  /// closed.
+  void wait_for_turn(std::unique_lock<std::mutex>& lock);
   EventReply replan_locked(const std::string& kind, sched::Time time,
                            const ga::StopCondition& stop,
                            std::unique_lock<std::mutex>& lock);
@@ -195,6 +203,7 @@ class Session {
   /// readers stay live); a second apply() waits here for its turn.
   bool replanning_ = false;
   std::condition_variable replan_done_;
+  bool closed_ = false;  ///< set by close(); no replan starts after it
 
   /// Engines run on a private single lane, mirroring the daemon's
   /// per-job pools: identical execution shape in-process and in psgad.

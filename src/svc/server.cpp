@@ -177,14 +177,12 @@ ga::StopCondition ServerConfig::clamp(
 Server::Server(ServerConfig config)
     : config_(std::move(config)),
       start_seconds_(now_seconds()),
-      table_(config_.max_queued) {
+      table_(config_.max_queued),
+      // Alias the daemon registry (destroyed after sessions_ by member
+      // order), so session.* metrics land in the same `stats` payload.
+      sessions_({config_.session_workers,
+                 obs::RegistryPtr(&registry_, [](obs::Registry*) {})}) {
   table_.set_metrics(&registry_);
-  session::SessionManagerConfig sessions;
-  sessions.workers = std::max(1, config_.session_workers);
-  // Alias the daemon registry (destroyed after sessions_ by member
-  // order), so session.* metrics land in the same `stats` payload.
-  sessions.metrics = obs::RegistryPtr(&registry_, [](obs::Registry*) {});
-  sessions_ = std::make_unique<session::SessionManager>(std::move(sessions));
 }
 
 Server::~Server() { stop(); }
@@ -200,9 +198,9 @@ void Server::start() {
 }
 
 int Server::drain() {
-  // Sessions first: every accepted event still gets its replan, so a
-  // drain never leaves a session transcript mid-trace.
-  sessions_->drain();
+  // Only the table drains. A session event in flight runs on its
+  // connection thread, which wait() joins after it writes the reply, so
+  // every accepted event still gets its replan.
   return table_.drain();
 }
 
@@ -532,15 +530,16 @@ exp::Json Server::handle_request(const Json& request, int connection_fd,
     }
     long long id = 0;
     try {
-      // Resolving the instance and the opening solve both run inline on
-      // this connection thread; a bad instance or solver spec is a
-      // structured error, not a dead session.
-      id = sessions_->open(ga::resolve_job_shop_instance(instance),
-                           std::move(config));
+      // Resolving the instance and the opening solve both run on this
+      // connection thread (the solve under a session slot); a bad
+      // instance or solver spec is a structured error, not a dead
+      // session.
+      id = sessions_.open(ga::resolve_job_shop_instance(instance),
+                          std::move(config));
     } catch (const std::exception& e) {
       return error_response(e.what());
     }
-    const session::SessionManager::BestView view = sessions_->best(id);
+    const session::SessionManager::BestView view = sessions_.best(id);
     return ok_response()
         .set("session", Json::integer(id))
         .set("best", Json::number(view.best))
@@ -551,7 +550,7 @@ exp::Json Server::handle_request(const Json& request, int connection_fd,
     const long long id = session_id();
     try {
       const session::Event event = session::Event::from_json(request);
-      const session::EventReply reply = sessions_->apply(id, event);
+      const session::EventReply reply = sessions_.apply(id, event);
       Json response = ok_response().set("session", Json::integer(id));
       // Named: members() returns a reference into this object, so a
       // temporary would dangle under the range-for.
@@ -568,7 +567,7 @@ exp::Json Server::handle_request(const Json& request, int connection_fd,
   if (op == "session_best") {
     const long long id = session_id();
     try {
-      const session::SessionManager::BestView view = sessions_->best(id);
+      const session::SessionManager::BestView view = sessions_.best(id);
       return ok_response()
           .set("session", Json::integer(id))
           .set("best", Json::number(view.best))
@@ -583,7 +582,7 @@ exp::Json Server::handle_request(const Json& request, int connection_fd,
   if (op == "session_close") {
     const long long id = session_id();
     try {
-      const session::SessionManager::CloseResult closed = sessions_->close(id);
+      const session::SessionManager::CloseResult closed = sessions_.close(id);
       return ok_response()
           .set("session", Json::integer(id))
           .set("events", Json::integer(closed.events))
@@ -642,7 +641,7 @@ exp::Json Server::handle_request(const Json& request, int connection_fd,
         .set("build_type", Json::string(PSGA_BUILD_TYPE))
         .set("uptime_seconds", Json::number(now_seconds() - start_seconds_))
         .set("jobs", std::move(jobs))
-        .set("sessions", Json::integer(sessions_->active()))
+        .set("sessions", Json::integer(sessions_.active()))
         .set("totals", std::move(totals))
         .set("latency", std::move(latency))
         .set("draining", Json::boolean(table_.draining()));

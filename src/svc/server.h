@@ -40,7 +40,8 @@ struct ServerConfig {
   std::string socket_path = "/tmp/psgad.sock";
   int workers = 2;     ///< concurrent running jobs (fixed at start)
   int max_queued = 64; ///< admission limit on queued jobs (reloadable)
-  /// Event-replan lanes shared by all open sessions (fixed at start).
+  /// Session solves (opening solves included) running at once, across
+  /// all sessions; each runs on its connection thread (fixed at start).
   int session_workers = 2;
   /// Generation-event stride in job telemetry logs (reloadable;
   /// 1 = every generation, 0 = improvements and job_end only).
@@ -53,8 +54,8 @@ struct ServerConfig {
   long long max_evaluations = 0;
 
   /// Parses "key=value ..." tokens (the SolverSpec token idiom):
-  /// socket= workers= max_queued= telemetry_every= max_generations=
-  /// max_seconds= max_evaluations=. Unknown keys throw
+  /// socket= workers= max_queued= session_workers= telemetry_every=
+  /// max_generations= max_seconds= max_evaluations=. Unknown keys throw
   /// std::invalid_argument naming the token. Applied on top of *this,
   /// so a config file only lists what it overrides.
   void apply_tokens(const std::string& text);
@@ -99,10 +100,10 @@ class Server {
 
   const std::string& socket_path() const { return config_.socket_path; }
   JobTable& jobs() { return table_; }
-  /// The online-replanning multiplexer behind the session_* ops
-  /// (sessions share its workers and the daemon's metrics registry;
-  /// replans run uncached).
-  session::SessionManager& sessions() { return *sessions_; }
+  /// The open sessions behind the session_* ops. Their solves run on
+  /// the connection threads under session_workers slots, record into
+  /// the daemon's metrics registry and run uncached.
+  session::SessionManager& sessions() { return sessions_; }
   /// The daemon's process-lifetime metrics registry (queue depth, job
   /// counters, latency histograms — see JobTable::set_metrics). The
   /// `stats` op serves its snapshot; tests scrape it directly.
@@ -125,10 +126,9 @@ class Server {
   obs::Registry registry_;
   double start_seconds_ = 0.0;  ///< steady-clock stamp of construction
   JobTable table_;
-  /// Declared after registry_ (sessions write metrics through it) and
-  /// destroyed before it: the unique_ptr lets stop() drain sessions
-  /// before the job table shuts down.
-  std::unique_ptr<session::SessionManager> sessions_;
+  /// Declared after registry_ (sessions write metrics through it), so
+  /// destroyed before it.
+  session::SessionManager sessions_;
   std::unique_ptr<UnixListener> listener_;
   std::thread accept_thread_;
   std::vector<std::thread> workers_;

@@ -5,8 +5,7 @@
 // the raw kernels against their scalar twins, the Evaluator's chunked
 // objective_batch across every registered problem × batch size ×
 // backend, and whole engine traces across eval_batch= values — plus the
-// early-exit semantics of the job-shop kernel, the one Giffler–Thompson
-// core every active decoder shares (oracle fuzz, golden constants,
+// one Giffler–Thompson core every active decoder shares (oracle fuzz, golden constants,
 // zero-duration and malformed inputs) and the eval_batch spec token
 // round-trip.
 #include <gtest/gtest.h>
@@ -246,56 +245,6 @@ TEST(JobShopBatchKernel, ActiveMatchesGifflerThompsonSequence) {
     EXPECT_EQ(got[l], sched::job_shop_objective(inst, schedule,
                                                 Criterion::kMakespan, scalar))
         << "lane " << l;
-  }
-}
-
-TEST(JobShopBatchKernel, EarlyExitIsExactBelowTheIncumbentAndBoundsAbove) {
-  const sched::JobShopInstance& inst = sched::ft06().instance;
-  sched::JobShopBatchScratch batch;
-  const auto seqs = random_op_sequences(inst, 33, 67);
-  const auto lanes = as_lanes(seqs);
-  for (auto decoder : {sched::JobShopBatchDecoder::kSemiActive,
-                       sched::JobShopBatchDecoder::kActive}) {
-    SCOPED_TRACE(static_cast<int>(decoder));
-    std::vector<double> exact(lanes.size());
-    sched::job_shop_objective_batch(inst, lanes, decoder,
-                                    Criterion::kMakespan, exact, batch);
-
-    // Incumbent at the median: roughly half the lanes must prune.
-    std::vector<double> sorted = exact;
-    std::sort(sorted.begin(), sorted.end());
-    const double incumbent = sorted[sorted.size() / 2];
-
-    std::vector<double> pruned(lanes.size(), -1.0);
-    sched::job_shop_objective_batch(inst, lanes, decoder,
-                                    Criterion::kMakespan, pruned, batch,
-                                    incumbent);
-    int stopped = 0;
-    for (std::size_t l = 0; l < lanes.size(); ++l) {
-      SCOPED_TRACE(l);
-      if (exact[l] < incumbent) {
-        // Survivors are bit-identical to the exact decode.
-        EXPECT_EQ(pruned[l], exact[l]);
-      } else {
-        // Pruned lanes report a lower bound that still certifies the
-        // discard: >= incumbent, never above the true value.
-        EXPECT_GE(pruned[l], incumbent);
-        EXPECT_LE(pruned[l], exact[l]);
-        stopped += pruned[l] < exact[l] ? 1 : 0;
-      }
-    }
-    EXPECT_GT(stopped, 0) << "no lane stopped before its full decode";
-
-    // A non-makespan criterion must ignore the incumbent entirely.
-    std::vector<double> tardiness_exact(lanes.size());
-    std::vector<double> tardiness_incumbent(lanes.size());
-    sched::job_shop_objective_batch(inst, lanes, decoder,
-                                    Criterion::kTotalWeightedCompletion,
-                                    tardiness_exact, batch);
-    sched::job_shop_objective_batch(inst, lanes, decoder,
-                                    Criterion::kTotalWeightedCompletion,
-                                    tardiness_incumbent, batch, 1.0);
-    EXPECT_EQ(tardiness_exact, tardiness_incumbent);
   }
 }
 

@@ -3,15 +3,19 @@
 // generation-0 ancestry), warm-start evaluation savings against a
 // cold-restart reference, transcript determinism (in-process twice, and
 // in-process vs through the daemon — bit-identical), and SessionManager
-// ordering/fairness/error plumbing. Lives in the pipeline test binary so
-// the ci.sh sanitizer leg races manager workers against daemon
-// connection threads.
+// ordering, solve slots, close races and error plumbing. Lives in the
+// pipeline test binary so the ci.sh sanitizer legs race callers against
+// each other and against daemon connection threads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <functional>
+#include <latch>
 #include <limits>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -198,6 +202,23 @@ TEST(Session, ApplyRejectsTimeTravelAndUnopenedSessions) {
   EXPECT_THROW(session.apply(earlier), std::invalid_argument);
 }
 
+TEST(Session, CloseSealsTheSession) {
+  const sched::JobShopInstance inst = ga::resolve_job_shop_instance("ft06");
+  Session session(inst, quick_config(3), 1);
+  session.open();
+  const std::string transcript = session.transcript_text();
+  session.close();
+  EXPECT_THROW(
+      session.apply(Event::parse("kind=breakdown time=10 machine=0 "
+                                 "duration=5")),
+      std::invalid_argument);
+  EXPECT_THROW(session.open(), std::invalid_argument);
+  // Sealing changes nothing, and the readers keep working.
+  EXPECT_EQ(session.events(), 1);
+  EXPECT_EQ(session.now(), 0);
+  EXPECT_EQ(session.transcript_text(), transcript);
+}
+
 /// The decode-overflow rule: an event whose state would let a decode
 /// overflow Time is rejected before it changes anything, and the session
 /// keeps serving.
@@ -299,23 +320,27 @@ TEST(SessionManager, MultiplexedSessionsMatchStandaloneTranscripts) {
   const std::vector<Event> trace_b = random_trace(inst, 6, 32);
 
   SessionManagerConfig manager_config;
-  manager_config.workers = 2;
+  manager_config.workers = 1;
   SessionManager manager(manager_config);
   const long long a = manager.open(inst, quick_config(41));
   const long long b = manager.open(inst, quick_config(42));
   EXPECT_EQ(manager.active(), 2);
 
-  // Interleave submissions; FIFO within each session must hold even with
-  // two workers racing underneath.
-  std::vector<long long> tickets_a, tickets_b;
-  for (std::size_t i = 0; i < trace_a.size(); ++i) {
-    tickets_a.push_back(manager.submit(a, trace_a[i]));
-    tickets_b.push_back(manager.submit(b, trace_b[i]));
-  }
-  for (std::size_t i = 0; i < tickets_a.size(); ++i) {
-    const EventReply reply = manager.wait(a, tickets_a[i]);
-    EXPECT_EQ(reply.index, static_cast<int>(i) + 1);
-  }
+  // Two callers share the one solve slot; each still sees its own
+  // session's events applied in the order it sent them.
+  const auto drive = [&manager](long long id, const std::vector<Event>& trace,
+                                std::vector<int>* indices) {
+    for (const Event& event : trace) {
+      indices->push_back(manager.apply(id, event).index);
+    }
+  };
+  std::vector<int> indices_a, indices_b;
+  std::thread caller_b(drive, b, std::cref(trace_b), &indices_b);
+  drive(a, trace_a, &indices_a);
+  caller_b.join();
+  const std::vector<int> in_order = {1, 2, 3, 4, 5, 6};
+  EXPECT_EQ(indices_a, in_order);
+  EXPECT_EQ(indices_b, in_order);
   const SessionManager::CloseResult closed_a = manager.close(a);
   const SessionManager::CloseResult closed_b = manager.close(b);
   EXPECT_EQ(manager.active(), 0);
@@ -335,23 +360,96 @@ TEST(SessionManager, MultiplexedSessionsMatchStandaloneTranscripts) {
   expect_standalone(trace_b, closed_b, 42);
 }
 
-TEST(SessionManager, WaitRethrowsEventErrorsAndRejectsUnknownSessions) {
+TEST(SessionManager, ApplyRethrowsEventErrorsAndRejectsUnknownSessions) {
   const sched::JobShopInstance inst = ga::resolve_job_shop_instance("ft06");
+  const Event breakdown =
+      Event::parse("kind=breakdown time=9 machine=0 duration=4");
   SessionManager manager;
-  EXPECT_THROW(manager.submit(123, Event{}), std::invalid_argument);
+  EXPECT_THROW(manager.apply(123, breakdown), std::invalid_argument);
   EXPECT_THROW(manager.best(123), std::invalid_argument);
   EXPECT_THROW(manager.close(123), std::invalid_argument);
 
   const long long id = manager.open(inst, quick_config(1));
-  manager.apply(id, Event::parse("kind=breakdown time=9 machine=0 duration=4"));
-  // Time travel fails inside the worker; the error surfaces at wait().
-  const long long bad = manager.submit(
-      id, Event::parse("kind=breakdown time=2 machine=1 duration=4"));
-  EXPECT_THROW(manager.wait(id, bad), std::runtime_error);
+  manager.apply(id, breakdown);
+  // Time travel fails in the replan; its own exception reaches the caller.
+  EXPECT_THROW(
+      manager.apply(id, Event::parse("kind=breakdown time=2 machine=1 "
+                                     "duration=4")),
+      std::invalid_argument);
   // The session survives a failed event.
   const SessionManager::BestView view = manager.best(id);
   EXPECT_GT(view.best, 0.0);
+  EXPECT_EQ(view.events, 2);
   manager.close(id);
+  EXPECT_THROW(manager.apply(id, breakdown), std::invalid_argument);
+}
+
+/// A reader looping best() while close() runs must never touch a destroyed
+/// session (ASan reports that as a heap-use-after-free).
+TEST(SessionManager, BestRacingCloseNeverReadsAClosedSession) {
+  const sched::JobShopInstance inst = ga::resolve_job_shop_instance("ft06");
+  SessionConfig config;
+  config.solver = "engine=simple pop=4";
+  config.replan_generations = 0;
+  SessionManager manager;
+  for (int round = 0; round < 300; ++round) {
+    const long long id = manager.open(inst, config);
+    std::atomic<bool> reading{false};
+    std::thread reader([&manager, &reading, id] {
+      for (;;) {
+        try {
+          manager.best(id);
+        } catch (const std::invalid_argument& error) {
+          EXPECT_NE(std::string(error.what()).find("unknown session id"),
+                    std::string::npos);
+          return;
+        }
+        reading.store(true);
+      }
+    });
+    while (!reading.load()) std::this_thread::yield();
+    manager.close(id);
+    reader.join();
+  }
+  EXPECT_EQ(manager.active(), 0);
+}
+
+/// With one slot, two callers' replans cannot overlap: the time both calls
+/// span covers both replans end to end. (Two slots may overlap them, so
+/// the check is one-sided.)
+TEST(SessionManager, SolveSlotsBoundConcurrentReplans) {
+  const sched::JobShopInstance inst = ga::resolve_job_shop_instance("ft10");
+  SessionConfig config;
+  config.solver = "engine=simple pop=64";
+  config.replan_generations = 60;
+  SessionManagerConfig manager_config;
+  manager_config.workers = 1;
+  SessionManager manager(manager_config);
+  const long long ids[2] = {manager.open(inst, config),
+                            manager.open(inst, config)};
+  const Event event = random_trace(inst, 1, 5).front();
+
+  using Clock = std::chrono::steady_clock;
+  Clock::time_point starts[2], ends[2];
+  double seconds[2] = {0.0, 0.0};
+  std::latch go(2);
+  const auto caller = [&](int k) {
+    go.arrive_and_wait();
+    starts[k] = Clock::now();
+    seconds[k] = manager.apply(ids[k], event).seconds;
+    ends[k] = Clock::now();
+  };
+  std::thread second(caller, 1);
+  caller(0);
+  second.join();
+
+  const double joint = std::chrono::duration<double>(
+                           std::max(ends[0], ends[1]) -
+                           std::min(starts[0], starts[1]))
+                           .count();
+  EXPECT_GE(joint, seconds[0] + seconds[1]);
+  manager.close(ids[0]);
+  manager.close(ids[1]);
 }
 
 TEST(SessionManager, RecordsActiveGaugeAndEventCounters) {
@@ -379,8 +477,8 @@ TEST(SessionManager, RecordsActiveGaugeAndEventCounters) {
 
 /// The tentpole invariant: the same event trace + seed produces a
 /// bit-identical session transcript whether the session runs in-process
-/// or behind psgad (where it shares a cache with other sessions and runs
-/// on manager workers).
+/// or behind psgad (where its solves run on a connection thread under a
+/// session slot).
 TEST(SessionService, DaemonTranscriptMatchesInProcess) {
   const sched::JobShopInstance inst = ga::resolve_job_shop_instance("ft06");
   const std::vector<Event> trace = random_trace(inst, 8, 77);

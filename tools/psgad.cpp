@@ -11,11 +11,12 @@
 //   --max-seconds S        per-job wall-clock cap
 //   --max-evals N          per-job evaluation-budget cap
 //   --every N              telemetry generation stride (0 = final only)
-//   --config FILE          token config file (key=value; same keys as the
-//                          flags: socket= workers= max_queued=
+//   --config FILE          token config file (key=value; the flags' keys
+//                          socket= workers= max_queued=
 //                          telemetry_every= max_generations= max_seconds=
-//                          max_evaluations=); flags given after --config
-//                          override it
+//                          max_evaluations=, plus session_workers=, the
+//                          session solves run at once, default 2); flags
+//                          given after --config override it
 //
 // Signals: SIGTERM/SIGINT drain gracefully (stop admission, cancel the
 // queue, finish running jobs, exit 0); SIGHUP re-reads --config and

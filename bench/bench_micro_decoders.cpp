@@ -188,10 +188,11 @@ BENCHMARK_CAPTURE(BM_JobShopGifflerThompsonBatch, random_50x10,
 
 void BM_DynamicSuffixDecode(benchmark::State& state,
                             const sched::JobShopInstance& inst,
-                            int window_count) {
-  // One session event's evaluations: a plan split at mid-plan under
-  // breakdown windows, 16 suffix genomes per objective_batch call on one
-  // workspace, each replayed from the prefix frontier. items/s is per
+                            int window_count, int split_divisor) {
+  // One session event's evaluations: a plan split at horizon /
+  // split_divisor under breakdown windows, 16 suffix genomes per
+  // objective_batch call on one workspace, each replayed from the prefix
+  // frontier. An early split keeps most windows live. items/s is per
   // genome.
   par::Rng rng(3);
   const auto plan = sched::random_operation_sequence(inst, rng);
@@ -200,7 +201,8 @@ void BM_DynamicSuffixDecode(benchmark::State& state,
   const auto windows = sched::random_downtimes(
       inst.machines, window_count, horizon, horizon / 20 + 1,
       horizon / 8 + 1, 5);
-  const auto context = sched::split_at(inst, plan, windows, horizon / 2);
+  const auto context =
+      sched::split_at(inst, plan, windows, horizon / split_divisor);
   const ga::DynamicSuffixProblem problem(&inst, context.frozen_prefix,
                                          context.remaining, windows);
   std::vector<ga::Genome> genomes;
@@ -217,9 +219,13 @@ void BM_DynamicSuffixDecode(benchmark::State& state,
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(genomes.size()));
 }
-BENCHMARK_CAPTURE(BM_DynamicSuffixDecode, ft10, sched::ft10().instance, 3);
+BENCHMARK_CAPTURE(BM_DynamicSuffixDecode, ft10, sched::ft10().instance, 3, 2);
+BENCHMARK_CAPTURE(BM_DynamicSuffixDecode, ft10_no_windows,
+                  sched::ft10().instance, 0, 2);
+BENCHMARK_CAPTURE(BM_DynamicSuffixDecode, ft10_12_windows_early,
+                  sched::ft10().instance, 12, 10);
 BENCHMARK_CAPTURE(BM_DynamicSuffixDecode, random_50x10,
-                  sched::random_job_shop(50, 10, 1), 8);
+                  sched::random_job_shop(50, 10, 1), 8, 2);
 
 void BM_OpenShopDecode(benchmark::State& state) {
   const auto inst = sched::random_open_shop(15, 8, 7);

@@ -6,8 +6,9 @@
 #                      ASan/UBSan and run them, run the session and
 #                      service suites under TSan, run a psga_sweep smoke
 #                      sweep (JSONL + summary validated), run a psgad
-#                      service smoke (submit/watch/cancel/drain over a
-#                      temp socket) and a session smoke (10-event seeded
+#                      service smoke (submit/watch/cancel/a 200 KB line
+#                      of '['/drain over a temp socket) and a session
+#                      smoke (10-event seeded
 #                      replanning trace, SLO met, transcript hash equal
 #                      across two concurrent runs and to its pinned
 #                      value), run the
@@ -167,8 +168,9 @@ fi
 # start a daemon on a temp socket, submit a small flowshop job and watch
 # its telemetry stream (every line must parse and carry schema_version),
 # cancel a long-running job mid-flight, run an active-decoder job on a
-# shop with zero-duration operations, drain, and require the daemon to
-# exit 0 and unlink its socket.
+# shop with zero-duration operations, send one 200,000-byte request line
+# of '[' (it must get a structured error and leave the daemon serving),
+# drain, and require the daemon to exit 0 and unlink its socket.
 if [[ -x "$BUILD_DIR/psgad" && -x "$BUILD_DIR/psgactl" ]] \
    && command -v python3 >/dev/null; then
   SVC_SOCKET=$(mktemp -u /tmp/psgad_ci.XXXXXX.sock)
@@ -258,6 +260,30 @@ PYEOF
     || { echo "ci.sh: psgad died on a zero-duration active job"; exit 1; }
   rm -f "$ZERO_JSP"
 
+  # A hostile request line: 200,000 bytes of '['. The JSON parser caps
+  # nesting depth, so the daemon answers with a structured error and
+  # keeps serving.
+  python3 - "$SVC_SOCKET" <<'PYEOF'
+import json
+import socket
+import sys
+
+with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as conn:
+    conn.settimeout(30)
+    conn.connect(sys.argv[1])
+    conn.sendall(b"[" * 200000 + b"\n")
+    reply = b""
+    while not reply.endswith(b"\n"):
+        chunk = conn.recv(65536)
+        assert chunk, "psgad closed the connection without a reply"
+        reply += chunk
+response = json.loads(reply)
+assert response.get("ok") is False and response.get("error"), response
+print(f"ci.sh: 200 KB line of '[' answered: {response['error']}")
+PYEOF
+  "$BUILD_DIR"/psgactl --socket "$SVC_SOCKET" ping >/dev/null \
+    || { echo "ci.sh: psgad died on a 200 KB line of '['"; exit 1; }
+
   "$BUILD_DIR"/psgactl --socket "$SVC_SOCKET" drain >/dev/null
   if ! wait "$SVC_PID"; then
     echo "ci.sh: psgad exited non-zero after drain"; exit 1
@@ -265,7 +291,7 @@ PYEOF
   if [[ -e "$SVC_SOCKET" ]]; then
     echo "ci.sh: psgad left its socket behind"; exit 1
   fi
-  echo "ci.sh: service smoke OK (submit/watch/cancel/drain)"
+  echo "ci.sh: service smoke OK (submit/watch/cancel/hostile line/drain)"
 else
   echo "psgad/psgactl or python3 missing; skipping service smoke"
 fi

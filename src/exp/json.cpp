@@ -298,8 +298,16 @@ class Parser {
   Json parse_value() {
     skip_ws();
     const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
+    if (c == '{' || c == '[') {
+      if (depth_ == Json::kMaxDepth) {
+        fail("nesting deeper than " + std::to_string(Json::kMaxDepth) +
+             " levels");
+      }
+      ++depth_;
+      Json nested = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return nested;
+    }
     if (c == '"') {
       std::string s = parse_string();
       // The non-finite sentinels dump() emits parse back as numbers so
@@ -435,6 +443,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< arrays and objects open around pos_
 };
 
 }  // namespace

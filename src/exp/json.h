@@ -84,8 +84,13 @@ class Json {
   /// psgactl for human-readable stats/info output.
   std::string dump(int indent) const;
 
+  /// Deepest array/object nesting parse() accepts. Far above anything
+  /// psga writes; it keeps a hostile line from exhausting the stack.
+  static constexpr int kMaxDepth = 256;
+
   /// Parses one JSON document; throws std::invalid_argument (with a byte
-  /// offset) on malformed input or trailing garbage.
+  /// offset) on malformed input, nesting deeper than kMaxDepth or
+  /// trailing garbage.
   static Json parse(const std::string& text);
 
   /// JSON string escaping (exposed for tests).

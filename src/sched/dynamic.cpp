@@ -8,10 +8,21 @@
 
 namespace psga::sched {
 
+namespace {
+
+// A sentinel window never overlaps: start + duration > Time max cannot
+// hold, so the pass stops on it, and a gate at Time max is never crossed.
+constexpr Time kNever = std::numeric_limits<Time>::max();
+
+// The emit of replays that only need the makespan.
+constexpr auto kDiscard = [](int, Time, int, Time, Time) {};
+
+}  // namespace
+
 DowntimeFrontier::DowntimeFrontier(const JobShopInstance& inst,
                                    std::span<const int> prefix,
                                    std::span<const Downtime> downtimes)
-    : machines_(inst.machines) {
+    : jobs_(inst.jobs), machines_(inst.machines) {
   const auto jobs = static_cast<std::size_t>(inst.jobs);
   job_offset_.assign(jobs + 1, 0);
   for (std::size_t j = 0; j < jobs; ++j) {
@@ -21,12 +32,14 @@ DowntimeFrontier::DowntimeFrontier(const JobShopInstance& inst,
       op_duration_.push_back(op.duration);
     }
   }
-  next_op_.assign(job_offset_.begin(), job_offset_.end() - 1);
-  job_free_.resize(jobs);
+  frontier_.assign(job_offset_.begin(), job_offset_.end() - 1);
   for (int j = 0; j < inst.jobs; ++j) {
-    job_free_[static_cast<std::size_t>(j)] = inst.attrs.release_of(j);
+    frontier_.push_back(inst.attrs.release_of(j));
   }
-  machine_free_.assign(static_cast<std::size_t>(machines_), 0);
+  // Each machine's free time, gate and cursor; pack_windows sets the last
+  // two.
+  frontier_.resize(frontier_.size() + 3 * static_cast<std::size_t>(machines_),
+                   0);
 
   std::vector<Downtime> sorted;
   for (const Downtime& w : downtimes) {
@@ -38,74 +51,87 @@ DowntimeFrontier::DowntimeFrontier(const JobShopInstance& inst,
                      std::tie(b.machine, b.start, b.end);
             });
   pack_windows(sorted);
-  prefix_makespan_ = run(prefix, next_op_.data(), job_free_.data(),
-                         machine_free_.data(), 0, nullptr);
+  prefix_makespan_ = run(prefix, frontier_.data(), 0, kDiscard);
+  const Time* machine_free = frontier_.data() + 2 * jobs;
   std::erase_if(sorted, [&](const Downtime& w) {
-    return w.end <= machine_free_[static_cast<std::size_t>(w.machine)];
+    return w.end <= machine_free[w.machine];
   });
   pack_windows(sorted);
 }
 
 void DowntimeFrontier::pack_windows(std::span<const Downtime> sorted) {
-  std::vector<int> count(static_cast<std::size_t>(machines_), 0);
-  for (const Downtime& w : sorted) ++count[static_cast<std::size_t>(w.machine)];
-  width_ = count.empty() ? 0 : *std::max_element(count.begin(), count.end());
-  // Padding slots never overlap: start < Time max holds, but
-  // start + duration > Time max cannot.
-  constexpr Time kNever = std::numeric_limits<Time>::max();
-  windows_.assign(static_cast<std::size_t>(machines_ * width_),
-                  Window{kNever, kNever});
-  std::fill(count.begin(), count.end(), 0);
-  for (const Downtime& w : sorted) {
-    const auto m = static_cast<std::size_t>(w.machine);
-    windows_[m * static_cast<std::size_t>(width_) +
-             static_cast<std::size_t>(count[m]++)] = Window{w.start, w.end};
+  const auto machines = static_cast<std::size_t>(machines_);
+  Time* const gate =
+      frontier_.data() + 2 * static_cast<std::size_t>(jobs_) + machines;
+  Time* const cursor = gate + machines;
+  windows_.clear();
+  windows_.reserve(sorted.size() + machines);
+  auto w = sorted.begin();
+  for (int m = 0; m < machines_; ++m) {
+    cursor[m] = static_cast<Time>(windows_.size());
+    for (; w != sorted.end() && w->machine == m; ++w) {
+      windows_.push_back(Window{w->start, w->end});
+    }
+    windows_.push_back(Window{kNever, kNever});
+    gate[m] = windows_[static_cast<std::size_t>(cursor[m])].start;
   }
 }
 
-Time DowntimeFrontier::run(std::span<const int> genes, int* next_op,
-                           Time* job_free, Time* machine_free, Time makespan,
-                           std::vector<ScheduledOp>* out) const {
+template <typename Emit>
+Time DowntimeFrontier::run(std::span<const int> genes, Time* frontier,
+                           Time makespan, Emit emit) const {
+  const int* const op_machine = op_machine_.data();
+  const Time* const op_duration = op_duration_.data();
+  const Window* const windows = windows_.data();
+  Time* const next_op = frontier;
+  Time* const job_free = next_op + jobs_;
+  Time* const machine_free = job_free + jobs_;
+  Time* const gate = machine_free + machines_;
+  Time* const cursor = gate + machines_;
   for (const int job : genes) {
-    const int flat = next_op[job]++;
-    const int machine = op_machine_[static_cast<std::size_t>(flat)];
-    const Time duration = op_duration_[static_cast<std::size_t>(flat)];
+    const Time flat = next_op[job]++;
+    const int machine = op_machine[flat];
+    const Time duration = op_duration[flat];
     Time start = std::max(job_free[job], machine_free[machine]);
-    const Window* row = windows_.data() + machine * width_;
-    for (int i = 0; i < width_; ++i) {
-      // Push past the window if [start, start + duration) overlaps it.
-      const Time mask = -static_cast<Time>((start < row[i].end) &
-                                           (start + duration > row[i].start));
-      start ^= (start ^ row[i].end) & mask;
+    if (start + duration > gate[machine]) [[unlikely]] {
+      // The window pass, from the cursor to the first window that starts
+      // at or after the operation's end.
+      const Window* w = windows + cursor[machine];
+      for (const Window* p = w; start + duration > p->start; ++p) {
+        start = std::max(start, p->end);
+      }
+      // Skip what ends by the machine's new free time; stop at the
+      // sentinel even when that time is Time max.
+      while (w->end <= start + duration && w->start != kNever) ++w;
+      cursor[machine] = w - windows;
+      gate[machine] = w->start;
     }
     const Time end = start + duration;
     job_free[job] = end;
     machine_free[machine] = end;
     makespan = std::max(makespan, end);
-    if (out != nullptr) {
-      out->push_back(ScheduledOp{
-          job, flat - job_offset_[static_cast<std::size_t>(job)], machine,
-          start, end});
-    }
+    emit(job, flat, machine, start, end);
   }
   return makespan;
 }
 
 Time DowntimeFrontier::makespan_with(std::span<const int> suffix,
                                      Scratch& scratch) const {
-  scratch.next_op.assign(next_op_.begin(), next_op_.end());
-  scratch.job_free.assign(job_free_.begin(), job_free_.end());
-  scratch.machine_free.assign(machine_free_.begin(), machine_free_.end());
-  return run(suffix, scratch.next_op.data(), scratch.job_free.data(),
-             scratch.machine_free.data(), prefix_makespan_, nullptr);
+  scratch.frontier.assign(frontier_.begin(), frontier_.end());
+  return run(suffix, scratch.frontier.data(), prefix_makespan_, kDiscard);
 }
 
 Schedule DowntimeFrontier::decode(std::span<const int> suffix) const {
-  Scratch scratch{next_op_, job_free_, machine_free_};
+  std::vector<Time> frontier = frontier_;
   Schedule schedule;
   schedule.ops.reserve(suffix.size());
-  run(suffix, scratch.next_op.data(), scratch.job_free.data(),
-      scratch.machine_free.data(), prefix_makespan_, &schedule.ops);
+  run(suffix, frontier.data(), prefix_makespan_,
+      [&](int job, Time flat, int machine, Time start, Time end) {
+        schedule.ops.push_back(ScheduledOp{
+            job,
+            static_cast<int>(flat) - job_offset_[static_cast<std::size_t>(job)],
+            machine, start, end});
+      });
   return schedule;
 }
 

@@ -42,25 +42,30 @@ Schedule decode_with_downtime(const JobShopInstance& inst,
 /// realized_makespan_with_prefix and DynamicSuffixProblem all run it.
 ///
 /// Routes are flattened (job j's k-th operation is `job_offset[j] + k`).
-/// Windows are grouped per machine, sorted by start and padded to one
-/// common row width with slots that never overlap, so the window rule is
-/// a single branch-free pass over the machine's row. One pass in start
-/// order reaches the same least feasible start as rescanning until
-/// nothing moves. A push past window w skips only instants that overlap
-/// w. A window that did not overlap when its turn came either ends by
-/// the start, and starts only grow; or it begins at or after the end,
-/// and then so does every later window in start order, so none of them
-/// pushes. After the prefix decode, windows ending at or before their
-/// machine's frontier are dropped: with non-negative durations no suffix
-/// operation starts earlier. Keeps no reference to the instance.
+/// Windows are grouped per machine and sorted by start; each machine's
+/// row ends in a sentinel slot (start = end = `Time` max). The window
+/// rule is one pass over the row in start order, pushing the start to
+/// `w.end` whenever `[start, start + duration)` overlaps `w`; that pass
+/// reaches the same least feasible start as rescanning until nothing
+/// moves. Per machine the replay keeps a cursor into its row and a gate,
+/// the start of the cursor's window. An operation that ends by the gate
+/// meets no window and is scheduled as the plain semi-active decode
+/// would. Only one that crosses the gate runs the pass, from the cursor
+/// to the first window starting at or after its end: from there on no
+/// window can push, because rows are sorted by start and the start no
+/// longer moves. The cursor then skips the windows that end by the
+/// operation's end, which is the machine's new free time: no later
+/// operation on the machine starts before it, so none of them can push
+/// again. After the prefix decode, windows ending at or before their
+/// machine's frontier are dropped; a machine left with only its sentinel
+/// has its gate at `Time` max, which no operation crosses. Keeps no
+/// reference to the instance.
 class DowntimeFrontier {
  public:
   /// Replay scratch: the saved frontier is copied in on every call, so
   /// this is capacity, not state (one per evaluator lane).
   struct Scratch {
-    std::vector<int> next_op;  ///< flat index of each job's next operation
-    std::vector<Time> job_free;
-    std::vector<Time> machine_free;
+    std::vector<Time> frontier;
   };
 
   DowntimeFrontier(const JobShopInstance& inst, std::span<const int> prefix,
@@ -79,25 +84,28 @@ class DowntimeFrontier {
     Time end = 0;
   };
 
-  /// Lays `sorted` (by machine, then start) out as padded per-machine rows.
+  /// Lays `sorted` (by machine, then start) out as per-machine rows, each
+  /// closed by a sentinel, and points every cursor and gate at its row's
+  /// first window.
   void pack_windows(std::span<const Downtime> sorted);
-  /// The decode loop: schedules `genes` from the given frontier, appends
-  /// their ScheduledOps to `out` when it is non-null, and returns the
-  /// running makespan.
-  Time run(std::span<const int> genes, int* next_op, Time* job_free,
-           Time* machine_free, Time makespan,
-           std::vector<ScheduledOp>* out) const;
+  /// Schedules `genes` from `frontier` (laid out as in frontier_), hands
+  /// each operation to `emit(job, flat, machine, start, end)` and returns
+  /// the running makespan.
+  template <typename Emit>
+  Time run(std::span<const int> genes, Time* frontier, Time makespan,
+           Emit emit) const;
 
+  int jobs_ = 0;
   int machines_ = 0;
   std::vector<int> job_offset_;  ///< jobs + 1 entries
   std::vector<int> op_machine_;
   std::vector<Time> op_duration_;
-  int width_ = 0;                ///< window slots per machine row
-  std::vector<Window> windows_;  ///< machines_ * width_, padded rows
-  // The frontier after the prefix.
-  std::vector<int> next_op_;
-  std::vector<Time> job_free_;
-  std::vector<Time> machine_free_;
+  std::vector<Window> windows_;  ///< per-machine rows, sentinel-closed
+  /// The frontier after the prefix, one block copied per replay: each
+  /// job's next flat operation and free time, each machine's free time,
+  /// then each machine's gate and cursor, the cursor an index into
+  /// windows_.
+  std::vector<Time> frontier_;
   Time prefix_makespan_ = 0;
 };
 

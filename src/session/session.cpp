@@ -312,6 +312,7 @@ Session::Session(sched::JobShopInstance inst, SessionConfig config,
     slo_miss_ = &config_.metrics->counter("session.slo_miss");
     event_latency_ns_ =
         &config_.metrics->histogram("session.event_latency_ns");
+    decode_ns_ = &config_.metrics->histogram("session.decode_ns");
   }
 }
 
@@ -517,6 +518,12 @@ EventReply Session::replan_locked(const std::string& kind, sched::Time time,
 
   lock.lock();
   replanning_ = false;
+  if (decode_ns_ != nullptr) {
+    // The replan's own decode time, so stats can split an event's latency.
+    const obs::HistogramSnapshot* decode =
+        run.metrics ? run.metrics->histogram("eval.decode_ns") : nullptr;
+    decode_ns_->record(decode != nullptr ? decode->sum : 0);
+  }
   last_population_ = std::move(population.genomes);
   reply.carried = carried;
   reply.generations = run.generations;

@@ -213,6 +213,7 @@ class Session {
   obs::Counter* replans_ = nullptr;
   obs::Counter* slo_miss_ = nullptr;
   obs::Histogram* event_latency_ns_ = nullptr;
+  obs::Histogram* decode_ns_ = nullptr;
 };
 
 /// FNV-1a 64-bit (the transcript hash; exposed for the CI leg's tests).

@@ -84,12 +84,14 @@ bool write_line(int fd, const std::string& line) {
 bool LineReader::read_line(std::string& out,
                           const std::function<bool()>& interrupted) {
   for (;;) {
-    const std::size_t newline = buffer_.find('\n');
+    const std::size_t newline = buffer_.find('\n', scanned_);
     if (newline != std::string::npos) {
       out.assign(buffer_, 0, newline);
       buffer_.erase(0, newline + 1);
+      scanned_ = 0;
       return true;
     }
+    scanned_ = buffer_.size();
     if (interrupted) {
       while (!wait_readable(fd_, kPollMs)) {
         if (interrupted()) return false;

@@ -62,6 +62,7 @@ class LineReader {
  private:
   int fd_;
   std::string buffer_;
+  std::size_t scanned_ = 0;  ///< buffer_ bytes already searched for '\n'
 };
 
 /// A bound + listening Unix-domain socket. Unlinks the path on bind (a

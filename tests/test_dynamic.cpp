@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <span>
 
@@ -129,6 +130,24 @@ TEST(DowntimeDecode, BackToBackWindowsChainCorrectly) {
   // [4,6), cannot fit in [6,7), so starts at 8.
   EXPECT_EQ(s.ops[0].start, 8);
   EXPECT_EQ(validate(s, inst.validation_spec()), std::nullopt);
+}
+
+TEST(DowntimeDecode, EndAtTheTimeMaximumStopsAtTheRowSentinel) {
+  // Pushed past [0, 1), the operation ends exactly at the Time maximum:
+  // the cursor skip must stop on the row's sentinel (start = end = Time
+  // max) instead of walking past the end of the row.
+  constexpr Time kMax = std::numeric_limits<Time>::max();
+  JobShopInstance inst;
+  inst.jobs = 1;
+  inst.machines = 1;
+  inst.ops = {{{0, kMax - 1}}};
+  const std::vector<int> seq = {0};
+  const std::vector<Downtime> windows = {{0, 0, 1}};
+  const Schedule s = decode_with_downtime(inst, seq, windows);
+  ASSERT_EQ(s.ops.size(), 1u);
+  EXPECT_EQ(s.ops[0].start, 1);
+  EXPECT_EQ(s.ops[0].end, kMax);
+  EXPECT_TRUE(same_ops(s, oracle_decode(inst, seq, windows)));
 }
 
 TEST(SimulateDynamic, RightShiftNeverBeatsNoDisruption) {
@@ -270,9 +289,12 @@ TEST(SplitAt, FuzzRebaseAgreesWithFullDecode) {
 /// M 1-8, durations 0-3 / the generator's with about a quarter zeroed /
 /// the generator's, release dates on half, 0-8 windows (zero-length,
 /// overlapping, nested, ending before the prefix frontier, and one on a
-/// machine outside [0, M)), and one 70 x 3 shop.
+/// machine outside [0, M)), and one 70 x 3 shop. Window-dense rows follow:
+/// 8-32 windows on one or two machines, nested, overlapping, adjacent,
+/// zero-length and inverted, plus windows that start where an operation
+/// of the plain decode ends (start + duration == w.start) or end where
+/// one starts (start == w.end).
 TEST(DowntimeCore, MatchesTheOracleOnEveryEntryPoint) {
-  par::Rng rng(2026);
   long long checks = 0;
   long long mismatches = 0;
   int t = 0;
@@ -282,7 +304,60 @@ TEST(DowntimeCore, MatchesTheOracleOnEveryEntryPoint) {
       ADD_FAILURE() << "instance " << t << ": " << what;
     }
   };
+  // Every entry point on one plan and window set, split at `splits`
+  // random instants in [0, span + 5].
+  auto check_entry_points = [&](par::Rng& rng, const JobShopInstance& inst,
+                                const std::vector<int>& seq,
+                                const std::vector<Downtime>& windows,
+                                int span, int splits) {
+    const Schedule full = oracle_decode(inst, seq, windows);
+    check(same_ops(decode_with_downtime(inst, seq, windows), full),
+          "decode_with_downtime");
 
+    for (int k = 0; k < splits; ++k) {
+      const Time now = rng.range(0, span + 5);
+      const ReplanContext context = split_at(inst, seq, windows, now);
+      std::size_t frozen = 0;
+      while (frozen < full.ops.size() && full.ops[frozen].start < now) {
+        ++frozen;
+      }
+      check(context.frozen_prefix.size() == frozen, "split_at frozen count");
+
+      auto problem = std::make_shared<const ga::DynamicSuffixProblem>(
+          &inst, context.frozen_prefix, context.remaining, windows);
+      const auto workspace = problem->make_workspace();
+      std::vector<ga::Genome> genomes;
+      std::vector<double> expected;
+      for (int g = 0; g < 20; ++g) {
+        genomes.push_back(problem->random_genome(rng));
+        const Time oracle = oracle_makespan(inst, context.frozen_prefix,
+                                            genomes.back().seq, windows);
+        expected.push_back(static_cast<double>(oracle));
+        check(realized_makespan_with_prefix(inst, context.frozen_prefix,
+                                            genomes.back().seq,
+                                            windows) == oracle,
+              "realized_makespan_with_prefix");
+        check(problem->objective(genomes.back()) == expected.back(),
+              "objective(g)");
+        check(problem->objective(genomes.back(), *workspace) ==
+                  expected.back(),
+              "objective(g, workspace)");
+      }
+      for (const int batch : {1, 16}) {
+        ga::Evaluator evaluator(problem, ga::EvalBackend::kSerial, nullptr,
+                                batch);
+        std::vector<double> objectives(genomes.size());
+        evaluator.evaluate(genomes, objectives);
+        for (std::size_t g = 0; g < genomes.size(); ++g) {
+          check(objectives[g] == expected[g],
+                batch == 1 ? "Evaluator eval_batch=1"
+                           : "Evaluator eval_batch=16");
+        }
+      }
+    }
+  };
+
+  par::Rng rng(2026);
   for (; t <= 1000; ++t) {
     const bool wide = t == 1000;
     const int jobs = wide ? 70 : 1 + static_cast<int>(rng.below(12));
@@ -340,56 +415,113 @@ TEST(DowntimeCore, MatchesTheOracleOnEveryEntryPoint) {
     if (t % 7 == 0) {
       windows.push_back(Downtime{t % 2 == 0 ? machines : -1, 0, span});
     }
+    check_entry_points(rng, inst, seq, windows, span, wide ? 40 : 3);
+  }
 
-    const Schedule full = oracle_decode(inst, seq, windows);
-    check(same_ops(decode_with_downtime(inst, seq, windows), full),
-          "decode_with_downtime");
-
-    const int splits = wide ? 40 : 3;
-    for (int k = 0; k < splits; ++k) {
-      const Time now = rng.range(0, span + 5);
-      const ReplanContext context = split_at(inst, seq, windows, now);
-      std::size_t frozen = 0;
-      while (frozen < full.ops.size() && full.ops[frozen].start < now) {
-        ++frozen;
-      }
-      check(context.frozen_prefix.size() == frozen, "split_at frozen count");
-
-      auto problem = std::make_shared<const ga::DynamicSuffixProblem>(
-          &inst, context.frozen_prefix, context.remaining, windows);
-      const auto workspace = problem->make_workspace();
-      std::vector<ga::Genome> genomes;
-      std::vector<double> expected;
-      for (int g = 0; g < 20; ++g) {
-        genomes.push_back(problem->random_genome(rng));
-        const Time oracle = oracle_makespan(inst, context.frozen_prefix,
-                                            genomes.back().seq, windows);
-        expected.push_back(static_cast<double>(oracle));
-        check(realized_makespan_with_prefix(inst, context.frozen_prefix,
-                                            genomes.back().seq,
-                                            windows) == oracle,
-              "realized_makespan_with_prefix");
-        check(problem->objective(genomes.back()) == expected.back(),
-              "objective(g)");
-        check(problem->objective(genomes.back(), *workspace) ==
-                  expected.back(),
-              "objective(g, workspace)");
-      }
-      for (const int batch : {1, 16}) {
-        ga::Evaluator evaluator(problem, ga::EvalBackend::kSerial, nullptr,
-                                batch);
-        std::vector<double> objectives(genomes.size());
-        evaluator.evaluate(genomes, objectives);
-        for (std::size_t g = 0; g < genomes.size(); ++g) {
-          check(objectives[g] == expected[g],
-                batch == 1 ? "Evaluator eval_batch=1"
-                           : "Evaluator eval_batch=16");
+  // Window-dense rows.
+  par::Rng dense(4242);
+  std::size_t densest = 0;
+  for (int d = 0; d < 400; ++d, ++t) {
+    const int jobs = 2 + static_cast<int>(dense.below(9));
+    const int machines = 1 + static_cast<int>(dense.below(4));
+    JobShopInstance inst =
+        d % 3 == 0 ? random_job_shop(jobs, machines, 9000u + d, 0, 3)
+                   : random_job_shop(jobs, machines, 9000u + d);
+    if (d % 3 == 1) {
+      for (auto& route : inst.ops) {
+        for (JsOperation& op : route) {
+          if (dense.below(4) == 0) op.duration = 0;
         }
       }
     }
+    const std::vector<int> seq = random_operation_sequence(inst, dense);
+    const Schedule plain = oracle_decode(inst, seq, {});
+    const int span = static_cast<int>(plain.makespan()) + 1;
+    const int hot[2] = {
+        static_cast<int>(dense.below(static_cast<std::uint64_t>(machines))),
+        static_cast<int>(dense.below(static_cast<std::uint64_t>(machines)))};
+
+    std::vector<Downtime> windows;
+    const int count = 8 + static_cast<int>(dense.below(25));
+    for (int w = 0; w < count; ++w) {
+      Downtime window;
+      window.machine = hot[w % 2];
+      const Downtime* earlier =
+          windows.empty() ? nullptr : &windows[dense.below(windows.size())];
+      std::vector<const ScheduledOp*> on_machine;
+      for (const ScheduledOp& op : plain.ops) {
+        if (op.machine == window.machine) on_machine.push_back(&op);
+      }
+      const ScheduledOp* op =
+          on_machine.empty() ? nullptr
+                             : on_machine[dense.below(on_machine.size())];
+      switch (dense.below(8)) {
+        case 0:  // nested in an earlier window
+          if (earlier != nullptr) {
+            window.machine = earlier->machine;
+            window.start = earlier->start + dense.range(0, 2);
+            window.end = earlier->end - dense.range(0, 2);
+            break;
+          }
+          [[fallthrough]];
+        case 1:  // starts inside an earlier window, ends past it
+          if (earlier != nullptr) {
+            window.machine = earlier->machine;
+            const auto length = static_cast<int>(
+                std::max<Time>(0, earlier->end - earlier->start));
+            window.start = earlier->start + dense.range(0, length);
+            window.end = std::max(window.start, earlier->end) +
+                         dense.range(1, span / 4 + 1);
+            break;
+          }
+          [[fallthrough]];
+        case 2:  // adjacent: starts where an earlier window ends
+          if (earlier != nullptr) {
+            window.machine = earlier->machine;
+            window.start = earlier->end;
+            window.end = window.start + dense.range(0, span / 6 + 1);
+            break;
+          }
+          [[fallthrough]];
+        case 3:  // zero-length
+          window.start = dense.range(0, span);
+          window.end = window.start;
+          break;
+        case 4:  // inverted
+          window.start = dense.range(1, span);
+          window.end = window.start - dense.range(1, 3);
+          break;
+        case 5:  // an operation's end is the window's start
+          if (op != nullptr) {
+            window.start = op->end;
+            window.end = window.start + dense.range(0, span / 5 + 1);
+            break;
+          }
+          [[fallthrough]];
+        case 6:  // an operation's start is the window's end
+          if (op != nullptr) {
+            window.end = op->start;
+            window.start = window.end - dense.range(0, span / 5 + 1);
+            break;
+          }
+          [[fallthrough]];
+        default:
+          window.start = dense.range(0, span);
+          window.end = window.start + dense.range(0, span / 4 + 1);
+          break;
+      }
+      windows.push_back(window);
+    }
+    std::vector<std::size_t> per_machine(static_cast<std::size_t>(machines));
+    for (const Downtime& w : windows) {
+      densest = std::max(densest, ++per_machine[static_cast<std::size_t>(
+                                      w.machine)]);
+    }
+    check_entry_points(dense, inst, seq, windows, span, 3);
   }
   EXPECT_EQ(mismatches, 0);
   EXPECT_GE(checks, 50000);
+  EXPECT_GE(densest, 30u);
 }
 
 TEST(DynamicSuffixProblem, GenomesArePermutationsOfRemaining) {

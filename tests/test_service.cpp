@@ -280,6 +280,12 @@ TEST(Service, MalformedRequestsGetStructuredErrors) {
     EXPECT_NE(unknown_id.string_or("error", "").find("999"),
               std::string::npos);
 
+    // 200,000 bytes of '[' on one line: a structured error, not a crash.
+    Json too_deep = round_trip(std::string(200000, '['));
+    EXPECT_FALSE(too_deep.find("ok")->as_bool());
+    EXPECT_NE(too_deep.string_or("error", "").find("nesting"),
+              std::string::npos);
+
     // After all that abuse the connection still serves good requests.
     Json ping = round_trip(R"({"op":"ping"})");
     EXPECT_TRUE(ping.find("ok")->as_bool());

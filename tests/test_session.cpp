@@ -469,8 +469,17 @@ TEST(SessionManager, RecordsActiveGaugeAndEventCounters) {
   EXPECT_EQ(*after.counter("session.events"), 1u);
   ASSERT_NE(after.counter("session.replans"), nullptr);
   EXPECT_GE(*after.counter("session.replans"), 1u);
-  ASSERT_NE(after.histogram("session.event_latency_ns"), nullptr);
-  EXPECT_EQ(after.histogram("session.event_latency_ns")->count, 2u);
+  const obs::HistogramSnapshot* latency =
+      after.histogram("session.event_latency_ns");
+  ASSERT_NE(latency, nullptr);
+  EXPECT_EQ(latency->count, 2u);
+  // One decode sample per solved reply (the opening solve and the event),
+  // and decoding is part of, never more than, the event latency.
+  const obs::HistogramSnapshot* decode = after.histogram("session.decode_ns");
+  ASSERT_NE(decode, nullptr);
+  EXPECT_EQ(decode->count, 2u);
+  EXPECT_GT(decode->sum, 0u);
+  EXPECT_LE(decode->sum, latency->sum);
 }
 
 // --- through the daemon -----------------------------------------------------
@@ -601,6 +610,34 @@ TEST(SessionGolden, TranscriptIsPinned) {
   EXPECT_EQ(context.frozen_prefix.size(), 14u);
   EXPECT_EQ(sum, 1785354.0);
   EXPECT_EQ(workspace_sum, 1785354.0);
+}
+
+/// A window-dense session: every event is a long breakdown on machine 3
+/// or 7 of ft10, so those two rows pile up overlapping and nested windows;
+/// from the fifth event on each row holds 2-9 windows that end after the
+/// event. Pinned to constants recorded before the gated window pass
+/// existed; never re-record them.
+TEST(SessionGolden, WindowDenseTranscriptIsPinned) {
+  const sched::JobShopInstance inst = ga::resolve_job_shop_instance("ft10");
+  SessionConfig config;
+  config.solver = "engine=simple pop=64";
+  config.replan_generations = 30;
+  config.seed = 1414;
+  Session session(inst, config, 1);
+  session.open();
+  par::Rng rng(2236);
+  sched::Time clock = 0;
+  for (int i = 0; i < 24; ++i) {
+    Event event;
+    event.kind = EventKind::kBreakdown;
+    clock += rng.range(1, 20);
+    event.time = clock;
+    event.machine = i % 2 == 0 ? 3 : 7;
+    event.duration = rng.range(1, 300);
+    session.apply(event);
+  }
+  EXPECT_EQ(session.transcript_hash(), 426562136707515699u);
+  EXPECT_EQ(session.plan_hash(), 1888497629196995618u);
 }
 
 }  // namespace

@@ -84,6 +84,32 @@ TEST(Json, RejectsMalformedInput) {
   EXPECT_THROW(Json::parse("\"\\uzzzz\""), std::invalid_argument);
   EXPECT_THROW(Json::parse("\"\\u12gz\""), std::invalid_argument);
   EXPECT_EQ(Json::parse("\"\\u000a\"").as_string(), "\n");
+
+  // Nesting is capped at kMaxDepth arrays or objects: one level more
+  // throws and names the byte that opened it, and so does a hostile
+  // 200,000-deep line instead of exhausting the stack.
+  const auto levels = static_cast<std::size_t>(Json::kMaxDepth);
+  const std::string deepest =
+      std::string(levels, '[') + std::string(levels, ']');
+  EXPECT_EQ(Json::parse(deepest).items().size(), 1u);
+  auto error_of = [](const std::string& text) -> std::string {
+    try {
+      Json::parse(text);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "";
+  };
+  const std::string too_deep = "nesting deeper than " +
+                               std::to_string(Json::kMaxDepth) + " levels";
+  EXPECT_NE(error_of("[" + deepest + "]")
+                .find(too_deep + " at byte " + std::to_string(levels)),
+            std::string::npos);
+  std::string objects;
+  for (std::size_t i = 0; i <= levels; ++i) objects += "{\"a\":";
+  EXPECT_NE(error_of(objects).find(too_deep), std::string::npos);
+  EXPECT_NE(error_of(std::string(200000, '[')).find(too_deep),
+            std::string::npos);
 }
 
 // --- SweepSpec parsing ------------------------------------------------------

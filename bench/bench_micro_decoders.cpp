@@ -98,19 +98,34 @@ void BM_JobShopSemiActive(benchmark::State& state) {
 }
 BENCHMARK(BM_JobShopSemiActive);
 
-void BM_JobShopSemiActiveScratch(benchmark::State& state) {
-  // Workspace-reuse fast path: scratch allocated once, reused per decode —
-  // the per-genome cost inside the Evaluator hot loop.
+std::vector<ga::Genome> random_op_genomes(const sched::JobShopInstance& inst,
+                                          int count, std::uint64_t seed) {
+  std::vector<ga::Genome> genomes;
+  for (auto& seq : random_op_sequences(inst, count, seed)) {
+    genomes.push_back(ga::Genome{std::move(seq), {}, {}});
+  }
+  return genomes;
+}
+
+/// JobShopProblem::objective(genome, workspace) on one workspace, the
+/// per-genome cost inside the Evaluator hot loop.
+void job_shop_problem_per_genome(benchmark::State& state,
+                                 ga::JobShopProblem::Decoder decoder) {
   const auto& inst = sched::ft10().instance;
-  const auto seqs = random_op_sequences(inst, kGenomePool, 1);
-  sched::JobShopScratch scratch;
+  const ga::JobShopProblem problem(inst, decoder);
+  const auto genomes = random_op_genomes(inst, kGenomePool, 1);
+  const auto workspace = problem.make_workspace();
   std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        &sched::decode_operation_based(inst, seqs[i], scratch));
-    i = (i + 1) % seqs.size();
+    benchmark::DoNotOptimize(problem.objective(genomes[i], *workspace));
+    i = (i + 1) % genomes.size();
   }
   state.SetItemsProcessed(state.iterations());
+}
+
+void BM_JobShopSemiActiveScratch(benchmark::State& state) {
+  job_shop_problem_per_genome(state,
+                              ga::JobShopProblem::Decoder::kOperationBased);
 }
 BENCHMARK(BM_JobShopSemiActiveScratch);
 
@@ -127,55 +142,40 @@ void BM_JobShopGifflerThompson(benchmark::State& state) {
 BENCHMARK(BM_JobShopGifflerThompson);
 
 void BM_JobShopGifflerThompsonScratch(benchmark::State& state) {
-  const auto& inst = sched::ft10().instance;
-  const auto seqs = random_op_sequences(inst, kGenomePool, 1);
-  sched::JobShopScratch scratch;
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        &sched::giffler_thompson_sequence(inst, seqs[i], scratch));
-    i = (i + 1) % seqs.size();
-  }
-  state.SetItemsProcessed(state.iterations());
+  job_shop_problem_per_genome(state,
+                              ga::JobShopProblem::Decoder::kGifflerThompson);
 }
 BENCHMARK(BM_JobShopGifflerThompsonScratch);
 
-void BM_JobShopSemiActiveBatch(benchmark::State& state) {
-  // Shared-scratch batch decoder computing completion times directly
-  // (never materializing a Schedule); items/s per sequence, comparable
-  // to BM_JobShopSemiActiveScratch.
-  const auto& inst = sched::ft10().instance;
+/// JobShopProblem::objective_batch over one chunk of state.range(0)
+/// genomes on one workspace; items/s is per genome, comparable to the
+/// per-genome rows.
+void job_shop_problem_batch(benchmark::State& state,
+                            const sched::JobShopInstance& inst,
+                            ga::JobShopProblem::Decoder decoder) {
+  const ga::JobShopProblem problem(inst, decoder);
   const auto batch = static_cast<int>(state.range(0));
-  const auto seqs = random_op_sequences(inst, batch, 1);
-  std::vector<std::span<const int>> lanes(seqs.begin(), seqs.end());
-  std::vector<double> out(lanes.size());
-  sched::JobShopBatchScratch scratch;
+  const auto genomes = random_op_genomes(inst, batch, 1);
+  std::vector<double> out(genomes.size());
+  const auto workspace = problem.make_workspace();
   for (auto _ : state) {
-    sched::job_shop_objective_batch(inst, lanes,
-                                    sched::JobShopBatchDecoder::kSemiActive,
-                                    sched::Criterion::kMakespan, out, scratch);
+    problem.objective_batch(genomes, out, *workspace);
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * batch);
+}
+
+void BM_JobShopSemiActiveBatch(benchmark::State& state) {
+  job_shop_problem_batch(state, sched::ft10().instance,
+                         ga::JobShopProblem::Decoder::kOperationBased);
 }
 BENCHMARK(BM_JobShopSemiActiveBatch)->Arg(16);
 
 void BM_JobShopGifflerThompsonBatch(benchmark::State& state,
                                     const sched::JobShopInstance& inst) {
-  const auto batch = static_cast<int>(state.range(0));
-  const auto seqs = random_op_sequences(inst, batch, 1);
-  std::vector<std::span<const int>> lanes(seqs.begin(), seqs.end());
-  std::vector<double> out(lanes.size());
-  sched::JobShopBatchScratch scratch;
-  for (auto _ : state) {
-    sched::job_shop_objective_batch(inst, lanes,
-                                    sched::JobShopBatchDecoder::kActive,
-                                    sched::Criterion::kMakespan, out, scratch);
-    benchmark::DoNotOptimize(out.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations() * batch);
+  job_shop_problem_batch(state, inst,
+                         ga::JobShopProblem::Decoder::kGifflerThompson);
 }
 // ft10 keeps its plain row name; the 50 x 10 shop adds a J > M shape under
 // the same gate tag.

@@ -847,7 +847,8 @@ PYEOF
   fi
 
   # Scalar-vs-batch decode speedup summary (items/s, so the batched
-  # kernels are directly comparable to their one-genome twins).
+  # kernels are directly comparable to their one-genome twins). Flow shop
+  # only: the job shop's batch and per-genome rows run one path.
   if command -v python3 >/dev/null; then
     python3 - "$FRESH" <<'PYEOF'
 import json
@@ -859,8 +860,6 @@ pairs = [
     ("BM_FlowShopMakespan/20/5", "BM_FlowShopMakespanBatch/20/5/16"),
     ("BM_FlowShopMakespan/50/10", "BM_FlowShopMakespanBatch/50/10/16"),
     ("BM_FlowShopMakespan/100/20", "BM_FlowShopMakespanBatch/100/20/16"),
-    ("BM_JobShopSemiActiveScratch", "BM_JobShopSemiActiveBatch/16"),
-    ("BM_JobShopGifflerThompsonScratch", "BM_JobShopGifflerThompsonBatch/16"),
 ]
 rows = []
 for scalar, batch in pairs:

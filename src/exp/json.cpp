@@ -43,6 +43,17 @@ Json Json::uinteger(std::uint64_t value) {
   return j;
 }
 
+int Json::as_int() const {
+  // Bound the magnitude, not as_i64(), which wraps above INT64_MAX.
+  const std::uint64_t limit =
+      negative_ ? std::uint64_t{1} << 31 : (std::uint64_t{1} << 31) - 1;
+  if (u64_ > limit) {
+    throw std::invalid_argument("Json: integer " + dump() +
+                                " is out of int range");
+  }
+  return static_cast<int>(as_i64());
+}
+
 Json Json::string(std::string value) {
   Json j;
   j.kind_ = Kind::kString;

@@ -63,6 +63,9 @@ class Json {
     return negative_ ? -1 - static_cast<std::int64_t>(u64_ - 1)
                      : static_cast<std::int64_t>(u64_);
   }
+  /// as_i64() for a field that must fit an int: throws
+  /// std::invalid_argument when the value lies outside int's range.
+  int as_int() const;
   const std::string& as_string() const { return string_; }
   const Array& items() const { return array_; }
   const Object& members() const { return object_; }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 namespace psga::ga {
 
@@ -169,7 +171,10 @@ void RandomKeyFlowShopProblem::objective_batch(std::span<const Genome> genomes,
 
 JobShopProblem::JobShopProblem(sched::JobShopInstance inst, Decoder decoder,
                                sched::Criterion criterion)
-    : inst_(std::move(inst)), decoder_(decoder), criterion_(criterion) {
+    : inst_(std::move(inst)),
+      frontier_(inst_, {}, {}),
+      decoder_(decoder),
+      criterion_(criterion) {
   traits_.seq_kind = SeqKind::kJobRepetition;
   traits_.seq_length = inst_.total_ops();
   traits_.repeats.reserve(static_cast<std::size_t>(inst_.jobs));
@@ -200,29 +205,23 @@ double JobShopProblem::objective(const Genome& genome) const {
 
 double JobShopProblem::objective_with(const Genome& genome,
                                       JobShopEvalScratch& scratch) const {
-  const sched::Schedule& schedule =
-      decoder_ == Decoder::kGifflerThompson
-          ? sched::giffler_thompson_sequence(inst_, genome.seq, scratch.js)
-          : sched::decode_operation_based(inst_, genome.seq, scratch.js);
-  return sched::job_shop_objective(inst_, schedule, criterion_, scratch.js);
-}
-
-void JobShopProblem::objective_batch(std::span<const Genome> genomes,
-                                     std::span<double> objectives,
-                                     Workspace& workspace) const {
-  auto* s = detail::scratch_of<JobShopEvalScratch>(workspace);
-  if (s == nullptr) {
-    WorkspaceProblem::objective_batch(genomes, objectives, workspace);
-    return;
+  if (decoder_ == Decoder::kGifflerThompson) {
+    return sched::giffler_thompson_objective(inst_, genome.seq, criterion_,
+                                             scratch.js);
   }
-  s->lanes.clear();
-  s->lanes.reserve(genomes.size());
-  for (const Genome& g : genomes) s->lanes.emplace_back(g.seq);
-  const auto decoder = decoder_ == Decoder::kGifflerThompson
-                           ? sched::JobShopBatchDecoder::kActive
-                           : sched::JobShopBatchDecoder::kSemiActive;
-  sched::job_shop_objective_batch(inst_, s->lanes, decoder, criterion_,
-                                  objectives, s->batch);
+  const auto expected = static_cast<std::size_t>(traits_.seq_length);
+  if (genome.seq.size() != expected) {
+    throw std::invalid_argument("job-shop operation sequence length " +
+                                std::to_string(genome.seq.size()) +
+                                " != expected " + std::to_string(expected));
+  }
+  if (criterion_ == sched::Criterion::kMakespan) {
+    return static_cast<double>(
+        frontier_.makespan_with(genome.seq, scratch.frontier));
+  }
+  return sched::evaluate_criterion(
+      criterion_, frontier_.completion_times(genome.seq, scratch.frontier),
+      inst_.attrs);
 }
 
 // --- OpenShopProblem ---------------------------------------------------------

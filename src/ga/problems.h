@@ -157,16 +157,17 @@ class RandomKeyFlowShopProblem final
   GenomeTraits traits_;
 };
 
-/// Job-shop evaluation scratch: the scalar decode buffers plus the shared
-/// batch frontiers and per-batch lane views.
+/// Job-shop evaluation scratch, capacity only: the Giffler–Thompson
+/// buffers and the semi-active replay's frontier copy.
 struct JobShopEvalScratch {
   sched::JobShopScratch js;
-  sched::JobShopBatchScratch batch;
-  std::vector<std::span<const int>> lanes;
+  sched::DowntimeFrontier::Scratch frontier;
 };
 
 /// Job shop with either the semi-active operation-based decoder or the
-/// Giffler–Thompson active decoder.
+/// Giffler–Thompson active decoder. Semi-active genomes are evaluated by
+/// replaying a window-free DowntimeFrontier built once from the instance;
+/// active ones run the Giffler–Thompson core without a Schedule.
 class JobShopProblem final
     : public WorkspaceProblem<JobShopProblem, JobShopEvalScratch> {
  public:
@@ -180,17 +181,18 @@ class JobShopProblem final
   Genome random_genome(par::Rng& rng) const override;
   using WorkspaceProblem::objective;
   double objective(const Genome& genome) const override;
+  /// Throws std::invalid_argument on a sequence whose length is not the
+  /// instance's operation count, and for the active decoder on any
+  /// sequence giffler_thompson_sequence rejects.
   double objective_with(const Genome& genome,
                         JobShopEvalScratch& scratch) const;
-  void objective_batch(std::span<const Genome> genomes,
-                       std::span<double> objectives,
-                       Workspace& workspace) const override;
 
   const sched::JobShopInstance& instance() const { return inst_; }
   sched::Schedule decode(const Genome& genome) const;
 
  private:
   sched::JobShopInstance inst_;
+  sched::DowntimeFrontier frontier_;  ///< no prefix, no windows
   Decoder decoder_;
   sched::Criterion criterion_;
   GenomeTraits traits_;

@@ -225,28 +225,6 @@ void flow_shop_advance(const FlowShopInstance& inst,
   }
 }
 
-void pack_job_shop(const JobShopInstance& inst, JobShopBatchScratch& scratch) {
-  if (scratch.packed_instance == &inst) return;
-  const auto jobs = static_cast<std::size_t>(inst.jobs);
-  scratch.job_offset.resize(jobs + 1);
-  scratch.job_offset[0] = 0;
-  scratch.op_machine.clear();
-  scratch.op_duration.clear();
-  for (int j = 0; j < inst.jobs; ++j) {
-    for (const auto& op : inst.ops[static_cast<std::size_t>(j)]) {
-      scratch.op_machine.push_back(op.machine);
-      scratch.op_duration.push_back(op.duration);
-    }
-    scratch.job_offset[static_cast<std::size_t>(j) + 1] =
-        static_cast<int>(scratch.op_machine.size());
-  }
-  scratch.release.resize(jobs);
-  for (int j = 0; j < inst.jobs; ++j) {
-    scratch.release[static_cast<std::size_t>(j)] = inst.attrs.release_of(j);
-  }
-  scratch.packed_instance = &inst;
-}
-
 }  // namespace
 
 void flow_shop_makespan_batch(const FlowShopInstance& inst,
@@ -276,55 +254,6 @@ void flow_shop_objective_batch(const FlowShopInstance& inst,
         criterion,
         std::span<const Time>(scratch.completion.data() + l * jobs, jobs),
         inst.attrs);
-  }
-}
-
-void job_shop_objective_batch(const JobShopInstance& inst,
-                              std::span<const std::span<const int>> seqs,
-                              JobShopBatchDecoder decoder, Criterion criterion,
-                              std::span<double> out,
-                              JobShopBatchScratch& scratch) {
-  const int total = inst.total_ops();
-  for (const auto& seq : seqs) {
-    check_lane_length(seq.size(), total, "job-shop operation sequence");
-  }
-  if (decoder == JobShopBatchDecoder::kActive) {
-    detail::giffler_thompson_objective_batch(inst, seqs, criterion, out,
-                                             scratch.active);
-    return;
-  }
-  pack_job_shop(inst, scratch);
-  const auto jobs = static_cast<std::size_t>(inst.jobs);
-  const auto machines = static_cast<std::size_t>(inst.machines);
-
-  const int* const job_offset = scratch.job_offset.data();
-  const int* const op_machine = scratch.op_machine.data();
-  const Time* const op_duration = scratch.op_duration.data();
-
-  for (std::size_t lane = 0; lane < seqs.size(); ++lane) {
-    const std::span<const int> seq = seqs[lane];
-    scratch.next_op.assign(jobs, 0);
-    scratch.job_free.assign(scratch.release.begin(), scratch.release.end());
-    scratch.machine_free.assign(machines, 0);
-    scratch.completion.assign(jobs, 0);
-    int* const next_op = scratch.next_op.data();
-    Time* const job_free = scratch.job_free.data();
-    Time* const machine_free = scratch.machine_free.data();
-    Time* const completion = scratch.completion.data();
-
-    // Mirrors decode_operation_based without materializing ScheduledOps.
-    for (int gene : seq) {
-      const auto j = static_cast<std::size_t>(gene);
-      const int flat = job_offset[j] + next_op[j]++;
-      const auto m = static_cast<std::size_t>(op_machine[flat]);
-      const Time start = std::max(job_free[j], machine_free[m]);
-      const Time end = start + op_duration[flat];
-      job_free[j] = end;
-      machine_free[m] = end;
-      completion[j] = end;
-    }
-    out[lane] = evaluate_criterion(
-        criterion, std::span<const Time>(completion, jobs), inst.attrs);
   }
 }
 

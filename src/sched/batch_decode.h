@@ -1,25 +1,24 @@
-// Batch-first decode kernels: the genome batch is the processing unit,
-// the way BESS modules process a PacketBatch instead of one packet.
+// Batch-first decode kernels for the permutation flow shop: the genome
+// batch is the processing unit, the way BESS modules process a
+// PacketBatch instead of one packet.
 //
-// The scalar decoders in flow_shop.h / job_shop.h walk one chromosome at
-// a time through cache-cold instance matrices. These kernels amortize
-// that walk over a whole evaluation chunk:
-//
-//   * flow shop — a structure-of-arrays completion front C[machine][lane]
-//     in contiguous block-major layout advances permutations in lockstep
-//     blocks of fixed SIMD width. Per machine step the kernel gathers one
-//     block-wide duration row out of a machine-major matrix packed once
-//     per instance, then runs a unit-stride max+add recurrence over the
-//     lanes (explicit vector code on GCC/Clang).
-//   * job shop — semi-active (here) and active (job_shop.cpp's one
-//     Giffler–Thompson core) decoders that compute completion times
-//     directly, never materializing a Schedule.
+// The scalar decoders in flow_shop.h walk one permutation at a time
+// through cache-cold instance matrices. These kernels amortize that walk
+// over a whole evaluation chunk: a structure-of-arrays completion front
+// C[machine][lane] in contiguous block-major layout advances permutations
+// in lockstep blocks of fixed SIMD width. Per machine step the kernel
+// gathers one block-wide duration row out of a machine-major matrix
+// packed once per instance, then runs a unit-stride max+add recurrence
+// over the lanes (explicit vector code on GCC/Clang). The job shop has no
+// batch kernel: its semi-active genomes replay a DowntimeFrontier
+// (dynamic.h) and its active ones run job_shop.cpp's one
+// Giffler–Thompson core, one genome at a time.
 //
 // Determinism contract: every lane performs exactly the arithmetic of
 // its scalar twin in the same order, so results are bit-identical to
-// flow_shop_objective / job_shop_objective for any batch size and any
-// batch composition. Scratch structs carry capacity only, never state
-// (see docs/architecture.md, "Workspace = capacity").
+// flow_shop_objective for any batch size and any batch composition.
+// Scratch structs carry capacity only, never state (see
+// docs/architecture.md, "Workspace = capacity").
 #pragma once
 
 #include <cstdint>
@@ -27,7 +26,6 @@
 #include <vector>
 
 #include "src/sched/flow_shop.h"
-#include "src/sched/job_shop.h"
 
 namespace psga::sched {
 
@@ -73,44 +71,5 @@ void flow_shop_objective_batch(const FlowShopInstance& inst,
                                std::span<const std::span<const int>> perms,
                                Criterion criterion, std::span<double> out,
                                FlowShopBatchScratch& scratch);
-
-/// Reusable scratch for the job-shop batch decoders: the instance routes
-/// are flattened once per instance into machine/duration arrays, and all
-/// frontier vectors are shared across every lane of every batch.
-struct JobShopBatchScratch {
-  const void* packed_instance = nullptr;
-  std::vector<int> job_offset;    ///< [jobs + 1] into the flat op arrays
-  std::vector<int> op_machine;    ///< flat, route order
-  std::vector<Time> op_duration;  ///< flat, route order
-  std::vector<Time> release;      ///< per-job release times
-  // Per-lane decode frontiers, reused across the batch.
-  std::vector<int> next_op;
-  std::vector<Time> job_free;
-  std::vector<Time> machine_free;
-  std::vector<Time> completion;
-  JobShopScratch active;  ///< the active lanes' scalar-decoder scratch
-};
-
-/// Which decoder the batch kernel mirrors (JobShopProblem::Decoder twin).
-enum class JobShopBatchDecoder { kSemiActive, kActive };
-
-/// Criterion values of B operation sequences: each lane equals
-/// job_shop_objective(inst, decode(seq_l), criterion) bit-for-bit.
-/// Throws std::invalid_argument when a sequence length is not
-/// inst.total_ops(); for kActive also when a sequence is not a
-/// permutation with repetition of the jobs (see giffler_thompson_sequence).
-void job_shop_objective_batch(const JobShopInstance& inst,
-                              std::span<const std::span<const int>> seqs,
-                              JobShopBatchDecoder decoder, Criterion criterion,
-                              std::span<double> out,
-                              JobShopBatchScratch& scratch);
-
-/// job_shop_objective_batch's kActive path, defined in job_shop.cpp by
-/// the shared GT core.
-namespace detail {
-void giffler_thompson_objective_batch(
-    const JobShopInstance& inst, std::span<const std::span<const int>> seqs,
-    Criterion criterion, std::span<double> out, JobShopScratch& scratch);
-}  // namespace detail
 
 }  // namespace psga::sched

@@ -121,6 +121,20 @@ Time DowntimeFrontier::makespan_with(std::span<const int> suffix,
   return run(suffix, scratch.frontier.data(), prefix_makespan_, kDiscard);
 }
 
+std::span<const Time> DowntimeFrontier::completion_times(
+    std::span<const int> suffix, Scratch& scratch) const {
+  scratch.frontier.assign(frontier_.begin(), frontier_.end());
+  Time* const next_op = scratch.frontier.data();
+  Time* const job_free = next_op + jobs_;
+  run(suffix, next_op, prefix_makespan_, kDiscard);
+  // A job that has scheduled nothing still holds its release date there.
+  const int* const first_op = job_offset_.data();
+  for (int j = 0; j < jobs_; ++j) {
+    if (next_op[j] == first_op[j]) job_free[j] = 0;
+  }
+  return {job_free, static_cast<std::size_t>(jobs_)};
+}
+
 Schedule DowntimeFrontier::decode(std::span<const int> suffix) const {
   std::vector<Time> frontier = frontier_;
   Schedule schedule;

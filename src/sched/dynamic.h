@@ -58,8 +58,10 @@ Schedule decode_with_downtime(const JobShopInstance& inst,
 /// operation on the machine starts before it, so none of them can push
 /// again. After the prefix decode, windows ending at or before their
 /// machine's frontier are dropped; a machine left with only its sentinel
-/// has its gate at `Time` max, which no operation crosses. Keeps no
-/// reference to the instance.
+/// has its gate at `Time` max, which no operation crosses, so a frontier
+/// with no window replays as the plain semi-active decode: that is how
+/// JobShopProblem evaluates every semi-active genome. Keeps no reference
+/// to the instance.
 class DowntimeFrontier {
  public:
   /// Replay scratch: the saved frontier is copied in on every call, so
@@ -74,6 +76,14 @@ class DowntimeFrontier {
   /// Makespan of prefix + `suffix` (Schedule::makespan semantics),
   /// replaying only the suffix. Allocation-free once `scratch` has grown.
   Time makespan_with(std::span<const int> suffix, Scratch& scratch) const;
+
+  /// Per-job completion times of prefix + `suffix`, replaying only the
+  /// suffix: the end of each job's last scheduled operation, 0 for a job
+  /// with none (Schedule::job_completion_times for non-negative durations
+  /// and release dates). Points into `scratch`, valid until its next use;
+  /// allocation-free once it has grown.
+  std::span<const Time> completion_times(std::span<const int> suffix,
+                                         Scratch& scratch) const;
 
   /// The suffix's operations as scheduled after the prefix.
   Schedule decode(std::span<const int> suffix) const;

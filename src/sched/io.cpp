@@ -1,6 +1,7 @@
 #include "src/sched/io.h"
 
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -29,6 +30,15 @@ long next_long(std::istringstream& in, const char* what) {
   return value;
 }
 
+int next_int(std::istringstream& in, const char* what) {
+  const long value = next_long(in, what);
+  if (value < std::numeric_limits<int>::min() ||
+      value > std::numeric_limits<int>::max()) {
+    throw std::invalid_argument(std::string(what) + " out of range");
+  }
+  return static_cast<int>(value);
+}
+
 std::string read_file(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("cannot open " + path);
@@ -49,8 +59,8 @@ void write_file(const std::string& path, const std::string& content) {
 JobShopInstance parse_job_shop(const std::string& text) {
   std::istringstream in = tokens_of(text);
   JobShopInstance inst;
-  inst.jobs = static_cast<int>(next_long(in, "job count"));
-  inst.machines = static_cast<int>(next_long(in, "machine count"));
+  inst.jobs = next_int(in, "job count");
+  inst.machines = next_int(in, "machine count");
   if (inst.jobs <= 0 || inst.machines <= 0) {
     throw std::invalid_argument("non-positive dimensions");
   }
@@ -60,7 +70,7 @@ JobShopInstance parse_job_shop(const std::string& text) {
     route.reserve(static_cast<std::size_t>(inst.machines));
     for (int k = 0; k < inst.machines; ++k) {
       JsOperation op;
-      op.machine = static_cast<int>(next_long(in, "machine id"));
+      op.machine = next_int(in, "machine id");
       op.duration = next_long(in, "duration");
       if (op.machine < 0 || op.machine >= inst.machines) {
         throw std::invalid_argument("machine id out of range");
@@ -88,8 +98,8 @@ std::string format_job_shop(const JobShopInstance& inst) {
 FlowShopInstance parse_flow_shop(const std::string& text) {
   std::istringstream in = tokens_of(text);
   FlowShopInstance inst;
-  inst.jobs = static_cast<int>(next_long(in, "job count"));
-  inst.machines = static_cast<int>(next_long(in, "machine count"));
+  inst.jobs = next_int(in, "job count");
+  inst.machines = next_int(in, "machine count");
   if (inst.jobs <= 0 || inst.machines <= 0) {
     throw std::invalid_argument("non-positive dimensions");
   }

@@ -8,8 +8,6 @@
 #include <string>
 #include <type_traits>
 
-#include "src/sched/batch_decode.h"
-
 namespace psga::sched {
 
 int JobShopInstance::total_ops() const {
@@ -45,21 +43,16 @@ ValidationSpec JobShopInstance::validation_spec() const {
   return spec;
 }
 
-const Schedule& decode_operation_based(const JobShopInstance& inst,
-                                       std::span<const int> op_sequence,
-                                       JobShopScratch& scratch) {
-  Schedule& schedule = scratch.schedule;
-  schedule.ops.clear();
+Schedule decode_operation_based(const JobShopInstance& inst,
+                                std::span<const int> op_sequence) {
+  Schedule schedule;
   schedule.ops.reserve(op_sequence.size());
-  std::vector<int>& next_op = scratch.next_op;
-  next_op.assign(static_cast<std::size_t>(inst.jobs), 0);
-  std::vector<Time>& job_free = scratch.job_free;
-  job_free.resize(static_cast<std::size_t>(inst.jobs));
+  std::vector<int> next_op(static_cast<std::size_t>(inst.jobs), 0);
+  std::vector<Time> job_free(static_cast<std::size_t>(inst.jobs));
   for (int j = 0; j < inst.jobs; ++j) {
     job_free[static_cast<std::size_t>(j)] = inst.attrs.release_of(j);
   }
-  std::vector<Time>& machine_free = scratch.machine_free;
-  machine_free.assign(static_cast<std::size_t>(inst.machines), 0);
+  std::vector<Time> machine_free(static_cast<std::size_t>(inst.machines), 0);
   for (int job : op_sequence) {
     const int index = next_op[static_cast<std::size_t>(job)]++;
     const JsOperation& op = inst.op(job, index);
@@ -71,12 +64,6 @@ const Schedule& decode_operation_based(const JobShopInstance& inst,
     machine_free[static_cast<std::size_t>(op.machine)] = end;
   }
   return schedule;
-}
-
-Schedule decode_operation_based(const JobShopInstance& inst,
-                                std::span<const int> op_sequence) {
-  JobShopScratch scratch;
-  return decode_operation_based(inst, op_sequence, scratch);
 }
 
 namespace {
@@ -215,7 +202,8 @@ Schedule giffler_thompson_by_rule(const JobShopInstance& inst,
   for (std::size_t j = 0; j < inst.ops.size(); ++j) {
     for (const JsOperation& op : inst.ops[j]) s.work_left[j] += op.duration;
   }
-  s.schedule.ops.reserve(static_cast<std::size_t>(inst.total_ops()));
+  Schedule schedule;
+  schedule.ops.reserve(static_cast<std::size_t>(inst.total_ops()));
   int step = 0;
   giffler_thompson_core(
       inst, s,
@@ -242,10 +230,10 @@ Schedule giffler_thompson_by_rule(const JobShopInstance& inst,
         return best;
       },
       [&](int j, int index, int machine, Time start, Time end) {
-        s.schedule.ops.push_back(ScheduledOp{j, index, machine, start, end});
+        schedule.ops.push_back(ScheduledOp{j, index, machine, start, end});
         s.work_left[static_cast<std::size_t>(j)] -= end - start;
       });
-  return std::move(s.schedule);
+  return schedule;
 }
 
 }  // namespace
@@ -255,12 +243,11 @@ Schedule giffler_thompson(const JobShopInstance& inst, PriorityRule rule,
   return giffler_thompson_by_rule(inst, [rule](int) { return rule; }, &rng);
 }
 
-const Schedule& giffler_thompson_sequence(const JobShopInstance& inst,
-                                          std::span<const int> op_sequence,
-                                          JobShopScratch& scratch) {
+Schedule giffler_thompson_sequence(const JobShopInstance& inst,
+                                   std::span<const int> op_sequence) {
+  JobShopScratch scratch;
   place_genes(inst, op_sequence, scratch);
-  Schedule& schedule = scratch.schedule;
-  schedule.ops.clear();
+  Schedule schedule;
   schedule.ops.reserve(op_sequence.size());
   giffler_thompson_core(
       inst, scratch, SequencePick{},
@@ -270,10 +257,17 @@ const Schedule& giffler_thompson_sequence(const JobShopInstance& inst,
   return schedule;
 }
 
-Schedule giffler_thompson_sequence(const JobShopInstance& inst,
-                                   std::span<const int> op_sequence) {
-  JobShopScratch scratch;
-  return giffler_thompson_sequence(inst, op_sequence, scratch);
+double giffler_thompson_objective(const JobShopInstance& inst,
+                                  std::span<const int> op_sequence,
+                                  Criterion criterion,
+                                  JobShopScratch& scratch) {
+  place_genes(inst, op_sequence, scratch);
+  scratch.completion.assign(static_cast<std::size_t>(inst.jobs), 0);
+  giffler_thompson_core(
+      inst, scratch, SequencePick{}, [&](int j, int, int, Time, Time end) {
+        scratch.completion[static_cast<std::size_t>(j)] = end;
+      });
+  return evaluate_criterion(criterion, scratch.completion, inst.attrs);
 }
 
 Schedule giffler_thompson_rules(const JobShopInstance& inst,
@@ -292,35 +286,11 @@ Schedule giffler_thompson_rules(const JobShopInstance& inst,
       nullptr);
 }
 
-namespace detail {
-
-void giffler_thompson_objective_batch(
-    const JobShopInstance& inst, std::span<const std::span<const int>> seqs,
-    Criterion criterion, std::span<double> out, JobShopScratch& scratch) {
-  for (std::size_t lane = 0; lane < seqs.size(); ++lane) {
-    place_genes(inst, seqs[lane], scratch);
-    scratch.completion.assign(static_cast<std::size_t>(inst.jobs), 0);
-    giffler_thompson_core(
-        inst, scratch, SequencePick{}, [&](int j, int, int, Time, Time end) {
-          scratch.completion[static_cast<std::size_t>(j)] = end;
-        });
-    out[lane] = evaluate_criterion(criterion, scratch.completion, inst.attrs);
-  }
-}
-
-}  // namespace detail
-
-double job_shop_objective(const JobShopInstance& inst,
-                          const Schedule& schedule, Criterion criterion,
-                          JobShopScratch& scratch) {
-  schedule.job_completion_times(inst.jobs, scratch.completion);
-  return evaluate_criterion(criterion, scratch.completion, inst.attrs);
-}
-
 double job_shop_objective(const JobShopInstance& inst,
                           const Schedule& schedule, Criterion criterion) {
-  JobShopScratch scratch;
-  return job_shop_objective(inst, schedule, criterion, scratch);
+  return evaluate_criterion(criterion,
+                            schedule.job_completion_times(inst.jobs),
+                            inst.attrs);
 }
 
 std::vector<int> random_operation_sequence(const JobShopInstance& inst,

@@ -38,11 +38,10 @@ struct JobShopInstance {
   ValidationSpec validation_spec() const;
 };
 
-/// Reusable evaluation scratch for the job-shop decoders: one per worker,
-/// reused for every genome, so the schedule matrix and frontier vectors
-/// are allocated once per run instead of once per decode.
+/// Reusable Giffler–Thompson scratch: one per worker, reused for every
+/// genome, so the frontier vectors are allocated once per run instead of
+/// once per decode. Capacity only, never state.
 struct JobShopScratch {
-  Schedule schedule;  ///< decode output (ops vector reused)
   std::vector<int> next_op;
   std::vector<Time> job_free;
   std::vector<Time> machine_free;
@@ -57,15 +56,11 @@ struct JobShopScratch {
 
 /// Decodes an operation-based chromosome (permutation with repetition: job
 /// j appears once per operation; the k-th occurrence of j is its k-th
-/// operation) into a semi-active schedule.
+/// operation) into a semi-active schedule. This is the reference that the
+/// DowntimeFrontier replay (dynamic.h), which computes every semi-active
+/// objective, is tested against.
 Schedule decode_operation_based(const JobShopInstance& inst,
                                 std::span<const int> op_sequence);
-
-/// Allocation-free variant: the returned reference points into `scratch`
-/// and is valid until the next decode with the same scratch.
-const Schedule& decode_operation_based(const JobShopInstance& inst,
-                                       std::span<const int> op_sequence,
-                                       JobShopScratch& scratch);
 
 /// Priority rules for the Giffler–Thompson active schedule builder.
 enum class PriorityRule { kSpt, kLpt, kMostWorkRemaining, kFcfs, kRandom };
@@ -83,10 +78,14 @@ Schedule giffler_thompson(const JobShopInstance& inst, PriorityRule rule,
 Schedule giffler_thompson_sequence(const JobShopInstance& inst,
                                    std::span<const int> op_sequence);
 
-/// Allocation-free variant (see decode_operation_based overload).
-const Schedule& giffler_thompson_sequence(const JobShopInstance& inst,
-                                          std::span<const int> op_sequence,
-                                          JobShopScratch& scratch);
+/// job_shop_objective(inst, giffler_thompson_sequence(inst, op_sequence),
+/// criterion), from completion times alone: no schedule is materialized.
+/// Throws as giffler_thompson_sequence does. Allocation-free once
+/// `scratch` has grown.
+double giffler_thompson_objective(const JobShopInstance& inst,
+                                  std::span<const int> op_sequence,
+                                  Criterion criterion,
+                                  JobShopScratch& scratch);
 
 /// Giffler–Thompson where the k-th conflict is resolved by the k-th entry
 /// of `rule_per_step` (indices into {SPT, LPT, MWR, FCFS}) — the survey's
@@ -101,11 +100,6 @@ constexpr int kDispatchRuleCount = 4;
 /// Criterion value of a decoded schedule.
 double job_shop_objective(const JobShopInstance& inst,
                           const Schedule& schedule, Criterion criterion);
-
-/// Allocation-free variant (reuses scratch.completion).
-double job_shop_objective(const JobShopInstance& inst,
-                          const Schedule& schedule, Criterion criterion,
-                          JobShopScratch& scratch);
 
 /// A valid operation-based chromosome drawn uniformly at random.
 std::vector<int> random_operation_sequence(const JobShopInstance& inst,

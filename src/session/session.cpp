@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -78,6 +79,15 @@ long long parse_ll(const std::string& key, const std::string& value) {
   }
 }
 
+int parse_int(const std::string& key, const std::string& value) {
+  const long long parsed = parse_ll(key, value);
+  if (parsed < std::numeric_limits<int>::min() ||
+      parsed > std::numeric_limits<int>::max()) {
+    event_error("token '" + key + "=" + value + "' is out of int range");
+  }
+  return static_cast<int>(parsed);
+}
+
 std::vector<sched::JsOperation> parse_route(const std::string& text) {
   std::vector<sched::JsOperation> route;
   std::size_t start = 0;
@@ -90,7 +100,7 @@ std::vector<sched::JsOperation> parse_route(const std::string& text) {
       event_error("route entry '" + part + "' must be machine:duration");
     }
     sched::JsOperation op;
-    op.machine = static_cast<int>(parse_ll("route", part.substr(0, colon)));
+    op.machine = parse_int("route", part.substr(0, colon));
     op.duration = parse_ll("route", part.substr(colon + 1));
     route.push_back(op);
     start = comma + 1;
@@ -170,11 +180,11 @@ Event Event::parse(const std::string& text) {
     } else if (key == "due") {
       event.due = parse_ll(key, value);
     } else if (key == "machine") {
-      event.machine = static_cast<int>(parse_ll(key, value));
+      event.machine = parse_int(key, value);
     } else if (key == "duration") {
       event.duration = parse_ll(key, value);
     } else if (key == "job") {
-      event.job = static_cast<int>(parse_ll(key, value));
+      event.job = parse_int(key, value);
     } else {
       event_error("unknown key '" + key + "'");
     }
@@ -243,20 +253,20 @@ Event Event::from_json(const exp::Json& json) {
         event_error("route entries must be [machine, duration] pairs");
       }
       sched::JsOperation op;
-      op.machine = static_cast<int>(entry.items()[0].as_i64());
+      op.machine = entry.items()[0].as_int();
       op.duration = entry.items()[1].as_i64();
       event.route.push_back(op);
     }
   }
   if (const exp::Json* due = json.find("due")) event.due = due->as_i64();
   if (const exp::Json* machine = json.find("machine")) {
-    event.machine = static_cast<int>(machine->as_i64());
+    event.machine = machine->as_int();
   }
   if (const exp::Json* duration = json.find("duration")) {
     event.duration = duration->as_i64();
   }
   if (const exp::Json* job = json.find("job")) {
-    event.job = static_cast<int>(job->as_i64());
+    event.job = job->as_int();
   }
   return event;
 }

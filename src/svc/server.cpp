@@ -406,7 +406,7 @@ exp::Json Server::handle_request(const Json& request, int connection_fd,
     const Json* evaluations = request.find("evaluations");
     const Json* target = request.find("target");
     if (generations != nullptr) {
-      requested.max_generations = static_cast<int>(generations->as_i64());
+      requested.max_generations = generations->as_int();
     } else if (seconds != nullptr || evaluations != nullptr ||
                target != nullptr) {
       requested.max_generations = std::numeric_limits<int>::max();
@@ -511,7 +511,7 @@ exp::Json Server::handle_request(const Json& request, int connection_fd,
       config.solver = solver->as_string();
     }
     if (const Json* generations = request.find("generations")) {
-      config.replan_generations = static_cast<int>(generations->as_i64());
+      config.replan_generations = generations->as_int();
     }
     if (const Json* evaluations = request.find("evaluations")) {
       config.replan_evaluations = evaluations->as_i64();

@@ -2,12 +2,13 @@
 // chunking policy must be invisible in every objective: for any batch
 // size and any backend, the batched path returns exactly what the scalar
 // decoders return. These tests pin that contract at three levels —
-// the raw kernels against their scalar twins, the Evaluator's chunked
-// objective_batch across every registered problem × batch size ×
+// the flow-shop kernels against their scalar twins, the Evaluator's
+// chunked objective_batch across every registered problem × batch size ×
 // backend, and whole engine traces across eval_batch= values — plus the
-// one Giffler–Thompson core every active decoder shares (oracle fuzz, golden constants,
-// zero-duration and malformed inputs) and the eval_batch spec token
-// round-trip.
+// job shop's two cores: the one Giffler–Thompson core every active
+// decoder shares and the DowntimeFrontier replay every semi-active
+// objective runs (oracle fuzz, golden constants, zero-duration and
+// malformed inputs), and the eval_batch spec token round-trip.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,6 +26,7 @@
 #include "src/ga/solver.h"
 #include "src/sched/batch_decode.h"
 #include "src/sched/classics.h"
+#include "src/sched/dynamic.h"
 #include "src/sched/generators.h"
 #include "src/sched/schedule.h"
 #include "src/sched/taillard.h"
@@ -197,7 +199,7 @@ TEST(FlowShopScalar, RejectsPartialPermutations) {
                std::invalid_argument);
 }
 
-// --- job-shop kernel vs scalar -----------------------------------------------
+// --- JobShopProblem vs the reference decoders --------------------------------
 
 std::vector<std::vector<int>> random_op_sequences(
     const sched::JobShopInstance& inst, int count, std::uint64_t seed) {
@@ -207,23 +209,41 @@ std::vector<std::vector<int>> random_op_sequences(
   return seqs;
 }
 
+Genome genome_of(std::vector<int> seq) {
+  Genome genome;
+  genome.seq = std::move(seq);
+  return genome;
+}
+
+/// `problem`'s objective_batch over `seqs`, `chunk` genomes per call on
+/// one workspace, the way the Evaluator hands it chunks.
+std::vector<double> batch_objectives(const JobShopProblem& problem,
+                                     const std::vector<std::vector<int>>& seqs,
+                                     std::size_t chunk) {
+  std::vector<Genome> genomes;
+  for (const auto& seq : seqs) genomes.push_back(genome_of(seq));
+  std::vector<double> out(genomes.size(), -1.0);
+  const auto workspace = problem.make_workspace();
+  for (std::size_t at = 0; at < genomes.size(); at += chunk) {
+    const std::size_t size = std::min(chunk, genomes.size() - at);
+    problem.objective_batch(std::span(genomes).subspan(at, size),
+                            std::span(out).subspan(at, size), *workspace);
+  }
+  return out;
+}
+
 TEST(JobShopBatchKernel, SemiActiveMatchesScalarDecoder) {
   const sched::JobShopInstance& inst = sched::ft06().instance;
-  sched::JobShopScratch scalar;
-  sched::JobShopBatchScratch batch;
+  const JobShopProblem problem(inst);
   for (int size : {1, 2, 7, 16, 33}) {
     SCOPED_TRACE(size);
     const auto seqs = random_op_sequences(inst, size, 41 + size);
-    const auto lanes = as_lanes(seqs);
-    std::vector<double> got(lanes.size(), -1.0);
-    sched::job_shop_objective_batch(inst, lanes,
-                                    sched::JobShopBatchDecoder::kSemiActive,
-                                    Criterion::kMakespan, got, batch);
-    for (std::size_t l = 0; l < lanes.size(); ++l) {
-      const sched::Schedule& schedule =
-          sched::decode_operation_based(inst, lanes[l], scalar);
-      EXPECT_EQ(got[l], sched::job_shop_objective(inst, schedule,
-                                                  Criterion::kMakespan, scalar))
+    const std::vector<double> got =
+        batch_objectives(problem, seqs, seqs.size());
+    for (std::size_t l = 0; l < seqs.size(); ++l) {
+      EXPECT_EQ(got[l], sched::job_shop_objective(
+                            inst, sched::decode_operation_based(inst, seqs[l]),
+                            Criterion::kMakespan))
           << "lane " << l;
     }
   }
@@ -231,39 +251,44 @@ TEST(JobShopBatchKernel, SemiActiveMatchesScalarDecoder) {
 
 TEST(JobShopBatchKernel, ActiveMatchesGifflerThompsonSequence) {
   const sched::JobShopInstance& inst = sched::ft06().instance;
-  sched::JobShopScratch scalar;
-  sched::JobShopBatchScratch batch;
+  const JobShopProblem problem(inst, JobShopProblem::Decoder::kGifflerThompson);
   const auto seqs = random_op_sequences(inst, 33, 53);
-  const auto lanes = as_lanes(seqs);
-  std::vector<double> got(lanes.size(), -1.0);
-  sched::job_shop_objective_batch(inst, lanes,
-                                  sched::JobShopBatchDecoder::kActive,
-                                  Criterion::kMakespan, got, batch);
-  for (std::size_t l = 0; l < lanes.size(); ++l) {
-    const sched::Schedule& schedule =
-        sched::giffler_thompson_sequence(inst, lanes[l], scalar);
-    EXPECT_EQ(got[l], sched::job_shop_objective(inst, schedule,
-                                                Criterion::kMakespan, scalar))
+  const std::vector<double> got = batch_objectives(problem, seqs, seqs.size());
+  for (std::size_t l = 0; l < seqs.size(); ++l) {
+    EXPECT_EQ(got[l], sched::job_shop_objective(
+                          inst, sched::giffler_thompson_sequence(inst, seqs[l]),
+                          Criterion::kMakespan))
         << "lane " << l;
   }
 }
 
 TEST(JobShopBatchKernel, ThrowsOnWrongSequenceLength) {
   const sched::JobShopInstance& inst = sched::ft06().instance;
-  sched::JobShopBatchScratch batch;
   auto seqs = random_op_sequences(inst, 2, 3);
   seqs[1].pop_back();
-  std::vector<double> out(seqs.size());
-  EXPECT_THROW(sched::job_shop_objective_batch(
-                   inst, as_lanes(seqs), sched::JobShopBatchDecoder::kSemiActive,
-                   Criterion::kMakespan, out, batch),
-               std::invalid_argument);
+  for (auto decoder : {JobShopProblem::Decoder::kOperationBased,
+                       JobShopProblem::Decoder::kGifflerThompson}) {
+    const JobShopProblem problem(inst, decoder);
+    try {
+      batch_objectives(problem, seqs, seqs.size());
+      ADD_FAILURE() << "a 35-gene ft06 sequence was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "job-shop operation sequence length 35 != expected 36"),
+                std::string::npos)
+          << e.what();
+    }
+    const auto workspace = problem.make_workspace();
+    EXPECT_THROW(problem.objective(genome_of(seqs[1]), *workspace),
+                 std::invalid_argument);
+  }
 }
 
 // --- the one Giffler–Thompson core ------------------------------------------
 //
-// Every active decoder (the scalar sequence, rule and rules-per-step
-// entry points, and the batch kernel's kActive lanes) runs one core. The
+// Every active decoder (the sequence, rule and rules-per-step entry
+// points, and giffler_thompson_objective behind JobShopProblem's active
+// decoder) runs one core. The
 // tests below pin it three ways: against a test-only oracle (the
 // two-scan loop the decoders ran before the core was shared), against
 // golden constants recorded from that older code, and on the inputs the
@@ -458,8 +483,7 @@ std::vector<sched::JobShopInstance> fuzz_instances() {
 }
 
 TEST(GifflerThompsonCore, MatchesTheOracleOnEveryEntryPoint) {
-  sched::JobShopScratch scalar;
-  sched::JobShopBatchScratch batch;
+  sched::JobShopScratch scratch;  // shared by every instance
   int pairs = 0;
   int mismatches = 0;
   std::uint64_t instance_seed = 0;
@@ -473,20 +497,18 @@ TEST(GifflerThompsonCore, MatchesTheOracleOnEveryEntryPoint) {
     for (const auto& lane : lanes) {
       expect.push_back(oracle_sequence(inst, lane));
       mismatches +=
-          same_ops(sched::giffler_thompson_sequence(inst, lane, scalar),
-                   expect.back())
+          same_ops(sched::giffler_thompson_sequence(inst, lane), expect.back())
               ? 0
               : 1;
       ++pairs;
     }
     for (Criterion c : kAllCriteria) {
-      std::vector<double> got(lanes.size(), -1.0);
-      sched::job_shop_objective_batch(inst, lanes,
-                                      sched::JobShopBatchDecoder::kActive, c,
-                                      got, batch);
       for (std::size_t l = 0; l < lanes.size(); ++l) {
-        mismatches +=
-            got[l] == sched::job_shop_objective(inst, expect[l], c) ? 0 : 1;
+        mismatches += sched::giffler_thompson_objective(inst, lanes[l], c,
+                                                        scratch) ==
+                              sched::job_shop_objective(inst, expect[l], c)
+                          ? 0
+                          : 1;
       }
     }
     for (sched::PriorityRule rule : kAllRules) {
@@ -555,24 +577,18 @@ TEST(GifflerThompsonCore, ZeroDurationOperationsDecodeOnEveryEntryPoint) {
       const auto error = sched::validate(s, spec);
       EXPECT_FALSE(error.has_value()) << what << ": " << error.value_or("");
     };
-    sched::JobShopScratch scalar;
-    sched::JobShopBatchScratch batch;
     const auto seqs = random_op_sequences(inst, 16, 77);
-    const auto lanes = as_lanes(seqs);
     for (Criterion c : kAllCriteria) {
-      std::vector<double> got(lanes.size(), -1.0);
-      sched::job_shop_objective_batch(inst, lanes,
-                                      sched::JobShopBatchDecoder::kActive, c,
-                                      got, batch);
-      for (std::size_t l = 0; l < lanes.size(); ++l) {
-        const sched::Schedule& s =
-            sched::giffler_thompson_sequence(inst, lanes[l], scalar);
+      const std::vector<double> got = batch_objectives(
+          JobShopProblem(inst, JobShopProblem::Decoder::kGifflerThompson, c),
+          seqs, seqs.size());
+      for (std::size_t l = 0; l < seqs.size(); ++l) {
+        const sched::Schedule s =
+            sched::giffler_thompson_sequence(inst, seqs[l]);
         check(s, "giffler_thompson_sequence");
         EXPECT_EQ(got[l], sched::job_shop_objective(inst, s, c)) << l;
       }
     }
-    check(sched::giffler_thompson_sequence(inst, seqs.front()),
-          "giffler_thompson_sequence (allocating)");
     for (sched::PriorityRule rule : kAllRules) {
       par::Rng rng(3);
       check(sched::giffler_thompson(inst, rule, rng), "giffler_thompson");
@@ -592,22 +608,21 @@ TEST(GifflerThompsonCore, RejectsMalformedSequences) {
   swapped[4] = (swapped[4] + 1) % inst.jobs;
   std::vector<int> out_of_range = good;
   out_of_range[9] = inst.jobs;
-  sched::JobShopScratch scalar;
-  sched::JobShopBatchScratch batch;
+  sched::JobShopScratch scratch;
+  const JobShopProblem problem(inst, JobShopProblem::Decoder::kGifflerThompson);
   for (const std::vector<int>& bad : {swapped, out_of_range}) {
     EXPECT_THROW(sched::giffler_thompson_sequence(inst, bad),
                  std::invalid_argument);
-    EXPECT_THROW(sched::giffler_thompson_sequence(inst, bad, scalar),
+    EXPECT_THROW(sched::giffler_thompson_objective(inst, bad,
+                                                   Criterion::kMakespan,
+                                                   scratch),
                  std::invalid_argument);
-    const std::vector<std::span<const int>> lanes = {good, bad};
-    std::vector<double> out(lanes.size());
-    EXPECT_THROW(sched::job_shop_objective_batch(
-                     inst, lanes, sched::JobShopBatchDecoder::kActive,
-                     Criterion::kMakespan, out, batch),
+    EXPECT_THROW(batch_objectives(problem, {good, bad}, 2),
                  std::invalid_argument);
   }
   // The scratch stays usable after a rejected sequence.
-  EXPECT_EQ(sched::giffler_thompson_sequence(inst, good, scalar).makespan(),
+  EXPECT_EQ(sched::giffler_thompson_objective(inst, good, Criterion::kMakespan,
+                                              scratch),
             sched::giffler_thompson_sequence(inst, good).makespan());
 }
 
@@ -678,12 +693,11 @@ TEST(GifflerThompsonGolden, BatchObjectivesArePinned) {
   const double expect[] = {2310, 67366, 21325, 544, 1118};
   const sched::JobShopInstance inst = golden_instances().back();
   const auto seqs = random_op_sequences(inst, 16, 71);
-  sched::JobShopBatchScratch batch;
   for (std::size_t c = 0; c < std::size(kAllCriteria); ++c) {
-    std::vector<double> got(seqs.size());
-    sched::job_shop_objective_batch(inst, as_lanes(seqs),
-                                    sched::JobShopBatchDecoder::kActive,
-                                    kAllCriteria[c], got, batch);
+    const std::vector<double> got = batch_objectives(
+        JobShopProblem(inst, JobShopProblem::Decoder::kGifflerThompson,
+                       kAllCriteria[c]),
+        seqs, seqs.size());
     double sum = 0;
     for (double v : got) sum += v;
     EXPECT_EQ(sum, expect[c]) << sched::to_string(kAllCriteria[c]);
@@ -699,6 +713,84 @@ TEST(GifflerThompsonGolden, Ft10ActiveRunIsPinned) {
   EXPECT_EQ(result.best_objective, 1020.0);
   EXPECT_EQ(genome_hash(result.best), 12493598725303043655ULL);
   EXPECT_EQ(result.evaluations, 5376);
+}
+
+// --- the one semi-active core ------------------------------------------------
+//
+// JobShopProblem evaluates every semi-active genome by replaying a
+// window-free sched::DowntimeFrontier, the loop session replans run too.
+// decode_operation_based keeps its own loop as the reference.
+
+/// Three jobs on two machines; job 1 has no operations and a positive
+/// release date, so reporting it at its release instead of 0 shows.
+sched::JobShopInstance empty_route_shop() {
+  sched::JobShopInstance inst;
+  inst.jobs = 3;
+  inst.machines = 2;
+  inst.ops = {{{0, 4}, {1, 2}}, {}, {{1, 3}, {0, 5}}};
+  inst.attrs.release = {2, 9, 0};
+  inst.attrs.due = {5, 1, 6};
+  inst.attrs.weight = {2.0, 3.0, 1.0};
+  return inst;
+}
+
+TEST(SemiActiveCore, MatchesTheReferenceOnEveryEntryPoint) {
+  std::vector<sched::JobShopInstance> instances = fuzz_instances();
+  instances.push_back(zero_duration_2x2());
+  instances.push_back(ft06_with_zero_durations());
+  instances.push_back(empty_route_shop());
+  int mismatches = 0;
+  std::uint64_t instance_seed = 0;
+  for (const sched::JobShopInstance& inst : instances) {
+    SCOPED_TRACE(std::to_string(inst.jobs) + "x" +
+                 std::to_string(inst.machines) + " #" +
+                 std::to_string(instance_seed));
+    const auto seqs = random_op_sequences(inst, 37, 1300 + instance_seed++);
+    std::vector<sched::Schedule> reference;
+    for (const auto& seq : seqs) {
+      reference.push_back(sched::decode_operation_based(inst, seq));
+      mismatches +=
+          same_ops(sched::decode_with_downtime(inst, seq, {}), reference.back())
+              ? 0
+              : 1;
+    }
+    for (Criterion c : kAllCriteria) {
+      const JobShopProblem problem(
+          inst, JobShopProblem::Decoder::kOperationBased, c);
+      std::vector<double> expect;
+      for (const sched::Schedule& schedule : reference) {
+        expect.push_back(sched::job_shop_objective(inst, schedule, c));
+      }
+      const auto workspace = problem.make_workspace();
+      for (std::size_t l = 0; l < seqs.size(); ++l) {
+        mismatches +=
+            problem.objective(genome_of(seqs[l]), *workspace) == expect[l] ? 0
+                                                                           : 1;
+      }
+      for (std::size_t chunk : {1, 7, 16, 33}) {
+        mismatches += batch_objectives(problem, seqs, chunk) == expect ? 0 : 1;
+      }
+    }
+    ASSERT_EQ(mismatches, 0);
+  }
+}
+
+TEST(SemiActiveGolden, ObjectivesArePinned) {
+  // Sum over 16 sequences of the 15 x 8 golden shop, one per criterion,
+  // recorded from the semi-active batch lanes the frontier replay
+  // replaced and never re-recorded: a change here is a behaviour change.
+  const double expect[] = {3238, 98879, 52767, 558, 2085};
+  const sched::JobShopInstance inst = golden_instances().back();
+  const auto seqs = random_op_sequences(inst, 16, 71);
+  for (std::size_t c = 0; c < std::size(kAllCriteria); ++c) {
+    const std::vector<double> got = batch_objectives(
+        JobShopProblem(inst, JobShopProblem::Decoder::kOperationBased,
+                       kAllCriteria[c]),
+        seqs, seqs.size());
+    double sum = 0;
+    for (double v : got) sum += v;
+    EXPECT_EQ(sum, expect[c]) << sched::to_string(kAllCriteria[c]);
+  }
 }
 
 // --- batch-vs-scalar equivalence across the whole registry -------------------

@@ -45,6 +45,11 @@ TEST(JobShopIo, RejectsMalformedInput) {
                std::invalid_argument);  // machine id 9 out of range
   EXPECT_THROW(parse_job_shop("0 5"), std::invalid_argument);
   EXPECT_THROW(parse_job_shop("1 1\n0 -4"), std::invalid_argument);
+  // Values outside int's range are errors, not wrapped to 1.
+  EXPECT_THROW(parse_job_shop("4294967297 1\n0 3"), std::invalid_argument);
+  EXPECT_THROW(parse_job_shop("1 4294967297\n0 3"), std::invalid_argument);
+  EXPECT_THROW(parse_job_shop("1 2\n4294967297 3 0 2"),
+               std::invalid_argument);
 }
 
 TEST(FlowShopIo, RoundTripTaillard) {
@@ -71,6 +76,8 @@ TEST(FlowShopIo, ParsesTaillardFormat) {
 TEST(FlowShopIo, RejectsMalformedInput) {
   EXPECT_THROW(parse_flow_shop("3 2\n5 1 3\n2 4"), std::invalid_argument);
   EXPECT_THROW(parse_flow_shop("-1 2"), std::invalid_argument);
+  EXPECT_THROW(parse_flow_shop("4294967297 1\n5"), std::invalid_argument);
+  EXPECT_THROW(parse_flow_shop("1 4294967297\n5"), std::invalid_argument);
 }
 
 TEST(FileIo, SaveAndLoadJobShop) {

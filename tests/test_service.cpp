@@ -286,6 +286,19 @@ TEST(Service, MalformedRequestsGetStructuredErrors) {
     EXPECT_NE(too_deep.string_or("error", "").find("nesting"),
               std::string::npos);
 
+    // A generation budget outside int's range is an error, not 1.
+    Json huge_submit = round_trip(
+        R"({"op":"submit","spec":"problem=flowshop instance=ta001 )"
+        R"(engine=simple pop=10","generations":4294967297})");
+    EXPECT_FALSE(huge_submit.find("ok")->as_bool());
+    EXPECT_NE(huge_submit.string_or("error", "").find("out of int range"),
+              std::string::npos);
+    Json huge_session = round_trip(
+        R"({"op":"session_open","instance":"ft06","generations":4294967297})");
+    EXPECT_FALSE(huge_session.find("ok")->as_bool());
+    EXPECT_NE(huge_session.string_or("error", "").find("out of int range"),
+              std::string::npos);
+
     // After all that abuse the connection still serves good requests.
     Json ping = round_trip(R"({"op":"ping"})");
     EXPECT_TRUE(ping.find("ok")->as_bool());

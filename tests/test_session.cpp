@@ -58,6 +58,18 @@ TEST(SessionEvent, ParseRejectsMalformedTokens) {
   EXPECT_THROW(Event::parse("kind=breakdown bogus=1"), std::invalid_argument);
   EXPECT_THROW(Event::parse("kind=arrival time=1 route=0:"),
                std::invalid_argument);
+  // Integers outside int's range are errors, not wrapped ids.
+  EXPECT_THROW(
+      Event::parse("kind=breakdown time=5 machine=4294967297 duration=3"),
+      std::invalid_argument);
+  EXPECT_THROW(Event::parse("kind=due time=5 job=4294967298 due=9"),
+               std::invalid_argument);
+  EXPECT_THROW(Event::parse("kind=arrival time=1 route=4294967296:3"),
+               std::invalid_argument);
+  EXPECT_THROW(Event::from_json(exp::Json::parse(
+                   R"({"kind":"breakdown","time":5,"machine":4294967297,)"
+                   R"("duration":3})")),
+               std::invalid_argument);
 }
 
 TEST(SessionEvent, RandomTraceIsDeterministicAndOrdered) {

@@ -3,8 +3,8 @@
 #
 #   ./ci.sh            build, run the full ctest suite, rebuild the
 #                      cache/sweep/service/session/obs suites under
-#                      ASan/UBSan and run them, run the session and
-#                      service suites under TSan, run a psga_sweep smoke
+#                      ASan/UBSan and run them, run the same binary
+#                      under TSan, run a psga_sweep smoke
 #                      sweep (JSONL + summary validated), run a psgad
 #                      service smoke (submit/watch/cancel/a 200 KB line
 #                      of '['/drain over a temp socket) and a session
@@ -64,11 +64,12 @@ if [[ "${SKIP_SAN:-0}" != "1" ]]; then
     echo "psga_pipeline_tests not configured (GTest missing?); skipping sanitizer leg"
   fi
 
-  # ThreadSanitizer leg: the session and service suites — callers sharing
-  # session solve slots, readers racing close(), clients racing daemon
-  # connection threads. The filter keeps to suites that never run the omp
-  # backend: its uninstrumented libgomp frames are the only TSan reports
-  # known in this repo.
+  # ThreadSanitizer leg: the whole pipeline binary — pool lanes writing
+  # one objective vector, islands and cluster ranks sharing one
+  # evaluation cache, callers sharing session solve slots, readers racing
+  # close(), clients racing daemon connection threads. No thread runs
+  # uninstrumented runtime code (there is no OpenMP dependency), so any
+  # report fails the leg.
   TSAN_DIR=${TSAN_DIR:-build-tsan}
   cmake -B "$TSAN_DIR" -S . -DCMAKE_CXX_FLAGS=-fsanitize=thread \
         -DCMAKE_EXE_LINKER_FLAGS=-fsanitize=thread \
@@ -77,7 +78,7 @@ if [[ "${SKIP_SAN:-0}" != "1" ]]; then
   if grep -q psga_pipeline_tests <<<"$TSAN_TARGETS"; then
     cmake --build "$TSAN_DIR" -j "$JOBS" --target psga_pipeline_tests
     TSAN_OPTIONS=halt_on_error=1 "$TSAN_DIR"/psga_pipeline_tests \
-      --gtest_brief=1 --gtest_filter='Session*:Service*'
+      --gtest_brief=1
     echo "ci.sh: thread sanitizer leg OK"
   else
     echo "psga_pipeline_tests not configured (GTest missing?); skipping thread sanitizer leg"

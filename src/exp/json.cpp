@@ -1,6 +1,7 @@
 #include "src/exp/json.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -43,16 +44,40 @@ Json Json::uinteger(std::uint64_t value) {
   return j;
 }
 
-int Json::as_int() const {
-  // Bound the magnitude, not as_i64(), which wraps above INT64_MAX.
-  const std::uint64_t limit =
-      negative_ ? std::uint64_t{1} << 31 : (std::uint64_t{1} << 31) - 1;
-  if (u64_ > limit) {
-    throw std::invalid_argument("Json: integer " + dump() +
-                                " is out of int range");
+template <typename T>
+T Json::integer_as(const char* type) const {
+  using Limits = std::numeric_limits<T>;
+  const auto refuse = [&](const std::string& why) {
+    throw std::invalid_argument("Json: " + dump() + " " + why);
+  };
+  if (kind_ != Kind::kNumber) refuse("is not a number");
+  if (exact_int_) {
+    // u64_ is the magnitude, and |min| = max + 1 for a signed T.
+    const auto max = static_cast<std::uint64_t>(Limits::max());
+    if (negative_ ? !Limits::is_signed || u64_ - 1 > max : u64_ > max) {
+      refuse(std::string("is out of ") + type + " range");
+    }
+    // -1 - (u64_ - 1) avoids signed overflow at INT64_MIN (u64_ = 2^63).
+    return negative_ ? static_cast<T>(-1 - static_cast<std::int64_t>(u64_ - 1))
+                     : static_cast<T>(u64_);
   }
-  return static_cast<int>(as_i64());
+  if (number_ != std::trunc(number_)) refuse("is not a whole number");
+  // Both bounds are exact doubles: min is 0 or -2^k, and max + 1 rounds
+  // to 2^k.
+  if (!(number_ >= static_cast<double>(Limits::min()) &&
+        number_ < static_cast<double>(Limits::max()) + 1.0)) {
+    refuse(std::string("is out of ") + type + " range");
+  }
+  return static_cast<T>(number_);
 }
+
+std::uint64_t Json::as_u64() const {
+  return integer_as<std::uint64_t>("uint64");
+}
+
+std::int64_t Json::as_i64() const { return integer_as<std::int64_t>("int64"); }
+
+int Json::as_int() const { return integer_as<int>("int"); }
 
 Json Json::string(std::string value) {
   Json j;

@@ -55,16 +55,14 @@ class Json {
   bool is_object() const { return kind_ == Kind::kObject; }
   bool as_bool() const { return bool_; }
   double as_number() const { return number_; }
-  /// The exact unsigned integer twin; valid when the value was built via
-  /// integer()/uinteger() or parsed from undecorated digits.
-  std::uint64_t as_u64() const { return u64_; }
-  std::int64_t as_i64() const {
-    // -1 - (u64_ - 1) avoids signed overflow at INT64_MIN (u64_ = 2^63).
-    return negative_ ? -1 - static_cast<std::int64_t>(u64_ - 1)
-                     : static_cast<std::int64_t>(u64_);
-  }
-  /// as_i64() for a field that must fit an int: throws
-  /// std::invalid_argument when the value lies outside int's range.
+  /// The exact value of a whole number in the type's range. A value
+  /// built via integer()/uinteger() or parsed from undecorated digits
+  /// reads its exact 64-bit twin; one in decimal or exponent form (1e3,
+  /// 2000.0) reads its double. Throws std::invalid_argument, naming the
+  /// value, for a non-number, a fraction, or a value out of range (any
+  /// negative one for as_u64).
+  std::uint64_t as_u64() const;
+  std::int64_t as_i64() const;
   int as_int() const;
   const std::string& as_string() const { return string_; }
   const Array& items() const { return array_; }
@@ -103,6 +101,8 @@ class Json {
   void dump_to(std::string& out) const;
   void dump_pretty_to(std::string& out, int indent, int depth) const;
   std::string number_text() const;
+  template <typename T>
+  T integer_as(const char* type) const;
 
   Kind kind_ = Kind::kNull;
   bool bool_ = false;

@@ -12,7 +12,7 @@ CellularGa::CellularGa(ProblemPtr problem, CellularConfig config,
     : problem_(std::move(problem)),
       config_(std::move(config)),
       pool_(pool != nullptr ? pool : &par::default_pool()),
-      evaluator_(problem_, config_.eval_backend, pool_, config_.eval_batch) {
+      evaluator_(problem_, config_.eval_backend, pool_) {
   if (!config_.crossover || !config_.mutation) {
     OperatorConfig defaults = default_operators(*problem_);
     if (!config_.crossover) config_.crossover = defaults.crossover;

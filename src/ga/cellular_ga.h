@@ -44,8 +44,6 @@ struct CellularConfig {
   EvalCacheConfig eval_cache;
   /// Pre-built cache shared across islands (islands-of-cellular).
   EvalCachePtr shared_eval_cache;
-  /// objective_batch chunk size (0 = auto; see GaConfig::eval_batch).
-  int eval_batch = 0;
   Termination termination;
   std::uint64_t seed = 1;
   /// Injected initial individuals (warm start): they occupy the leading

@@ -86,11 +86,6 @@ struct GaConfig {
   /// subpopulations. When null and eval_cache.mode != kOff, the engine
   /// builds its own cache from eval_cache.
   EvalCachePtr shared_eval_cache;
-  /// objective_batch chunk size on every backend: 0 = auto (a lane-width
-  /// friendly block, currently 16), otherwise the exact block handed to
-  /// the batched decode kernels (1 = per-genome). Never changes any
-  /// objective — spec token `eval_batch=` (see solver.h).
-  int eval_batch = 0;
   FitnessTransform transform = FitnessTransform::kInverse;
   double reference_objective = 0.0;  ///< Fbar for FitnessTransform::kReference
   Termination termination;

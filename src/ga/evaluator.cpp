@@ -1,39 +1,11 @@
 #include "src/ga/evaluator.h"
 
-#include <algorithm>
 #include <chrono>
 #include <utility>
-
-#include "src/par/omp_backend.h"
 
 namespace psga::ga {
 
 namespace {
-
-/// Auto value of the eval_batch knob: a lane-width-friendly block — big
-/// enough that the SoA decode kernels amortize their staging pass, small
-/// enough to stay in L1/L2 for typical instances.
-constexpr std::size_t kDefaultEvalBatch = 16;
-
-std::size_t resolve_eval_batch(int eval_batch) {
-  return eval_batch > 0 ? static_cast<std::size_t>(eval_batch)
-                        : kDefaultEvalBatch;
-}
-
-/// Hands `genomes` to objective_batch in blocks of at most `block`.
-/// Purity + per-genome independence make the split invisible in the
-/// results; it only sets how many lanes the batched kernels advance at
-/// once.
-void chunked_objective_batch(const Problem& problem,
-                             std::span<const Genome> genomes,
-                             std::span<double> out, Workspace& workspace,
-                             std::size_t block) {
-  for (std::size_t begin = 0; begin < genomes.size(); begin += block) {
-    const std::size_t len = std::min(block, genomes.size() - begin);
-    problem.objective_batch(genomes.subspan(begin, len),
-                            out.subspan(begin, len), workspace);
-  }
-}
 
 std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point start) {
   return static_cast<std::uint64_t>(
@@ -45,27 +17,17 @@ std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point start) {
 }  // namespace
 
 Evaluator::Evaluator(ProblemPtr problem, EvalBackend backend,
-                     par::ThreadPool* pool, int eval_batch)
+                     par::ThreadPool* pool)
     : problem_(std::move(problem)),
       backend_(backend),
       // Only the pool backend needs a pool; don't materialize the
-      // process-wide default pool (and its worker threads) for serial or
-      // OpenMP evaluators.
+      // process-wide default pool (and its worker threads) for serial
+      // evaluators.
       pool_(backend == EvalBackend::kThreadPool && pool == nullptr
                 ? &par::default_pool()
-                : pool),
-      batch_size_(resolve_eval_batch(eval_batch)) {
-  int lanes = 1;
-  switch (backend_) {
-    case EvalBackend::kSerial:
-      break;
-    case EvalBackend::kThreadPool:
-      lanes = pool_->thread_count();
-      break;
-    case EvalBackend::kOpenMp:
-      lanes = par::omp_worker_count();
-      break;
-  }
+                : pool) {
+  const int lanes =
+      backend_ == EvalBackend::kThreadPool ? pool_->thread_count() : 1;
   workspaces_.reserve(static_cast<std::size_t>(lanes));
   for (int i = 0; i < lanes; ++i) {
     workspaces_.push_back(problem_->make_workspace());
@@ -90,52 +52,17 @@ void Evaluator::raw_evaluate(std::span<const Genome> genomes,
 
 void Evaluator::raw_evaluate_impl(std::span<const Genome> genomes,
                                   std::span<double> objectives) {
-  const std::size_t n = genomes.size();
-  switch (backend_) {
-    case EvalBackend::kSerial:
-      chunked_objective_batch(*problem_, genomes, objectives, workspace(0),
-                              batch_size_);
-      return;
-    case EvalBackend::kThreadPool:
-      pool_->parallel_lanes(
-          n, [&](std::size_t lane, std::size_t begin, std::size_t end) {
-            chunked_objective_batch(*problem_,
-                                    genomes.subspan(begin, end - begin),
-                                    objectives.subspan(begin, end - begin),
-                                    workspace(lane), batch_size_);
-          });
-      return;
-    case EvalBackend::kOpenMp: {
-#if defined(PSGA_HAVE_OPENMP)
-      // num_threads() caps the team at the lane count fixed at
-      // construction, so no two threads ever share a Workspace even after
-      // a later omp_set_num_threads(). The runtime may still deliver
-      // FEWER threads (OMP_DYNAMIC, thread limits), so chunk by the
-      // actual team size observed inside the region — every genome is
-      // covered either way. Chunks go through objective_batch, so batch
-      // overrides apply on every backend.
-      const int team = static_cast<int>(workspaces_.size());
-#pragma omp parallel num_threads(team)
-      {
-        const std::size_t actual =
-            static_cast<std::size_t>(omp_get_num_threads());
-        const std::size_t lane =
-            static_cast<std::size_t>(omp_get_thread_num());
-        const std::size_t begin = lane * n / actual;
-        const std::size_t end = (lane + 1) * n / actual;
-        if (begin < end) {
-          chunked_objective_batch(*problem_,
-                                  genomes.subspan(begin, end - begin),
-                                  objectives.subspan(begin, end - begin),
-                                  workspace(lane), batch_size_);
-        }
-      }
-#else
-      chunked_objective_batch(*problem_, genomes, objectives, workspace(0),
-                              batch_size_);
-#endif
-      return;
-    }
+  // One objective_batch call per lane over its whole slice; the batched
+  // kernels block their working set themselves.
+  const auto lane = [&](std::size_t k, std::size_t begin, std::size_t end) {
+    problem_->objective_batch(genomes.subspan(begin, end - begin),
+                              objectives.subspan(begin, end - begin),
+                              workspace(k));
+  };
+  if (backend_ == EvalBackend::kSerial) {
+    lane(0, 0, genomes.size());
+  } else {
+    pool_->parallel_lanes(genomes.size(), lane);
   }
 }
 

@@ -4,13 +4,12 @@
 // (master-slave, cellular, island); this class is the single place that
 // axis lives. An engine hands a population to evaluate() and the chosen
 // backend fills the objective vector:
-//   kSerial     — the calling thread, one reusable Workspace;
-//   kThreadPool — the library thread pool, one static chunk + Workspace
-//                 per lane (the master-slave model of Table III);
-//   kOpenMp     — the OpenMP runtime with the same static chunking
-//                 (serial when OpenMP is not compiled in).
-// Every backend is synchronous: evaluate() returns with every objective
-// written. Objectives are pure, and the chunk→lane mapping is
+//   kSerial     — the calling thread: one lane, one reusable Workspace;
+//   kThreadPool — the library thread pool: one static slice + Workspace
+//                 per lane (the master-slave model of Table III).
+// Each lane makes exactly one Problem::objective_batch call over its whole
+// slice. Both backends are synchronous: evaluate() returns with every
+// objective written. Objectives are pure, and the slice→lane mapping is
 // deterministic, so results are bit-identical across backends and thread
 // counts; Workspaces only recycle allocations, never carry state between
 // genomes.
@@ -43,23 +42,15 @@ namespace psga::ga {
 enum class EvalBackend {
   kSerial,      ///< calling thread only
   kThreadPool,  ///< the library thread pool (master-slave slaves)
-  kOpenMp,      ///< OpenMP parallel-for (serial if not compiled in)
 };
 
 class Evaluator {
  public:
   /// `pool` may be null — the library default pool is used (only relevant
-  /// for the thread-pool backend). `eval_batch` is the chunk size handed
-  /// to Problem::objective_batch on every backend: 0 = auto (a
-  /// lane-width-friendly default block), otherwise the exact block size
-  /// (1 degenerates to per-genome calls). Objectives are pure and the
-  /// chunk→genome mapping is deterministic, so the value never changes
-  /// any objective — only how many genomes each batched decode kernel
-  /// invocation sees.
+  /// for the thread-pool backend).
   explicit Evaluator(ProblemPtr problem,
                      EvalBackend backend = EvalBackend::kSerial,
-                     par::ThreadPool* pool = nullptr,
-                     int eval_batch = 0);
+                     par::ThreadPool* pool = nullptr);
 
   /// Fills objectives[i] = problem objective of genomes[i]. Spans must
   /// have equal size. Counts toward evaluations().
@@ -95,9 +86,6 @@ class Evaluator {
   long long decode_calls() const noexcept { return decode_calls_; }
 
   EvalBackend backend() const noexcept { return backend_; }
-  /// Resolved objective_batch chunk size (the auto default when the
-  /// constructor was given 0).
-  int eval_batch() const noexcept { return static_cast<int>(batch_size_); }
   const Problem& problem() const noexcept { return *problem_; }
 
   /// Worker-lane count of the active backend (1 for kSerial).
@@ -115,7 +103,6 @@ class Evaluator {
   ProblemPtr problem_;
   EvalBackend backend_;
   par::ThreadPool* pool_;
-  std::size_t batch_size_;  ///< objective_batch chunk size (resolved)
   std::vector<std::unique_ptr<Workspace>> workspaces_;  // one per lane
   EvalCachePtr cache_;
   long long evaluations_ = 0;

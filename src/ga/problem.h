@@ -57,8 +57,9 @@ class Problem {
   }
 
   /// Batch entry point: fills objectives[i] = objective(genomes[i]) using
-  /// one shared Workspace for the whole chunk. The default loop is correct
-  /// for every problem; override only to exploit cross-genome structure.
+  /// one shared Workspace for the lane's whole slice (the Evaluator makes
+  /// one call per lane). The default loop is correct for every problem;
+  /// override only to exploit cross-genome structure.
   virtual void objective_batch(std::span<const Genome> genomes,
                                std::span<double> objectives,
                                Workspace& workspace) const {

@@ -48,7 +48,7 @@ S* scratch_of(Workspace& workspace) {
 /// used to repeat: make_workspace() produces a ScratchWorkspace<Scratch>,
 /// and the workspace/batch objective entry points dispatch to
 /// `Derived::objective_with(genome, Scratch&)` with the typed scratch
-/// resolved once per chunk. Derived still implements the allocating
+/// resolved once per batch. Derived still implements the allocating
 /// `objective(genome)` (the fallback for foreign workspaces) and may
 /// override objective_batch to exploit cross-genome structure.
 template <typename Derived, typename Scratch>
@@ -68,7 +68,7 @@ class WorkspaceProblem : public Problem {
   void objective_batch(std::span<const Genome> genomes,
                        std::span<double> objectives,
                        Workspace& workspace) const override {
-    // Resolve the typed scratch once per chunk, not once per genome.
+    // Resolve the typed scratch once per batch, not once per genome.
     if (auto* s = detail::scratch_of<Scratch>(workspace)) {
       for (std::size_t i = 0; i < genomes.size(); ++i) {
         objectives[i] = derived().objective_with(genomes[i], *s);
@@ -119,8 +119,8 @@ class FlowShopProblem final
 
 /// Random-key scratch: the decoded permutation plus the flow-shop buffers
 /// and the shared batch workspaces (perm_storage holds all B decoded
-/// permutations of a batch back to back — the shared index workspace the
-/// batched argsort writes into).
+/// permutations of a batch, an Evaluator lane's whole slice, back to
+/// back — the shared index workspace the batched argsort writes into).
 struct RandomKeyFlowScratch {
   std::vector<int> perm;
   sched::FlowShopScratch fs;

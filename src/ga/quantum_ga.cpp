@@ -94,9 +94,8 @@ struct QuantumGa::State {
     MeasureScratch measure_scratch;
   };
 
-  State(ProblemPtr problem, EvalBackend backend, par::ThreadPool* pool,
-        int eval_batch)
-      : evaluator(std::move(problem), backend, pool, eval_batch) {}
+  State(ProblemPtr problem, EvalBackend backend, par::ThreadPool* pool)
+      : evaluator(std::move(problem), backend, pool) {}
 
   std::vector<Island> islands;
   /// All measurements of a generation in one flat batch (island-major)
@@ -145,8 +144,7 @@ void QuantumGa::init() {
   const int k = config_.islands;
   const std::size_t pop = static_cast<std::size_t>(config_.population);
 
-  state_ = std::make_unique<State>(problem_, config_.eval_backend, pool_,
-                                   config_.eval_batch);
+  state_ = std::make_unique<State>(problem_, config_.eval_backend, pool_);
   state_->evaluator.set_cache(
       EvalCache::make(config_.eval_cache, config_.shared_eval_cache));
   state_->evaluator.set_obs(config_.metrics, config_.tracer);

@@ -45,8 +45,6 @@ struct QuantumGaConfig {
   /// Objective memoization for the measured genomes (see eval_cache.h).
   EvalCacheConfig eval_cache;
   EvalCachePtr shared_eval_cache;  ///< pre-built cache to share
-  /// objective_batch chunk size (0 = auto; see GaConfig::eval_batch).
-  int eval_batch = 0;
   std::uint64_t seed = 1;
   /// Observability sinks (see GaConfig::metrics/tracer).
   obs::RegistryPtr metrics;

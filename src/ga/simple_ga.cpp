@@ -41,7 +41,7 @@ SimpleGa::SimpleGa(ProblemPtr problem, GaConfig config, par::ThreadPool* pool)
     : problem_(std::move(problem)),
       config_(std::move(config)),
       rng_(config_.seed),
-      evaluator_(problem_, config_.eval_backend, pool, config_.eval_batch) {
+      evaluator_(problem_, config_.eval_backend, pool) {
   if (!config_.ops.selection || !config_.ops.crossover || !config_.ops.mutation) {
     OperatorConfig defaults = default_operators(*problem_);
     if (!config_.ops.selection) config_.ops.selection = defaults.selection;

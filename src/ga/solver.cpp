@@ -21,8 +21,7 @@ namespace {
 EvalBackend parse_eval(const std::string& value, const std::string& token) {
   if (value == "serial") return EvalBackend::kSerial;
   if (value == "pool") return EvalBackend::kThreadPool;
-  if (value == "omp") return EvalBackend::kOpenMp;
-  bad_token(token, "unknown eval backend (serial|pool|omp)");
+  bad_token(token, "unknown eval backend (serial|pool)");
 }
 
 Topology parse_topology(const std::string& value, const std::string& token) {
@@ -133,14 +132,6 @@ SolverSpec SolverSpec::parse(const std::string& text) {
       spec.eval = parse_eval(value, token);
     } else if (key == "eval_cache") {
       spec.eval_cache = parse_eval_cache(value, token);
-    } else if (key == "eval_batch") {
-      if (value == "auto") {
-        spec.eval_batch = 0;
-      } else {
-        const int batch = parse_int(value, token);
-        if (batch < 1) bad_token(token, "eval batch must be auto or >= 1");
-        spec.eval_batch = batch;
-      }
     } else if (key == "sel") {
       spec.selection = value;
     } else if (key == "xover") {
@@ -206,7 +197,6 @@ const char* eval_name(EvalBackend backend) {
   switch (backend) {
     case EvalBackend::kSerial: return "serial";
     case EvalBackend::kThreadPool: return "pool";
-    case EvalBackend::kOpenMp: return "omp";
   }
   return "serial";
 }
@@ -271,14 +261,6 @@ std::string SolverSpec::to_string() const {
   put("seed", seed);
   if (eval) out << " eval=" << eval_name(*eval);
   if (eval_cache) out << " eval_cache=" << eval_cache_value(*eval_cache);
-  if (eval_batch) {
-    out << " eval_batch=";
-    if (*eval_batch == 0) {
-      out << "auto";
-    } else {
-      out << *eval_batch;
-    }
-  }
   put("sel", selection);
   put("xover", crossover);
   put("mut", mutation);
@@ -315,7 +297,6 @@ GaConfig base_config(const SolverSpec& spec) {
   if (spec.seed) cfg.seed = *spec.seed;
   if (spec.eval) cfg.eval_backend = *spec.eval;
   if (spec.eval_cache) cfg.eval_cache = *spec.eval_cache;
-  if (spec.eval_batch) cfg.eval_batch = *spec.eval_batch;
   if (spec.selection) cfg.ops.selection = make_selection(*spec.selection);
   if (spec.crossover) cfg.ops.crossover = make_crossover(*spec.crossover);
   if (spec.mutation) cfg.ops.mutation = make_mutation(*spec.mutation);
@@ -352,7 +333,6 @@ CellularConfig cellular_config(const SolverSpec& spec) {
   if (spec.mutation_rate) cell.mutation_rate = *spec.mutation_rate;
   if (spec.eval) cell.eval_backend = *spec.eval;
   if (spec.eval_cache) cell.eval_cache = *spec.eval_cache;
-  if (spec.eval_batch) cell.eval_batch = *spec.eval_batch;
   if (spec.seed) cell.seed = *spec.seed;
   if (spec.trace.value_or(false)) {
     cell.tracer = std::make_shared<obs::Tracer>();
@@ -420,7 +400,6 @@ std::map<std::string, EngineEntry>& registry() {
                         }
                         if (spec.eval) cfg.eval_backend = *spec.eval;
                         if (spec.eval_cache) cfg.eval_cache = *spec.eval_cache;
-                        if (spec.eval_batch) cfg.eval_batch = *spec.eval_batch;
                         if (spec.seed) cfg.seed = *spec.seed;
                         if (spec.trace.value_or(false)) {
                           cfg.tracer = std::make_shared<obs::Tracer>();

@@ -15,14 +15,14 @@
 //
 // Spec-string cookbook (see docs/architecture.md for the full list):
 //   engine=simple pop=100 seed=7 xover=ox mut=swap sel=tournament4
-//   engine=master-slave pop=200 eval=omp
+//   engine=master-slave pop=200 eval=pool
 //   engine=cellular width=16 height=16 neighborhood=moore radius=2
 //   engine=island islands=8 topology=hypercube policy=best-random interval=5
 //   engine=islands-of-cellular islands=4 width=8 height=8 interval=20
 //   engine=quantum islands=4 pop=20
 //   engine=memetic pop=60 interval=5 refine=2 budget=150
 //   engine=cluster ranks=6 interval=5 broadcast=25
-//   engine=island eval_cache=lru:65536 eval_batch=16
+//   engine=island eval_cache=lru:65536
 #pragma once
 
 #include <functional>
@@ -53,15 +53,11 @@ struct SolverSpec {
   std::optional<int> population;       ///< pop= (per island for island engines)
   std::optional<int> elites;           ///< elites=
   std::optional<std::uint64_t> seed;   ///< seed=
-  /// eval= (alias eval_backend=): serial|pool|omp
+  /// eval= (alias eval_backend=): serial|pool
   std::optional<EvalBackend> eval;
   /// eval_cache=off|unbounded|lru:<capacity> — both cached modes accept
   /// an optional trailing :<shards> in [1, 64] (e.g. lru:65536:16)
   std::optional<EvalCacheConfig> eval_cache;
-  /// eval_batch=auto|<N> — objective_batch chunk size on every backend
-  /// (auto = 0 = the evaluator's lane-width-friendly default). Purely a
-  /// throughput knob: it never changes any objective or trace.
-  std::optional<int> eval_batch;
   std::optional<std::string> selection;  ///< sel= (make_selection names)
   std::optional<std::string> crossover;  ///< xover= (make_crossover names)
   std::optional<std::string> mutation;   ///< mut= (make_mutation names)

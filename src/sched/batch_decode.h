@@ -4,9 +4,10 @@
 //
 // The scalar decoders in flow_shop.h walk one permutation at a time
 // through cache-cold instance matrices. These kernels amortize that walk
-// over a whole evaluation chunk: a structure-of-arrays completion front
-// C[machine][lane] in contiguous block-major layout advances permutations
-// in lockstep blocks of fixed SIMD width. Per machine step the kernel
+// over a whole batch (an Evaluator lane's slice, in one call): a
+// structure-of-arrays completion front C[machine][lane] in contiguous
+// block-major layout advances permutations in lockstep blocks of fixed
+// SIMD width, so the working set is one block whatever the batch size. Per machine step the kernel
 // gathers one block-wide duration row out of a machine-major matrix
 // packed once per instance, then runs a unit-stride max+add recurrence
 // over the lanes (explicit vector code on GCC/Clang). The job shop has no
@@ -18,7 +19,10 @@
 // its scalar twin in the same order, so results are bit-identical to
 // flow_shop_objective for any batch size and any batch composition.
 // Scratch structs carry capacity only, never state (see
-// docs/architecture.md, "Workspace = capacity").
+// docs/architecture.md, "Workspace = capacity"). Two buffers grow with
+// the batch rather than the block: `completion` below (non-makespan
+// criteria) and the random-key problem's `perm_storage`, each at most
+// about twice the memory of the batch's own genomes.
 #pragma once
 
 #include <cstdint>
@@ -48,7 +52,7 @@ struct FlowShopBatchScratch {
   std::vector<Time> mproc;      ///< machine-major flatten: [m * jobs + job]
   std::vector<Time> release;    ///< per-job release times
   std::vector<Time> front;      ///< completion front, [m * block + lane]
-  std::vector<Time> completion;  ///< [lane * jobs + job] (criteria paths)
+  std::vector<Time> completion;  ///< [lane * jobs + job] (criteria paths; whole batch)
   std::vector<Time> makespans;   ///< per-lane makespans (objective entry)
   // 32-bit twins of the packed matrix and working rows (narrow path).
   std::vector<std::int32_t> mproc32;

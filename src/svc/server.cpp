@@ -421,8 +421,8 @@ exp::Json Server::handle_request(const Json& request, int connection_fd,
       std::lock_guard lock(config_mutex_);
       stop = config_.clamp(requested);
     }
-    const int priority =
-        static_cast<int>(request.number_or("priority", 0));
+    const Json* priority_field = request.find("priority");
+    const int priority = priority_field ? priority_field->as_int() : 0;
     JobPtr job;
     try {
       job = table_.submit(canonical, priority, stop);
@@ -520,7 +520,7 @@ exp::Json Server::handle_request(const Json& request, int connection_fd,
       config.slo_seconds = slo->as_number();
     }
     if (const Json* seed = request.find("seed")) {
-      config.seed = static_cast<std::uint64_t>(seed->as_i64());
+      config.seed = seed->as_u64();
     }
     if (const Json* warm = request.find("warm")) {
       config.warm.enabled = warm->as_bool();

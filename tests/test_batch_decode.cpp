@@ -1,20 +1,20 @@
-// The batch decode kernels (sched/batch_decode.h) and the eval_batch
-// chunking policy must be invisible in every objective: for any batch
+// The batch decode kernels (sched/batch_decode.h) and the Evaluator's
+// lane slicing must be invisible in every objective: for any population
 // size and any backend, the batched path returns exactly what the scalar
-// decoders return. These tests pin that contract at three levels —
-// the flow-shop kernels against their scalar twins, the Evaluator's
-// chunked objective_batch across every registered problem × batch size ×
-// backend, and whole engine traces across eval_batch= values — plus the
-// job shop's two cores: the one Giffler–Thompson core every active
-// decoder shares and the DowntimeFrontier replay every semi-active
-// objective runs (oracle fuzz, golden constants, zero-duration and
-// malformed inputs), and the eval_batch spec token round-trip.
+// decoders return. These tests pin that contract at two levels — the
+// flow-shop kernels against their scalar twins, and the Evaluator's
+// per-lane objective_batch across every registered problem × population
+// size × backend — plus the job shop's two cores: the one
+// Giffler–Thompson core every active decoder shares and the
+// DowntimeFrontier replay every semi-active objective runs (oracle fuzz,
+// golden constants, zero-duration and malformed inputs).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -216,7 +216,7 @@ Genome genome_of(std::vector<int> seq) {
 }
 
 /// `problem`'s objective_batch over `seqs`, `chunk` genomes per call on
-/// one workspace, the way the Evaluator hands it chunks.
+/// one workspace, the way Evaluator lanes hand it their slices.
 std::vector<double> batch_objectives(const JobShopProblem& problem,
                                      const std::vector<std::vector<int>>& seqs,
                                      std::size_t chunk) {
@@ -796,11 +796,11 @@ TEST(SemiActiveGolden, ObjectivesArePinned) {
 // --- batch-vs-scalar equivalence across the whole registry -------------------
 
 // Every registered problem (plus the alternate encodings/decoders that
-// select different objective_batch code paths). Fuzzed genomes, batch
-// sizes {1,2,7,16,33}, all four backends: the chunked batch path must
-// reproduce the scalar per-genome objective bit for bit. (The double
-// models run the same arithmetic in the same order on both paths, so
-// exact equality is the right bar there too.)
+// select different objective_batch code paths). Fuzzed genomes,
+// population sizes {1,2,7,16,33}, serial and pools of 2, 3 and 5 lanes:
+// the batched path must reproduce the scalar per-genome objective bit
+// for bit. (The double models run the same arithmetic in the same order
+// on both paths, so exact equality is the right bar there too.)
 const char* kProblemSpecs[] = {
     "problem=flowshop instance=gen:jobs=12,machines=5,seed=3",
     "problem=flowshop instance=gen:jobs=12,machines=5,seed=3 "
@@ -838,105 +838,32 @@ TEST_P(BatchScalarEquivalence, ChunkedBatchesMatchScalarOnEveryBackend) {
     expect[i] = problem->objective(genomes[i]);
   }
 
-  for (EvalBackend backend :
-       {EvalBackend::kSerial, EvalBackend::kThreadPool, EvalBackend::kOpenMp}) {
-    for (int eval_batch : {1, 2, 7, 16, 33}) {
-      SCOPED_TRACE("backend=" + std::to_string(static_cast<int>(backend)) +
-                   " eval_batch=" + std::to_string(eval_batch));
-      Evaluator evaluator(problem, backend, nullptr, eval_batch);
-      EXPECT_EQ(evaluator.eval_batch(), eval_batch);
-      std::vector<double> got(genomes.size(), -1.0);
-      evaluator.evaluate(genomes, got);
-      EXPECT_EQ(got, expect);
+  // Every lane hands its whole slice to objective_batch, so population
+  // sizes on each side of the kernels' 8-genome block, split over 1, 2,
+  // 3 and 5 lanes, cover full blocks, padded tail blocks, one-genome
+  // slices and lanes left empty.
+  std::vector<Evaluator> evaluators;
+  evaluators.emplace_back(problem, EvalBackend::kSerial);
+  std::vector<std::unique_ptr<par::ThreadPool>> pools;
+  for (int lanes : {2, 3, 5}) {
+    pools.push_back(std::make_unique<par::ThreadPool>(lanes));
+    evaluators.emplace_back(problem, EvalBackend::kThreadPool,
+                            pools.back().get());
+  }
+  for (Evaluator& evaluator : evaluators) {
+    for (std::size_t n : {1, 2, 7, 16, 33}) {
+      SCOPED_TRACE("lanes=" + std::to_string(evaluator.lanes()) +
+                   " n=" + std::to_string(n));
+      const std::span<const Genome> slice(genomes.data(), n);
+      std::vector<double> got(n, -1.0);
+      evaluator.evaluate(slice, got);
+      EXPECT_EQ(got, std::vector<double>(expect.begin(), expect.begin() + n));
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllRegistryProblems, BatchScalarEquivalence,
                          ::testing::ValuesIn(kProblemSpecs));
-
-TEST(BatchScalarEquivalence, AutoResolvesToAPositiveBlockSize) {
-  const ProblemPtr problem =
-      ProblemSpec::parse("problem=flowshop instance=ta001").build();
-  Evaluator evaluator(problem, EvalBackend::kSerial, nullptr,
-                      /*eval_batch=*/0);
-  EXPECT_GT(evaluator.eval_batch(), 0);
-}
-
-// --- eval_batch must be trace-invariant at the engine level ------------------
-
-class EvalBatchTraceInvariance : public ::testing::TestWithParam<const char*> {
-};
-
-TEST_P(EvalBatchTraceInvariance, RunResultIdenticalForEveryChunkSize) {
-  const std::string base = GetParam();
-  const StopCondition stop = StopCondition::generations(5);
-  const RunResult reference = Solver::build(RunSpec::parse(base)).run(stop);
-  for (const char* token :
-       {" eval_batch=auto", " eval_batch=1", " eval_batch=7",
-        " eval_batch=33"}) {
-    SCOPED_TRACE(token);
-    const RunResult result =
-        Solver::build(RunSpec::parse(base + token)).run(stop);
-    EXPECT_EQ(result.best_objective, reference.best_objective);
-    EXPECT_EQ(result.best.seq, reference.best.seq);
-    EXPECT_EQ(result.history, reference.history);
-    EXPECT_EQ(result.evaluations, reference.evaluations);
-    EXPECT_EQ(result.generations, reference.generations);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Engines, EvalBatchTraceInvariance,
-    ::testing::Values(
-        "problem=flowshop instance=gen:jobs=10,machines=4,seed=3 "
-        "engine=simple pop=14 elites=2 seed=5",
-        "problem=jobshop instance=ft06 decoder=active engine=island "
-        "islands=3 pop=8 interval=2 seed=5 eval=pool "
-        "eval_cache=lru:4096",
-        "problem=flowshop encoding=random-key "
-        "instance=gen:jobs=10,machines=4,seed=3 engine=cellular width=4 "
-        "height=3 seed=5",
-        "problem=fuzzy-flowshop instance=gen:jobs=5,machines=3,seed=5 "
-        "spread=0.25 engine=master-slave pop=10 elites=2 seed=5",
-        "problem=jobshop instance=ft06 engine=quantum islands=2 pop=6 "
-        "seed=5"));
-
-// --- eval_batch spec token ---------------------------------------------------
-
-TEST(EvalBatchSpec, ParsesRendersAndRoundTrips) {
-  SolverSpec spec = SolverSpec::parse("engine=simple eval_batch=16");
-  ASSERT_TRUE(spec.eval_batch.has_value());
-  EXPECT_EQ(*spec.eval_batch, 16);
-  EXPECT_NE(spec.to_string().find("eval_batch=16"), std::string::npos);
-  EXPECT_EQ(SolverSpec::parse(spec.to_string()), spec);
-
-  SolverSpec auto_spec = SolverSpec::parse("eval_batch=auto");
-  ASSERT_TRUE(auto_spec.eval_batch.has_value());
-  EXPECT_EQ(*auto_spec.eval_batch, 0);
-  EXPECT_NE(auto_spec.to_string().find("eval_batch=auto"), std::string::npos);
-  EXPECT_EQ(SolverSpec::parse(auto_spec.to_string()), auto_spec);
-
-  // Unset stays unset: no eval_batch token in the canonical form.
-  EXPECT_EQ(SolverSpec::parse("engine=simple").to_string()
-                .find("eval_batch"),
-            std::string::npos);
-}
-
-TEST(EvalBatchSpec, RejectsNonPositiveAndMalformedValues) {
-  EXPECT_THROW(SolverSpec::parse("eval_batch=0"), std::invalid_argument);
-  EXPECT_THROW(SolverSpec::parse("eval_batch=-3"), std::invalid_argument);
-  EXPECT_THROW(SolverSpec::parse("eval_batch=lots"), std::invalid_argument);
-  EXPECT_THROW(SolverSpec::parse("eval_batch="), std::invalid_argument);
-}
-
-TEST(EvalBatchSpec, RoutesThroughRunSpecToTheSolverHalf) {
-  const RunSpec run = RunSpec::parse(
-      "problem=flowshop instance=ta001 engine=simple eval_batch=8");
-  ASSERT_TRUE(run.solver.eval_batch.has_value());
-  EXPECT_EQ(*run.solver.eval_batch, 8);
-  EXPECT_EQ(RunSpec::parse(run.to_string()), run);
-}
 
 }  // namespace
 }  // namespace psga::ga

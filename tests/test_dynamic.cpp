@@ -284,8 +284,8 @@ TEST(SplitAt, FuzzRebaseAgreesWithFullDecode) {
 /// The one downtime core against the oracle, on every entry point: full
 /// ScheduledOp equality for decode_with_downtime, and for each split of
 /// the plan the frozen prefix, realized_makespan_with_prefix, the suffix
-/// problem's scalar and workspace objectives, and serial Evaluators with
-/// eval_batch 1 and 16 over the same genomes. Instances cover J 1-12,
+/// problem's scalar and workspace objectives, and a serial Evaluator and
+/// one on a 3-lane pool over the same genomes. Instances cover J 1-12,
 /// M 1-8, durations 0-3 / the generator's with about a quarter zeroed /
 /// the generator's, release dates on half, 0-8 windows (zero-length,
 /// overlapping, nested, ending before the prefix frontier, and one on a
@@ -295,6 +295,7 @@ TEST(SplitAt, FuzzRebaseAgreesWithFullDecode) {
 /// of the plain decode ends (start + duration == w.start) or end where
 /// one starts (start == w.end).
 TEST(DowntimeCore, MatchesTheOracleOnEveryEntryPoint) {
+  par::ThreadPool pool(3);
   long long checks = 0;
   long long mismatches = 0;
   int t = 0;
@@ -343,15 +344,15 @@ TEST(DowntimeCore, MatchesTheOracleOnEveryEntryPoint) {
                   expected.back(),
               "objective(g, workspace)");
       }
-      for (const int batch : {1, 16}) {
-        ga::Evaluator evaluator(problem, ga::EvalBackend::kSerial, nullptr,
-                                batch);
+      for (const ga::EvalBackend backend :
+           {ga::EvalBackend::kSerial, ga::EvalBackend::kThreadPool}) {
+        ga::Evaluator evaluator(problem, backend, &pool);
         std::vector<double> objectives(genomes.size());
         evaluator.evaluate(genomes, objectives);
         for (std::size_t g = 0; g < genomes.size(); ++g) {
           check(objectives[g] == expected[g],
-                batch == 1 ? "Evaluator eval_batch=1"
-                           : "Evaluator eval_batch=16");
+                backend == ga::EvalBackend::kSerial ? "serial Evaluator"
+                                                    : "3-lane pool Evaluator");
         }
       }
     }

@@ -692,11 +692,11 @@ TEST_P(CacheEquivalence, BitIdenticalTracesAcrossBackendsAndCacheModes) {
   const std::string base = GetParam();
   const StopCondition stop = StopCondition::generations(6);
   const ProblemPtr problem = flow_shop();
-  // Serial-run counters per cache mode. Every backend looks up and
-  // inserts on the evaluating thread in genome order, so pool and omp
-  // must record exactly the same hits, misses and inserts.
+  // Serial-run counters per cache mode. Both backends look up and
+  // insert on the evaluating thread in genome order, so the pool must
+  // record exactly the same hits, misses and inserts.
   std::map<std::string, EvalCacheStats> serial_counts;
-  for (const char* eval : {" eval=serial", " eval=pool", " eval=omp"}) {
+  for (const char* eval : {" eval=serial", " eval=pool"}) {
     SCOPED_TRACE(base + eval);
     const RunResult off =
         Solver::build(SolverSpec::parse(base + eval), problem).run(stop);

@@ -1,15 +1,20 @@
 // The unified Evaluator is the one place fitness evaluation happens, so
 // these tests pin down its two contracts:
-//   1. backend equivalence — Serial, ThreadPool (any width) and OpenMP
-//      produce bit-identical objective vectors for every shop decoder,
+//   1. backend equivalence — Serial and ThreadPool (any width) produce
+//      bit-identical objective vectors for every shop decoder,
 //      and the Workspace fast path equals the allocating slow path;
 //   2. engine invariance — a full SimpleGa run through the evaluator is
-//      identical for every backend and thread count.
+//      identical for every backend and thread count;
+// plus the lane contract: one objective_batch call per lane, over exactly
+// that lane's static slice.
 #include "src/ga/evaluator.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <mutex>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -130,11 +135,6 @@ TEST(Evaluator, BackendEquivalenceForEveryDecoder) {
       pooled.evaluate(population, pooled_got);
       EXPECT_EQ(expected, pooled_got) << "threads=" << threads;
     }
-
-    Evaluator omp(problem, EvalBackend::kOpenMp);
-    std::vector<double> omp_got(population.size(), -1.0);
-    omp.evaluate(population, omp_got);
-    EXPECT_EQ(expected, omp_got) << "openmp";
   }
 }
 
@@ -204,11 +204,78 @@ TEST(Evaluator, EngineRunInvariantAcrossBackendsAndThreadCounts) {
       EXPECT_EQ(reference.best.seq, result.best.seq) << "threads=" << threads;
       EXPECT_EQ(reference.evaluations, result.evaluations);
     }
-    GaConfig omp_cfg = cfg;
-    omp_cfg.eval_backend = EvalBackend::kOpenMp;
-    SimpleGa omp_engine(problem, omp_cfg);
-    const GaResult omp_result = omp_engine.run();
-    EXPECT_EQ(reference.history, omp_result.history) << "openmp";
+  }
+}
+
+/// Records every objective_batch call as the [first, last] genome index
+/// it saw (genome i carries i in seq[0]); the objective is that index.
+class SliceRecordingProblem final : public Problem {
+ public:
+  const GenomeTraits& traits() const override { return traits_; }
+  Genome random_genome(par::Rng&) const override { return {}; }
+  double objective(const Genome& genome) const override {
+    return genome.seq.front();
+  }
+  void objective_batch(std::span<const Genome> genomes,
+                       std::span<double> objectives,
+                       Workspace& workspace) const override {
+    {
+      const std::lock_guard lock(mutex_);
+      calls_.emplace_back(genomes.front().seq.front(),
+                          genomes.back().seq.front());
+    }
+    Problem::objective_batch(genomes, objectives, workspace);
+  }
+  std::vector<std::pair<int, int>> take_calls() const {
+    const std::lock_guard lock(mutex_);
+    std::vector<std::pair<int, int>> calls = std::move(calls_);
+    calls_.clear();
+    std::sort(calls.begin(), calls.end());
+    return calls;
+  }
+
+ private:
+  GenomeTraits traits_;
+  mutable std::mutex mutex_;
+  mutable std::vector<std::pair<int, int>> calls_;
+};
+
+TEST(Evaluator, OneObjectiveBatchCallPerLaneOverItsSlice) {
+  const auto problem = std::make_shared<SliceRecordingProblem>();
+  std::vector<Genome> population(33);
+  for (std::size_t i = 0; i < population.size(); ++i) {
+    population[i].seq = {static_cast<int>(i)};
+  }
+  par::ThreadPool pool(3);
+  Evaluator serial(problem, EvalBackend::kSerial);
+  Evaluator pooled(problem, EvalBackend::kThreadPool, &pool);
+  for (std::size_t n : {1, 2, 16, 33}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const std::span<const Genome> genomes(population.data(), n);
+    std::vector<double> got(n, -1.0);
+    std::vector<double> expected(n);
+    for (std::size_t i = 0; i < n; ++i) expected[i] = static_cast<double>(i);
+
+    serial.evaluate(genomes, got);
+    EXPECT_EQ(got, expected);
+    const std::vector<std::pair<int, int>> whole = {
+        {0, static_cast<int>(n) - 1}};
+    EXPECT_EQ(problem->take_calls(), whole);
+
+    // Lane k's static slice [k*n/3, (k+1)*n/3), empty ones skipped.
+    std::fill(got.begin(), got.end(), -1.0);
+    pooled.evaluate(genomes, got);
+    EXPECT_EQ(got, expected);
+    std::vector<std::pair<int, int>> slices;
+    for (std::size_t k = 0; k < 3; ++k) {
+      const std::size_t begin = k * n / 3;
+      const std::size_t end = (k + 1) * n / 3;
+      if (begin < end) {
+        slices.emplace_back(static_cast<int>(begin),
+                            static_cast<int>(end) - 1);
+      }
+    }
+    EXPECT_EQ(problem->take_calls(), slices);
   }
 }
 

@@ -73,21 +73,6 @@ TEST(MasterSlave, UsesDefaultPoolWhenNull) {
   EXPECT_GT(result.evaluations, 0);
 }
 
-TEST(MasterSlave, OpenMpBackendMatchesThreadPoolTrace) {
-  // Backend choice must not change the algorithm — same invariance as the
-  // serial/parallel equality, across runtimes.
-  GaConfig pool_cfg = config(21);
-  pool_cfg.eval_backend = EvalBackend::kThreadPool;
-  GaConfig omp_cfg = config(21);
-  omp_cfg.eval_backend = EvalBackend::kOpenMp;
-  MasterSlaveGa pool_engine(problem(), pool_cfg);
-  MasterSlaveGa omp_engine(problem(), omp_cfg);
-  const GaResult a = pool_engine.run();
-  const GaResult b = omp_engine.run();
-  EXPECT_EQ(a.history, b.history);
-  EXPECT_EQ(a.best.seq, b.best.seq);
-}
-
 TEST(MasterSlave, BudgetModeIgnoresGenerationCap) {
   GaConfig cfg = config();
   cfg.termination.max_generations = 1;  // would stop immediately in run()

@@ -299,9 +299,56 @@ TEST(Service, MalformedRequestsGetStructuredErrors) {
     EXPECT_NE(huge_session.string_or("error", "").find("out of int range"),
               std::string::npos);
 
+    // Integer fields take whole numbers only: a fraction, a string or a
+    // priority beyond int's range is refused, not read as 0 or cast.
+    const std::string submit =
+        R"({"op":"submit","spec":"problem=flowshop instance=ta001 )"
+        R"(engine=simple pop=10",)";
+    for (const char* field :
+         {R"("generations":2.5})", R"("generations":"40"})",
+          R"("priority":1e300})"}) {
+      SCOPED_TRACE(field);
+      Json refused = round_trip(submit + field);
+      EXPECT_FALSE(refused.find("ok")->as_bool());
+      EXPECT_FALSE(refused.string_or("error", "").empty());
+    }
+    // Specs naming the deleted OpenMP runtime or chunk knob are refused,
+    // never run as another configuration.
+    for (const char* token : {"eval=omp", "eval_batch=16"}) {
+      SCOPED_TRACE(token);
+      Json stale = round_trip(
+          std::string(R"({"op":"submit","spec":"problem=flowshop )") +
+          "instance=ta001 engine=simple " + token + R"("})");
+      EXPECT_FALSE(stale.find("ok")->as_bool());
+      EXPECT_NE(stale.string_or("error", "").find(token), std::string::npos);
+    }
+
     // After all that abuse the connection still serves good requests.
     Json ping = round_trip(R"({"op":"ping"})");
     EXPECT_TRUE(ping.find("ok")->as_bool());
+  }
+  server.stop();
+}
+
+TEST(Service, WholeNumbersInAnyJsonFormReadExactly) {
+  ServerConfig config = test_config();
+  Server server(config);
+  server.start();
+  {
+    Client client(config.socket_path);
+    // Exponent form is a whole number: 1e1 generations run ten.
+    const Json submitted = client.request(Json::parse(
+        R"({"op":"submit","spec":"problem=flowshop instance=ta001 )"
+        R"(engine=simple pop=10 seed=3","generations":1e1})"));
+    const JobRecord job = client.wait(submitted.find("id")->as_i64());
+    EXPECT_EQ(job.state, JobState::kDone);
+    EXPECT_EQ(job.generations, 10);
+
+    // A seed above INT64_MAX still opens a session.
+    const Json opened = client.request(Json::parse(
+        R"({"op":"session_open","instance":"ft06","generations":2,)"
+        R"("solver":"engine=simple pop=8","seed":18446744073709551615})"));
+    client.session_close(opened.find("session")->as_i64());
   }
   server.stop();
 }

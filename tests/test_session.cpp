@@ -49,6 +49,12 @@ TEST(SessionEvent, ParseRoundTripsCanonicalTokens) {
     // JSON round trip preserves the canonical token form too.
     EXPECT_EQ(Event::from_json(event.to_json()).to_string(), text);
   }
+  // A whole number in exponent form reads exactly.
+  EXPECT_EQ(Event::from_json(exp::Json::parse(
+                R"({"kind":"breakdown","time":1e2,"machine":2,)"
+                R"("duration":10})"))
+                .to_string(),
+            "kind=breakdown time=100 machine=2 duration=10");
 }
 
 TEST(SessionEvent, ParseRejectsMalformedTokens) {
@@ -68,6 +74,11 @@ TEST(SessionEvent, ParseRejectsMalformedTokens) {
                std::invalid_argument);
   EXPECT_THROW(Event::from_json(exp::Json::parse(
                    R"({"kind":"breakdown","time":5,"machine":4294967297,)"
+                   R"("duration":3})")),
+               std::invalid_argument);
+  // A fractional time is an error, not time 0.
+  EXPECT_THROW(Event::from_json(exp::Json::parse(
+                   R"({"kind":"breakdown","time":2.5,"machine":2,)"
                    R"("duration":3})")),
                std::invalid_argument);
 }

@@ -247,7 +247,7 @@ TEST(SolverSpecRegistry, CustomEngineRegistration) {
 TEST(SolverSpecRoundTrip, CanonicalStringReparsesToTheSameSpec) {
   for (const char* text :
        {"engine=simple", "engine=simple pop=100 seed=7 xover=ox mut=swap",
-        "engine=master-slave pop=200 eval=omp",
+        "engine=master-slave pop=200 eval=pool",
         "engine=cellular width=16 height=16 neighborhood=moore radius=2",
         "engine=island islands=8 topology=hypercube policy=best-random "
         "interval=5 eval=serial eval_cache=lru:65536",
@@ -268,7 +268,7 @@ TEST(SolverSpecRoundTrip, RandomSpecsSurviveParsePrintParse) {
   // identity, including the eval backend/cache tokens.
   par::Rng rng(4242);
   const std::vector<std::string> engines = engine_names();
-  const char* evals[] = {"serial", "pool", "omp"};
+  const char* evals[] = {"serial", "pool"};
   const char* caches[] = {"off", "unbounded", "lru:16", "lru:65536"};
   const char* topologies[] = {"ring", "grid",  "torus",     "full",
                               "star", "hypercube", "random"};
@@ -279,7 +279,7 @@ TEST(SolverSpecRoundTrip, RandomSpecsSurviveParsePrintParse) {
     if (rng.chance(0.5)) text += " pop=" + std::to_string(rng.range(2, 500));
     if (rng.chance(0.5)) text += " elites=" + std::to_string(rng.range(0, 8));
     if (rng.chance(0.5)) text += " seed=" + std::to_string(rng() >> 1);
-    if (rng.chance(0.5)) text += std::string(" eval=") + evals[rng.below(3)];
+    if (rng.chance(0.5)) text += std::string(" eval=") + evals[rng.below(2)];
     if (rng.chance(0.5)) {
       text += std::string(" eval_cache=") + caches[rng.below(4)];
     }
@@ -439,10 +439,11 @@ TEST(SolverSpec, MalformedTokenThrowsWithOffendingToken) {
   }
   EXPECT_THROW(SolverSpec::parse("topology=moebius"), std::invalid_argument);
   // Unknown backends fail loudly, naming the token and listing the
-  // accepted values. The async pipeline's old tokens get no alias on
-  // purpose: a stale spec must not silently run another configuration.
+  // accepted values. The deleted async pipeline's and OpenMP runtime's
+  // tokens get no alias on purpose: a stale spec must not silently run
+  // another configuration.
   for (const char* token :
-       {"eval=gpu", "eval=async_pool", "eval_backend=async"}) {
+       {"eval=gpu", "eval=async_pool", "eval_backend=async", "eval=omp"}) {
     SCOPED_TRACE(token);
     try {
       SolverSpec::parse(std::string("engine=simple ") + token);
@@ -450,8 +451,26 @@ TEST(SolverSpec, MalformedTokenThrowsWithOffendingToken) {
     } catch (const std::invalid_argument& e) {
       const std::string what = e.what();
       EXPECT_NE(what.find(token), std::string::npos) << what;
-      EXPECT_NE(what.find("serial|pool|omp"), std::string::npos) << what;
+      EXPECT_NE(what.find("(serial|pool)"), std::string::npos) << what;
     }
+    EXPECT_THROW(
+        RunSpec::parse(std::string("problem=flowshop instance=ta001 ") + token),
+        std::invalid_argument);
+  }
+  // The deleted chunk-size knob is an unknown key, through either parser.
+  try {
+    SolverSpec::parse("engine=simple eval_batch=16");
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("eval_batch=16"), std::string::npos)
+        << e.what();
+  }
+  try {
+    RunSpec::parse("problem=flowshop instance=ta001 engine=simple eval_batch=16");
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("eval_batch=16"), std::string::npos)
+        << e.what();
   }
 }
 

@@ -76,6 +76,72 @@ TEST(Json, Int64MinRoundTripsWithoutOverflow) {
   EXPECT_EQ(parsed.dump(), "-9223372036854775808");
 }
 
+TEST(Json, IntegerAccessorsReadWholeNumbersExactlyOrThrow) {
+  // Plain digits keep the exact 64-bit twin.
+  EXPECT_EQ(Json::parse("18446744073709551615").as_u64(),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(Json::parse("9223372036854775807").as_i64(),
+            std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(Json::parse("-2147483648").as_int(),
+            std::numeric_limits<int>::min());
+  // Decimal and exponent forms of a whole number read its value.
+  EXPECT_EQ(Json::parse("1e3").as_i64(), 1000);
+  EXPECT_EQ(Json::parse("1e3").as_int(), 1000);
+  EXPECT_EQ(Json::parse("1e3").as_u64(), 1000u);
+  EXPECT_EQ(Json::parse("2000.0").as_i64(), 2000);
+  EXPECT_EQ(Json::parse("-2.5e1").as_int(), -25);
+  EXPECT_EQ(Json::parse("-0.0").as_u64(), 0u);
+  EXPECT_EQ(Json::number(4096.0).as_u64(), 4096u);
+  EXPECT_EQ(Json::parse("-9.223372036854775808e18").as_i64(),
+            std::numeric_limits<std::int64_t>::min());
+
+  auto error_of = [](const Json& value, int accessor) -> std::string {
+    try {
+      switch (accessor) {
+        case 0: (void)value.as_i64(); break;
+        case 1: (void)value.as_int(); break;
+        default: (void)value.as_u64(); break;
+      }
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "";
+  };
+  // Refused, naming the value: fractions, values out of range, negatives
+  // for as_u64, and anything that is not a number.
+  struct Refusal {
+    const char* text;
+    int accessor;  // 0 = as_i64, 1 = as_int, 2 = as_u64
+    const char* named;
+  };
+  for (const Refusal& refusal : {
+           Refusal{"2.5", 0, "2.5"},
+           Refusal{"2.5", 1, "2.5"},
+           Refusal{"2.5", 2, "2.5"},
+           Refusal{"1e300", 1, "e+300"},
+           Refusal{"1e300", 0, "e+300"},
+           Refusal{"1e300", 2, "e+300"},
+           Refusal{"9.3e18", 0, "e+18"},
+           Refusal{"18446744073709551615", 0, "18446744073709551615"},
+           Refusal{"2147483648", 1, "2147483648"},
+           Refusal{"-2147483649", 1, "-2147483649"},
+           Refusal{"-1", 2, "-1"},
+           Refusal{"-1e0", 2, "-1"},
+           Refusal{"\"40\"", 0, "\"40\""},
+           Refusal{"true", 1, "true"},
+           Refusal{"null", 2, "null"},
+           Refusal{"\"nan\"", 0, "nan"},
+           Refusal{"\"inf\"", 2, "inf"},
+       }) {
+    SCOPED_TRACE(std::string(refusal.text) + " via accessor " +
+                 std::to_string(refusal.accessor));
+    const std::string what =
+        error_of(Json::parse(refusal.text), refusal.accessor);
+    EXPECT_FALSE(what.empty()) << "expected std::invalid_argument";
+    EXPECT_NE(what.find(refusal.named), std::string::npos) << what;
+  }
+}
+
 TEST(Json, RejectsMalformedInput) {
   EXPECT_THROW(Json::parse("{\"a\":}"), std::invalid_argument);
   EXPECT_THROW(Json::parse("{\"a\":1} trailing"), std::invalid_argument);

@@ -550,57 +550,35 @@ PYEOF
     keep_medians "$FRESH"
   fi
 
-  # Merge the cache bench into the same snapshot so the
-  # hit-rate/decode-reduction counters live in BENCH_micro.json.
-  if [[ -x "$BUILD_DIR/bench_micro_cache" ]] && command -v python3 >/dev/null; then
-    CACHE_FRESH=$(mktemp /tmp/psga_bench_cache.XXXXXX.json)
-    "$BUILD_DIR"/bench_micro_cache \
-      --benchmark_min_time=0.05 \
-      --benchmark_repetitions=5 \
-      --benchmark_report_aggregates_only=true \
-      --benchmark_format=json \
-      --benchmark_out="$CACHE_FRESH" \
-      --benchmark_out_format=json >/dev/null
-    keep_medians "$FRESH" "$CACHE_FRESH"
-    rm -f "$CACHE_FRESH"
-  fi
-
-  # Session event-latency snapshot: bench_session_latency reports the
-  # per-event replan p95 (manual time) for warm and cold sessions over a
-  # fixed seeded trace. Medians-of-5 ride into BENCH_micro.json like the
-  # decoder benches, and the SessionEvent tag puts them under the same
-  # >25% regression gate.
-  if [[ -x "$BUILD_DIR/bench_session_latency" ]] \
-     && command -v python3 >/dev/null; then
-    SES_FRESH=$(mktemp /tmp/psga_bench_session.XXXXXX.json)
-    "$BUILD_DIR"/bench_session_latency \
-      --benchmark_min_time=0.05 \
-      --benchmark_repetitions=5 \
-      --benchmark_report_aggregates_only=true \
-      --benchmark_format=json \
-      --benchmark_out="$SES_FRESH" \
-      --benchmark_out_format=json >/dev/null
-    keep_medians "$FRESH" "$SES_FRESH"
-    rm -f "$SES_FRESH"
-  fi
-
-  # Operator snapshot: breeding is a generation's other half beside
-  # decoding, so the crossover, mutation and selection benches (among
-  # them ft10-shaped job-repetition crossovers and whole-generation
-  # pick_many rows) ride into BENCH_micro.json as medians-of-5, and the
-  # BM_Crossover tag puts the crossover rows under the >25% gate.
-  if [[ -x "$BUILD_DIR/bench_micro_operators" ]] \
-     && command -v python3 >/dev/null; then
-    OPS_FRESH=$(mktemp /tmp/psga_bench_operators.XXXXXX.json)
-    "$BUILD_DIR"/bench_micro_operators \
-      --benchmark_min_time=0.05 \
-      --benchmark_repetitions=5 \
-      --benchmark_report_aggregates_only=true \
-      --benchmark_format=json \
-      --benchmark_out="$OPS_FRESH" \
-      --benchmark_out_format=json >/dev/null
-    keep_medians "$FRESH" "$OPS_FRESH"
-    rm -f "$OPS_FRESH"
+  # The other snapshot suites run the same way and merge their medians
+  # into the same snapshot:
+  #   bench_micro_cache      — cache hit and miss rows plus the
+  #                            hit-rate/decode-reduction counters; the
+  #                            BM_Cache tag gates the hit/miss rows;
+  #   bench_session_latency  — per-event replan p95 (manual time) for warm
+  #                            and cold sessions over a fixed seeded
+  #                            trace; the SessionEvent tag gates them;
+  #   bench_micro_operators  — breeding, a generation's other half beside
+  #                            decoding: crossover, mutation and selection
+  #                            (ft10-shaped job-repetition crossovers and
+  #                            whole-generation pick_many rows among
+  #                            them); the BM_Crossover tag gates the
+  #                            crossover rows.
+  if command -v python3 >/dev/null; then
+    for bench in bench_micro_cache bench_session_latency \
+                 bench_micro_operators; do
+      [[ -x "$BUILD_DIR/$bench" ]] || continue
+      SUITE_FRESH=$(mktemp "/tmp/psga_${bench}.XXXXXX.json")
+      "$BUILD_DIR/$bench" \
+        --benchmark_min_time=0.05 \
+        --benchmark_repetitions=5 \
+        --benchmark_report_aggregates_only=true \
+        --benchmark_format=json \
+        --benchmark_out="$SUITE_FRESH" \
+        --benchmark_out_format=json >/dev/null
+      keep_medians "$FRESH" "$SUITE_FRESH"
+      rm -f "$SUITE_FRESH"
+    done
   fi
 
   # Obs overhead gate: the always-on metrics write path must stay under

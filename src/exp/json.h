@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -72,6 +73,23 @@ class Json {
   const Json* find(const std::string& key) const;
   /// Convenience lookups with fallbacks.
   double number_or(const std::string& key, double fallback) const;
+  /// Integer member: `fallback` when `key` is absent, otherwise the
+  /// member's exact value by as_int() (T = int), as_u64() (unsigned T)
+  /// or as_i64() (other signed T) — so a present value that does not
+  /// read as a whole number in range throws std::invalid_argument
+  /// naming it, never truncates.
+  template <typename T>
+  T integer_or(const std::string& key, T fallback) const {
+    const Json* value = find(key);
+    if (value == nullptr) return fallback;
+    if constexpr (std::is_same_v<T, int>) {
+      return value->as_int();
+    } else if constexpr (std::is_unsigned_v<T>) {
+      return value->as_u64();
+    } else {
+      return value->as_i64();
+    }
+  }
   std::string string_or(const std::string& key,
                         const std::string& fallback) const;
 

@@ -7,6 +7,7 @@
 #include <map>
 #include <span>
 #include <sstream>
+#include <stdexcept>
 
 #include "src/exp/json.h"
 #include "src/stats/descriptive.h"
@@ -60,10 +61,10 @@ std::string html_escape(const std::string& raw) {
 
 ReportCell parse_cell(const Json& record) {
   ReportCell cell;
-  cell.index = static_cast<int>(record.number_or("cell", 0));
-  cell.config = static_cast<int>(record.number_or("config", 0));
-  cell.rep = static_cast<int>(record.number_or("rep", 0));
-  if (const Json* seed = record.find("seed")) cell.seed = seed->as_u64();
+  cell.index = record.integer_or("cell", 0);
+  cell.config = record.integer_or("config", 0);
+  cell.rep = record.integer_or("rep", 0);
+  cell.seed = record.integer_or("seed", cell.seed);
   cell.hash = record.string_or("hash", "");
   cell.instance = record.string_or("instance", "");
   cell.spec = record.string_or("spec", "");
@@ -72,10 +73,8 @@ ReportCell parse_cell(const Json& record) {
   cell.ok = ok != nullptr && ok->kind() == Json::Kind::kBool && ok->as_bool();
   cell.error = record.string_or("error", "");
   cell.best_objective = record.number_or("best_objective", 0.0);
-  cell.generations = static_cast<int>(record.number_or("generations", 0));
-  if (const Json* evals = record.find("evaluations")) {
-    cell.evaluations = evals->as_i64();
-  }
+  cell.generations = record.integer_or("generations", 0);
+  cell.evaluations = record.integer_or("evaluations", cell.evaluations);
   cell.seconds = record.number_or("seconds", 0.0);
   if (const Json* axes = record.find("axes"); axes != nullptr) {
     for (const Json::Member& member : axes->members()) {
@@ -84,10 +83,10 @@ ReportCell parse_cell(const Json& record) {
   }
   if (const Json* cache = record.find("cache"); cache != nullptr) {
     ga::EvalCacheStats stats;
-    stats.hits = static_cast<long long>(cache->number_or("hits", 0));
-    stats.misses = static_cast<long long>(cache->number_or("misses", 0));
-    stats.inserts = static_cast<long long>(cache->number_or("inserts", 0));
-    stats.evictions = static_cast<long long>(cache->number_or("evictions", 0));
+    stats.hits = cache->integer_or("hits", 0LL);
+    stats.misses = cache->integer_or("misses", 0LL);
+    stats.inserts = cache->integer_or("inserts", 0LL);
+    stats.evictions = cache->integer_or("evictions", 0LL);
     cell.cache = stats;
   }
   return cell;
@@ -314,74 +313,85 @@ std::vector<SweepReport> parse_telemetry(std::istream& in) {
     }
     if (!record.is_object()) continue;
     const std::string event = record.string_or("event", "");
-    if (event == "sweep_begin") {
-      // A resumed file re-begins the same sweep: merge, don't duplicate.
-      current = section(record.string_or("sweep", "sweep"));
-      curves.clear();
-      SweepReport& report = reports[current];
-      report.declared_cells =
-          static_cast<long long>(record.number_or("cells", 0));
-      report.reference = record.number_or("reference", report.reference);
-      if (const Json* axes = record.find("axes"); axes != nullptr) {
-        report.axes.clear();
-        for (const Json& axis : axes->items()) {
-          std::vector<std::string> values;
-          if (const Json* vs = axis.find("values"); vs != nullptr) {
-            for (const Json& v : vs->items()) values.push_back(v.as_string());
+    // A record whose fields do not read (a string seed, a count beyond
+    // its type) is a malformed line too. Every branch reads its fields
+    // before it touches a report, so a skipped record leaves no trace.
+    try {
+      if (event == "sweep_begin") {
+        const long long declared_cells = record.integer_or("cells", 0LL);
+        // A resumed file re-begins the same sweep: merge, don't duplicate.
+        current = section(record.string_or("sweep", "sweep"));
+        curves.clear();
+        SweepReport& report = reports[current];
+        report.declared_cells = declared_cells;
+        report.reference = record.number_or("reference", report.reference);
+        if (const Json* axes = record.find("axes"); axes != nullptr) {
+          report.axes.clear();
+          for (const Json& axis : axes->items()) {
+            std::vector<std::string> values;
+            if (const Json* vs = axis.find("values"); vs != nullptr) {
+              for (const Json& v : vs->items()) {
+                values.push_back(v.as_string());
+              }
+            }
+            report.axes.emplace_back(axis.string_or("label", ""),
+                                     std::move(values));
           }
-          report.axes.emplace_back(axis.string_or("label", ""),
-                                   std::move(values));
+        }
+      } else if (event == "generation") {
+        const Json* cell = record.find("cell");
+        if (cell == nullptr) continue;  // job-keyed service stream
+        const int index = cell->as_int();
+        const long long generation = record.integer_or("generation", 0LL);
+        ensure_current();
+        curves[index].emplace_back(generation, record.number_or("best", 0.0));
+      } else if (event == "metrics") {
+        // Joined to the already-parsed cell record (the runner writes the
+        // metrics line right after it, from the same lane).
+        const Json* cell_index = record.find("cell");
+        const Json* metrics = record.find("metrics");
+        if (cell_index == nullptr || metrics == nullptr) continue;
+        const int index = cell_index->as_int();
+        const Json* counters = metrics->find("counters");
+        const Json* decoded = counters != nullptr
+                                  ? counters->find("eval.decoded_genomes")
+                                  : nullptr;
+        const std::uint64_t decoded_genomes =
+            decoded != nullptr ? decoded->as_u64() : 0;
+        ensure_current();
+        SweepReport& report = reports[current];
+        const auto it = std::find_if(
+            report.cells.begin(), report.cells.end(),
+            [&](const ReportCell& c) { return c.index == index; });
+        if (it == report.cells.end()) continue;
+        it->has_metrics = true;
+        if (decoded != nullptr) it->decoded_genomes = decoded_genomes;
+        if (const Json* histograms = metrics->find("histograms")) {
+          if (const Json* decode = histograms->find("eval.decode_ns")) {
+            it->decode_p50_ns = decode->number_or("p50", 0.0);
+            it->decode_p95_ns = decode->number_or("p95", 0.0);
+            it->decode_p99_ns = decode->number_or("p99", 0.0);
+          }
+        }
+      } else if (event == "cell") {
+        ReportCell cell = parse_cell(record);
+        ensure_current();
+        if (const auto it = curves.find(cell.index); it != curves.end()) {
+          cell.curve = std::move(it->second);
+          curves.erase(it);
+        }
+        SweepReport& report = reports[current];
+        const auto existing = std::find_if(
+            report.cells.begin(), report.cells.end(),
+            [&](const ReportCell& c) { return c.index == cell.index; });
+        if (existing != report.cells.end()) {
+          *existing = std::move(cell);  // last record wins
+        } else {
+          report.cells.push_back(std::move(cell));
         }
       }
-    } else if (event == "generation") {
-      const Json* cell = record.find("cell");
-      if (cell == nullptr) continue;  // job-keyed service stream
-      ensure_current();
-      curves[static_cast<int>(cell->as_i64())].emplace_back(
-          static_cast<long long>(record.number_or("generation", 0)),
-          record.number_or("best", 0.0));
-    } else if (event == "metrics") {
-      // Joined to the already-parsed cell record (the runner writes the
-      // metrics line right after it, from the same lane).
-      const Json* cell_index = record.find("cell");
-      const Json* metrics = record.find("metrics");
-      if (cell_index == nullptr || metrics == nullptr) continue;
-      ensure_current();
-      SweepReport& report = reports[current];
-      const int index = static_cast<int>(cell_index->as_i64());
-      const auto it = std::find_if(
-          report.cells.begin(), report.cells.end(),
-          [&](const ReportCell& c) { return c.index == index; });
-      if (it == report.cells.end()) continue;
-      it->has_metrics = true;
-      if (const Json* counters = metrics->find("counters")) {
-        if (const Json* decoded = counters->find("eval.decoded_genomes")) {
-          it->decoded_genomes = decoded->as_u64();
-        }
-      }
-      if (const Json* histograms = metrics->find("histograms")) {
-        if (const Json* decode = histograms->find("eval.decode_ns")) {
-          it->decode_p50_ns = decode->number_or("p50", 0.0);
-          it->decode_p95_ns = decode->number_or("p95", 0.0);
-          it->decode_p99_ns = decode->number_or("p99", 0.0);
-        }
-      }
-    } else if (event == "cell") {
-      ensure_current();
-      ReportCell cell = parse_cell(record);
-      if (const auto it = curves.find(cell.index); it != curves.end()) {
-        cell.curve = std::move(it->second);
-        curves.erase(it);
-      }
-      SweepReport& report = reports[current];
-      const auto existing = std::find_if(
-          report.cells.begin(), report.cells.end(),
-          [&](const ReportCell& c) { return c.index == cell.index; });
-      if (existing != report.cells.end()) {
-        *existing = std::move(cell);  // last record wins
-      } else {
-        report.cells.push_back(std::move(cell));
-      }
+    } catch (const std::invalid_argument&) {
+      continue;
     }
   }
   for (SweepReport& report : reports) {

@@ -10,8 +10,9 @@
 // file whose kill left partial lines, or a re-run) last-wins, so the
 // report of a resumed telemetry file equals the report of one
 // uninterrupted run. Unknown events and malformed lines (the tail a
-// SIGKILL leaves) are skipped, not fatal — a report over a live or
-// truncated file renders whatever has landed.
+// SIGKILL leaves, or a record whose fields do not read) are skipped, not
+// fatal — a report over a live or truncated file renders whatever has
+// landed.
 #pragma once
 
 #include <cstdint>

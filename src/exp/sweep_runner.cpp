@@ -214,6 +214,13 @@ FinishedCells scan_finished_cells(std::istream& in) {
     if (record.string_or("event", "") != "cell") continue;
     const Json* hash = record.find("hash");
     if (hash == nullptr || hash->kind() != Json::Kind::kString) continue;
+    // A record whose fields do not read is no finished cell either: the
+    // resumed run re-runs it.
+    try {
+      (void)cell_result_from_record(SweepCell{}, record);
+    } catch (const std::invalid_argument&) {
+      continue;
+    }
     finished[hash->as_string()] = std::move(record);
   }
   return finished;
@@ -231,19 +238,16 @@ CellResult cell_result_from_record(const SweepCell& cell, const Json& record) {
     return result;
   }
   result.result.best_objective = record.number_or("best_objective", 0.0);
-  result.result.generations =
-      static_cast<int>(record.number_or("generations", 0.0));
-  if (const Json* evals = record.find("evaluations")) {
-    result.result.evaluations = evals->as_i64();
-  }
+  result.result.generations = record.integer_or("generations", 0);
+  result.result.evaluations =
+      record.integer_or("evaluations", result.result.evaluations);
   result.result.problem = record.string_or("problem", "");
   if (const Json* cache = record.find("cache")) {
     ga::EvalCacheStats stats;
-    stats.hits = static_cast<long long>(cache->number_or("hits", 0.0));
-    stats.misses = static_cast<long long>(cache->number_or("misses", 0.0));
-    stats.inserts = static_cast<long long>(cache->number_or("inserts", 0.0));
-    stats.evictions =
-        static_cast<long long>(cache->number_or("evictions", 0.0));
+    stats.hits = cache->integer_or("hits", 0LL);
+    stats.misses = cache->integer_or("misses", 0LL);
+    stats.inserts = cache->integer_or("inserts", 0LL);
+    stats.evictions = cache->integer_or("evictions", 0LL);
     result.result.cache = stats;
   }
   return result;

@@ -83,8 +83,10 @@ using FinishedCells = std::map<std::string, Json>;
 
 /// Scans a telemetry JSONL stream (typically the `--telemetry` file of a
 /// killed run) for final `cell` records and returns them keyed by cell
-/// hash. Malformed or truncated lines — the tail a SIGKILL leaves — are
-/// skipped, as are records of other events and pre-hash schema files.
+/// hash. Malformed or truncated lines — the tail a SIGKILL leaves — and
+/// cell records whose fields do not read are skipped (so a resume re-runs
+/// those cells), as are records of other events and pre-hash schema
+/// files.
 FinishedCells scan_finished_cells(std::istream& in);
 
 /// Reconstructs a CellResult (resumed=true, empty history) from the

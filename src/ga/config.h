@@ -62,14 +62,10 @@ struct GaConfig {
   /// generation, as the survey warns ("may raise the complexity").
   int niche_radius = 0;
   double niche_alpha = 1.0;  ///< sharing-function shape exponent
-  /// Warm-start individuals injected into the initial population (e.g. an
-  /// NEH or dispatching-rule solution); the rest is drawn at random.
-  /// Entries beyond `population` are ignored.
-  std::vector<Genome> seed_genomes;
-  /// A whole injected initial population — the warm-start seam of the
-  /// session layer and sweep chaining. init() consumes these first (in
-  /// order, before seed_genomes), truncating at `population` and padding
-  /// any shortfall with random genomes. Engines expose this through
+  /// Warm-start individuals (an NEH or dispatching-rule solution, a whole
+  /// population from the session layer or sweep chaining). init()
+  /// consumes them in order, truncating at `population` and padding any
+  /// shortfall with random genomes. Engines expose this through
   /// Engine::seed_population so spec-built engines can be seeded after
   /// construction.
   std::vector<Genome> initial_population;

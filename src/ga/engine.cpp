@@ -34,10 +34,11 @@ RunResult Engine::run(const StopCondition& stop) {
   prepare_run(stop);
   // Snapshot cache counters so RunResult::cache reports this run's delta
   // even when the cache outlives the run (engine reuse, a shared cache
-  // handed to several engines). The shared handle keeps the pre-init
-  // cache alive, so the identity comparison below cannot be fooled by a
-  // fresh cache reusing a freed address; a cache first attached during
-  // init() is fresh by construction, so its zero baseline is correct.
+  // handed to several engines). Engines build their cache once, at
+  // construction; the held handle and the identity comparison below
+  // guard the delta should one ever swap it mid-run (a freed address
+  // cannot be reused while the handle lives, and a cache that was not
+  // there before init() is fresh, so its zero baseline is correct).
   const EvalCachePtr pre_run_cache = eval_cache_shared();
   const EvalCacheStats cache_baseline =
       pre_run_cache != nullptr ? pre_run_cache->stats() : EvalCacheStats{};

@@ -77,8 +77,11 @@ class Engine {
   virtual ~Engine() = default;
 
   // --- stepwise API -------------------------------------------------------
-  /// (Re)creates the initial population. Engines that evaluate at init
-  /// (see evaluates_on_init) have a valid best() afterwards.
+  /// Re-seeds from the configured seed and rebuilds the population, so a
+  /// second run() replays the first. Evaluators and the cache are built
+  /// once, at construction, and persist across runs (a rerun replays
+  /// against a warm cache). Engines that evaluate at init (see
+  /// evaluates_on_init) have a valid best() afterwards.
   virtual void init() = 0;
   /// One generation of the engine's evolutionary model.
   virtual void step() = 0;
@@ -120,13 +123,15 @@ class Engine {
   PopulationSection population_snapshot() const;
 
   /// The evaluation cache behind this engine's evaluators (null when
-  /// caching is off), as a shared handle: the run loop snapshots it
-  /// before init() and holds it across the run, so an engine that
-  /// rebuilds its cache inside init() can never alias the old address
-  /// and corrupt the per-run counter delta. Overrides MUST return a
-  /// handle to a cache the engine itself keeps alive (a copy of a live
-  /// member), never a freshly created or sole-owner snapshot —
-  /// eval_cache() hands out the raw pointer after the handle dies.
+  /// caching is off), as a shared handle. Engines build it at
+  /// construction, so it is the same cache before init() and after every
+  /// run. The run loop snapshots it before init(), holds it across the
+  /// run and checks its identity afterwards, so a swapped cache could
+  /// never alias the old address and corrupt the per-run counter delta.
+  /// Overrides MUST return a handle to a cache the engine itself keeps
+  /// alive (a copy of a live member), never a freshly created or
+  /// sole-owner snapshot — eval_cache() hands out the raw pointer after
+  /// the handle dies.
   virtual EvalCachePtr eval_cache_shared() const { return nullptr; }
   /// Raw-pointer convenience over eval_cache_shared().
   const EvalCache* eval_cache() const { return eval_cache_shared().get(); }

@@ -53,11 +53,19 @@ void Evaluator::raw_evaluate(std::span<const Genome> genomes,
 void Evaluator::raw_evaluate_impl(std::span<const Genome> genomes,
                                   std::span<double> objectives) {
   // One objective_batch call per lane over its whole slice; the batched
-  // kernels block their working set themselves.
-  const auto lane = [&](std::size_t k, std::size_t begin, std::size_t end) {
-    problem_->objective_batch(genomes.subspan(begin, end - begin),
-                              objectives.subspan(begin, end - begin),
-                              workspace(k));
+  // kernels block their working set themselves. The lane captures one
+  // reference, so it fits std::function's small buffer and handing it to
+  // the pool allocates nothing.
+  const struct {
+    Evaluator& self;
+    std::span<const Genome> genomes;
+    std::span<double> objectives;
+  } batch{*this, genomes, objectives};
+  const auto lane = [&batch](std::size_t k, std::size_t begin,
+                             std::size_t end) {
+    batch.self.problem_->objective_batch(
+        batch.genomes.subspan(begin, end - begin),
+        batch.objectives.subspan(begin, end - begin), batch.self.workspace(k));
   };
   if (backend_ == EvalBackend::kSerial) {
     lane(0, 0, genomes.size());

@@ -42,7 +42,13 @@ void unpack(const par::Message& msg, Genome& genome, double& objective) {
 }  // namespace
 
 ClusterIslandGa::ClusterIslandGa(ProblemPtr problem, ClusterIslandConfig config)
-    : problem_(std::move(problem)), config_(std::move(config)) {
+    : problem_(std::move(problem)),
+      config_(std::move(config)),
+      // One cache across ranks: neighbor/broadcast migrants are verbatim
+      // clones, and memoized objectives are pure values, so the sharing
+      // is deterministic exactly like the in-process island engine's.
+      cache_(EvalCache::make(config_.base.eval_cache,
+                             config_.base.shared_eval_cache)) {
   obs::ensure_registry(config_.base.metrics);
   attach_obs(config_.base.metrics, config_.base.tracer);
   migrants_ = &config_.base.metrics->counter("engine.migrants");
@@ -71,18 +77,11 @@ RunResult ClusterIslandGa::run(const StopCondition& stop) {
   section.surviving = config_.ranks;
 
   std::mutex result_mutex;
-  Genome global_best;
-  double global_best_obj = -1.0;
   long long total_evaluations = 0;
   int max_generations_run = 0;
 
-  // One cache across ranks: neighbor/broadcast migrants are verbatim
-  // clones, and memoized objectives are pure values, so the sharing is
-  // deterministic exactly like the in-process island engine's. Counters
-  // are snapshotted so result.cache is this run's delta even when the
-  // cache is shared or the engine reruns.
-  cache_ =
-      EvalCache::make(config_.base.eval_cache, config_.base.shared_eval_cache);
+  // Cache counters are snapshotted so result.cache is this run's delta
+  // even when the cache is shared or the engine reruns.
   const EvalCacheStats cache_baseline =
       cache_ != nullptr ? cache_->stats() : EvalCacheStats{};
   // Mirror the base run loop's per-run metrics delta (this engine
@@ -204,14 +203,15 @@ RunResult ClusterIslandGa::run(const StopCondition& stop) {
     section.best_genome[static_cast<std::size_t>(rank.id())] = island.best();
     total_evaluations += island.evaluations();
     max_generations_run = std::max(max_generations_run, island.generation());
-    if (global_best_obj < 0.0 || island.best_objective() < global_best_obj) {
-      global_best_obj = island.best_objective();
-      global_best = island.best();
-    }
   });
 
-  result.best = global_best;
-  result.best_objective = global_best_obj;
+  // The first minimum in rank order, so tied ranks resolve the same way
+  // whatever order their threads finished in.
+  const auto best = static_cast<std::size_t>(std::distance(
+      section.best.begin(),
+      std::min_element(section.best.begin(), section.best.end())));
+  result.best = section.best_genome[best];
+  result.best_objective = section.best[best];
   result.evaluations = total_evaluations;
   result.generations = max_generations_run;
   result.seconds =

@@ -3,61 +3,60 @@
 #include <algorithm>
 #include <numeric>
 
+#include "src/ga/local_search.h"
+
 namespace psga::ga {
 
 MemeticGa::MemeticGa(ProblemPtr problem, MemeticConfig config)
-    : problem_(std::move(problem)), config_(std::move(config)) {
-  obs::ensure_registry(config_.base.metrics);
-  attach_obs(config_.base.metrics, config_.base.tracer);
-  climbs_ = &config_.base.metrics->counter("engine.climbs");
-}
+    : SimpleGa(std::move(problem), std::move(config.base)),
+      interval_(config.interval),
+      refine_count_(config.refine_count),
+      search_budget_(config.search_budget),
+      use_redirect_(config.use_redirect),
+      climbs_(&metrics_->counter("engine.climbs")) {}
 
 void MemeticGa::init() {
-  inner_.emplace(problem_, config_.base);
-  rng_ = par::Rng(config_.base.seed ^ 0x5eedu);
-  inner_->init();
+  climb_rng_ = par::Rng(config().seed ^ 0x5eedu);
+  SimpleGa::init();
 }
 
 void MemeticGa::step() {
-  inner_->step();
-  if (config_.interval > 0 && inner_->generation() % config_.interval == 0) {
-    const obs::Span span(tracer_.get(), "local_search");
-    // Refine the current top individuals in place.
-    std::vector<int> order(inner_->population().size());
-    std::iota(order.begin(), order.end(), 0);
-    const int refine = std::min<int>(
-        config_.refine_count, static_cast<int>(inner_->population().size()));
-    std::partial_sort(order.begin(),
-                      order.begin() + static_cast<std::ptrdiff_t>(refine),
-                      order.end(), [&](int a, int b) {
-                        return inner_->objectives()[static_cast<std::size_t>(a)] <
-                               inner_->objectives()[static_cast<std::size_t>(b)];
-                      });
-    for (int r = 0; r < refine; ++r) {
-      const int slot = order[static_cast<std::size_t>(r)];
-      Genome candidate = inner_->population()[static_cast<std::size_t>(slot)];
-      const double before =
-          inner_->objectives()[static_cast<std::size_t>(slot)];
-      // Climbs evaluate through the inner engine's Evaluator: counted
-      // toward budgets like any evaluation and memoized by the cache.
-      climbs_->add();
-      double after = local_search_swap(inner_->evaluator(), candidate,
-                                       config_.search_budget, rng_);
-      if (config_.use_redirect && after >= before) {
-        // Escape: perturb and climb again ([38]'s Redirect step).
-        Genome restarted = candidate;
-        redirect(restarted, rng_);
-        const double redirected = local_search_swap(
-            inner_->evaluator(), restarted, config_.search_budget, rng_);
-        if (redirected < after) {
-          candidate = std::move(restarted);
-          after = redirected;
-        }
-      }
-      if (after < before) {
-        inner_->replace_individual(slot, candidate, after);
+  SimpleGa::step();
+  if (interval_ <= 0 || generation() % interval_ != 0) return;
+  const obs::Span span(tracer_.get(), "local_search");
+  // Refine the current top individuals in place.
+  const std::vector<double>& objectives = this->objectives();
+  std::vector<int> order(objectives.size());
+  std::iota(order.begin(), order.end(), 0);
+  const int refine =
+      std::min<int>(refine_count_, static_cast<int>(objectives.size()));
+  std::partial_sort(order.begin(),
+                    order.begin() + static_cast<std::ptrdiff_t>(refine),
+                    order.end(), [&](int a, int b) {
+                      return objectives[static_cast<std::size_t>(a)] <
+                             objectives[static_cast<std::size_t>(b)];
+                    });
+  for (int r = 0; r < refine; ++r) {
+    const int slot = order[static_cast<std::size_t>(r)];
+    Genome candidate = population()[static_cast<std::size_t>(slot)];
+    const double before = objectives[static_cast<std::size_t>(slot)];
+    // Climbs evaluate through the engine's Evaluator: counted toward
+    // budgets like any evaluation and memoized by the cache.
+    climbs_->add();
+    double after =
+        local_search_swap(evaluator(), candidate, search_budget_, climb_rng_);
+    if (use_redirect_ && after >= before) {
+      // Escape: perturb and climb again ([38]'s Redirect step).
+      Genome restarted = candidate;
+      redirect(restarted, climb_rng_);
+      const double redirected = local_search_swap(
+          evaluator(), restarted, search_budget_, climb_rng_);
+      if (redirected < after) {
+        candidate = std::move(restarted);
+        after = redirected;
       }
     }
+    if (after < before) replace_individual(slot, candidate, after);
   }
 }
 

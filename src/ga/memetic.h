@@ -1,17 +1,12 @@
 // Memetic (GA + local search) engine: several surveyed works hybridize
 // the GA with a neighborhood search — Mui et al. [17] (neighborhood
 // mutation), Spanos et al. [29] (path relinking), Rashidi et al. [38]
-// (local search + Redirect after the GA operators). MemeticGa runs a
-// SimpleGa and, every `interval` generations, hill-climbs the current
+// (local search + Redirect after the GA operators). MemeticGa is a
+// SimpleGa that, every `interval` generations, hill-climbs the current
 // elite individuals (optionally escaping via Redirect when a climb makes
 // no progress).
 #pragma once
 
-#include <memory>
-#include <optional>
-
-#include "src/ga/engine.h"
-#include "src/ga/local_search.h"
 #include "src/ga/simple_ga.h"
 
 namespace psga::ga {
@@ -24,61 +19,23 @@ struct MemeticConfig {
   bool use_redirect = true;   ///< Redirect-restart a stuck climb ([38])
 };
 
-class MemeticGa : public Engine {
+class MemeticGa final : public SimpleGa {
  public:
   MemeticGa(ProblemPtr problem, MemeticConfig config);
 
+  /// Re-seeds the climb RNG, then SimpleGa::init().
   void init() override;
-  /// One SimpleGa generation, plus a local-search wave when due.
+  /// One SimpleGa generation, plus a local-search wave when due. Climbs
+  /// evaluate through the engine's Evaluator, so budgets and cache
+  /// counters see one consistent number.
   void step() override;
-  int generation() const override {
-    return inner_ ? inner_->generation() : 0;
-  }
-  double best_objective() const override {
-    return inner_ ? inner_->best_objective() : 0.0;
-  }
-  const Genome& best() const override { return inner_->best(); }
-  /// All evaluations — GA generations and local-search climbs — flow
-  /// through the inner engine's Evaluator, so budgets and cache counters
-  /// see one consistent number.
-  long long evaluations() const override {
-    return inner_ ? inner_->evaluations() : 0;
-  }
-  int population_size() const override {
-    return inner_ ? inner_->population_size() : 0;
-  }
-  const Genome& individual(int i) const override {
-    return inner_->individual(i);
-  }
-  double objective_of(int i) const override { return inner_->objective_of(i); }
-  EvalCachePtr eval_cache_shared() const override {
-    // Pre-init, a user-shared cache is already known from the config, so
-    // the run loop can baseline its counters before init() attaches it.
-    return inner_ ? inner_->eval_cache_shared()
-                  : config_.base.shared_eval_cache;
-  }
-  StopCondition stop_default() const override {
-    return config_.base.termination;
-  }
-  bool seed_population(std::vector<Genome> genomes) override {
-    config_.base.initial_population = std::move(genomes);
-    return true;
-  }
-
-  using Engine::run;
-
- protected:
-  void prepare_run(const StopCondition& stop) override {
-    config_.base.termination = stop;
-  }
 
  private:
-  ProblemPtr problem_;
-  MemeticConfig config_;
-
-  // Run state (rebuilt by init()).
-  std::optional<SimpleGa> inner_;
-  par::Rng rng_{0};
+  int interval_;
+  int refine_count_;
+  int search_budget_;
+  bool use_redirect_;
+  par::Rng climb_rng_{0};
   obs::Counter* climbs_ = nullptr;  ///< engine.climbs (local-search waves)
 };
 

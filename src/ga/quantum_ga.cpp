@@ -94,15 +94,11 @@ struct QuantumGa::State {
     MeasureScratch measure_scratch;
   };
 
-  State(ProblemPtr problem, EvalBackend backend, par::ThreadPool* pool)
-      : evaluator(std::move(problem), backend, pool) {}
-
   std::vector<Island> islands;
   /// All measurements of a generation in one flat batch (island-major)
   /// so a single Evaluator call covers every island at once.
   std::vector<Genome> measured;
   std::vector<double> objectives;
-  Evaluator evaluator;
   double annealed_noise = 0.0;
   int generation = 0;
 
@@ -120,9 +116,13 @@ QuantumGa::QuantumGa(ProblemPtr problem, QuantumGaConfig config,
     : problem_(std::move(problem)),
       config_(std::move(config)),
       pool_(pool != nullptr ? pool : &par::default_pool()),
-      planned_generations_(config_.generations) {
+      planned_generations_(config_.generations),
+      evaluator_(problem_, config_.eval_backend, pool_) {
+  evaluator_.set_cache(
+      EvalCache::make(config_.eval_cache, config_.shared_eval_cache));
   obs::ensure_registry(config_.metrics);
   attach_obs(config_.metrics, config_.tracer);
+  evaluator_.set_obs(config_.metrics, config_.tracer);
 }
 
 QuantumGa::~QuantumGa() = default;
@@ -144,10 +144,8 @@ void QuantumGa::init() {
   const int k = config_.islands;
   const std::size_t pop = static_cast<std::size_t>(config_.population);
 
-  state_ = std::make_unique<State>(problem_, config_.eval_backend, pool_);
-  state_->evaluator.set_cache(
-      EvalCache::make(config_.eval_cache, config_.shared_eval_cache));
-  state_->evaluator.set_obs(config_.metrics, config_.tracer);
+  state_ = std::make_unique<State>();
+  evaluations_baseline_ = evaluator_.evaluations();
   par::Rng root(config_.seed);
   state_->islands.resize(static_cast<std::size_t>(k));
   for (int i = 0; i < k; ++i) {
@@ -222,7 +220,7 @@ void QuantumGa::step() {
   };
 
   pool_->parallel_for(s.islands.size(), measure_island);
-  s.evaluator.evaluate(s.measured, s.objectives);
+  evaluator_.evaluate(s.measured, s.objectives);
   pool_->parallel_for(s.islands.size(), evolve_island);
 
   // Upper level: penetration migration from the globally best island.
@@ -269,7 +267,7 @@ const Genome& QuantumGa::best() const {
 }
 
 long long QuantumGa::evaluations() const {
-  return state_ ? state_->evaluator.evaluations() : 0;
+  return evaluator_.evaluations() - evaluations_baseline_;
 }
 
 int QuantumGa::population_size() const {
@@ -282,12 +280,6 @@ const Genome& QuantumGa::individual(int i) const {
 
 double QuantumGa::objective_of(int i) const {
   return state_->objectives[static_cast<std::size_t>(i)];
-}
-
-EvalCachePtr QuantumGa::eval_cache_shared() const {
-  // Pre-init, a user-shared cache is already known from the config, so
-  // the run loop can baseline its counters before init() attaches it.
-  return state_ ? state_->evaluator.cache_ptr() : config_.shared_eval_cache;
 }
 
 void QuantumGa::fill_sections(RunResult& result) const {

@@ -57,8 +57,8 @@ class QuantumGa : public Engine {
             par::ThreadPool* pool = nullptr);
   ~QuantumGa() override;
 
-  /// Sets up the qubit populations; no measurement happens until the
-  /// first step() (evaluates_on_init is false).
+  /// Re-seeds and rebuilds the qubit populations; no measurement happens
+  /// until the first step() (evaluates_on_init is false).
   void init() override;
   /// One generation: anneal noise, measure every individual, evaluate the
   /// flat batch, apply rotation/crossover/Not-gate, migrate when due.
@@ -71,7 +71,9 @@ class QuantumGa : public Engine {
   int population_size() const override;
   const Genome& individual(int i) const override;
   double objective_of(int i) const override;
-  EvalCachePtr eval_cache_shared() const override;
+  EvalCachePtr eval_cache_shared() const override {
+    return evaluator_.cache_ptr();
+  }
   StopCondition stop_default() const override {
     return StopCondition::generations(config_.generations);
   }
@@ -89,6 +91,10 @@ class QuantumGa : public Engine {
   par::ThreadPool* pool_;
   /// Planned horizon of the current run (noise-annealing schedule).
   int planned_generations_;
+  /// Evaluates every generation's flat batch of measurements; built once,
+  /// so its cache persists across runs.
+  Evaluator evaluator_;
+  long long evaluations_baseline_ = 0;
 
   struct State;
   std::unique_ptr<State> state_;

@@ -56,16 +56,13 @@ SimpleGa::SimpleGa(ProblemPtr problem, GaConfig config, par::ThreadPool* pool)
 }
 
 void SimpleGa::init() {
+  // Every run starts from the configured seed: a rerun replays.
+  rng_ = par::Rng(config_.seed);
   population_.clear();
   population_.reserve(static_cast<std::size_t>(config_.population));
-  // An injected whole population (the warm-start seam) wins slots before
-  // the seed-genome hints; both truncate at the population size and the
-  // remainder is drawn at random.
+  // Injected genomes (the warm-start seam) win slots first, truncated at
+  // the population size; the remainder is drawn at random.
   for (const Genome& seed : config_.initial_population) {
-    if (static_cast<int>(population_.size()) >= config_.population) break;
-    population_.push_back(seed);
-  }
-  for (const Genome& seed : config_.seed_genomes) {
     if (static_cast<int>(population_.size()) >= config_.population) break;
     population_.push_back(seed);
   }

@@ -3,12 +3,13 @@
 //   FitnessValueEvaluation(); }
 //
 // Implements the unified psga::ga::Engine interface; the island engine
-// drives one SimpleGa per island through the same stepwise API. All
-// fitness evaluation goes through a psga::ga::Evaluator whose backend
-// comes from GaConfig::eval_backend; since objectives are pure and
-// chunking is deterministic, the evolutionary trace is identical for
-// every backend and thread count (the master-slave invariance of
-// Table III).
+// drives one SimpleGa per island through the same stepwise API, and
+// MemeticGa extends it with local-search waves. All fitness evaluation
+// goes through a psga::ga::Evaluator whose backend comes from
+// GaConfig::eval_backend; since objectives are pure and chunking is
+// deterministic, the evolutionary trace is identical for every backend
+// and thread count. That is the master-slave invariance of Table III:
+// make_master_slave_engine returns a SimpleGa on the pool.
 #pragma once
 
 #include <span>
@@ -30,6 +31,8 @@ class SimpleGa : public Engine {
            par::ThreadPool* pool = nullptr);
 
   // --- Engine interface ---------------------------------------------------
+  /// Re-seeds from config.seed and rebuilds the population; the Evaluator
+  /// and its cache are the ones built at construction.
   void init() override;
   void step() override;  ///< one generation: selection, crossover, mutation, evaluation
   int generation() const override { return generation_; }

@@ -128,7 +128,7 @@ SolverSpec SolverSpec::parse(const std::string& text) {
       spec.elites = parse_int(value, token);
     } else if (key == "seed") {
       spec.seed = parse_u64(value, token);
-    } else if (key == "eval" || key == "eval_backend") {
+    } else if (key == "eval") {
       spec.eval = parse_eval(value, token);
     } else if (key == "eval_cache") {
       spec.eval_cache = parse_eval_cache(value, token);
@@ -514,8 +514,8 @@ EnginePtr make_engine(ProblemPtr problem, GaConfig config,
 
 EnginePtr make_master_slave_engine(ProblemPtr problem, GaConfig config,
                                    par::ThreadPool* pool) {
-  return std::make_unique<MasterSlaveGa>(std::move(problem), std::move(config),
-                                         pool);
+  config.eval_backend = EvalBackend::kThreadPool;
+  return make_engine(std::move(problem), std::move(config), pool);
 }
 
 EnginePtr make_engine(ProblemPtr problem, CellularConfig config,

@@ -35,7 +35,6 @@
 #include "src/ga/hybrid_ga.h"
 #include "src/ga/island_cluster.h"
 #include "src/ga/island_ga.h"
-#include "src/ga/master_slave_ga.h"
 #include "src/ga/memetic.h"
 #include "src/ga/problem_registry.h"
 #include "src/ga/problem_spec.h"
@@ -53,7 +52,7 @@ struct SolverSpec {
   std::optional<int> population;       ///< pop= (per island for island engines)
   std::optional<int> elites;           ///< elites=
   std::optional<std::uint64_t> seed;   ///< seed=
-  /// eval= (alias eval_backend=): serial|pool
+  /// eval=serial|pool
   std::optional<EvalBackend> eval;
   /// eval_cache=off|unbounded|lru:<capacity> — both cached modes accept
   /// an optional trailing :<shards> in [1, 64] (e.g. lru:65536:16)
@@ -104,7 +103,7 @@ struct SolverSpec {
 
   /// Canonical spec string: parse(to_string()) reproduces this spec
   /// exactly (the round-trip the facade tests pin down). Unset fields are
-  /// omitted; aliases and enum values render in canonical form.
+  /// omitted; enum values render in canonical form.
   std::string to_string() const;
 
   bool operator==(const SolverSpec&) const = default;
@@ -213,6 +212,15 @@ std::vector<RegistryEntry> engine_catalog();
 
 EnginePtr make_engine(ProblemPtr problem, GaConfig config,
                       par::ThreadPool* pool = nullptr);  ///< simple GA
+/// The master-slave (global parallel) GA of the survey's Table III: the
+/// simple GA with fitness evaluation farmed out to the pool's lanes
+/// ("slaves"). As the survey notes, it is the one parallel model that
+/// does not change the algorithm's behaviour, so it is a SimpleGa on the
+/// thread-pool backend, never a class of its own: any config backend is
+/// promoted to kThreadPool (a serial master-slave engine is a
+/// contradiction in terms), and the trace equals the serial engine's for
+/// any thread count. AitZai et al.'s [14] fixed-time-budget mode is
+/// StopCondition::time_budget, which every engine honors.
 EnginePtr make_master_slave_engine(ProblemPtr problem, GaConfig config,
                                    par::ThreadPool* pool = nullptr);
 EnginePtr make_engine(ProblemPtr problem, CellularConfig config,

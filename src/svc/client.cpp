@@ -122,7 +122,7 @@ JobState Client::cancel(long long id) {
 
 int Client::drain() {
   const Json response = request(simple_request("drain"));
-  return static_cast<int>(response.number_or("cancelled", 0));
+  return response.integer_or("cancelled", 0);
 }
 
 void Client::ping() { request(simple_request("ping")); }

@@ -88,27 +88,25 @@ JobRecord job_from_json(const Json& json) {
   record.id = id->as_i64();
   record.state = *parsed;
   record.spec = json.string_or("spec", "");
-  record.priority = static_cast<int>(json.number_or("priority", 0));
+  record.priority = json.integer_or("priority", 0);
   record.error = json.string_or("error", "");
   record.best_objective = json.number_or("best_objective", 0.0);
-  record.generations = static_cast<int>(json.number_or("generations", 0));
-  record.evaluations =
-      static_cast<long long>(json.number_or("evaluations", 0));
+  record.generations = json.integer_or("generations", 0);
+  record.evaluations = json.integer_or("evaluations", 0LL);
   record.seconds = json.number_or("seconds", 0.0);
   if (const Json* cache = json.find("cache"); cache != nullptr) {
     ga::EvalCacheStats stats;
-    stats.hits = static_cast<long long>(cache->number_or("hits", 0));
-    stats.misses = static_cast<long long>(cache->number_or("misses", 0));
-    stats.inserts = static_cast<long long>(cache->number_or("inserts", 0));
-    stats.evictions = static_cast<long long>(cache->number_or("evictions", 0));
+    stats.hits = cache->integer_or("hits", 0LL);
+    stats.misses = cache->integer_or("misses", 0LL);
+    stats.inserts = cache->integer_or("inserts", 0LL);
+    stats.evictions = cache->integer_or("evictions", 0LL);
     record.cache = stats;
   }
   if (const Json* stop = json.find("stop"); stop != nullptr) {
-    record.stop.max_generations = static_cast<int>(
-        stop->number_or("generations", record.stop.max_generations));
+    record.stop.max_generations =
+        stop->integer_or("generations", record.stop.max_generations);
     record.stop.max_seconds = stop->number_or("seconds", 0.0);
-    record.stop.max_evaluations =
-        static_cast<long long>(stop->number_or("evaluations", 0));
+    record.stop.max_evaluations = stop->integer_or("evaluations", 0LL);
     record.stop.target_objective = stop->number_or("target", -1.0);
   }
   return record;

@@ -527,10 +527,10 @@ TEST(EvaluatorCache, HeavyElitismCloneOnlyRunDecodesEachGenomeOnce) {
   cfg.eval_cache.mode = EvalCacheMode::kUnbounded;
   par::Rng seeder(17);
   std::set<std::uint64_t> distinct;
-  while (static_cast<int>(cfg.seed_genomes.size()) < pop) {
+  while (static_cast<int>(cfg.initial_population.size()) < pop) {
     Genome g = problem->random_genome(seeder);
     if (distinct.insert(genome_hash(g)).second) {
-      cfg.seed_genomes.push_back(std::move(g));
+      cfg.initial_population.push_back(std::move(g));
     }
   }
   SimpleGa engine(problem, cfg);
@@ -561,9 +561,9 @@ TEST(EvaluatorCache, SharedAndReusedCachesReportPerRunDeltas) {
   EXPECT_EQ(first.cache->hits + first.cache->misses, first.evaluations);
   EXPECT_EQ(second.cache->hits + second.cache->misses, second.evaluations);
 
-  // Engines that rebuild their inner engine — and with it the cache —
-  // inside init() (memetic, master-slave, quantum) must not subtract a
-  // stale baseline when a fresh cache lands at a recycled address.
+  // An engine keeps the cache it built at construction, so a rerun
+  // replays the first run into it: every evaluation of the memetic
+  // rerun, local-search climbs included, is a hit.
   Solver memetic = Solver::build(
       SolverSpec::parse("engine=memetic pop=12 interval=2 refine=2 budget=30 "
                         "seed=55 eval_cache=unbounded"),
@@ -572,7 +572,8 @@ TEST(EvaluatorCache, SharedAndReusedCachesReportPerRunDeltas) {
   const RunResult rerun = memetic.run(stop);
   ASSERT_TRUE(rerun.cache.has_value());
   EXPECT_EQ(rerun.cache->hits + rerun.cache->misses, rerun.evaluations);
-  EXPECT_GT(rerun.cache->misses, 0);
+  EXPECT_EQ(rerun.cache->misses, 0);
+  EXPECT_EQ(rerun.cache->hits, rerun.evaluations);
 
   auto shared = std::make_shared<EvalCache>(
       one_shard(EvalCacheMode::kUnbounded, 1024));
@@ -723,6 +724,59 @@ TEST_P(CacheEquivalence, BitIdenticalTracesAcrossBackendsAndCacheModes) {
 
 INSTANTIATE_TEST_SUITE_P(AllEngines, CacheEquivalence,
                          ::testing::ValuesIn(kEngineSpecs));
+
+// --- engine lifecycle: a rerun replays against one cache ---------------------
+
+// Every registry engine, small enough that lru:4096 never evicts. The
+// island engines step their islands on the pool and the cluster runs its
+// ranks as threads, so the sanitizer legs see both share the kept cache.
+std::string lifecycle_spec(const std::string& engine) {
+  const std::map<std::string, std::string> knobs = {
+      {"simple", ""},
+      {"master-slave", ""},
+      {"cellular", " width=4 height=3"},
+      {"island", " islands=3 interval=2"},
+      {"islands-of-cellular", " islands=2 width=3 height=3 interval=2"},
+      {"quantum", " islands=2"},
+      {"memetic", " interval=2 refine=2 budget=30"},
+      {"cluster", " ranks=3 interval=2 broadcast=4"},
+  };
+  return "problem=flowshop instance=ta001 engine=" + engine +
+         " pop=12 seed=7 eval=serial eval_cache=lru:4096" + knobs.at(engine);
+}
+
+class EngineLifecycle : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(EngineLifecycle, RerunReplaysAgainstOneCache) {
+  // Construction builds the evaluator and the cache; init() re-seeds and
+  // rebuilds only the population. So a second run() of one engine
+  // replays the first exactly, against the same cache, and decodes
+  // nothing: every genome it meets was memoized by the first run.
+  Solver solver = Solver::build(RunSpec::parse(lifecycle_spec(GetParam())));
+  const StopCondition stop = StopCondition::generations(6);
+  const EvalCachePtr cache = solver.engine().eval_cache_shared();
+  ASSERT_NE(cache, nullptr);
+  const RunResult first = solver.run(stop);
+  EXPECT_EQ(solver.engine().eval_cache_shared(), cache);
+  const RunResult second = solver.run(stop);
+  EXPECT_EQ(solver.engine().eval_cache_shared(), cache);
+
+  EXPECT_EQ(first.history, second.history);
+  EXPECT_EQ(first.best.seq, second.best.seq);
+  EXPECT_EQ(first.best_objective, second.best_objective);
+  EXPECT_EQ(first.evaluations, second.evaluations);
+  ASSERT_TRUE(first.cache.has_value());
+  ASSERT_TRUE(second.cache.has_value());
+  EXPECT_EQ(first.cache->evictions, 0) << "the spec must fit the cache";
+  EXPECT_EQ(second.cache->misses, 0);
+  EXPECT_EQ(second.cache->hits, second.evaluations);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllEngines, EngineLifecycle,
+                         ::testing::Values("simple", "master-slave",
+                                           "cellular", "island",
+                                           "islands-of-cellular", "quantum",
+                                           "memetic", "cluster"));
 
 TEST(CacheEquivalence, TinyLruCapacityStillBitIdentical) {
   // A pathologically small LRU (constant thrash) may not save decodes,

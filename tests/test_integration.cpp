@@ -4,9 +4,9 @@
 #include <gtest/gtest.h>
 
 #include "src/ga/island_ga.h"
-#include "src/ga/master_slave_ga.h"
 #include "src/ga/problems.h"
 #include "src/ga/simple_ga.h"
+#include "src/ga/solver.h"
 #include "src/sched/classics.h"
 #include "src/sched/heuristics.h"
 #include "src/sched/taillard.h"
@@ -70,9 +70,9 @@ TEST(Integration, MasterSlaveOnLargeInstanceMatchesSerial) {
   cfg.seed = 99;
   SimpleGa serial(problem, cfg);
   par::ThreadPool pool(8);
-  MasterSlaveGa parallel(problem, cfg, &pool);
+  const EnginePtr parallel = make_master_slave_engine(problem, cfg, &pool);
   const GaResult rs = serial.run();
-  const GaResult rp = parallel.run();
+  const GaResult rp = parallel->run();
   EXPECT_EQ(rs.history, rp.history);
   EXPECT_EQ(rs.best.seq, rp.best.seq);
 }

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "src/ga/problems.h"
+#include "src/ga/solver.h"
 #include "src/sched/classics.h"
 #include "src/sched/generators.h"
 #include "src/sched/open_shop.h"
@@ -39,6 +43,30 @@ TEST(ClusterIsland, DeterministicAcrossRuns) {
   const auto b = run_cluster_island_ga(open_shop_problem(), config());
   EXPECT_DOUBLE_EQ(a.best_objective, b.best_objective);
   EXPECT_EQ(a.islands->best, b.islands->best);
+  EXPECT_EQ(a.best.seq, b.best.seq);
+}
+
+TEST(ClusterIsland, TiedRanksResolveToTheFirstInRankOrder) {
+  // Ranks often tie on ft06's best makespan; the returned genome must be
+  // the first tied rank's whatever order the rank threads finish in.
+  for (const std::uint64_t seed : {1ull, 7ull, 11ull}) {
+    for (int repeat = 0; repeat < 20; ++repeat) {
+      SCOPED_TRACE("seed=" + std::to_string(seed) +
+                   " repeat=" + std::to_string(repeat));
+      const RunResult r =
+          Solver::build(RunSpec::parse(
+                            "problem=jobshop instance=ft06 engine=cluster "
+                            "ranks=4 interval=2 broadcast=4 pop=16 seed=" +
+                            std::to_string(seed)))
+              .run(StopCondition::generations(20));
+      ASSERT_TRUE(r.islands.has_value());
+      const auto& best = r.islands->best;
+      const auto first = static_cast<std::size_t>(
+          std::min_element(best.begin(), best.end()) - best.begin());
+      EXPECT_EQ(r.best_objective, best[first]);
+      EXPECT_EQ(r.best.seq, r.islands->best_genome[first].seq);
+    }
+  }
 }
 
 TEST(ClusterIsland, SingleRankWorks) {

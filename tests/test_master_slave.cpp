@@ -1,8 +1,7 @@
-#include "src/ga/master_slave_ga.h"
-
 #include <gtest/gtest.h>
 
 #include "src/ga/problems.h"
+#include "src/ga/solver.h"
 #include "src/sched/classics.h"
 #include "src/sched/taillard.h"
 
@@ -29,8 +28,9 @@ TEST(MasterSlave, TraceIdenticalToSerialGa) {
   const GaResult serial_result = serial.run();
   for (int threads : {1, 2, 4, 8}) {
     par::ThreadPool pool(threads);
-    MasterSlaveGa parallel(problem(), config(), &pool);
-    const GaResult parallel_result = parallel.run();
+    const EnginePtr parallel =
+        make_master_slave_engine(problem(), config(), &pool);
+    const GaResult parallel_result = parallel->run();
     EXPECT_EQ(serial_result.history, parallel_result.history)
         << "threads=" << threads;
     EXPECT_EQ(serial_result.best.seq, parallel_result.best.seq);
@@ -43,33 +43,33 @@ TEST(MasterSlave, TraceIdenticalOnJobShop) {
   GaConfig cfg = config(5);
   SimpleGa serial(js, cfg);
   par::ThreadPool pool(6);
-  MasterSlaveGa parallel(js, cfg, &pool);
-  EXPECT_EQ(serial.run().history, parallel.run().history);
+  const EnginePtr parallel = make_master_slave_engine(js, cfg, &pool);
+  EXPECT_EQ(serial.run().history, parallel->run().history);
 }
 
 TEST(MasterSlave, DeterministicAcrossRuns) {
   par::ThreadPool pool(4);
-  MasterSlaveGa a(problem(), config(9), &pool);
-  MasterSlaveGa b(problem(), config(9), &pool);
-  EXPECT_EQ(a.run().history, b.run().history);
+  const EnginePtr a = make_master_slave_engine(problem(), config(9), &pool);
+  const EnginePtr b = make_master_slave_engine(problem(), config(9), &pool);
+  EXPECT_EQ(a->run().history, b->run().history);
 }
 
 TEST(MasterSlave, TimeBudgetModeCountsExploredSolutions) {
   par::ThreadPool pool(4);
-  MasterSlaveGa ga(problem(), config(), &pool);
-  const GaResult result = ga.run(StopCondition::time_budget(0.2));
+  const EnginePtr ga = make_master_slave_engine(problem(), config(), &pool);
+  const GaResult result = ga->run(StopCondition::time_budget(0.2));
   EXPECT_GT(result.evaluations, 0);
   EXPECT_GE(result.seconds, 0.15);
   EXPECT_LT(result.seconds, 3.0);
   // More budget => at least as many explored solutions.
-  MasterSlaveGa ga2(problem(), config(), &pool);
-  const GaResult longer = ga2.run(StopCondition::time_budget(0.5));
+  const EnginePtr ga2 = make_master_slave_engine(problem(), config(), &pool);
+  const GaResult longer = ga2->run(StopCondition::time_budget(0.5));
   EXPECT_GT(longer.evaluations, result.evaluations / 2);
 }
 
 TEST(MasterSlave, UsesDefaultPoolWhenNull) {
-  MasterSlaveGa ga(problem(), config());
-  const GaResult result = ga.run();
+  const EnginePtr ga = make_master_slave_engine(problem(), config());
+  const GaResult result = ga->run();
   EXPECT_GT(result.evaluations, 0);
 }
 
@@ -77,8 +77,8 @@ TEST(MasterSlave, BudgetModeIgnoresGenerationCap) {
   GaConfig cfg = config();
   cfg.termination.max_generations = 1;  // would stop immediately in run()
   par::ThreadPool pool(4);
-  MasterSlaveGa ga(problem(), cfg, &pool);
-  const GaResult result = ga.run(StopCondition::time_budget(0.15));
+  const EnginePtr ga = make_master_slave_engine(problem(), cfg, &pool);
+  const GaResult result = ga->run(StopCondition::time_budget(0.15));
   EXPECT_GT(result.generations, 1);
 }
 

@@ -13,6 +13,8 @@
 #include <map>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -312,9 +314,10 @@ TEST(Service, MalformedRequestsGetStructuredErrors) {
       EXPECT_FALSE(refused.find("ok")->as_bool());
       EXPECT_FALSE(refused.string_or("error", "").empty());
     }
-    // Specs naming the deleted OpenMP runtime or chunk knob are refused,
-    // never run as another configuration.
-    for (const char* token : {"eval=omp", "eval_batch=16"}) {
+    // Specs naming the deleted OpenMP runtime, chunk knob or eval_backend=
+    // alias are refused, never run as another configuration.
+    for (const char* token :
+         {"eval=omp", "eval_batch=16", "eval_backend=pool"}) {
       SCOPED_TRACE(token);
       Json stale = round_trip(
           std::string(R"({"op":"submit","spec":"problem=flowshop )") +
@@ -328,6 +331,35 @@ TEST(Service, MalformedRequestsGetStructuredErrors) {
     EXPECT_TRUE(ping.find("ok")->as_bool());
   }
   server.stop();
+}
+
+TEST(Service, JobRecordIntegersReadExactlyOrThrow) {
+  // job_from_json (psgactl, psga_sweep --dispatch) reads the daemon's
+  // job records: an integer field out of its type's range is refused,
+  // naming the value, never cast.
+  const JobRecord good = job_from_json(Json::parse(
+      R"({"id":4,"state":"done","priority":2,"generations":1e1,)"
+      R"("evaluations":4294967297,"cache":{"hits":3,"misses":1}})"));
+  EXPECT_EQ(good.priority, 2);
+  EXPECT_EQ(good.generations, 10);
+  EXPECT_EQ(good.evaluations, 4294967297LL);
+  ASSERT_TRUE(good.cache.has_value());
+  EXPECT_EQ(good.cache->hits, 3);
+  for (const char* field :
+       {R"("priority":1e300)", R"("generations":4294967297)"}) {
+    SCOPED_TRACE(field);
+    try {
+      (void)job_from_json(Json::parse(
+          std::string(R"({"id":4,"state":"done",)") + field + "}"));
+      FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      const std::string value =
+          std::string(field).substr(std::string(field).find(':') + 1);
+      EXPECT_NE(std::string(e.what()).find(Json::parse(value).dump()),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Service, WholeNumbersInAnyJsonFormReadExactly) {

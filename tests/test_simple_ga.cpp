@@ -221,7 +221,7 @@ TEST(SimpleGa, WarmStartSeedsInitialPopulation) {
   const double neh_value = problem->objective(neh);
 
   GaConfig cfg = small_config(17);
-  cfg.seed_genomes = {neh};
+  cfg.initial_population = {neh};
   SimpleGa ga(problem, cfg);
   ga.init();
   // The initial best is at least as good as the injected NEH solution.
@@ -236,7 +236,7 @@ TEST(SimpleGa, WarmStartNeverWorsensFinalResult) {
   neh.seq = sched::neh_permutation(inst);
   const double neh_value = problem->objective(neh);
   GaConfig cfg = small_config(18);
-  cfg.seed_genomes = {neh};
+  cfg.initial_population = {neh};
   SimpleGa ga(problem, cfg);
   // Elitism keeps the seeded solution alive, so the final best can only
   // be <= NEH.
@@ -249,7 +249,7 @@ TEST(SimpleGa, ExcessSeedsAreTruncated) {
   GaConfig cfg = small_config(19);
   cfg.population = 5;
   for (int i = 0; i < 10; ++i) {
-    cfg.seed_genomes.push_back(problem->random_genome(rng));
+    cfg.initial_population.push_back(problem->random_genome(rng));
   }
   SimpleGa ga(problem, cfg);
   ga.init();

@@ -48,8 +48,8 @@ TEST(SolverFacade, MasterSlaveMatchesDirectConstruction) {
   GaConfig cfg;
   cfg.population = 24;
   cfg.seed = 3;
-  MasterSlaveGa direct(flow_shop(), cfg);
-  const RunResult expect = direct.run(stop);
+  const EnginePtr direct = make_master_slave_engine(flow_shop(), cfg);
+  const RunResult expect = direct->run(stop);
   const RunResult got =
       Solver::build(SolverSpec::parse("engine=master-slave pop=24 seed=3"),
                     flow_shop())
@@ -251,7 +251,7 @@ TEST(SolverSpecRoundTrip, CanonicalStringReparsesToTheSameSpec) {
         "engine=cellular width=16 height=16 neighborhood=moore radius=2",
         "engine=island islands=8 topology=hypercube policy=best-random "
         "interval=5 eval=serial eval_cache=lru:65536",
-        "engine=island eval_backend=pool eval_cache=lru:65536",
+        "engine=island eval=pool eval_cache=lru:65536",
         "engine=quantum islands=4 pop=20 eval=pool",
         "engine=cluster ranks=6 interval=5 broadcast=25 eval_cache=unbounded",
         "engine=memetic pop=60 interval=5 refine=2 budget=150 "
@@ -399,7 +399,7 @@ TEST(SolverSpec, EvalCacheShardCountIsBounded) {
 
 TEST(SolverSpec, EvalCacheAndBackendTokensParse) {
   const SolverSpec spec = SolverSpec::parse(
-      "engine=island eval_backend=pool eval_cache=lru:65536");
+      "engine=island eval=pool eval_cache=lru:65536");
   ASSERT_TRUE(spec.eval.has_value());
   EXPECT_EQ(*spec.eval, EvalBackend::kThreadPool);
   ASSERT_TRUE(spec.eval_cache.has_value());
@@ -442,8 +442,7 @@ TEST(SolverSpec, MalformedTokenThrowsWithOffendingToken) {
   // accepted values. The deleted async pipeline's and OpenMP runtime's
   // tokens get no alias on purpose: a stale spec must not silently run
   // another configuration.
-  for (const char* token :
-       {"eval=gpu", "eval=async_pool", "eval_backend=async", "eval=omp"}) {
+  for (const char* token : {"eval=gpu", "eval=async_pool", "eval=omp"}) {
     SCOPED_TRACE(token);
     try {
       SolverSpec::parse(std::string("engine=simple ") + token);
@@ -457,20 +456,28 @@ TEST(SolverSpec, MalformedTokenThrowsWithOffendingToken) {
         RunSpec::parse(std::string("problem=flowshop instance=ta001 ") + token),
         std::invalid_argument);
   }
-  // The deleted chunk-size knob is an unknown key, through either parser.
-  try {
-    SolverSpec::parse("engine=simple eval_batch=16");
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("eval_batch=16"), std::string::npos)
-        << e.what();
-  }
-  try {
-    RunSpec::parse("problem=flowshop instance=ta001 engine=simple eval_batch=16");
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("eval_batch=16"), std::string::npos)
-        << e.what();
+  // The deleted chunk-size knob and the deleted eval_backend= alias of
+  // eval= are unknown keys, through either parser.
+  for (const char* token :
+       {"eval_batch=16", "eval_backend=pool", "eval_backend=async"}) {
+    SCOPED_TRACE(token);
+    try {
+      SolverSpec::parse(std::string("engine=simple ") + token);
+      FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(token), std::string::npos) << what;
+      EXPECT_NE(what.find("unknown key"), std::string::npos) << what;
+    }
+    try {
+      RunSpec::parse(
+          std::string("problem=flowshop instance=ta001 engine=simple ") +
+          token);
+      FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(token), std::string::npos)
+          << e.what();
+    }
   }
 }
 

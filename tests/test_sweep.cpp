@@ -952,6 +952,54 @@ TEST(SweepResume, ResumedRunMatchesUninterrupted) {
   EXPECT_EQ(cell_records_sans_seconds(resumed_stream.str()).size(), 11u);
 }
 
+TEST(SweepResume, UnreadableCellRecordIsRerunOnTwoThreads) {
+  std::ostringstream full_stream;
+  SweepResult full;
+  {
+    TelemetrySink sink(full_stream);
+    SweepOptions options;
+    options.telemetry = &sink;
+    full = run_sweep(tiny_island_sweep(), options);
+  }
+  ASSERT_EQ(full.failed, 0);
+
+  // Cell 3's record says "evaluations": "x"; every other record is good.
+  std::istringstream lines(full_stream.str());
+  std::string line;
+  std::string tampered;
+  while (std::getline(lines, line)) {
+    const Json record = Json::parse(line);
+    if (record.string_or("event", "") == "cell" &&
+        record.find("cell")->as_int() == 3) {
+      Json bad = Json::object();
+      for (const Json::Member& member : record.members()) {
+        bad.set(member.first, member.first == "evaluations"
+                                  ? Json::string("x")
+                                  : member.second);
+      }
+      line = bad.dump();
+    }
+    tampered += line + '\n';
+  }
+  std::istringstream scan_in(tampered);
+  const FinishedCells finished = scan_finished_cells(scan_in);
+  EXPECT_EQ(finished.size(), full.cells.size() - 1);
+
+  SweepOptions options;
+  options.threads = 2;
+  options.resume = &finished;
+  const SweepResult resumed = run_sweep(tiny_island_sweep(), options);
+  ASSERT_EQ(resumed.cells.size(), full.cells.size());
+  EXPECT_EQ(resumed.failed, 0);
+  for (std::size_t i = 0; i < resumed.cells.size(); ++i) {
+    SCOPED_TRACE("cell " + std::to_string(i));
+    EXPECT_TRUE(resumed.cells[i].ok) << resumed.cells[i].error;
+    EXPECT_EQ(resumed.cells[i].resumed, i != 3u);
+    EXPECT_EQ(resumed.cells[i].result.evaluations,
+              full.cells[i].result.evaluations);
+  }
+}
+
 // --- report rendering -------------------------------------------------------
 
 TEST(ReportRender, ParsesTelemetryIntoCellsAndCurves) {
@@ -1046,6 +1094,28 @@ TEST(ReportRender, DuplicateCellRecordsResolveLastWins) {
   EXPECT_DOUBLE_EQ(reports[0].cells[0].best_objective, 90.0);
   EXPECT_FALSE(reports[0].cells[1].ok);
   EXPECT_EQ(reports[0].cells[1].error, "boom");
+}
+
+TEST(ReportRender, RecordsWhoseFieldsDoNotReadAreSkipped) {
+  // A string seed and a generation count beyond int are malformed lines:
+  // skipped like a SIGKILL tail, never thrown or truncated.
+  std::istringstream in(
+      "{\"event\":\"sweep_begin\",\"sweep\":\"s\",\"cells\":3}\n"
+      "{\"event\":\"cell\",\"cell\":0,\"hash\":\"aa\",\"ok\":true,"
+      "\"seed\":5,\"generations\":4,\"best_objective\":100}\n"
+      "{\"event\":\"cell\",\"cell\":1,\"hash\":\"bb\",\"ok\":true,"
+      "\"seed\":\"x\",\"generations\":4,\"best_objective\":90}\n"
+      "{\"event\":\"cell\",\"cell\":2,\"hash\":\"cc\",\"ok\":true,"
+      "\"seed\":6,\"generations\":1e300,\"best_objective\":80}\n");
+  const std::vector<SweepReport> reports = parse_telemetry(in);
+  ASSERT_EQ(reports.size(), 1u);
+  ASSERT_EQ(reports[0].cells.size(), 1u);
+  const ReportCell& cell = reports[0].cells[0];
+  EXPECT_EQ(cell.index, 0);
+  EXPECT_EQ(cell.hash, "aa");
+  EXPECT_EQ(cell.seed, 5u);
+  EXPECT_EQ(cell.generations, 4);
+  EXPECT_DOUBLE_EQ(cell.best_objective, 100.0);
 }
 
 }  // namespace

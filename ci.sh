@@ -7,7 +7,8 @@
 #                      under TSan, run a psga_sweep smoke
 #                      sweep (JSONL + summary validated), run a psgad
 #                      service smoke (submit/watch/cancel/a 200 KB line
-#                      of '['/drain over a temp socket) and a session
+#                      of '['/a 2 MiB line/drain over a temp socket) and
+#                      a session
 #                      smoke (10-event seeded
 #                      replanning trace, SLO met, transcript hash equal
 #                      across two concurrent runs and to its pinned
@@ -170,8 +171,9 @@ fi
 # its telemetry stream (every line must parse and carry schema_version),
 # cancel a long-running job mid-flight, run an active-decoder job on a
 # shop with zero-duration operations, send one 200,000-byte request line
-# of '[' (it must get a structured error and leave the daemon serving),
-# drain, and require the daemon to exit 0 and unlink its socket.
+# of '[' and one 2 MiB line (each must get a structured error and leave
+# the daemon serving), drain, and require the daemon to exit 0 and
+# unlink its socket.
 if [[ -x "$BUILD_DIR/psgad" && -x "$BUILD_DIR/psgactl" ]] \
    && command -v python3 >/dev/null; then
   SVC_SOCKET=$(mktemp -u /tmp/psgad_ci.XXXXXX.sock)
@@ -227,14 +229,22 @@ assert counters.get("svc.jobs.admitted", 0) >= 1, counters
 assert counters.get("svc.jobs.completed", 0) >= 1, counters
 assert stats["metrics"]["histograms"]["svc.job.run_ns"]["count"] >= 1, (
     stats["metrics"]["histograms"])
+# What the daemon retains: exactly the one finished (watched) job so far,
+# and its log's bytes.
+gauges = stats["metrics"]["gauges"]
+assert gauges.get("svc.jobs.retained") == 1, gauges
+assert gauges.get("svc.jobs.log_bytes", 0) > 0, gauges
 with open(sys.argv[2]) as f:
     info = json.load(f)
 assert info["build_type"], info
 assert info["uptime_seconds"] >= 0, info
 assert info["totals"]["admitted"] >= 1, info
 assert info["latency"]["run"]["p50"] >= 0, info
+assert info["max_request_bytes"] == 1 << 20, info
 print("ci.sh: stats scrape OK (admitted="
-      f"{counters['svc.jobs.admitted']}, build={info['build_type']})")
+      f"{counters['svc.jobs.admitted']}, retained="
+      f"{gauges['svc.jobs.retained']}, log_bytes="
+      f"{gauges['svc.jobs.log_bytes']}, build={info['build_type']})")
 PYEOF
   rm -f "$SVC_STATS" "$SVC_INFO"
 
@@ -285,6 +295,34 @@ PYEOF
   "$BUILD_DIR"/psgactl --socket "$SVC_SOCKET" ping >/dev/null \
     || { echo "ci.sh: psgad died on a 200 KB line of '['"; exit 1; }
 
+  # A 2 MiB request line, twice the daemon's 1 MiB request cap: it stops
+  # reading at the cap, answers with a structured error and closes the
+  # connection (so our send may break part way), and keeps serving.
+  python3 - "$SVC_SOCKET" <<'PYEOF'
+import json
+import socket
+import sys
+
+with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as conn:
+    conn.settimeout(30)
+    conn.connect(sys.argv[1])
+    try:
+        conn.sendall(b"[" * (2 << 20) + b"\n")
+    except (BrokenPipeError, ConnectionResetError):
+        pass
+    reply = b""
+    while not reply.endswith(b"\n"):
+        chunk = conn.recv(65536)
+        assert chunk, "psgad closed the connection without a reply"
+        reply += chunk
+response = json.loads(reply)
+assert response.get("ok") is False, response
+assert "request too large" in response.get("error", ""), response
+print(f"ci.sh: 2 MiB line answered: {response['error']}")
+PYEOF
+  "$BUILD_DIR"/psgactl --socket "$SVC_SOCKET" ping >/dev/null \
+    || { echo "ci.sh: psgad died on a 2 MiB request line"; exit 1; }
+
   "$BUILD_DIR"/psgactl --socket "$SVC_SOCKET" drain >/dev/null
   if ! wait "$SVC_PID"; then
     echo "ci.sh: psgad exited non-zero after drain"; exit 1
@@ -292,7 +330,7 @@ PYEOF
   if [[ -e "$SVC_SOCKET" ]]; then
     echo "ci.sh: psgad left its socket behind"; exit 1
   fi
-  echo "ci.sh: service smoke OK (submit/watch/cancel/hostile line/drain)"
+  echo "ci.sh: service smoke OK (submit/watch/cancel/hostile lines/drain)"
 else
   echo "psgad/psgactl or python3 missing; skipping service smoke"
 fi

@@ -270,14 +270,20 @@ SweepResult SweepRunner::run() {
   // Resume: match each cell against the finished records of a previous
   // run by stable cell hash. Matched cells skip planning, problem
   // resolution and execution entirely — a cell whose instance no longer
-  // resolves still resumes cleanly.
-  std::vector<const Json*> resumed(cells.size(), nullptr);
+  // resolves still resumes cleanly. Records are read here, serially: one
+  // whose fields do not read is no finished cell (as in
+  // scan_finished_cells), so the cell runs again instead of throwing on
+  // a pool lane.
+  std::vector<std::optional<CellResult>> resumed(cells.size());
   if (options_.resume != nullptr && !options_.resume->empty()) {
     for (const SweepCell& cell : cells) {
       const auto it =
           options_.resume->find(sweep_cell_hash_hex(spec_.name, cell));
-      if (it != options_.resume->end()) {
-        resumed[static_cast<std::size_t>(cell.index)] = &it->second;
+      if (it == options_.resume->end()) continue;
+      try {
+        resumed[static_cast<std::size_t>(cell.index)] =
+            cell_result_from_record(cell, it->second);
+      } catch (const std::exception&) {
       }
     }
   }
@@ -294,7 +300,7 @@ SweepResult SweepRunner::run() {
   std::map<std::string, ga::ProblemPtr> problems;
   std::map<std::string, std::string> resolve_errors;
   for (const SweepCell& cell : cells) {
-    if (resumed[static_cast<std::size_t>(cell.index)] != nullptr) continue;
+    if (resumed[static_cast<std::size_t>(cell.index)]) continue;
     CellPlan& plan = plans[static_cast<std::size_t>(cell.index)];
     try {
       plan = plan_cell(cell, custom_resolver);
@@ -331,11 +337,12 @@ SweepResult SweepRunner::run() {
   std::mutex trace_mutex;  // guards out.trace across lanes
 
   auto run_cell = [&](const SweepCell& cell) {
-    if (const Json* record = resumed[static_cast<std::size_t>(cell.index)]) {
+    if (std::optional<CellResult>& resumed_result =
+            resumed[static_cast<std::size_t>(cell.index)]) {
       // Reconstructed from the resume file: no execution, and no new
       // telemetry — the file already holds this cell's records, so the
       // appended stream unions to one uninterrupted run's.
-      CellResult result = cell_result_from_record(cell, *record);
+      CellResult result = std::move(*resumed_result);
       {
         std::lock_guard lock(progress_mutex);
         ++done;

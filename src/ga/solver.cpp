@@ -174,6 +174,10 @@ SolverSpec SolverSpec::parse(const std::string& text) {
       spec.budget = parse_int(value, token);
     } else if (key == "ranks") {
       spec.ranks = parse_int(value, token);
+      if (*spec.ranks < 1 || *spec.ranks > kMaxRanks) {
+        bad_token(token, "ranks must be in [1, " +
+                             std::to_string(kMaxRanks) + "]");
+      }
     } else if (key == "broadcast") {
       spec.broadcast = parse_int(value, token);
     } else if (key == "trace") {

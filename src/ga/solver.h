@@ -85,6 +85,9 @@ struct SolverSpec {
   std::optional<int> budget;  ///< budget= objective evaluations per climb
 
   // Cluster engine.
+  /// Each rank is one std::thread, so parse() refuses ranks= outside
+  /// [1, kMaxRanks]: a submitted spec must not start thousands of them.
+  static constexpr int kMaxRanks = 256;
   std::optional<int> ranks;      ///< ranks=
   std::optional<int> broadcast;  ///< broadcast= (LN period; 0 = off)
 

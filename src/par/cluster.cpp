@@ -48,14 +48,42 @@ Cluster::Cluster(int size) : size_(size), mailboxes_(static_cast<std::size_t>(si
 }
 
 void Cluster::run(const std::function<void(Rank&)>& body) {
+  // Ranks wait at a gate until every thread exists. When a later
+  // std::thread constructor throws, the started ranks leave without
+  // entering `body` (where they could block forever on a rank that never
+  // started) and are joined before the error propagates; destroying a
+  // joinable std::thread would terminate the process instead.
+  enum class Gate { kClosed, kOpen, kAborted };
+  Gate gate = Gate::kClosed;
+  std::mutex gate_mutex;
+  std::condition_variable gate_cv;
+  const auto set_gate = [&](Gate state) {
+    {
+      std::lock_guard lock(gate_mutex);
+      gate = state;
+    }
+    gate_cv.notify_all();
+  };
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(size_));
-  for (int r = 0; r < size_; ++r) {
-    threads.emplace_back([this, r, &body] {
-      Rank rank(this, r);
-      body(rank);
-    });
+  try {
+    for (int r = 0; r < size_; ++r) {
+      threads.emplace_back([&, r] {
+        {
+          std::unique_lock lock(gate_mutex);
+          gate_cv.wait(lock, [&] { return gate != Gate::kClosed; });
+          if (gate == Gate::kAborted) return;
+        }
+        Rank rank(this, r);
+        body(rank);
+      });
+    }
+  } catch (...) {
+    set_gate(Gate::kAborted);
+    for (auto& t : threads) t.join();
+    throw;
   }
+  set_gate(Gate::kOpen);
   for (auto& t : threads) t.join();
 }
 

@@ -94,6 +94,8 @@ class Client {
   exp::Json read_response();
 
   Fd fd_;
+  /// Unbounded, unlike the server's: `list` and `stats` replies grow
+  /// with the daemon's history.
   LineReader reader_;
 };
 

@@ -152,7 +152,12 @@ exp::SweepResult dispatch_sweep(const exp::SweepSpec& sweep,
       const auto finished =
           options.resume->find(exp::sweep_cell_hash_hex(sweep.name, cell));
       if (finished != options.resume->end()) {
-        result = exp::cell_result_from_record(cell, finished->second);
+        try {
+          result = exp::cell_result_from_record(cell, finished->second);
+        } catch (const std::exception&) {
+          // A record whose fields do not read is no finished cell (as in
+          // exp::scan_finished_cells): the cell runs again.
+        }
       }
     }
     if (!result.resumed) {

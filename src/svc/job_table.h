@@ -15,6 +15,8 @@
 #include <array>
 #include <atomic>
 #include <condition_variable>
+#include <cstddef>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -30,22 +32,23 @@
 namespace psga::svc {
 
 /// One submitted job. Fields other than `cancel` are guarded by the
-/// owning JobTable's mutex.
+/// owning JobTable's mutex; `record.id`, `record.spec`,
+/// `record.priority` and `record.stop` are fixed at submit, so the
+/// runner reads them without it.
 struct Job {
-  long long id = 0;
-  std::string spec;  ///< RunSpec tokens as submitted
-  int priority = 0;
-  ga::StopCondition stop;  ///< effective (policy-clamped) budget
-  JobState state = JobState::kQueued;
+  /// What status/list/wait serve, and all a finished job keeps of its
+  /// run: finish() copies the RunResult's best objective, generations,
+  /// evaluations and cache counters in, and the RunResult is dropped.
+  JobRecord record;
   std::atomic<bool> cancel{false};
-  std::string error;
-  ga::RunResult result;
-  double seconds = 0.0;
-  /// The job's full JSONL event log (schema_version-stamped lines).
-  /// Watchers replay from index 0, then follow appends; `log_done`
-  /// means no further lines will arrive (set with the terminal state,
-  /// after the job_end record lands).
-  std::vector<std::string> log;
+  /// The job's full JSONL event log (schema_version-stamped lines),
+  /// stored back to back in one buffer: line i is
+  /// log[log_ends[i-1], log_ends[i]) (from 0 for i = 0). Watchers replay
+  /// from line 0, then follow appends; `log_done` means no further
+  /// lines will arrive (set with the terminal state, after the job_end
+  /// record lands), and both buffers are then shrunk to fit.
+  std::string log;
+  std::vector<std::size_t> log_ends;
   bool log_done = false;
   /// Steady-clock stamps (ns) for the queue/run latency histograms:
   /// set at submit and at the queued→running transition.
@@ -68,6 +71,7 @@ class JobTable {
   /// Attaches the daemon's metrics registry (not owned; must outlive the
   /// table). Resolves every handle once:
   ///   svc.queue.depth                            gauge
+  ///   svc.jobs.{retained,log_bytes}              gauges
   ///   svc.jobs.{admitted,rejected,completed,failed,cancelled}  counters
   ///   svc.job.{queue_ns,run_ns,total_ns}         histograms
   /// Call before serving traffic; null detaches.
@@ -84,9 +88,10 @@ class JobTable {
   /// signal to exit).
   JobPtr next_job();
 
-  /// Terminal transition for a job the caller ran. Appends nothing —
+  /// Terminal transition for a job the caller ran: keeps the run's
+  /// summary in the job's record, not `result` itself. Appends nothing —
   /// the runner writes the job_end record via append_log first.
-  void finish(const JobPtr& job, JobState state, ga::RunResult result,
+  void finish(const JobPtr& job, JobState state, const ga::RunResult& result,
               std::string error, double seconds);
 
   /// Cancels `id`: queued jobs flip to cancelled immediately (their log
@@ -103,9 +108,9 @@ class JobTable {
   /// Appends a telemetry line to the job's log and wakes watchers.
   void append_log(const JobPtr& job, const std::string& line);
 
-  /// Copies log lines starting at `cursor` (advancing it). Blocks until
-  /// new lines arrive or the log closes; returns false when the log is
-  /// closed and fully consumed.
+  /// Copies log lines starting at line `cursor` (advancing it). Blocks
+  /// until new lines arrive or the log closes; returns false when the
+  /// log is closed and fully consumed.
   bool follow_log(const JobPtr& job, std::size_t& cursor,
                   std::vector<std::string>& out);
 
@@ -125,15 +130,20 @@ class JobTable {
   int max_queued() const;
 
  private:
-  static JobRecord snapshot_locked(const Job& job);
   int queued_count_locked() const;
   void update_queue_depth_locked() const;
-  void count_terminal(JobState state) const;
+  /// Every terminal transition ends here: sets `state`, counts it,
+  /// records svc.job.total_ns, closes and shrinks the log, and adds the
+  /// job to the retention gauges.
+  void retire_locked(Job& job, JobState state, std::uint64_t end_ns);
+  void update_retention_locked() const;
 
   // Resolved metric handles (null when no registry is attached). The
   // handles write lock-free, so counting happens wherever convenient —
   // inside or outside the table mutex.
   obs::Gauge* queue_depth_ = nullptr;
+  obs::Gauge* jobs_retained_ = nullptr;
+  obs::Gauge* log_bytes_ = nullptr;
   obs::Counter* jobs_admitted_ = nullptr;
   obs::Counter* jobs_rejected_ = nullptr;
   obs::Counter* jobs_completed_ = nullptr;
@@ -150,6 +160,10 @@ class JobTable {
   std::vector<JobPtr> queue_;  ///< submission order; next_job scans by priority
   long long next_id_ = 1;
   int max_queued_;
+  /// Terminal jobs held in jobs_ and the bytes of their logs' text (the
+  /// table never lets a job go; svc.jobs.retained / svc.jobs.log_bytes).
+  std::int64_t retained_ = 0;
+  std::int64_t retained_log_bytes_ = 0;
   bool draining_ = false;
 };
 

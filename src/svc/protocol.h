@@ -4,7 +4,8 @@
 //
 // Requests carry `op` plus op-specific fields; responses carry
 // `ok` (bool) plus either payload fields or `error` (a structured
-// message — malformed requests never drop the connection). Every line
+// message — malformed requests never drop the connection; only a line
+// over kMaxRequestBytes does, after its error reply). Every line
 // in both directions carries `schema_version`
 // (exp::kTelemetrySchemaVersion): the wire protocol and the on-disk
 // JSONL telemetry are the same schema and evolve together.
@@ -30,7 +31,8 @@
 //   op=info     → ok, config{}, build_type, uptime_seconds,
 //               jobs{queued,running,done,failed,cancelled},
 //               totals{admitted,completed,failed,cancelled,rejected},
-//               latency{queue,run,total → {p50,p95,p99} seconds}
+//               latency{queue,run,total → {p50,p95,p99} seconds},
+//               max_request_bytes
 //   op=stats    → ok, uptime_seconds, metrics{} — the daemon's full
 //               metrics registry (exp::metrics_to_json layout: named
 //               counters, gauges and log2 histograms with percentiles)
@@ -52,6 +54,7 @@
 // docs/service.md is the human-facing reference for this header.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -61,6 +64,12 @@
 #include "src/ga/stop.h"
 
 namespace psga::svc {
+
+/// The longest request line the server buffers (newline excluded). A
+/// longer line gets a `request too large` error and its connection is
+/// closed, since the rest of the line is never read. Replies have no
+/// cap: `list` and `stats` grow with the daemon's history.
+inline constexpr std::size_t kMaxRequestBytes = std::size_t{1} << 20;
 
 /// Job lifecycle. Queued and running are live; the other three are
 /// terminal and final (a cancel on a done job is a no-op).

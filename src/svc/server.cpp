@@ -65,7 +65,7 @@ class JobObserver final : public ga::RunObserver {
     if (every_ > 0 && event.generation % every_ == 0) {
       sink_->write(Json::object()
                        .set("event", Json::string("generation"))
-                       .set("job", Json::integer(job_->id))
+                       .set("job", Json::integer(job_->record.id))
                        .set("generation", Json::integer(event.generation))
                        .set("best", Json::number(event.best_objective))
                        .set("evaluations", Json::integer(event.evaluations))
@@ -79,7 +79,7 @@ class JobObserver final : public ga::RunObserver {
     (void)engine;
     sink_->write(Json::object()
                      .set("event", Json::string("improvement"))
-                     .set("job", Json::integer(job_->id))
+                     .set("job", Json::integer(job_->record.id))
                      .set("generation", Json::integer(event.generation))
                      .set("best", Json::number(event.best_objective)));
   }
@@ -87,7 +87,7 @@ class JobObserver final : public ga::RunObserver {
   void on_migration(const ga::MigrationEvent& event) override {
     sink_->write(Json::object()
                      .set("event", Json::string("migration"))
-                     .set("job", Json::integer(job_->id))
+                     .set("job", Json::integer(job_->record.id))
                      .set("epoch", Json::integer(event.epoch))
                      .set("from", Json::integer(event.from))
                      .set("to", Json::integer(event.to))
@@ -293,8 +293,8 @@ void Server::run_job(const JobPtr& job) {
   }
   sink.write(Json::object()
                  .set("event", Json::string("run_begin"))
-                 .set("job", Json::integer(job->id))
-                 .set("spec", Json::string(job->spec)));
+                 .set("job", Json::integer(job->record.id))
+                 .set("spec", Json::string(job->record.spec)));
   const double start = now_seconds();
   JobState state = JobState::kFailed;
   ga::RunResult result;
@@ -305,10 +305,10 @@ void Server::run_job(const JobPtr& job) {
     // pure function of the spec — bit-identical to an in-process run.
     par::ThreadPool job_pool(1);
     ga::Solver solver =
-        ga::Solver::build(ga::RunSpec::parse(job->spec), &job_pool);
+        ga::Solver::build(ga::RunSpec::parse(job->record.spec), &job_pool);
     JobObserver observer(sink, job, every);
     solver.set_observer(&observer);
-    result = solver.run(job->stop);
+    result = solver.run(job->record.stop);
     state = job->cancel.load(std::memory_order_relaxed)
                 ? JobState::kCancelled
                 : JobState::kDone;
@@ -319,9 +319,9 @@ void Server::run_job(const JobPtr& job) {
   const double seconds = now_seconds() - start;
   Json end = Json::object();
   end.set("event", Json::string("job_end"))
-      .set("job", Json::integer(job->id))
+      .set("job", Json::integer(job->record.id))
       .set("state", Json::string(to_string(state)))
-      .set("spec", Json::string(job->spec))
+      .set("spec", Json::string(job->record.spec))
       .set("ok", Json::boolean(state == JobState::kDone));
   if (state == JobState::kFailed) {
     end.set("error", Json::string(error));
@@ -341,11 +341,11 @@ void Server::run_job(const JobPtr& job) {
                 .set("evictions", Json::integer(cache.evictions)));
   }
   sink.write(std::move(end));
-  table_.finish(job, state, std::move(result), std::move(error), seconds);
+  table_.finish(job, state, result, std::move(error), seconds);
 }
 
 void Server::serve_connection(Fd fd) {
-  LineReader reader(fd.get());
+  LineReader reader(fd.get(), kMaxRequestBytes);
   std::string line;
   while (reader.read_line(line, [this] { return stopping_.load(); })) {
     Json response;
@@ -357,6 +357,12 @@ void Server::serve_connection(Fd fd) {
       response = error_response(e.what());
     }
     if (!streamed && !write_line(fd.get(), response.dump())) return;
+  }
+  if (reader.overflowed()) {
+    write_line(fd.get(),
+               error_response("request too large (over " +
+                              std::to_string(kMaxRequestBytes) + " bytes)")
+                   .dump());
   }
 }
 
@@ -430,7 +436,7 @@ exp::Json Server::handle_request(const Json& request, int connection_fd,
       return error_response(e.what());
     }
     return ok_response()
-        .set("id", Json::integer(job->id))
+        .set("id", Json::integer(job->record.id))
         .set("state", Json::string(to_string(JobState::kQueued)));
   }
 
@@ -644,6 +650,7 @@ exp::Json Server::handle_request(const Json& request, int connection_fd,
         .set("sessions", Json::integer(sessions_.active()))
         .set("totals", std::move(totals))
         .set("latency", std::move(latency))
+        .set("max_request_bytes", Json::integer(kMaxRequestBytes))
         .set("draining", Json::boolean(table_.draining()));
   }
 

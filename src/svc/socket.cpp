@@ -83,13 +83,18 @@ bool write_line(int fd, const std::string& line) {
 
 bool LineReader::read_line(std::string& out,
                           const std::function<bool()>& interrupted) {
+  if (overflowed_) return false;
   for (;;) {
     const std::size_t newline = buffer_.find('\n', scanned_);
-    if (newline != std::string::npos) {
+    if (newline != std::string::npos && newline <= max_line_) {
       out.assign(buffer_, 0, newline);
       buffer_.erase(0, newline + 1);
       scanned_ = 0;
       return true;
+    }
+    if (buffer_.size() > max_line_) {
+      overflowed_ = true;
+      return false;
     }
     scanned_ = buffer_.size();
     if (interrupted) {

@@ -10,7 +10,9 @@
 // surfaces as an error return, not SIGPIPE.
 #pragma once
 
+#include <cstddef>
 #include <functional>
+#include <limits>
 #include <string>
 
 namespace psga::svc {
@@ -51,18 +53,28 @@ bool write_line(int fd, const std::string& line);
 /// the buffer holds bytes past the last returned line.
 class LineReader {
  public:
-  explicit LineReader(int fd) : fd_(fd) {}
+  /// `max_line` caps a line's length (newline excluded); the buffer
+  /// never grows much past it.
+  explicit LineReader(int fd, std::size_t max_line =
+                                  std::numeric_limits<std::size_t>::max())
+      : fd_(fd), max_line_(max_line) {}
 
   /// Reads the next '\n'-terminated line (newline stripped). Returns
-  /// false on EOF/error, or when `interrupted` (polled between 100 ms
-  /// waits) returns true before a full line arrives.
+  /// false on EOF/error, when `interrupted` (polled between 100 ms
+  /// waits) returns true before a full line arrives, or when the line
+  /// outgrows `max_line` (then overflowed() is true, and the stream
+  /// cannot be resynchronized: the rest of that line is never read).
   bool read_line(std::string& out,
                  const std::function<bool()>& interrupted = {});
 
+  bool overflowed() const { return overflowed_; }
+
  private:
   int fd_;
+  std::size_t max_line_;
   std::string buffer_;
   std::size_t scanned_ = 0;  ///< buffer_ bytes already searched for '\n'
+  bool overflowed_ = false;
 };
 
 /// A bound + listening Unix-domain socket. Unlinks the path on bind (a

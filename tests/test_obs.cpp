@@ -532,8 +532,22 @@ TEST(ObsJobTable, CountsAdmissionQueueDepthAndLatencies) {
     const std::uint64_t* value = snap.counter(name);
     return value == nullptr ? std::uint64_t{0} : *value;
   };
-  const auto depth = [&registry] {
-    return *registry.snapshot().gauge("svc.queue.depth");
+  const auto gauge = [&registry](const char* name) {
+    return *registry.snapshot().gauge(name);
+  };
+  const auto depth = [&gauge] { return gauge("svc.queue.depth"); };
+  // The retained log bytes of a terminal job, read back through the
+  // watch path: every line, replayed from the start.
+  const auto log_bytes = [&table](const svc::JobPtr& job) {
+    std::size_t cursor = 0;
+    std::vector<std::string> lines;
+    std::int64_t bytes = 0;
+    while (table.follow_log(job, cursor, lines)) {
+      for (const std::string& line : lines) {
+        bytes += static_cast<std::int64_t>(line.size());
+      }
+    }
+    return bytes;
   };
 
   const ga::StopCondition stop = ga::StopCondition::generations(1);
@@ -541,23 +555,51 @@ TEST(ObsJobTable, CountsAdmissionQueueDepthAndLatencies) {
   const svc::JobPtr second = table.submit("engine=simple", 0, stop);
   EXPECT_EQ(counter("svc.jobs.admitted"), 2u);
   EXPECT_EQ(depth(), 2);
+  EXPECT_EQ(gauge("svc.jobs.retained"), 0);
+  EXPECT_EQ(gauge("svc.jobs.log_bytes"), 0);
   EXPECT_THROW(table.submit("engine=simple", 0, stop), svc::AdmissionError);
   EXPECT_EQ(counter("svc.jobs.rejected"), 1u);
 
   const svc::JobPtr running = table.next_job();
   ASSERT_EQ(running, first);
   EXPECT_EQ(depth(), 1);
+  table.append_log(running, R"({"event":"run_begin"})");
+  table.append_log(running, R"({"event":"job_end"})");
+  // A running job's log is not retained yet.
+  EXPECT_EQ(gauge("svc.jobs.retained"), 0);
+  EXPECT_EQ(gauge("svc.jobs.log_bytes"), 0);
   table.finish(running, svc::JobState::kDone, ga::RunResult{}, "", 0.01);
   EXPECT_EQ(counter("svc.jobs.completed"), 1u);
   const obs::MetricsSnapshot after_finish = registry.snapshot();
   EXPECT_EQ(after_finish.histogram("svc.job.queue_ns")->count, 1u);
   EXPECT_EQ(after_finish.histogram("svc.job.run_ns")->count, 1u);
   EXPECT_EQ(after_finish.histogram("svc.job.total_ns")->count, 1u);
+  EXPECT_EQ(gauge("svc.jobs.retained"), 1);
+  EXPECT_EQ(gauge("svc.jobs.log_bytes"), log_bytes(running));
+  EXPECT_EQ(log_bytes(running), 40);
 
-  // Cancelling the still-queued job counts and empties the queue.
-  table.request_cancel(second->id);
+  // Cancelling the still-queued job counts and empties the queue; its
+  // table-written job_end line is retained too.
+  table.request_cancel(second->record.id);
   EXPECT_EQ(counter("svc.jobs.cancelled"), 1u);
   EXPECT_EQ(depth(), 0);
+  EXPECT_EQ(gauge("svc.jobs.retained"), 2);
+  EXPECT_GT(log_bytes(second), 0);
+  EXPECT_EQ(gauge("svc.jobs.log_bytes"),
+            log_bytes(running) + log_bytes(second));
+
+  // A drain retires what is still queued.
+  const svc::JobPtr third = table.submit("engine=simple", 0, stop);
+  EXPECT_EQ(gauge("svc.jobs.retained"), 2);
+  EXPECT_EQ(table.drain(), 1);
+  EXPECT_EQ(counter("svc.jobs.cancelled"), 2u);
+  EXPECT_EQ(gauge("svc.jobs.retained"), 3);
+  EXPECT_EQ(log_bytes(third), log_bytes(second));  // one job_end line each
+  EXPECT_EQ(gauge("svc.jobs.log_bytes"),
+            log_bytes(running) + log_bytes(second) + log_bytes(third));
+  // A cancel on a terminal job changes nothing.
+  EXPECT_EQ(table.request_cancel(first->record.id), svc::JobState::kDone);
+  EXPECT_EQ(gauge("svc.jobs.retained"), 3);
 }
 
 TEST(ObsService, StatsOpExposesTheRegistryAndInfoGainsTotals) {

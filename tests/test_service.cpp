@@ -326,9 +326,61 @@ TEST(Service, MalformedRequestsGetStructuredErrors) {
       EXPECT_NE(stale.string_or("error", "").find(token), std::string::npos);
     }
 
+    // ranks= beyond SolverSpec::kMaxRanks is refused at submit, before a
+    // worker could start that many rank threads.
+    Json too_many_ranks = round_trip(
+        R"({"op":"submit","spec":"problem=flowshop instance=ta001 )"
+        R"(engine=cluster ranks=100000"})");
+    EXPECT_FALSE(too_many_ranks.find("ok")->as_bool());
+    EXPECT_NE(too_many_ranks.string_or("error", "").find("ranks=100000"),
+              std::string::npos);
+
     // After all that abuse the connection still serves good requests.
     Json ping = round_trip(R"({"op":"ping"})");
     EXPECT_TRUE(ping.find("ok")->as_bool());
+  }
+  server.stop();
+}
+
+TEST(Service, RequestLineOverTheCapIsRefusedAndClosed) {
+  ServerConfig config = test_config();
+  Server server(config);
+  server.start();
+  // A line exactly at the cap is still read: a ping padded with spaces.
+  {
+    Fd fd = unix_connect(config.socket_path);
+    std::string ping = R"({"op":"ping"})";
+    ping.resize(kMaxRequestBytes, ' ');
+    ASSERT_TRUE(write_line(fd.get(), ping));
+    LineReader reader(fd.get());
+    std::string response;
+    ASSERT_TRUE(reader.read_line(response));
+    EXPECT_TRUE(Json::parse(response).find("ok")->as_bool()) << response;
+  }
+  // One byte over, and a 2 MiB line: a structured error, then the server
+  // closes the connection. It stops reading at the cap, so the send can
+  // fail part way (EPIPE); the reply is queued on our side by then.
+  for (const std::size_t bytes : {kMaxRequestBytes + 1, 2 * kMaxRequestBytes}) {
+    SCOPED_TRACE(std::to_string(bytes) + " bytes");
+    Fd fd = unix_connect(config.socket_path);
+    (void)write_line(fd.get(), std::string(bytes, '['));
+    LineReader reader(fd.get());
+    std::string response;
+    ASSERT_TRUE(reader.read_line(response));
+    const Json refused = Json::parse(response);
+    EXPECT_FALSE(refused.find("ok")->as_bool());
+    EXPECT_NE(refused.string_or("error", "").find("request too large"),
+              std::string::npos)
+        << response;
+    EXPECT_FALSE(reader.read_line(response));  // closed
+  }
+  {
+    // The daemon keeps serving, and info reports the cap.
+    Client client(config.socket_path);
+    client.ping();
+    const Json info = client.info();
+    ASSERT_NE(info.find("max_request_bytes"), nullptr);
+    EXPECT_EQ(info.find("max_request_bytes")->as_u64(), kMaxRequestBytes);
   }
   server.stop();
 }
@@ -531,6 +583,134 @@ TEST(JobTableTest, AdmissionAndDrain) {
   EXPECT_EQ(table.drain(), 2);
   EXPECT_THROW(table.submit("d", 0, stop), AdmissionError);
   EXPECT_EQ(table.next_job(), nullptr);  // drained: workers exit
+}
+
+/// The four RunResult scalars a finished job keeps, in its record.
+void expect_run_summary(const JobRecord& record, const ga::RunResult& run) {
+  EXPECT_EQ(record.best_objective, run.best_objective);
+  EXPECT_EQ(record.generations, run.generations);
+  EXPECT_EQ(record.evaluations, run.evaluations);
+  ASSERT_EQ(record.cache.has_value(), run.cache.has_value());
+  if (run.cache) {
+    EXPECT_EQ(record.cache->hits, run.cache->hits);
+    EXPECT_EQ(record.cache->misses, run.cache->misses);
+    EXPECT_EQ(record.cache->inserts, run.cache->inserts);
+    EXPECT_EQ(record.cache->evictions, run.cache->evictions);
+  }
+}
+
+TEST(JobTableTest, SnapshotKeepsTheRunSummaryOfEveryTerminalJob) {
+  JobTable table(4);
+  const ga::StopCondition stop = ga::StopCondition::generations(3);
+  const JobPtr done = table.submit("spec-done", 2, stop);
+  const JobPtr failed = table.submit("spec-failed", 1, stop);
+  const JobPtr cancelled = table.submit("spec-cancelled", 0, stop);
+
+  // Done: a real run with every RunResult section engaged (history,
+  // islands, metrics, cache counters); only its summary is kept.
+  ASSERT_EQ(table.next_job(), done);
+  const ga::RunResult run =
+      ga::Solver::build(ga::RunSpec::parse(
+                            "problem=flowshop instance=ta001 engine=island "
+                            "islands=2 pop=8 eval_cache=lru:64 seed=3"))
+          .run(stop);
+  ASSERT_TRUE(run.cache.has_value());
+  ASSERT_TRUE(run.islands.has_value());
+  table.finish(done, JobState::kDone, run, "", 0.25);
+  const JobRecord done_record = table.snapshot(done->record.id);
+  EXPECT_EQ(done_record.state, JobState::kDone);
+  EXPECT_EQ(done_record.spec, "spec-done");
+  EXPECT_EQ(done_record.priority, 2);
+  EXPECT_EQ(done_record.stop, stop);
+  EXPECT_TRUE(done_record.error.empty());
+  EXPECT_EQ(done_record.seconds, 0.25);
+  expect_run_summary(done_record, run);
+
+  // Failed: the runner hands over an empty RunResult and the error.
+  ASSERT_EQ(table.next_job(), failed);
+  table.finish(failed, JobState::kFailed, ga::RunResult{}, "boom", 0.5);
+  const JobRecord failed_record = table.snapshot(failed->record.id);
+  EXPECT_EQ(failed_record.state, JobState::kFailed);
+  EXPECT_EQ(failed_record.error, "boom");
+  EXPECT_EQ(failed_record.seconds, 0.5);
+  expect_run_summary(failed_record, ga::RunResult{});
+
+  // Cancelled while queued: never ran, so the empty summary.
+  EXPECT_EQ(table.request_cancel(cancelled->record.id), JobState::kCancelled);
+  const JobRecord cancelled_record = table.snapshot(cancelled->record.id);
+  EXPECT_EQ(cancelled_record.state, JobState::kCancelled);
+  EXPECT_TRUE(cancelled_record.error.empty());
+  EXPECT_EQ(cancelled_record.seconds, 0.0);
+  expect_run_summary(cancelled_record, ga::RunResult{});
+  // Its log is the one job_end line the table wrote.
+  std::size_t cursor = 0;
+  std::vector<std::string> lines;
+  ASSERT_TRUE(table.follow_log(cancelled, cursor, lines));
+  ASSERT_EQ(lines.size(), 1u);
+  const Json end = Json::parse(lines[0]);
+  EXPECT_EQ(end.string_or("event", ""), "job_end");
+  EXPECT_EQ(end.string_or("state", ""), "cancelled");
+  EXPECT_EQ(end.string_or("spec", ""), "spec-cancelled");
+  EXPECT_FALSE(table.follow_log(cancelled, cursor, lines));
+
+  // snapshot_all serves the same records, in id order.
+  const std::vector<JobRecord> all = table.snapshot_all();
+  ASSERT_EQ(all.size(), 3u);
+  EXPECT_EQ(job_to_json(all[0]).dump(), job_to_json(done_record).dump());
+  EXPECT_EQ(job_to_json(all[1]).dump(), job_to_json(failed_record).dump());
+  EXPECT_EQ(job_to_json(all[2]).dump(), job_to_json(cancelled_record).dump());
+}
+
+TEST(JobTableTest, FollowLogReplaysByteIdenticalLinesFromEveryCursor) {
+  JobTable table(4);
+  const JobPtr job = table.submit("spec", 0, ga::StopCondition{});
+  ASSERT_EQ(table.next_job(), job);
+  // Lines of every shape: only the stored line ends separate them.
+  std::vector<std::string> lines = {
+      R"({"schema_version":1,"event":"run_begin","job":1})", "", "x",
+      std::string(10000, 'g'), R"({"event":"improvement","s":"\u00e9 \n"})"};
+  for (int i = 0; i < 40; ++i) {
+    lines.push_back(R"({"event":"generation","generation":)" +
+                    std::to_string(i) + "}");
+  }
+  for (const std::string& line : lines) table.append_log(job, line);
+
+  const auto suffix = [&lines](std::size_t from) {
+    return std::vector<std::string>(
+        lines.begin() + static_cast<std::ptrdiff_t>(from), lines.end());
+  };
+  // Live log: every cursor short of the end gets the rest, and `out`'s
+  // stale contents are replaced, not appended to.
+  for (std::size_t from = 0; from < lines.size(); ++from) {
+    SCOPED_TRACE("live cursor " + std::to_string(from));
+    std::size_t cursor = from;
+    std::vector<std::string> out = {"stale", "lines", "here"};
+    ASSERT_TRUE(table.follow_log(job, cursor, out));
+    EXPECT_EQ(cursor, lines.size());
+    EXPECT_EQ(out, suffix(from));
+  }
+  // A watcher at the end waits for the next line.
+  const std::string job_end = R"({"event":"job_end","job":1,"ok":true})";
+  std::vector<std::string> tail;
+  std::thread watcher([&] {
+    std::size_t cursor = lines.size();
+    table.follow_log(job, cursor, tail);
+  });
+  table.append_log(job, job_end);
+  watcher.join();
+  EXPECT_EQ(tail, std::vector<std::string>{job_end});
+  lines.push_back(job_end);
+
+  // Closed (and shrunk) log: cursors 0..n, the last one empty and done.
+  table.finish(job, JobState::kDone, ga::RunResult{}, "", 0.1);
+  for (std::size_t from = 0; from <= lines.size(); ++from) {
+    SCOPED_TRACE("closed cursor " + std::to_string(from));
+    std::size_t cursor = from;
+    std::vector<std::string> out = {"stale"};
+    EXPECT_EQ(table.follow_log(job, cursor, out), from < lines.size());
+    EXPECT_EQ(cursor, lines.size());
+    EXPECT_EQ(out, suffix(from));
+  }
 }
 
 // --- config -----------------------------------------------------------------
@@ -806,6 +986,62 @@ TEST(Dispatch, ResumeSkipsFinishedCellsWithoutSubmitting) {
   // The union is the uninterrupted telemetry (mod timing).
   EXPECT_EQ(cells_sans_seconds(truncated + resumed_stream.str()),
             cells_sans_seconds(first_stream.str()));
+  server.stop();
+}
+
+TEST(Dispatch, UnreadableResumeRecordIsRerun) {
+  // In-process telemetry holds the same cell records (and hashes) a
+  // dispatched run writes.
+  std::ostringstream full_stream;
+  exp::SweepResult full;
+  {
+    exp::TelemetrySink sink(full_stream);
+    exp::SweepOptions options;
+    options.telemetry = &sink;
+    full = exp::run_sweep(dispatch_test_sweep(), options);
+  }
+  ASSERT_EQ(full.failed, 0);
+
+  // A caller-filled resume map: cell 1's record says "evaluations": "x".
+  exp::FinishedCells finished;
+  std::istringstream lines(full_stream.str());
+  std::string line;
+  while (std::getline(lines, line)) {
+    const Json record = Json::parse(line);
+    if (record.string_or("event", "") != "cell") continue;
+    Json kept = Json::object();
+    for (const Json::Member& member : record.members()) {
+      kept.set(member.first,
+               member.first == "evaluations" &&
+                       record.find("cell")->as_int() == 1
+                   ? Json::string("x")
+                   : member.second);
+    }
+    finished[record.string_or("hash", "")] = kept;
+  }
+  ASSERT_EQ(finished.size(), full.cells.size());
+
+  ServerConfig config = test_config();
+  config.workers = 2;
+  Server server(config);
+  server.start();
+  DispatchOptions options;
+  options.jobs = 2;
+  options.resume = &finished;
+  const exp::SweepResult resumed =
+      dispatch_sweep(dispatch_test_sweep(), config.socket_path, options);
+  ASSERT_EQ(resumed.cells.size(), full.cells.size());
+  EXPECT_EQ(resumed.failed, 0);
+  for (std::size_t i = 0; i < resumed.cells.size(); ++i) {
+    SCOPED_TRACE("cell " + std::to_string(i));
+    EXPECT_TRUE(resumed.cells[i].ok) << resumed.cells[i].error;
+    EXPECT_EQ(resumed.cells[i].resumed, i != 1u);
+    EXPECT_EQ(resumed.cells[i].result.evaluations,
+              full.cells[i].result.evaluations);
+  }
+  // Only the unreadable cell was submitted.
+  Client client(config.socket_path);
+  EXPECT_EQ(client.list().size(), 1u);
   server.stop();
 }
 

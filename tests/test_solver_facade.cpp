@@ -481,6 +481,29 @@ TEST(SolverSpec, MalformedTokenThrowsWithOffendingToken) {
   }
 }
 
+TEST(SolverSpec, RanksOutsideOneToMaxRanksAreRefused) {
+  // Every cluster rank is a std::thread, so the bound is a parse error:
+  // no refused value reaches Cluster::run or starts a thread.
+  for (const char* value : {"0", "-1", "257", "100000", "2147483647"}) {
+    const std::string token = std::string("ranks=") + value;
+    SCOPED_TRACE(token);
+    try {
+      SolverSpec::parse("engine=cluster " + token);
+      FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(token), std::string::npos) << what;
+      EXPECT_NE(what.find("[1, 256]"), std::string::npos) << what;
+    }
+    EXPECT_THROW(
+        RunSpec::parse("problem=flowshop instance=ta001 engine=cluster " +
+                       token),
+        std::invalid_argument);
+  }
+  EXPECT_EQ(SolverSpec::parse("engine=cluster ranks=1").ranks, 1);
+  EXPECT_EQ(SolverSpec::parse("engine=cluster ranks=256").ranks,
+            SolverSpec::kMaxRanks);
+}
 TEST(Solver, UnknownEngineThrowsListingRegistered) {
   try {
     Solver::build(SolverSpec::parse("engine=annealing"), flow_shop());

@@ -952,25 +952,16 @@ TEST(SweepResume, ResumedRunMatchesUninterrupted) {
   EXPECT_EQ(cell_records_sans_seconds(resumed_stream.str()).size(), 11u);
 }
 
-TEST(SweepResume, UnreadableCellRecordIsRerunOnTwoThreads) {
-  std::ostringstream full_stream;
-  SweepResult full;
-  {
-    TelemetrySink sink(full_stream);
-    SweepOptions options;
-    options.telemetry = &sink;
-    full = run_sweep(tiny_island_sweep(), options);
-  }
-  ASSERT_EQ(full.failed, 0);
-
-  // Cell 3's record says "evaluations": "x"; every other record is good.
-  std::istringstream lines(full_stream.str());
+/// `jsonl` with cell `index`'s record saying "evaluations": "x" — a
+/// record that parses but whose fields do not read.
+std::string with_unreadable_cell(const std::string& jsonl, int index) {
+  std::istringstream lines(jsonl);
   std::string line;
   std::string tampered;
   while (std::getline(lines, line)) {
     const Json record = Json::parse(line);
     if (record.string_or("event", "") == "cell" &&
-        record.find("cell")->as_int() == 3) {
+        record.find("cell")->as_int() == index) {
       Json bad = Json::object();
       for (const Json::Member& member : record.members()) {
         bad.set(member.first, member.first == "evaluations"
@@ -981,10 +972,14 @@ TEST(SweepResume, UnreadableCellRecordIsRerunOnTwoThreads) {
     }
     tampered += line + '\n';
   }
-  std::istringstream scan_in(tampered);
-  const FinishedCells finished = scan_finished_cells(scan_in);
-  EXPECT_EQ(finished.size(), full.cells.size() - 1);
+  return tampered;
+}
 
+/// Runs tiny_island_sweep on two threads resuming from `finished` and
+/// expects every cell but cell 3 resumed, and cell 3 re-run to the
+/// uninterrupted result.
+void expect_cell_3_rerun(const FinishedCells& finished,
+                         const SweepResult& full) {
   SweepOptions options;
   options.threads = 2;
   options.resume = &finished;
@@ -998,6 +993,51 @@ TEST(SweepResume, UnreadableCellRecordIsRerunOnTwoThreads) {
     EXPECT_EQ(resumed.cells[i].result.evaluations,
               full.cells[i].result.evaluations);
   }
+}
+
+TEST(SweepResume, UnreadableCellRecordIsRerunOnTwoThreads) {
+  std::ostringstream full_stream;
+  SweepResult full;
+  {
+    TelemetrySink sink(full_stream);
+    SweepOptions options;
+    options.telemetry = &sink;
+    full = run_sweep(tiny_island_sweep(), options);
+  }
+  ASSERT_EQ(full.failed, 0);
+
+  // Cell 3's record says "evaluations": "x"; every other record is good.
+  std::istringstream scan_in(with_unreadable_cell(full_stream.str(), 3));
+  const FinishedCells finished = scan_finished_cells(scan_in);
+  EXPECT_EQ(finished.size(), full.cells.size() - 1);
+  expect_cell_3_rerun(finished, full);
+}
+
+TEST(SweepResume, CallerFilledUnreadableRecordIsRerunOnTwoThreads) {
+  // A library caller fills SweepOptions::resume itself, so the unreadable
+  // record reaches the runner: it must re-run that cell, not throw on a
+  // pool lane (which terminates the process).
+  std::ostringstream full_stream;
+  SweepResult full;
+  {
+    TelemetrySink sink(full_stream);
+    SweepOptions options;
+    options.telemetry = &sink;
+    full = run_sweep(tiny_island_sweep(), options);
+  }
+  ASSERT_EQ(full.failed, 0);
+
+  FinishedCells finished;
+  std::istringstream lines(with_unreadable_cell(full_stream.str(), 3));
+  std::string line;
+  while (std::getline(lines, line)) {
+    const Json record = Json::parse(line);
+    if (record.string_or("event", "") == "cell") {
+      finished[record.string_or("hash", "")] = record;
+    }
+  }
+  ASSERT_EQ(finished.size(), full.cells.size());
+  expect_cell_3_rerun(finished, full);
 }
 
 // --- report rendering -------------------------------------------------------

@@ -178,9 +178,15 @@ void BM_JobShopGifflerThompsonBatch(benchmark::State& state,
                          ga::JobShopProblem::Decoder::kGifflerThompson);
 }
 // ft10 keeps its plain row name; the 50 x 10 shop adds a J > M shape under
-// the same gate tag.
+// the same gate tag. On the register path ft10 runs four genomes in
+// lockstep: Arg(1) is a lone genome and Arg(7) a group of four plus a
+// tail of three, where padding the tail would show as a slowdown. The
+// 50 x 10 shop has too many jobs for the register frontier and prices
+// the scalar core.
 BENCHMARK_CAPTURE(BM_JobShopGifflerThompsonBatch, ft10, sched::ft10().instance)
     ->Name("BM_JobShopGifflerThompsonBatch")
+    ->Arg(1)
+    ->Arg(7)
     ->Arg(16);
 BENCHMARK_CAPTURE(BM_JobShopGifflerThompsonBatch, random_50x10,
                   sched::random_job_shop(50, 10, 1))

@@ -6,8 +6,9 @@
 #                      ASan/UBSan and run them, run the same binary
 #                      under TSan, run a psga_sweep smoke
 #                      sweep (JSONL + summary validated), run a psgad
-#                      service smoke (submit/watch/cancel/a 200 KB line
-#                      of '['/a 2 MiB line/drain over a temp socket) and
+#                      service smoke (submit/watch/cancel/size tokens
+#                      that crashed engines/a 200 KB line of '['/a 2 MiB
+#                      line/drain over a temp socket) and
 #                      a session
 #                      smoke (10-event seeded
 #                      replanning trace, SLO met, transcript hash equal
@@ -170,7 +171,8 @@ fi
 # start a daemon on a temp socket, submit a small flowshop job and watch
 # its telemetry stream (every line must parse and carry schema_version),
 # cancel a long-running job mid-flight, run an active-decoder job on a
-# shop with zero-duration operations, send one 200,000-byte request line
+# shop with zero-duration operations, submit islands=0 and width=0 specs
+# (each must be refused naming its token), send one 200,000-byte request line
 # of '[' and one 2 MiB line (each must get a structured error and leave
 # the daemon serving), drain, and require the daemon to exit 0 and
 # unlink its socket.
@@ -270,6 +272,24 @@ PYEOF
   "$BUILD_DIR"/psgactl --socket "$SVC_SOCKET" ping >/dev/null \
     || { echo "ci.sh: psgad died on a zero-duration active job"; exit 1; }
   rm -f "$ZERO_JSP"
+
+  # Size tokens that crashed the engines: islands=0 (IslandGa::best()
+  # read front() of no islands) and width=0 (CellularGa::init() did the
+  # same on an empty grid). Each submit must get an error reply naming
+  # the token, and the daemon must keep serving.
+  for SIZE_SPEC in 'engine=island islands=0' 'engine=cellular width=0 height=4'; do
+    SIZE_TOKEN=${SIZE_SPEC#* }
+    SIZE_TOKEN=${SIZE_TOKEN%% *}
+    if SIZE_REPLY=$("$BUILD_DIR"/psgactl --socket "$SVC_SOCKET" submit \
+        "problem=flowshop instance=ta001 $SIZE_SPEC" 2>&1); then
+      echo "ci.sh: psgad accepted '$SIZE_SPEC': $SIZE_REPLY"; exit 1
+    fi
+    grep -qF "'$SIZE_TOKEN'" <<<"$SIZE_REPLY" \
+      || { echo "ci.sh: refusal of '$SIZE_SPEC' does not name $SIZE_TOKEN: $SIZE_REPLY"; exit 1; }
+    "$BUILD_DIR"/psgactl --socket "$SVC_SOCKET" ping >/dev/null \
+      || { echo "ci.sh: psgad died on '$SIZE_SPEC'"; exit 1; }
+    echo "ci.sh: '$SIZE_SPEC' refused: $SIZE_REPLY"
+  done
 
   # A hostile request line: 200,000 bytes of '['. The JSON parser caps
   # nesting depth, so the daemon answers with a structured error and

@@ -100,8 +100,10 @@ void CellularGa::step() {
   pool_->parallel_for(static_cast<std::size_t>(n), [&](std::size_t c) {
     par::Rng& rng = cell_rngs_[c];
     const std::vector<int>& hood = neighbor_table_[c];
-    // Binary tournament within the neighborhood for the mate.
+    // Binary tournament within the neighborhood for the mate. A cell
+    // without neighbors (a 1x1 grid) mates with itself.
     auto pick_neighbor = [&] {
+      if (hood.empty()) return static_cast<int>(c);
       const int a = hood[rng.below(hood.size())];
       const int b = hood[rng.below(hood.size())];
       return objectives_[static_cast<std::size_t>(a)] <=

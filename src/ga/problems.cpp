@@ -173,6 +173,8 @@ JobShopProblem::JobShopProblem(sched::JobShopInstance inst, Decoder decoder,
                                sched::Criterion criterion)
     : inst_(std::move(inst)),
       frontier_(inst_, {}, {}),
+      routes_(decoder == Decoder::kGifflerThompson ? sched::GtRouteTable(inst_)
+                                                   : sched::GtRouteTable()),
       decoder_(decoder),
       criterion_(criterion) {
   traits_.seq_kind = SeqKind::kJobRepetition;
@@ -206,8 +208,9 @@ double JobShopProblem::objective(const Genome& genome) const {
 double JobShopProblem::objective_with(const Genome& genome,
                                       JobShopEvalScratch& scratch) const {
   if (decoder_ == Decoder::kGifflerThompson) {
-    return sched::giffler_thompson_objective(inst_, genome.seq, criterion_,
-                                             scratch.js);
+    double value = 0;
+    active_objectives(std::span(&genome, 1), std::span(&value, 1), scratch);
+    return value;
   }
   const auto expected = static_cast<std::size_t>(traits_.seq_length);
   if (genome.seq.size() != expected) {
@@ -222,6 +225,28 @@ double JobShopProblem::objective_with(const Genome& genome,
   return sched::evaluate_criterion(
       criterion_, frontier_.completion_times(genome.seq, scratch.frontier),
       inst_.attrs);
+}
+
+void JobShopProblem::objective_batch(std::span<const Genome> genomes,
+                                     std::span<double> objectives,
+                                     Workspace& workspace) const {
+  if (decoder_ == Decoder::kGifflerThompson) {
+    if (auto* s = detail::scratch_of<JobShopEvalScratch>(workspace)) {
+      active_objectives(genomes, objectives, *s);
+      return;
+    }
+  }
+  WorkspaceProblem::objective_batch(genomes, objectives, workspace);
+}
+
+void JobShopProblem::active_objectives(std::span<const Genome> genomes,
+                                       std::span<double> objectives,
+                                       JobShopEvalScratch& scratch) const {
+  scratch.lanes.clear();
+  scratch.lanes.reserve(genomes.size());
+  for (const Genome& g : genomes) scratch.lanes.emplace_back(g.seq);
+  sched::giffler_thompson_objective_batch(inst_, routes_, scratch.lanes,
+                                          criterion_, objectives, scratch.js);
 }
 
 // --- OpenShopProblem ---------------------------------------------------------

@@ -158,16 +158,19 @@ class RandomKeyFlowShopProblem final
 };
 
 /// Job-shop evaluation scratch, capacity only: the Giffler–Thompson
-/// buffers and the semi-active replay's frontier copy.
+/// buffers, the semi-active replay's frontier copy and the per-batch
+/// sequence views handed to the Giffler–Thompson batch entry.
 struct JobShopEvalScratch {
   sched::JobShopScratch js;
   sched::DowntimeFrontier::Scratch frontier;
+  std::vector<std::span<const int>> lanes;
 };
 
 /// Job shop with either the semi-active operation-based decoder or the
 /// Giffler–Thompson active decoder. Semi-active genomes are evaluated by
 /// replaying a window-free DowntimeFrontier built once from the instance;
-/// active ones run the Giffler–Thompson core without a Schedule.
+/// active ones go through sched::giffler_thompson_objective_batch over a
+/// route table built once from the instance, without a Schedule.
 class JobShopProblem final
     : public WorkspaceProblem<JobShopProblem, JobShopEvalScratch> {
  public:
@@ -186,13 +189,27 @@ class JobShopProblem final
   /// sequence giffler_thompson_sequence rejects.
   double objective_with(const Genome& genome,
                         JobShopEvalScratch& scratch) const;
+  /// The active decoder hands the whole slice to the batch entry, which
+  /// decodes four genomes in lockstep on the register path.
+  void objective_batch(std::span<const Genome> genomes,
+                       std::span<double> objectives,
+                       Workspace& workspace) const override;
 
   const sched::JobShopInstance& instance() const { return inst_; }
   sched::Schedule decode(const Genome& genome) const;
+  /// Active genomes decode on the Giffler–Thompson register kernel (the
+  /// instance fits it and the CPU has AVX-512F and BMI).
+  bool decodes_in_registers() const { return routes_.registers; }
 
  private:
+  /// The active decoder's one entry: giffler_thompson_objective_batch.
+  void active_objectives(std::span<const Genome> genomes,
+                         std::span<double> objectives,
+                         JobShopEvalScratch& scratch) const;
+
   sched::JobShopInstance inst_;
   sched::DowntimeFrontier frontier_;  ///< no prefix, no windows
+  sched::GtRouteTable routes_;  ///< built for the active decoder only
   Decoder decoder_;
   sched::Criterion criterion_;
   GenomeTraits traits_;

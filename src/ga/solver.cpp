@@ -61,6 +61,19 @@ int parse_int(const std::string& value, const std::string& token) {
   return spec::parse_int("SolverSpec", value, token);
 }
 
+/// parse_int, refusing a value outside [lo, hi] with an error naming the
+/// token and the range.
+int parse_int_in(const std::string& value, const std::string& token, int lo,
+                 int hi) {
+  const int n = parse_int(value, token);
+  if (n < lo || n > hi) {
+    bad_token(token, token.substr(0, token.find('=')) + " must be in [" +
+                         std::to_string(lo) + ", " + std::to_string(hi) +
+                         "]");
+  }
+  return n;
+}
+
 double parse_double(const std::string& value, const std::string& token) {
   return spec::parse_double("SolverSpec", value, token);
 }
@@ -123,9 +136,9 @@ SolverSpec SolverSpec::parse(const std::string& text) {
     if (key == "engine") {
       spec.engine = value;
     } else if (key == "pop") {
-      spec.population = parse_int(value, token);
+      spec.population = parse_int_in(value, token, 1, kMaxPopulation);
     } else if (key == "elites") {
-      spec.elites = parse_int(value, token);
+      spec.elites = parse_int_in(value, token, 0, kMaxPopulation);
     } else if (key == "seed") {
       spec.seed = parse_u64(value, token);
     } else if (key == "eval") {
@@ -149,37 +162,33 @@ SolverSpec SolverSpec::parse(const std::string& text) {
     } else if (key == "reference") {
       spec.reference = parse_double(value, token);
     } else if (key == "islands") {
-      spec.islands = parse_int(value, token);
+      spec.islands = parse_int_in(value, token, 1, kMaxIslands);
     } else if (key == "topology") {
       spec.topology = parse_topology(value, token);
     } else if (key == "policy") {
       spec.policy = parse_policy(value, token);
     } else if (key == "interval") {
-      spec.interval = parse_int(value, token);
+      spec.interval = parse_int_in(value, token, 0, kMaxPeriod);
     } else if (key == "migrants") {
-      spec.migrants = parse_int(value, token);
+      spec.migrants = parse_int_in(value, token, 0, kMaxPopulation);
     } else if (key == "delay") {
       spec.delay = parse_int(value, token);
     } else if (key == "width") {
-      spec.width = parse_int(value, token);
+      spec.width = parse_int_in(value, token, 1, kMaxGridSide);
     } else if (key == "height") {
-      spec.height = parse_int(value, token);
+      spec.height = parse_int_in(value, token, 1, kMaxGridSide);
     } else if (key == "neighborhood") {
       spec.neighborhood = parse_neighborhood(value, token);
     } else if (key == "radius") {
-      spec.radius = parse_int(value, token);
+      spec.radius = parse_int_in(value, token, 1, kMaxRadius);
     } else if (key == "refine") {
       spec.refine = parse_int(value, token);
     } else if (key == "budget") {
       spec.budget = parse_int(value, token);
     } else if (key == "ranks") {
-      spec.ranks = parse_int(value, token);
-      if (*spec.ranks < 1 || *spec.ranks > kMaxRanks) {
-        bad_token(token, "ranks must be in [1, " +
-                             std::to_string(kMaxRanks) + "]");
-      }
+      spec.ranks = parse_int_in(value, token, 1, kMaxRanks);
     } else if (key == "broadcast") {
-      spec.broadcast = parse_int(value, token);
+      spec.broadcast = parse_int_in(value, token, 0, kMaxPeriod);
     } else if (key == "trace") {
       if (value == "on") {
         spec.trace = true;

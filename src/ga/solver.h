@@ -85,11 +85,29 @@ struct SolverSpec {
   std::optional<int> budget;  ///< budget= objective evaluations per climb
 
   // Cluster engine.
-  /// Each rank is one std::thread, so parse() refuses ranks= outside
-  /// [1, kMaxRanks]: a submitted spec must not start thousands of them.
-  static constexpr int kMaxRanks = 256;
   std::optional<int> ranks;      ///< ranks=
   std::optional<int> broadcast;  ///< broadcast= (LN period; 0 = off)
+
+  // Size bounds. parse() refuses a size token outside its range with an
+  // error naming the token and the range, so no submitted spec reaches
+  // an engine with an empty population, island set or grid, or asks
+  // for thousands of threads or millions of genomes. Each rank is one
+  // std::thread: ranks= is in [1, kMaxRanks].
+  static constexpr int kMaxRanks = 256;
+  /// pop= is in [1, kMaxPopulation]; elites= and migrants= count
+  /// individuals too and are in [0, kMaxPopulation].
+  static constexpr int kMaxPopulation = 1 << 16;
+  /// islands= is in [1, kMaxIslands].
+  static constexpr int kMaxIslands = 256;
+  /// width= and height= are in [1, kMaxGridSide], so one grid holds at
+  /// most kMaxPopulation cells.
+  static constexpr int kMaxGridSide = 256;
+  /// interval= and broadcast= are periods in generations (0 = off), in
+  /// [0, kMaxPeriod].
+  static constexpr int kMaxPeriod = 1'000'000;
+  /// radius= is in [1, kMaxRadius]: every cell keeps a table of its whole
+  /// neighborhood, up to (2 * radius + 1)^2 - 1 cells.
+  static constexpr int kMaxRadius = 8;
 
   /// trace=on|off — opt-in stage tracing: the built engine gets a
   /// psga::obs::Tracer and records begin/end spans (breed, decode,

@@ -10,10 +10,11 @@
 // SIMD width, so the working set is one block whatever the batch size. Per machine step the kernel
 // gathers one block-wide duration row out of a machine-major matrix
 // packed once per instance, then runs a unit-stride max+add recurrence
-// over the lanes (explicit vector code on GCC/Clang). The job shop has no
-// batch kernel: its semi-active genomes replay a DowntimeFrontier
-// (dynamic.h) and its active ones run job_shop.cpp's one
-// Giffler–Thompson core, one genome at a time.
+// over the lanes (explicit vector code on GCC/Clang). The job shop's
+// kernels live elsewhere: its semi-active genomes replay a
+// DowntimeFrontier (dynamic.h) one at a time, and its active ones go
+// through giffler_thompson_objective_batch (job_shop.h), which runs four
+// in lockstep on a register frontier where the CPU and instance allow.
 //
 // Determinism contract: every lane performs exactly the arithmetic of
 // its scalar twin in the same order, so results are bit-identical to

@@ -8,6 +8,10 @@
 #include <string>
 #include <type_traits>
 
+#if defined(__x86_64__) && defined(__GNUC__)
+#include <immintrin.h>
+#endif
+
 namespace psga::sched {
 
 int JobShopInstance::total_ops() const {
@@ -68,8 +72,34 @@ Schedule decode_operation_based(const JobShopInstance& inst,
 
 namespace {
 
-/// s.gene_pos[job_offset[j] + k] = position of job j's k-th gene. Throws
-/// std::invalid_argument unless `seq` names every job once per operation.
+/// Walks an operation-based chromosome of `total` genes: job j's k-th
+/// gene, at position pos, gets put(first[j] + k, pos, j). Throws
+/// std::invalid_argument unless `seq` names every job once per operation
+/// (job j has last[j] - first[j]). `next` is scratch.
+template <typename Put>
+void for_each_gene(std::span<const int> seq, std::size_t total,
+                   std::span<const int> first, std::span<const int> last,
+                   std::vector<int>& next, Put&& put) {
+  if (seq.size() != total) {
+    throw std::invalid_argument("job-shop operation sequence length " +
+                                std::to_string(seq.size()) + " != expected " +
+                                std::to_string(total));
+  }
+  const auto jobs = static_cast<int>(first.size());
+  next.assign(first.begin(), first.end());
+  for (std::size_t pos = 0; pos < total; ++pos) {
+    const int j = seq[pos];
+    if (j < 0 || j >= jobs || next[j] == last[j]) {
+      throw std::invalid_argument(
+          "job-shop operation sequence gene " + std::to_string(j) +
+          " at position " + std::to_string(pos) +
+          " names no job with an operation left");
+    }
+    put(next[j]++, static_cast<int>(pos), j);
+  }
+}
+
+/// s.gene_pos[job_offset[j] + k] = position of job j's k-th gene.
 void place_genes(const JobShopInstance& inst, std::span<const int> seq,
                  JobShopScratch& s) {
   s.job_offset.assign(1, 0);
@@ -78,23 +108,13 @@ void place_genes(const JobShopInstance& inst, std::span<const int> seq,
                            static_cast<int>(route.size()));
   }
   const auto total = static_cast<std::size_t>(s.job_offset.back());
-  if (seq.size() != total) {
-    throw std::invalid_argument("job-shop operation sequence length " +
-                                std::to_string(seq.size()) + " != expected " +
-                                std::to_string(total));
-  }
   s.gene_pos.resize(total);
-  s.next_op.assign(s.job_offset.begin(), s.job_offset.end() - 1);
-  for (std::size_t pos = 0; pos < total; ++pos) {
-    const int j = seq[pos];
-    if (j < 0 || j >= inst.jobs || s.next_op[j] == s.job_offset[j + 1]) {
-      throw std::invalid_argument(
-          "job-shop operation sequence gene " + std::to_string(j) +
-          " at position " + std::to_string(pos) +
-          " names no job with an operation left");
-    }
-    s.gene_pos[s.next_op[j]++] = static_cast<int>(pos);
-  }
+  const std::span<const int> offsets(s.job_offset);
+  for_each_gene(seq, total, offsets.first(offsets.size() - 1),
+                offsets.subspan(1), s.next_op,
+                [gene_pos = s.gene_pos.data()](int slot, int pos, int) {
+                  gene_pos[slot] = pos;
+                });
 }
 
 struct SequencePick {};  ///< the sequence decoder's pick, fused into scan 2
@@ -268,6 +288,248 @@ double giffler_thompson_objective(const JobShopInstance& inst,
         scratch.completion[static_cast<std::size_t>(j)] = end;
       });
   return evaluate_criterion(criterion, scratch.completion, inst.attrs);
+}
+
+// --- the register path -------------------------------------------------------
+
+namespace {
+
+constexpr int kLanes = GtRouteTable::kLanes;
+constexpr std::int32_t kSentinelMachine = kLanes - 1;
+constexpr std::int32_t kNever = std::numeric_limits<std::int32_t>::max();
+constexpr int kLockstep = 4;  ///< genomes whose step chains overlap
+
+bool cpu_runs_registers() {
+#if defined(__x86_64__) && defined(__GNUC__)
+  // Safe before main: a static initializer may build a JobShopProblem
+  // ahead of libgcc's own CPU probe.
+  static const bool supported = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("bmi");
+  }();
+  return supported;
+#else
+  return false;
+#endif
+}
+
+}  // namespace
+
+GtRouteTable::GtRouteTable(const JobShopInstance& inst) {
+  if (!cpu_runs_registers() || inst.jobs > kLanes ||
+      inst.machines > kLanes - 1 ||
+      static_cast<int>(inst.ops.size()) != inst.jobs) {
+    return;
+  }
+  std::int64_t work = 0;
+  std::int64_t latest_release = 0;
+  std::int64_t ops = 0;
+  for (int j = 0; j < inst.jobs; ++j) {
+    const Time r = inst.attrs.release_of(j);
+    if (r < 0 || r >= kNever) return;
+    latest_release = std::max(latest_release, r);
+    for (const JsOperation& op : inst.ops[static_cast<std::size_t>(j)]) {
+      // Each term is checked before it is added, so no sum overflows.
+      if (op.duration < 0 || op.duration >= kNever - work ||
+          op.machine < 0 || op.machine >= inst.machines) {
+        return;
+      }
+      work += op.duration;
+      ++ops;
+    }
+  }
+  if (latest_release + work >= kNever || ops >= (std::int64_t{1} << 27)) {
+    return;
+  }
+  total_ops = static_cast<int>(ops);
+  const auto add_sentinel = [this] {
+    machine.push_back(kSentinelMachine);
+    duration.push_back(0);
+  };
+  for (int j = 0; j < inst.jobs; ++j) {
+    begin[j] = static_cast<std::int32_t>(machine.size());
+    for (const JsOperation& op : inst.ops[static_cast<std::size_t>(j)]) {
+      machine.push_back(op.machine);
+      duration.push_back(static_cast<std::int32_t>(op.duration));
+    }
+    end[j] = static_cast<std::int32_t>(machine.size());
+    add_sentinel();
+    release[j] = static_cast<std::int32_t>(inst.attrs.release_of(j));
+  }
+  if (inst.jobs < kLanes) {
+    std::fill(begin.begin() + inst.jobs, begin.end(),
+              static_cast<std::int32_t>(machine.size()));
+    std::fill(end.begin() + inst.jobs, end.end(),
+              static_cast<std::int32_t>(machine.size()));
+    add_sentinel();
+  }
+  registers = true;
+}
+
+namespace {
+
+#if defined(__x86_64__) && defined(__GNUC__)
+
+// GCC 12's AVX-512 intrinsics hand an uninitialized _mm512_undefined_*()
+// pass-through to their masked builtins, and -Wmaybe-uninitialized then
+// reports it at every inlined call. Every lane those builtins return is
+// written, so the reports are false; later GCCs do not emit them.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#pragma GCC diagnostic ignored "-Wuninitialized"
+
+/// Every lane = the minimum over v's 16 lanes.
+[[gnu::target("avx512f"), gnu::always_inline]] inline __m512i
+broadcast_min(__m512i v) {
+  v = _mm512_min_epi32(v, _mm512_shuffle_i32x4(v, v, _MM_SHUFFLE(1, 0, 3, 2)));
+  v = _mm512_min_epi32(v, _mm512_shuffle_i32x4(v, v, _MM_SHUFFLE(2, 3, 0, 1)));
+  v = _mm512_min_epi32(v, _mm512_shuffle_epi32(v, _MM_PERM_BADC));
+  return _mm512_min_epi32(v, _mm512_shuffle_epi32(v, _MM_PERM_CDAB));
+}
+
+/// The Giffler–Thompson step of giffler_thompson_core's SequencePick on
+/// a register frontier, for G genomes in lockstep: per genome, one int32
+/// lane per job of job_free, next machine, next duration and next gene
+/// key (gene position << 4 | job), and machine_free with the sentinel's
+/// INT32_MAX in lane 15. machine_free[next machine] is one vpermd; scan 1
+/// is a horizontal min whose lowest equal lane (tzcnt) is the setter, and
+/// scan 2 a horizontal min over the eligible lanes' gene keys, whose low
+/// nibble is the winner's lane. keys[g] is genome g's slot_key row;
+/// completion[g][j] gets job j's last end (0 for a job with no
+/// operation).
+template <int G>
+[[gnu::target("avx512f,bmi")]] void giffler_thompson_registers(
+    const GtRouteTable& routes, const std::int32_t* const* keys,
+    std::int32_t (*completion)[kLanes]) {
+  const __m512i never = _mm512_set1_epi32(kNever);
+  const __m512i lane =
+      _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+  const __m512i begin = _mm512_loadu_si512(routes.begin.data());
+  const std::int32_t* const route_machine = routes.machine.data();
+  const std::int32_t* const route_duration = routes.duration.data();
+  const __m512i first_machine =
+      _mm512_i32gather_epi32(begin, route_machine, 4);
+  const __m512i first_duration =
+      _mm512_i32gather_epi32(begin, route_duration, 4);
+  __m512i job_free[G];
+  __m512i machine[G];
+  __m512i duration[G];
+  __m512i key[G];
+  __m512i machine_free[G];
+  alignas(64) std::int32_t slot[G][kLanes] = {};
+#pragma GCC unroll 4
+  for (int g = 0; g < G; ++g) {
+    job_free[g] = _mm512_loadu_si512(routes.release.data());
+    machine[g] = first_machine;
+    duration[g] = first_duration;
+    key[g] = _mm512_i32gather_epi32(begin, keys[g], 4);
+    machine_free[g] = _mm512_maskz_mov_epi32(
+        static_cast<__mmask16>(1U << kSentinelMachine), never);
+    _mm512_store_si512(slot[g], begin);
+  }
+  for (int step = 0; step < routes.total_ops; ++step) {
+#pragma GCC unroll 4
+    for (int g = 0; g < G; ++g) {
+      const __m512i ready = _mm512_max_epi32(
+          job_free[g], _mm512_permutexvar_epi32(machine[g], machine_free[g]));
+      const __m512i completes = _mm512_add_epi32(ready, duration[g]);
+      const __m512i best = broadcast_min(completes);
+      const unsigned setter =
+          _tzcnt_u32(_mm512_cmpeq_epi32_mask(completes, best));
+      const __m512i conflict =
+          _mm512_permutexvar_epi32(_mm512_set1_epi32(static_cast<int>(setter)),
+                                   machine[g]);
+      const __m512i start = _mm512_max_epi32(
+          job_free[g], _mm512_permutexvar_epi32(conflict, machine_free[g]));
+      const __mmask16 eligible = static_cast<__mmask16>(
+          _mm512_mask_cmplt_epi32_mask(
+              _mm512_cmpeq_epi32_mask(machine[g], conflict), start, best) |
+          (1U << setter));
+      const __m512i winner_key =
+          broadcast_min(_mm512_mask_blend_epi32(eligible, never, key[g]));
+      // vpermd reads the low nibble of each index: the winner's lane.
+      const __m512i end = _mm512_permutexvar_epi32(
+          winner_key, _mm512_add_epi32(start, duration[g]));
+      const int winner =
+          _mm_cvtsi128_si32(_mm512_castsi512_si128(winner_key)) & (kLanes - 1);
+      const auto winner_lane = static_cast<__mmask16>(1U << winner);
+      job_free[g] = _mm512_mask_mov_epi32(job_free[g], winner_lane, end);
+      machine_free[g] = _mm512_mask_mov_epi32(
+          machine_free[g], _mm512_cmpeq_epi32_mask(lane, conflict), end);
+      const std::int32_t next = ++slot[g][winner];
+      machine[g] =
+          _mm512_mask_set1_epi32(machine[g], winner_lane, route_machine[next]);
+      duration[g] = _mm512_mask_set1_epi32(duration[g], winner_lane,
+                                           route_duration[next]);
+      key[g] = _mm512_mask_set1_epi32(key[g], winner_lane, keys[g][next]);
+    }
+  }
+  // A job with no operation completes at 0, as in the scalar core.
+  const __mmask16 has_ops = _mm512_cmpneq_epi32_mask(
+      begin, _mm512_loadu_si512(routes.end.data()));
+#pragma GCC unroll 4
+  for (int g = 0; g < G; ++g) {
+    _mm512_storeu_si512(completion[g],
+                        _mm512_maskz_mov_epi32(has_ops, job_free[g]));
+  }
+}
+
+#pragma GCC diagnostic pop
+
+#endif
+
+/// Genome `seq`'s gene keys into `key` (a slot_key row); throws as
+/// place_genes does.
+void place_gene_keys(const JobShopInstance& inst, const GtRouteTable& routes,
+                     std::span<const int> seq, std::int32_t* key,
+                     std::vector<int>& next) {
+  const auto jobs = static_cast<std::size_t>(inst.jobs);
+  for_each_gene(seq, static_cast<std::size_t>(routes.total_ops),
+                std::span<const int>(routes.begin).first(jobs),
+                std::span<const int>(routes.end).first(jobs), next,
+                [key](int slot, int pos, int j) { key[slot] = pos << 4 | j; });
+  for (std::int32_t sentinel : routes.end) key[sentinel] = kNever;
+}
+
+}  // namespace
+
+void giffler_thompson_objective_batch(
+    const JobShopInstance& inst, const GtRouteTable& routes,
+    std::span<const std::span<const int>> sequences, Criterion criterion,
+    std::span<double> out, JobShopScratch& scratch) {
+#if defined(__x86_64__) && defined(__GNUC__)
+  if (routes.registers) {
+    const std::size_t slots = routes.slots();
+    scratch.slot_key.resize(kLockstep * slots);
+    const auto jobs = static_cast<std::size_t>(inst.jobs);
+    for (std::size_t at = 0; at < sequences.size(); at += kLockstep) {
+      const std::size_t group =
+          std::min<std::size_t>(kLockstep, sequences.size() - at);
+      std::int32_t* keys[kLockstep] = {};
+      for (std::size_t g = 0; g < group; ++g) {
+        keys[g] = scratch.slot_key.data() + g * slots;
+        place_gene_keys(inst, routes, sequences[at + g], keys[g],
+                        scratch.next_op);
+      }
+      alignas(64) std::int32_t completion[kLockstep][kLanes] = {};
+      switch (group) {
+        case 4: giffler_thompson_registers<4>(routes, keys, completion); break;
+        case 3: giffler_thompson_registers<3>(routes, keys, completion); break;
+        case 2: giffler_thompson_registers<2>(routes, keys, completion); break;
+        default: giffler_thompson_registers<1>(routes, keys, completion);
+      }
+      for (std::size_t g = 0; g < group; ++g) {
+        scratch.completion.assign(completion[g], completion[g] + jobs);
+        out[at + g] =
+            evaluate_criterion(criterion, scratch.completion, inst.attrs);
+      }
+    }
+    return;
+  }
+#endif
+  for (std::size_t i = 0; i < sequences.size(); ++i) {
+    out[i] = giffler_thompson_objective(inst, sequences[i], criterion, scratch);
+  }
 }
 
 Schedule giffler_thompson_rules(const JobShopInstance& inst,

@@ -5,6 +5,8 @@
 // representation).
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <functional>
 #include <span>
 #include <vector>
@@ -52,6 +54,41 @@ struct JobShopScratch {
   std::vector<int> next_machine;  ///< per job, of its next operation
   std::vector<Time> next_duration;
   std::vector<std::uint64_t> gene_key;  ///< (gene position << 32) | job
+  /// Register path: per route slot, (gene position << 4) | job, one row
+  /// of GtRouteTable::slots() per genome of a lockstep group.
+  std::vector<std::int32_t> slot_key;
+};
+
+/// An instance as the Giffler–Thompson register path reads it: a flat
+/// int32 route table for a frontier of one 16-lane register per field,
+/// lane j for job j. Slot begin[j] + k holds job j's k-th operation and
+/// slot end[j] (= begin[j] + ops_of(j)) a sentinel, machine lane 15 with
+/// duration 0, so a finished job needs no branch; lanes past the last
+/// job start on one shared sentinel slot. Built once per instance
+/// (JobShopProblem builds one at construction) and never keyed on its
+/// address.
+struct GtRouteTable {
+  static constexpr int kLanes = 16;
+
+  GtRouteTable() = default;
+  explicit GtRouteTable(const JobShopInstance& inst);
+
+  /// giffler_thompson_objective_batch runs the register kernel: the CPU
+  /// reports AVX-512F and BMI, and the instance fits the frontier. It
+  /// fits with jobs <= 16, machines <= 15 (lane 15 is the sentinel's),
+  /// every machine id in range, fewer than 2^27 operations (gene keys
+  /// are int32), non-negative durations and release dates, and max
+  /// release + total processing < INT32_MAX, so no completion reaches
+  /// the sentinel's INT32_MAX. The table is empty when this is false.
+  bool registers = false;
+  int total_ops = 0;
+  std::vector<std::int32_t> machine;   ///< per slot
+  std::vector<std::int32_t> duration;  ///< per slot
+  std::array<std::int32_t, kLanes> begin{};
+  std::array<std::int32_t, kLanes> end{};
+  std::array<std::int32_t, kLanes> release{};
+
+  std::size_t slots() const { return machine.size(); }
 };
 
 /// Decodes an operation-based chromosome (permutation with repetition: job
@@ -86,6 +123,18 @@ double giffler_thompson_objective(const JobShopInstance& inst,
                                   std::span<const int> op_sequence,
                                   Criterion criterion,
                                   JobShopScratch& scratch);
+
+/// out[i] = giffler_thompson_objective(inst, sequences[i], criterion,
+/// scratch) for every i, with `routes` built from `inst`. When
+/// routes.registers, sequences run four at a time in lockstep on the
+/// register kernel (a tail of 1–3 runs only its own lanes); otherwise
+/// each runs the scalar core. The values are identical either way.
+/// Throws as giffler_thompson_sequence does for the first malformed
+/// sequence (out is then unspecified); `scratch` stays usable.
+void giffler_thompson_objective_batch(
+    const JobShopInstance& inst, const GtRouteTable& routes,
+    std::span<const std::span<const int>> sequences, Criterion criterion,
+    std::span<double> out, JobShopScratch& scratch);
 
 /// Giffler–Thompson where the k-th conflict is resolved by the k-th entry
 /// of `rule_per_step` (indices into {SPT, LPT, MWR, FCFS}) — the survey's

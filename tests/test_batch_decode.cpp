@@ -5,9 +5,9 @@
 // flow-shop kernels against their scalar twins, and the Evaluator's
 // per-lane objective_batch across every registered problem × population
 // size × backend — plus the job shop's two cores: the one
-// Giffler–Thompson core every active decoder shares and the
-// DowntimeFrontier replay every semi-active objective runs (oracle fuzz,
-// golden constants, zero-duration and malformed inputs).
+// Giffler–Thompson core every active decoder shares, with its register
+// path, and the DowntimeFrontier replay every semi-active objective runs
+// (oracle fuzz, golden constants, zero-duration and malformed inputs).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -286,9 +286,9 @@ TEST(JobShopBatchKernel, ThrowsOnWrongSequenceLength) {
 
 // --- the one Giffler–Thompson core ------------------------------------------
 //
-// Every active decoder (the sequence, rule and rules-per-step entry
-// points, and giffler_thompson_objective behind JobShopProblem's active
-// decoder) runs one core. The
+// Every scalar active decoder (the sequence, rule and rules-per-step
+// entry points, and giffler_thompson_objective, the batch entry's scalar
+// path) runs one core. The
 // tests below pin it three ways: against a test-only oracle (the
 // two-scan loop the decoders ran before the core was shared), against
 // golden constants recorded from that older code, and on the inputs the
@@ -791,6 +791,189 @@ TEST(SemiActiveGolden, ObjectivesArePinned) {
     for (double v : got) sum += v;
     EXPECT_EQ(sum, expect[c]) << sched::to_string(kAllCriteria[c]);
   }
+}
+
+// --- the Giffler–Thompson register path ------------------------------------
+//
+// JobShopProblem's active decoder hands each slice to
+// sched::giffler_thompson_objective_batch, which decodes four genomes in
+// lockstep on a 16-lane int32 register frontier when the instance fits and
+// the CPU has AVX-512F and BMI, and runs the scalar core otherwise. Every
+// test below runs on either path; the pins say which one each shop takes.
+
+bool cpu_has_register_path() {
+#if defined(__x86_64__) && defined(__GNUC__)
+  return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("bmi");
+#else
+  return false;
+#endif
+}
+
+/// One machine, three jobs of two operations, job 0 released at 7 and
+/// durations summing to bound - 7: a sequence that puts job 0 first ends
+/// exactly at `bound`.
+sched::JobShopInstance one_machine_ending_at(Time bound) {
+  sched::JobShopInstance inst;
+  inst.jobs = 3;
+  inst.machines = 1;
+  const Time work = bound - 7;
+  const Time each = work / 6;
+  inst.ops = {{{0, each}, {0, each}},
+              {{0, each}, {0, each}},
+              {{0, each}, {0, work - 5 * each}}};
+  inst.attrs.release = {7, 0, 0};
+  return inst;
+}
+
+/// Routes of 0 to 5 operations that revisit machines, with a zero
+/// duration and release dates.
+sched::JobShopInstance uneven_routes_shop() {
+  sched::JobShopInstance inst;
+  inst.jobs = 5;
+  inst.machines = 3;
+  inst.ops = {{{0, 4}, {0, 2}, {1, 3}},
+              {{2, 5}},
+              {{1, 1}, {2, 2}, {1, 3}, {0, 1}, {2, 2}},
+              {},
+              {{0, 0}, {0, 7}}};
+  inst.attrs.release = {0, 3, 0, 4, 1};
+  return inst;
+}
+
+struct RegisterCase {
+  std::string name;
+  sched::JobShopInstance inst;
+  bool fits;  ///< the register frontier holds it
+};
+
+std::vector<RegisterCase> register_edge_cases() {
+  const auto with_attributes = [](sched::JobShopInstance inst,
+                                  std::uint64_t seed) {
+    add_job_attributes(inst, seed);
+    return inst;
+  };
+  constexpr Time kInt32Max = std::numeric_limits<std::int32_t>::max();
+  return {
+      {"16 jobs", with_attributes(sched::random_job_shop(16, 10, 11), 12),
+       true},
+      {"16 jobs x 15 machines",
+       with_attributes(sched::random_job_shop(16, 15, 13), 14), true},
+      {"15 machines, zero durations", sched::random_job_shop(9, 15, 15, 0, 4),
+       true},
+      {"2x2 zero durations", zero_duration_2x2(), true},
+      {"ft06 zero durations", ft06_with_zero_durations(), true},
+      {"a job without operations", empty_route_shop(), true},
+      {"uneven routes", uneven_routes_shop(), true},
+      {"ends at INT32_MAX - 1", one_machine_ending_at(kInt32Max - 1), true},
+      {"ends at INT32_MAX", one_machine_ending_at(kInt32Max), false},
+      {"17 jobs", sched::random_job_shop(17, 5, 16), false},
+      {"16 machines", sched::random_job_shop(6, 16, 17), false},
+  };
+}
+
+/// Mismatches between JobShopProblem::objective_batch, over batches of 1
+/// to 9 genomes on one workspace, and job_shop_objective of
+/// giffler_thompson_sequence, for every criterion.
+int register_batch_mismatches(const sched::JobShopInstance& inst,
+                              std::uint64_t seed) {
+  const auto seqs = random_op_sequences(inst, 45, seed);
+  std::vector<sched::Schedule> expect;
+  std::vector<Genome> genomes;
+  for (const auto& seq : seqs) {
+    expect.push_back(sched::giffler_thompson_sequence(inst, seq));
+    genomes.push_back(genome_of(seq));
+  }
+  int mismatches = 0;
+  for (Criterion c : kAllCriteria) {
+    const JobShopProblem problem(
+        inst, JobShopProblem::Decoder::kGifflerThompson, c);
+    const auto workspace = problem.make_workspace();
+    std::vector<double> got(genomes.size(), -1.0);
+    for (std::size_t at = 0, size = 1; size <= 9; at += size, ++size) {
+      problem.objective_batch(std::span(genomes).subspan(at, size),
+                              std::span(got).subspan(at, size), *workspace);
+    }
+    for (std::size_t l = 0; l < genomes.size(); ++l) {
+      mismatches +=
+          got[l] == sched::job_shop_objective(inst, expect[l], c) ? 0 : 1;
+    }
+  }
+  return mismatches;
+}
+
+TEST(GifflerThompsonRegisters, EdgeShopsMatchTheScalarEntryInBatchesOf1To9) {
+  const bool cpu = cpu_has_register_path();
+  std::uint64_t seed = 3100;
+  for (const RegisterCase& c : register_edge_cases()) {
+    SCOPED_TRACE(c.name);
+    EXPECT_EQ(JobShopProblem(c.inst, JobShopProblem::Decoder::kGifflerThompson)
+                  .decodes_in_registers(),
+              cpu && c.fits);
+    EXPECT_EQ(register_batch_mismatches(c.inst, seed++), 0);
+  }
+}
+
+TEST(GifflerThompsonRegisters, FuzzShopsMatchTheScalarEntryInBatchesOf1To9) {
+  std::uint64_t seed = 3200;
+  for (const sched::JobShopInstance& inst : fuzz_instances()) {
+    SCOPED_TRACE(std::to_string(inst.jobs) + "x" +
+                 std::to_string(inst.machines) + " #" + std::to_string(seed));
+    ASSERT_EQ(register_batch_mismatches(inst, seed++), 0);
+  }
+}
+
+TEST(GifflerThompsonRegisters, MalformedThirdGenomeThrowsTheScalarError) {
+  const sched::JobShopInstance& inst = sched::ft06().instance;
+  const auto seqs = random_op_sequences(inst, 4, 5);
+  std::vector<int> swapped = seqs[2];  // one job a gene short, one too many
+  swapped[4] = (swapped[4] + 1) % inst.jobs;
+  std::vector<int> out_of_range = seqs[2];
+  out_of_range[9] = inst.jobs;
+  std::vector<int> short_one = seqs[2];
+  short_one.pop_back();
+  sched::JobShopScratch scratch;
+  std::vector<double> expect;
+  std::vector<Genome> good;
+  for (const auto& seq : seqs) {
+    expect.push_back(sched::giffler_thompson_objective(
+        inst, seq, Criterion::kMakespan, scratch));
+    good.push_back(genome_of(seq));
+  }
+  const JobShopProblem problem(inst, JobShopProblem::Decoder::kGifflerThompson);
+  const auto workspace = problem.make_workspace();
+  for (const std::vector<int>& bad : {swapped, out_of_range, short_one}) {
+    std::string scalar_error;
+    try {
+      sched::giffler_thompson_objective(inst, bad, Criterion::kMakespan,
+                                        scratch);
+    } catch (const std::invalid_argument& e) {
+      scalar_error = e.what();
+    }
+    ASSERT_FALSE(scalar_error.empty());
+    SCOPED_TRACE(scalar_error);
+    std::vector<Genome> group = good;
+    group[2] = genome_of(bad);
+    std::vector<double> got(group.size(), -1.0);
+    try {
+      problem.objective_batch(group, got, *workspace);
+      ADD_FAILURE() << "the malformed third genome was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), scalar_error);
+    }
+    // The same workspace decodes the next group.
+    problem.objective_batch(good, got, *workspace);
+    EXPECT_EQ(got, expect);
+  }
+}
+
+TEST(GifflerThompsonRegisters, Ft10DecodesInRegistersWhenTheCpuReportsAvx512) {
+  // A silent fallback to the scalar core would keep every objective and
+  // lose the speed; this pin makes it fail instead.
+  const sched::JobShopInstance& inst = sched::ft10().instance;
+  EXPECT_EQ(JobShopProblem(inst, JobShopProblem::Decoder::kGifflerThompson)
+                .decodes_in_registers(),
+            cpu_has_register_path());
+  EXPECT_FALSE(JobShopProblem(inst).decodes_in_registers());
 }
 
 // --- batch-vs-scalar equivalence across the whole registry -------------------

@@ -109,6 +109,22 @@ TEST(CellularGa, MooreNeighborhoodLargerThanVonNeumann) {
   EXPECT_NE(ra.history, rb.history);  // different dynamics
 }
 
+TEST(CellularGa, CellsWithoutNeighborsMateWithThemselves) {
+  // A 1x1 grid, and radius 0 on any grid, leave every neighborhood
+  // empty; the mate draw divided by its size (SIGFPE) before.
+  CellularConfig one_cell = config();
+  one_cell.width = 1;
+  one_cell.height = 1;
+  CellularConfig no_radius = config();
+  no_radius.radius = 0;
+  for (const CellularConfig& cfg : {one_cell, no_radius}) {
+    CellularGa ga(problem(), cfg);
+    const GaResult result = ga.run();
+    ASSERT_FALSE(result.history.empty());
+    EXPECT_LE(result.best_objective, result.history.front());
+  }
+}
+
 TEST(CellularGa, WorksOnJobShopEncoding) {
   auto js = std::make_shared<JobShopProblem>(sched::ft06().instance);
   CellularConfig cfg = config(8);

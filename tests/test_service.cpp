@@ -335,6 +335,26 @@ TEST(Service, MalformedRequestsGetStructuredErrors) {
     EXPECT_NE(too_many_ranks.string_or("error", "").find("ranks=100000"),
               std::string::npos);
 
+    // Size tokens that crashed the engines (islands=0, width=0) or ran an
+    // empty population (pop=0) are refused at submit, naming the token.
+    const struct {
+      const char* spec;
+      const char* token;
+    } sizes[] = {{"engine=island islands=0", "islands=0"},
+                 {"engine=cellular width=0 height=4", "width=0"},
+                 {"engine=simple pop=0", "pop=0"}};
+    for (const auto& size : sizes) {
+      SCOPED_TRACE(size.spec);
+      Json refused = round_trip(
+          std::string(R"({"op":"submit","spec":"problem=flowshop )") +
+          "instance=ta001 " + size.spec + R"("})");
+      EXPECT_FALSE(refused.find("ok")->as_bool());
+      EXPECT_NE(refused.string_or("error", "").find(size.token),
+                std::string::npos)
+          << refused.string_or("error", "");
+      EXPECT_TRUE(round_trip(R"({"op":"ping"})").find("ok")->as_bool());
+    }
+
     // After all that abuse the connection still serves good requests.
     Json ping = round_trip(R"({"op":"ping"})");
     EXPECT_TRUE(ping.find("ok")->as_bool());

@@ -504,6 +504,65 @@ TEST(SolverSpec, RanksOutsideOneToMaxRanksAreRefused) {
   EXPECT_EQ(SolverSpec::parse("engine=cluster ranks=256").ranks,
             SolverSpec::kMaxRanks);
 }
+
+TEST(SolverSpec, SizeTokensOutsideTheirBoundsAreRefused) {
+  // islands=0 and width=0 crashed the engines (front() of an empty
+  // vector), radius=0 left cells without a mate (a division by zero),
+  // and pop=0 "finished" with best objective 0: every size token is a
+  // parse error outside its range, through both parsers, so psgad's
+  // submit refuses it too.
+  struct Bound {
+    const char* key;
+    int lo;
+    int hi;
+  };
+  const Bound bounds[] = {
+      {"pop", 1, SolverSpec::kMaxPopulation},
+      {"elites", 0, SolverSpec::kMaxPopulation},
+      {"migrants", 0, SolverSpec::kMaxPopulation},
+      {"islands", 1, SolverSpec::kMaxIslands},
+      {"width", 1, SolverSpec::kMaxGridSide},
+      {"height", 1, SolverSpec::kMaxGridSide},
+      {"interval", 0, SolverSpec::kMaxPeriod},
+      {"broadcast", 0, SolverSpec::kMaxPeriod},
+      {"radius", 1, SolverSpec::kMaxRadius},
+      {"ranks", 1, SolverSpec::kMaxRanks},
+  };
+  const auto token_of = [](const Bound& b, long long value) {
+    return std::string(b.key) + "=" + std::to_string(value);
+  };
+  for (const Bound& b : bounds) {
+    const std::string range =
+        "[" + std::to_string(b.lo) + ", " + std::to_string(b.hi) + "]";
+    for (long long value :
+         {static_cast<long long>(b.lo) - 1, static_cast<long long>(b.hi) + 1,
+          -2147483648LL, 2147483647LL}) {
+      const std::string token = token_of(b, value);
+      SCOPED_TRACE(token);
+      for (const std::string& text :
+           {token, "problem=flowshop instance=ta001 " + token}) {
+        try {
+          if (text == token) {
+            SolverSpec::parse(text);
+          } else {
+            RunSpec::parse(text);
+          }
+          ADD_FAILURE() << "accepted: " << text;
+        } catch (const std::invalid_argument& e) {
+          const std::string what = e.what();
+          EXPECT_NE(what.find("'" + token + "'"), std::string::npos) << what;
+          EXPECT_NE(what.find(range), std::string::npos) << what;
+        }
+      }
+    }
+    for (int value : {b.lo, b.hi}) {
+      EXPECT_NO_THROW(SolverSpec::parse(token_of(b, value)));
+      EXPECT_NO_THROW(RunSpec::parse("problem=flowshop instance=ta001 " +
+                                     token_of(b, value)));
+    }
+  }
+}
+
 TEST(Solver, UnknownEngineThrowsListingRegistered) {
   try {
     Solver::build(SolverSpec::parse("engine=annealing"), flow_shop());

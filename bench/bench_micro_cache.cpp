@@ -1,5 +1,5 @@
-// Micro-benchmarks: the evaluation cache. The headline numbers land in
-// BENCH_micro.json via ci.sh:
+// Micro-benchmarks: the evaluation cache (ci.sh's micro-bench gate runs
+// it against HEAD and gates the BM_Cache rows):
 //   - hit_rate / decode_reduction counters on a heavy-elitism island run
 //     (the acceptance bar: >= 30% fewer decode calls with the cache on);
 //   - cached vs uncached engine throughput on a decode-heavy job shop;

@@ -65,9 +65,10 @@ void BM_FlowShopMakespanBatch(benchmark::State& state) {
   const auto perms = shuffled_permutations(batch, inst.jobs, 7);
   std::vector<std::span<const int>> lanes(perms.begin(), perms.end());
   std::vector<sched::Time> out(lanes.size());
+  const sched::FlowShopPack pack(inst);
   sched::FlowShopBatchScratch scratch;
   for (auto _ : state) {
-    sched::flow_shop_makespan_batch(inst, lanes, out, scratch);
+    sched::flow_shop_makespan_batch(inst, pack, lanes, out, scratch);
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }

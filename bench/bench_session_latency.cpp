@@ -7,8 +7,8 @@
 // warm:0 restarts cold — at a fixed generation budget the pair prices
 // the repair/injection overhead (warm-start's payoff is fewer
 // evaluations to a target, asserted in tests/test_session.cpp, not a
-// faster fixed-budget event). ci.sh snapshots the p95 into
-// BENCH_micro.json and gates >25% regressions like the decode kernels
+// faster fixed-budget event). ci.sh's micro-bench gate runs it against
+// HEAD and fails a p95 more than 25% slower, like the decode kernels
 // (tag: SessionEvent).
 #include <benchmark/benchmark.h>
 

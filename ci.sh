@@ -15,25 +15,26 @@
 #                      across two concurrent runs and to its pinned
 #                      value), run the
 #                      e2ebench harness self-test (every workload in
-#                      smoke mode), emit a fresh bench JSON snapshot
-#                      (bench_micro_decoders + bench_micro_cache +
-#                      bench_session_latency + bench_micro_operators
-#                      merged), diff it against the committed
-#                      BENCH_micro.json (per-bench deltas), then refresh
-#                      the snapshot
+#                      smoke mode), then run the micro-bench gate
 #   SKIP_BENCH=1 ./ci.sh        tests only
 #   SKIP_SAN=1 ./ci.sh          skip the sanitizer legs (ASan/UBSan, TSan)
-#   SKIP_BENCH_DIFF=1 ./ci.sh   snapshot without the regression gate
-#   BENCH_TOLERANCE=0.25        gated-bench regression threshold (fraction)
+#   BENCH_TOLERANCE=0.25        gated-row regression threshold (fraction)
+#   OBS_TOLERANCE=0.02          metrics-on over metrics-off threshold
 #
-# The JSON snapshot gives future PRs a perf trajectory: the diff prints
-# the per-benchmark change vs the committed baseline and FAILS when any
-# gated bench regresses by more than BENCH_TOLERANCE (default 25%)
-# beyond the suite-wide median drift (shared-host slowdowns move every
-# bench together and are not regressions).
-# Snapshots carry a psga_build_type context stamp and are refused
-# entirely from Debug builds (debug numbers would poison the baseline);
-# the summary also prints the batch-vs-scalar decode speedups.
+# The micro-bench gate compares this tree with HEAD, never with a
+# committed snapshot. It builds HEAD's tree in Release under
+# .bench_build/base and runs every row of the BENCH_TABLE binaries for
+# HEAD and for this tree in 7 pairs (bench/gate.py; its judge is
+# self-tested by bench/test_gate.py first). A pair is two back-to-back
+# processes of one repetition each, alternating which side runs first,
+# and every process is pinned to one CPU of this script's affinity mask.
+# A gated row fails when its median per-pair time ratio exceeds
+# 1 + BENCH_TOLERANCE. The obs gate runs bench_micro_obs's metrics-on
+# and metrics-off decode legs in 60 pinned processes and fails when the
+# median per-process on/off ratio exceeds 1 + OBS_TOLERANCE. This tree's
+# per-row medians, stamped with HEAD's commit, nproc and the build type,
+# go to .bench_build/bench_micro.json; the gate writes no tracked file.
+# It compares Release builds only.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -547,377 +548,46 @@ else
   echo "python3 missing; skipping the e2ebench self-test"
 fi
 
-if [[ "${SKIP_BENCH:-0}" != "1" && ! -x "$BUILD_DIR/bench_micro_decoders" ]]; then
-  echo "bench_micro_decoders not built (google-benchmark missing?); skipping perf snapshot"
-  SKIP_BENCH=1
-fi
-
-# The committed snapshot must record optimized numbers: a Debug build
-# would both pollute the baseline and trip the regression gate with
-# meaningless 5-10x deltas, so refuse to snapshot or compare from one.
-# (google-benchmark's own library_build_type reflects the *system*
-# benchmark library, not this tree — read the cache instead.)
-PSGA_BUILD_TYPE=""
-if [[ -f "$BUILD_DIR/CMakeCache.txt" ]]; then
-  PSGA_BUILD_TYPE=$(sed -n 's/^CMAKE_BUILD_TYPE:[^=]*=//p' \
-                    "$BUILD_DIR/CMakeCache.txt" | head -1)
-fi
-if [[ "${SKIP_BENCH:-0}" != "1" && "${PSGA_BUILD_TYPE,,}" == "debug" ]]; then
-  echo "ci.sh: $BUILD_DIR is a Debug build; refusing to snapshot or diff benches"
-  SKIP_BENCH=1
-fi
-
-if [[ "${SKIP_BENCH:-0}" != "1" ]]; then
-  FRESH=$(mktemp /tmp/psga_bench_micro.XXXXXX.json)
-  # Repetitions + medians: single runs on a busy host swing by +-30%,
-  # which is larger than the regression gate's tolerance.
-  "$BUILD_DIR"/bench_micro_decoders \
-    --benchmark_min_time=0.05 \
-    --benchmark_repetitions=5 \
-    --benchmark_report_aggregates_only=true \
-    --benchmark_format=json \
-    --benchmark_out="$FRESH" \
-    --benchmark_out_format=json >/dev/null
-
-  # keep_medians SNAPSHOT [RUN]: keep only the median aggregate per bench
-  # of RUN, under the plain bench name, so the snapshot format (and the
-  # committed baseline's names) stay the same as a single-run snapshot.
-  # With RUN the medians are appended to SNAPSHOT; without it SNAPSHOT's
-  # own rows are replaced by their medians.
-  keep_medians() {
-    python3 - "$1" "${2:-$1}" <<'PYEOF'
-import json
-import sys
-
-with open(sys.argv[1]) as f:
-    snapshot = json.load(f)
-with open(sys.argv[2]) as f:
-    run = json.load(f)["benchmarks"]
-medians = [b for b in run if b.get("aggregate_name") == "median"]
-for b in medians:
-    b["name"] = b["name"].removesuffix("_median")
-if sys.argv[1] != sys.argv[2]:
-    snapshot["benchmarks"].extend(medians)
-elif medians:
-    snapshot["benchmarks"] = medians
-with open(sys.argv[1], "w") as f:
-    json.dump(snapshot, f, indent=1)
-PYEOF
-  }
-  if command -v python3 >/dev/null; then
-    keep_medians "$FRESH"
+# Micro-bench gate (bench/gate.py): this tree's micro benches against a
+# Release build of HEAD's, in pinned pairs. Each table row is a bench
+# binary and the name fragments of its gated rows.
+BENCH_TABLE=(
+  "bench_micro_decoders Decode,SemiActive,GifflerThompson,Makespan,Flexible,LotStreaming,OpenShop,HybridFlowShop"
+  "bench_micro_cache BM_Cache"
+  "bench_session_latency SessionEvent"
+  "bench_micro_operators BM_Crossover"
+)
+PSGA_BUILD_TYPE=$(sed -n 's/^CMAKE_BUILD_TYPE:[^=]*=//p' "$BUILD_DIR/CMakeCache.txt")
+if [[ "${SKIP_BENCH:-0}" == "1" ]]; then
+  echo "ci.sh: SKIP_BENCH=1; skipping the micro-bench gate"
+elif [[ ! -x "$BUILD_DIR/bench_micro_decoders" ]] || ! command -v python3 >/dev/null \
+     || ! git rev-parse -q --verify HEAD >/dev/null; then
+  echo "bench binaries, python3 or a git HEAD missing; skipping the micro-bench gate"
+elif [[ "$PSGA_BUILD_TYPE" != "Release" ]]; then
+  echo "ci.sh: $BUILD_DIR is a '$PSGA_BUILD_TYPE' build; the micro-bench gate compares Release builds only"
+else
+  python3 -m unittest discover -s bench -p 'test_*.py'
+  # HEAD's tree, unpacked once per commit.
+  BASE_COMMIT=$(git rev-parse HEAD)
+  BASE=.bench_build/base
+  if [[ "$(cat "$BASE/commit" 2>/dev/null)" != "$BASE_COMMIT" ]]; then
+    rm -rf "$BASE" && mkdir -p "$BASE/src"
+    git archive HEAD | tar -x -m -C "$BASE/src"
+    echo "$BASE_COMMIT" >"$BASE/commit"
   fi
-
-  # The other snapshot suites run the same way and merge their medians
-  # into the same snapshot:
-  #   bench_micro_cache      — cache hit and miss rows plus the
-  #                            hit-rate/decode-reduction counters; the
-  #                            BM_Cache tag gates the hit/miss rows;
-  #   bench_session_latency  — per-event replan p95 (manual time) for warm
-  #                            and cold sessions over a fixed seeded
-  #                            trace; the SessionEvent tag gates them;
-  #   bench_micro_operators  — breeding, a generation's other half beside
-  #                            decoding: crossover, mutation and selection
-  #                            (ft10-shaped job-repetition crossovers and
-  #                            whole-generation pick_many rows among
-  #                            them); the BM_Crossover tag gates the
-  #                            crossover rows.
-  if command -v python3 >/dev/null; then
-    for bench in bench_micro_cache bench_session_latency \
-                 bench_micro_operators; do
-      [[ -x "$BUILD_DIR/$bench" ]] || continue
-      SUITE_FRESH=$(mktemp "/tmp/psga_${bench}.XXXXXX.json")
-      "$BUILD_DIR/$bench" \
-        --benchmark_min_time=0.05 \
-        --benchmark_repetitions=5 \
-        --benchmark_report_aggregates_only=true \
-        --benchmark_format=json \
-        --benchmark_out="$SUITE_FRESH" \
-        --benchmark_out_format=json >/dev/null
-      keep_medians "$FRESH" "$SUITE_FRESH"
-      rm -f "$SUITE_FRESH"
-    done
-  fi
-
-  # Obs overhead gate: the always-on metrics write path must stay under
-  # OBS_TOLERANCE (default 2%) of a decode-heavy engine run. The
-  # enabled/disabled legs run back to back in one process so host drift
-  # cancels out, and the gate judges min-of-repetitions (contention
-  # only ever inflates a timing). A burst can still poison a whole
-  # process, so a failing measurement is retried in fresh processes.
-  if [[ -x "$BUILD_DIR/bench_micro_obs" ]] && command -v python3 >/dev/null; then
-    OBS_FRESH=$(mktemp /tmp/psga_bench_obs.XXXXXX.json)
-    OBS_OK=0
-    for attempt in 1 2 3; do
-      "$BUILD_DIR"/bench_micro_obs \
-        --benchmark_min_time=0.05 \
-        --benchmark_repetitions=5 \
-        --benchmark_format=json \
-        --benchmark_out="$OBS_FRESH" \
-        --benchmark_out_format=json >/dev/null
-      if OBS_TOLERANCE=${OBS_TOLERANCE:-0.02} \
-         python3 - "$OBS_FRESH" <<'PYEOF'
-import json
-import os
-import sys
-
-tolerance = float(os.environ.get("OBS_TOLERANCE", "0.02"))
-with open(sys.argv[1]) as f:
-    benches = json.load(f)["benchmarks"]
-
-
-def best(name):
-    times = [b["real_time"] for b in benches
-             if b["name"].startswith(name)
-             and b.get("run_type") == "iteration"]
-    assert times, f"no iteration timings for {name}"
-    return min(times)
-
-
-off = best("BM_DecodeRunObs/metrics:0")
-on = best("BM_DecodeRunObs/metrics:1")
-ratio = on / off
-print(f"ci.sh: obs overhead {ratio - 1.0:+.2%} (metrics on {on:.2f} vs "
-      f"off {off:.2f} ms, gate {tolerance:.0%})")
-sys.exit(0 if ratio <= 1.0 + tolerance else 1)
-PYEOF
-      then OBS_OK=1; break; fi
-      echo "ci.sh: obs overhead above gate, retrying ($attempt/3)"
-    done
-    if [[ "$OBS_OK" != "1" ]]; then
-      echo "ci.sh: metrics-enabled decode run stayed > ${OBS_TOLERANCE:-0.02} slower across retries"
-      exit 1
+  cmake -B "$BASE/build" -S "$BASE/src" -DCMAKE_BUILD_TYPE=Release \
+        -DPSGA_BUILD_TESTS=OFF -DPSGA_BUILD_EXAMPLES=OFF >/dev/null
+  for row in "${BENCH_TABLE[@]}"; do
+    bench=${row%% *}
+    if [[ -f "$BASE/src/bench/$bench.cpp" ]]; then
+      cmake --build "$BASE/build" -j "$JOBS" --target "$bench" >/dev/null
     fi
-    # The primitive-cost benches ride into BENCH_micro.json with the
-    # other micro suites (median aggregates, plain names).
-    keep_medians "$FRESH" "$OBS_FRESH"
-    rm -f "$OBS_FRESH"
-  fi
-
-  # Stamp the snapshot with this tree's build type so a future diff can
-  # tell an optimized baseline from a stray debug one.
-  if command -v python3 >/dev/null; then
-    python3 - "$FRESH" "$PSGA_BUILD_TYPE" <<'PYEOF'
-import json
-import sys
-
-with open(sys.argv[1]) as f:
-    snapshot = json.load(f)
-snapshot.setdefault("context", {})["psga_build_type"] = sys.argv[2]
-with open(sys.argv[1], "w") as f:
-    json.dump(snapshot, f, indent=1)
-PYEOF
-  fi
-
-  if [[ "${SKIP_BENCH_DIFF:-0}" != "1" && -f BENCH_micro.json ]] \
-     && command -v python3 >/dev/null; then
-    # The gate python prints the delta table and writes the names of
-    # regressed gated benches to $3 (empty file = pass).
-    GATE_FAILS=$(mktemp /tmp/psga_bench_fails.XXXXXX)
-    # Optional $1: file of bench names — only those may fail the gate
-    # (used by the retry pass so a drift re-estimate over the updated
-    # suite cannot flag benches that already passed the first pass).
-    run_bench_gate() {
-      BENCH_TOLERANCE=${BENCH_TOLERANCE:-0.25} GATE_ONLY="${1:-}" \
-        python3 - BENCH_micro.json "$FRESH" "$GATE_FAILS" <<'PYEOF'
-import json
-import os
-import sys
-
-tolerance = float(os.environ.get("BENCH_TOLERANCE", "0.25"))
-only = set()
-if os.environ.get("GATE_ONLY"):
-    with open(os.environ["GATE_ONLY"]) as f:
-        only = {line.strip() for line in f if line.strip()}
-with open(sys.argv[1]) as f:
-    baseline = {b["name"]: b for b in json.load(f)["benchmarks"]}
-with open(sys.argv[2]) as f:
-    fresh = {b["name"]: b for b in json.load(f)["benchmarks"]}
-
-# On a shared host the whole suite drifts together run-to-run (other
-# tenants, frequency scaling) by more than the tolerance, so gate on the
-# drift-normalized delta: each bench's time ratio divided by the median
-# ratio across the full suite. A real regression moves one bench
-# relative to the rest; host slowdown moves them all and cancels out.
-ratios = sorted(fresh[n]["real_time"] / baseline[n]["real_time"]
-                for n in fresh if n in baseline)
-drift = ratios[len(ratios) // 2] if ratios else 1.0
-# Host contention only ever *slows* the suite; a median ratio below 1.0
-# means the committed baseline itself was recorded under load, and
-# dividing by it would flag benches whose raw time barely moved. So only
-# normalize slowdowns away — never penalize a run for being faster.
-drift = max(drift, 1.0)
-
-width = max((len(n) for n in fresh), default=20)
-print(f"\n-- bench deltas vs committed BENCH_micro.json "
-      f"(host drift x{drift:.2f}; gate: gated benches "
-      f"> {tolerance:.0%} slower than drift fail)")
-failures = []
-for name, bench in fresh.items():
-    old = baseline.get(name)
-    if old is None:
-        print(f"  {name:<{width}}  (new bench)")
-        continue
-    delta = bench["real_time"] / old["real_time"] - 1.0
-    normalized = bench["real_time"] / old["real_time"] / drift - 1.0
-    # The regression gate covers the decoder benches (the evaluation hot
-    # path this snapshot exists to guard), the crossover benches (the
-    # breeding hot path), the cache-layer hit and miss rows and the
-    # session event-latency p95s; *_Scratch twins included.
-    gated = any(tag in name for tag in
-                ("Decode", "SemiActive", "GifflerThompson", "Makespan",
-                 "Flexible", "LotStreaming", "OpenShop", "HybridFlowShop",
-                 "SessionEvent", "BM_Crossover", "BM_Cache"))
-    marker = ""
-    if only and name not in only:
-        gated = False
-    if gated and normalized > tolerance:
-        marker = "  << REGRESSION"
-        failures.append((name, normalized))
-    print(f"  {name:<{width}}  {old['real_time']:10.0f} -> "
-          f"{bench['real_time']:10.0f} {bench.get('time_unit', 'ns')} "
-          f"({delta:+7.1%} raw, {normalized:+7.1%} vs drift){marker}")
-for name in baseline:
-    if name not in fresh:
-        print(f"  {name:<{width}}  (removed)")
-with open(sys.argv[3], "w") as f:
-    for name, delta in failures:
-        f.write(f"{name}\n")
-if failures:
-    print(f"\nci.sh: {len(failures)} gated bench(es) regressed more than "
-          f"{tolerance:.0%} beyond the suite-wide drift")
-print()
-PYEOF
-    }
-    run_bench_gate
-    if [[ -s "$GATE_FAILS" ]]; then
-      # Contention bursts during the minutes-long full suite inflate
-      # individual benches by up to ~60% (narrow re-runs of the same
-      # benches are stable within a few %), so re-measure just the
-      # failing benches in isolation and re-judge on those numbers; the
-      # isolated timings also land in the refreshed snapshot. Two noise
-      # sources, two countermeasures: contention only ever inflates a
-      # timing, so the retry judges on the min rather than the median —
-      # and some benches are bimodal *per process* (heap/ASLR layout
-      # locks each process into a fast or slow mode for its lifetime),
-      # so the min is taken across several separate retry processes,
-      # letting one fast-mode process clear a bench that is not slower.
-      FILTER="^($(paste -sd'|' "$GATE_FAILS"))\$"
-      RETRY_LIST=$(mktemp /tmp/psga_bench_retry_list.XXXXXX)
-      cp "$GATE_FAILS" "$RETRY_LIST"
-      echo "ci.sh: re-measuring $(wc -l < "$GATE_FAILS") failing bench(es) in isolation"
-      RETRY_FILES=()
-      for attempt in 1 2 3 4; do
-        # Decoder, operator and cache-row bench names carry no suffix, so
-        # the exact-name filter applies to these binaries as is.
-        for bench in bench_micro_decoders bench_micro_operators \
-                     bench_micro_cache; do
-          [[ -x "$BUILD_DIR/$bench" ]] || continue
-          RETRY=$(mktemp "/tmp/psga_bench_retry.${attempt}.XXXXXX.json")
-          RETRY_FILES+=("$RETRY")
-          "$BUILD_DIR/$bench" \
-            --benchmark_filter="$FILTER" \
-            --benchmark_min_time=0.05 \
-            --benchmark_repetitions=3 \
-            --benchmark_format=json \
-            --benchmark_out="$RETRY" \
-            --benchmark_out_format=json >/dev/null
-        done
-        # The session benches live in their own binary; re-measure them
-        # too when one of them is what failed (family-level filter — the
-        # reported /manual_time suffix is not part of the filter name).
-        if grep -q SessionEvent "$GATE_FAILS" \
-           && [[ -x "$BUILD_DIR/bench_session_latency" ]]; then
-          SES_RETRY=$(mktemp "/tmp/psga_bench_sretry.${attempt}.XXXXXX.json")
-          RETRY_FILES+=("$SES_RETRY")
-          "$BUILD_DIR"/bench_session_latency \
-            --benchmark_filter="BM_SessionEventP95" \
-            --benchmark_min_time=0.05 \
-            --benchmark_repetitions=3 \
-            --benchmark_format=json \
-            --benchmark_out="$SES_RETRY" \
-            --benchmark_out_format=json >/dev/null
-        fi
-      done
-      python3 - "$FRESH" "${RETRY_FILES[@]}" <<'PYEOF'
-import json
-import sys
-
-with open(sys.argv[1]) as f:
-    snapshot = json.load(f)
-remeasured = {}
-for path in sys.argv[2:]:
-    with open(path) as f:
-        # A retry binary whose filter matched nothing leaves an empty
-        # out file (exit 0, no JSON) — e.g. bench_micro_operators when
-        # only decoder or session benches failed. Skip it.
-        text = f.read()
-    if not text.strip():
-        continue
-    retry = json.loads(text)["benchmarks"]
-    for b in retry:
-        if b.get("run_type") != "iteration":
-            continue
-        cur = remeasured.get(b["name"])
-        if cur is None or b["real_time"] < cur["real_time"]:
-            remeasured[b["name"]] = b
-for b in snapshot["benchmarks"]:
-    if b["name"] in remeasured:
-        fixed = dict(remeasured[b["name"]])
-        fixed["name"] = b["name"]
-        b.clear()
-        b.update(fixed)
-with open(sys.argv[1], "w") as f:
-    json.dump(snapshot, f, indent=1)
-PYEOF
-      rm -f "${RETRY_FILES[@]}"
-      run_bench_gate "$RETRY_LIST"
-      rm -f "$RETRY_LIST"
-    fi
-    if [[ -s "$GATE_FAILS" ]]; then
-      echo "ci.sh: gated bench regression confirmed by isolated re-run:"
-      cat "$GATE_FAILS"
-      rm -f "$GATE_FAILS"
-      exit 1
-    fi
-    rm -f "$GATE_FAILS"
-  fi
-
-  # Scalar-vs-batch decode speedup summary (items/s, so the batched
-  # kernels are directly comparable to their one-genome twins). Flow shop
-  # only: the job shop's batch and per-genome rows run one path.
-  if command -v python3 >/dev/null; then
-    python3 - "$FRESH" <<'PYEOF'
-import json
-import sys
-
-with open(sys.argv[1]) as f:
-    benches = {b["name"]: b for b in json.load(f)["benchmarks"]}
-pairs = [
-    ("BM_FlowShopMakespan/20/5", "BM_FlowShopMakespanBatch/20/5/16"),
-    ("BM_FlowShopMakespan/50/10", "BM_FlowShopMakespanBatch/50/10/16"),
-    ("BM_FlowShopMakespan/100/20", "BM_FlowShopMakespanBatch/100/20/16"),
-]
-rows = []
-for scalar, batch in pairs:
-    s, b = benches.get(scalar), benches.get(batch)
-    if not s or not b:
-        continue
-    su, bu = s.get("items_per_second"), b.get("items_per_second")
-    if not su or not bu:
-        continue
-    rows.append((batch, bu / su, scalar))
-if rows:
-    print("-- batch decode speedup vs scalar (items/s)")
-    width = max(len(r[0]) for r in rows)
-    for batch, speedup, scalar in rows:
-        print(f"  {batch:<{width}}  {speedup:5.2f}x vs {scalar}")
-    print()
-PYEOF
-  fi
-
-  mv "$FRESH" BENCH_micro.json
-  echo "wrote BENCH_micro.json"
+  done
+  python3 bench/gate.py --base "$BASE/build" --change "$BUILD_DIR" \
+    --base-commit "$BASE_COMMIT" --build-type "$PSGA_BUILD_TYPE" \
+    --tolerance "${BENCH_TOLERANCE:-0.25}" \
+    --obs-tolerance "${OBS_TOLERANCE:-0.02}" \
+    --out .bench_build/bench_micro.json "${BENCH_TABLE[@]}"
 fi
 
 echo "ci.sh: OK"

@@ -72,7 +72,7 @@ std::vector<int> keys_to_repetition_sequence(std::span<const double> keys,
 
 FlowShopProblem::FlowShopProblem(sched::FlowShopInstance inst,
                                  sched::Criterion criterion)
-    : inst_(std::move(inst)), criterion_(criterion) {
+    : inst_(std::move(inst)), pack_(inst_), criterion_(criterion) {
   traits_.seq_kind = SeqKind::kPermutation;
   traits_.seq_length = inst_.jobs;
 }
@@ -103,15 +103,15 @@ void FlowShopProblem::objective_batch(std::span<const Genome> genomes,
   s->lanes.clear();
   s->lanes.reserve(genomes.size());
   for (const Genome& g : genomes) s->lanes.emplace_back(g.seq);
-  sched::flow_shop_objective_batch(inst_, s->lanes, criterion_, objectives,
-                                   s->batch);
+  sched::flow_shop_objective_batch(inst_, pack_, s->lanes, criterion_,
+                                   objectives, s->batch);
 }
 
 // --- RandomKeyFlowShopProblem ----------------------------------------------
 
 RandomKeyFlowShopProblem::RandomKeyFlowShopProblem(sched::FlowShopInstance inst,
                                                    sched::Criterion criterion)
-    : inst_(std::move(inst)), criterion_(criterion) {
+    : inst_(std::move(inst)), pack_(inst_), criterion_(criterion) {
   traits_.seq_kind = SeqKind::kNone;
   traits_.seq_length = 0;
   traits_.key_length = inst_.jobs;
@@ -163,8 +163,8 @@ void RandomKeyFlowShopProblem::objective_batch(std::span<const Genome> genomes,
     s->lanes.emplace_back(slot);
     offset += g.keys.size();
   }
-  sched::flow_shop_objective_batch(inst_, s->lanes, criterion_, objectives,
-                                   s->batch);
+  sched::flow_shop_objective_batch(inst_, pack_, s->lanes, criterion_,
+                                   objectives, s->batch);
 }
 
 // --- JobShopProblem ---------------------------------------------------------

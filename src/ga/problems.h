@@ -84,8 +84,9 @@ class WorkspaceProblem : public Problem {
   }
 };
 
-/// Flow-shop evaluation scratch: the scalar buffers plus the SoA batch
-/// scratch and the per-batch lane views handed to the batch kernel.
+/// Flow-shop evaluation scratch, capacity only: the scalar buffers plus
+/// the SoA batch scratch and the per-batch lane views handed to the
+/// batch kernel.
 struct FlowShopEvalScratch {
   sched::FlowShopScratch fs;
   sched::FlowShopBatchScratch batch;
@@ -113,6 +114,7 @@ class FlowShopProblem final
 
  private:
   sched::FlowShopInstance inst_;
+  sched::FlowShopPack pack_;  ///< the batch kernels' view of inst_
   sched::Criterion criterion_;
   GenomeTraits traits_;
 };
@@ -153,6 +155,7 @@ class RandomKeyFlowShopProblem final
 
  private:
   sched::FlowShopInstance inst_;
+  sched::FlowShopPack pack_;  ///< the batch kernels' view of inst_
   sched::Criterion criterion_;
   GenomeTraits traits_;
 };

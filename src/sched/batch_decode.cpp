@@ -9,6 +9,43 @@
 
 namespace psga::sched {
 
+FlowShopPack::FlowShopPack(const FlowShopInstance& inst) {
+  const auto jobs = static_cast<std::size_t>(inst.jobs);
+  const auto machines = static_cast<std::size_t>(inst.machines);
+  mproc.resize(jobs * machines);
+  for (std::size_t m = 0; m < machines; ++m) {
+    const auto& row = inst.proc[m];
+    for (std::size_t j = 0; j < jobs; ++j) {
+      mproc[m * jobs + j] = row[j];
+    }
+  }
+  release.resize(jobs);
+  for (int j = 0; j < inst.jobs; ++j) {
+    release[static_cast<std::size_t>(j)] = inst.attrs.release_of(j);
+  }
+  // Narrow eligibility: with everything non-negative, no completion time
+  // can exceed max release + total processing (a job never waits past the
+  // moment every other operation has finished), so when that bound fits
+  // int32 the narrow recurrence cannot overflow and is exact.
+  Time total = 0;
+  Time max_release = 0;
+  bool non_negative = true;
+  for (Time t : mproc) {
+    total += t;
+    non_negative = non_negative && t >= 0;
+  }
+  for (Time r : release) {
+    max_release = std::max(max_release, r);
+    non_negative = non_negative && r >= 0;
+  }
+  narrow = non_negative &&
+           total <= std::numeric_limits<std::int32_t>::max() - max_release;
+  if (narrow) {
+    mproc32.assign(mproc.begin(), mproc.end());
+    release32.assign(release.begin(), release.end());
+  }
+}
+
 namespace {
 
 /// Shared length check for every batch kernel (and mirrored by the scalar
@@ -20,47 +57,6 @@ void check_lane_length(std::size_t got, int expected, const char* what) {
                                 std::to_string(got) + " != expected " +
                                 std::to_string(expected));
   }
-}
-
-void pack_flow_shop(const FlowShopInstance& inst,
-                    FlowShopBatchScratch& scratch) {
-  if (scratch.packed_instance == &inst) return;
-  const auto jobs = static_cast<std::size_t>(inst.jobs);
-  const auto machines = static_cast<std::size_t>(inst.machines);
-  scratch.mproc.resize(jobs * machines);
-  for (std::size_t m = 0; m < machines; ++m) {
-    const auto& row = inst.proc[m];
-    for (std::size_t j = 0; j < jobs; ++j) {
-      scratch.mproc[m * jobs + j] = row[j];
-    }
-  }
-  scratch.release.resize(jobs);
-  for (int j = 0; j < inst.jobs; ++j) {
-    scratch.release[static_cast<std::size_t>(j)] = inst.attrs.release_of(j);
-  }
-  // Narrow eligibility: with everything non-negative, no completion time
-  // can exceed max release + total processing (a job never waits past the
-  // moment every other operation has finished), so when that bound fits
-  // int32 the narrow recurrence cannot overflow and is exact.
-  Time total = 0;
-  Time max_release = 0;
-  bool non_negative = true;
-  for (Time t : scratch.mproc) {
-    total += t;
-    non_negative = non_negative && t >= 0;
-  }
-  for (Time r : scratch.release) {
-    max_release = std::max(max_release, r);
-    non_negative = non_negative && r >= 0;
-  }
-  scratch.narrow =
-      non_negative &&
-      total <= std::numeric_limits<std::int32_t>::max() - max_release;
-  if (scratch.narrow) {
-    scratch.mproc32.assign(scratch.mproc.begin(), scratch.mproc.end());
-    scratch.release32.assign(scratch.release.begin(), scratch.release.end());
-  }
-  scratch.packed_instance = &inst;
 }
 
 /// Lanes advanced per SIMD block. A compile-time width keeps every inner
@@ -136,7 +132,7 @@ inline void advance_position(T* const __restrict front, const T* const mproc,
 
 /// Advances all lanes through the flow-shop recurrence over working rows
 /// of width T (int32 on the narrow path, Time otherwise — identical
-/// arithmetic when narrow, see FlowShopBatchScratch::narrow). Lanes run
+/// arithmetic when narrow, see FlowShopPack::narrow). Lanes run
 /// in blocks of kLaneBlock; a short tail block is padded with copies of
 /// its first live lane whose results are simply not written back. When
 /// Completion is false fills out[l] with the last-machine completion;
@@ -197,14 +193,13 @@ void flow_shop_advance_rows(std::span<const std::span<const int>> perms,
   }
 }
 
-/// Packs, validates, and runs the recurrence at the width the instance
-/// admits. Fills `out` (lanes' last-machine completions) when Completion
-/// is false, scratch.completion when true.
+/// Validates and runs the recurrence at the width the pack admits.
+/// Fills `out` (lanes' last-machine completions) when Completion is
+/// false, scratch.completion when true.
 template <bool Completion>
-void flow_shop_advance(const FlowShopInstance& inst,
+void flow_shop_advance(const FlowShopInstance& inst, const FlowShopPack& pack,
                        std::span<const std::span<const int>> perms,
                        FlowShopBatchScratch& scratch, Time* const out) {
-  pack_flow_shop(inst, scratch);
   for (const auto& perm : perms) {
     check_lane_length(perm.size(), inst.jobs, "flow-shop permutation");
   }
@@ -213,14 +208,13 @@ void flow_shop_advance(const FlowShopInstance& inst,
   if constexpr (Completion) {
     scratch.completion.assign(perms.size() * jobs, 0);
   }
-  if (scratch.narrow) {
+  if (pack.narrow) {
     flow_shop_advance_rows<Completion, std::int32_t>(
-        perms, jobs, machines, scratch.mproc32.data(),
-        scratch.release32.data(), scratch.front32, out,
-        scratch.completion.data());
+        perms, jobs, machines, pack.mproc32.data(), pack.release32.data(),
+        scratch.front32, out, scratch.completion.data());
   } else {
     flow_shop_advance_rows<Completion, Time>(
-        perms, jobs, machines, scratch.mproc.data(), scratch.release.data(),
+        perms, jobs, machines, pack.mproc.data(), pack.release.data(),
         scratch.front, out, scratch.completion.data());
   }
 }
@@ -228,26 +222,29 @@ void flow_shop_advance(const FlowShopInstance& inst,
 }  // namespace
 
 void flow_shop_makespan_batch(const FlowShopInstance& inst,
+                              const FlowShopPack& pack,
                               std::span<const std::span<const int>> perms,
                               std::span<Time> out,
                               FlowShopBatchScratch& scratch) {
-  flow_shop_advance<false>(inst, perms, scratch, out.data());
+  flow_shop_advance<false>(inst, pack, perms, scratch, out.data());
 }
 
 void flow_shop_objective_batch(const FlowShopInstance& inst,
+                               const FlowShopPack& pack,
                                std::span<const std::span<const int>> perms,
                                Criterion criterion, std::span<double> out,
                                FlowShopBatchScratch& scratch) {
   const std::size_t lanes = perms.size();
   if (criterion == Criterion::kMakespan) {
     scratch.makespans.resize(lanes);
-    flow_shop_advance<false>(inst, perms, scratch, scratch.makespans.data());
+    flow_shop_advance<false>(inst, pack, perms, scratch,
+                             scratch.makespans.data());
     for (std::size_t l = 0; l < lanes; ++l) {
       out[l] = static_cast<double>(scratch.makespans[l]);
     }
     return;
   }
-  flow_shop_advance<true>(inst, perms, scratch, nullptr);
+  flow_shop_advance<true>(inst, pack, perms, scratch, nullptr);
   const auto jobs = static_cast<std::size_t>(inst.jobs);
   for (std::size_t l = 0; l < lanes; ++l) {
     out[l] = evaluate_criterion(

@@ -34,14 +34,15 @@
 
 namespace psga::sched {
 
-/// Reusable scratch for the flow-shop batch kernels. The machine-major
-/// processing-time matrix is packed on first use per instance (keyed on
-/// instance address) and reused for every subsequent batch; the front
-/// array is block-major [machine * block + lane-in-block] for the
-/// fixed-width lane block the kernel advances at a time, so every inner
-/// loop is unit-stride with a compile-time trip count.
-struct FlowShopBatchScratch {
-  const void* packed_instance = nullptr;  ///< identity tag of the pack
+/// An instance as the flow-shop batch kernels read it: the
+/// processing-time matrix flattened machine-major, the per-job release
+/// times, and their 32-bit twins when they are exact. Built once per
+/// instance (FlowShopProblem and RandomKeyFlowShopProblem build one at
+/// construction) and never keyed on the instance's address, so one
+/// scratch serves any instance, including two built at one address.
+struct FlowShopPack {
+  explicit FlowShopPack(const FlowShopInstance& inst);
+
   /// Every completion time of this instance provably fits std::int32_t
   /// (max release + total processing <= INT32_MAX, all values >= 0), so
   /// the kernels run the 32-bit twins below. Baseline x86-64 has packed
@@ -50,22 +51,30 @@ struct FlowShopBatchScratch {
   /// into SIMD — and int32 arithmetic without overflow is bit-identical
   /// to the scalar int64 recurrence.
   bool narrow = false;
-  std::vector<Time> mproc;      ///< machine-major flatten: [m * jobs + job]
-  std::vector<Time> release;    ///< per-job release times
+  std::vector<Time> mproc;    ///< machine-major flatten: [m * jobs + job]
+  std::vector<Time> release;  ///< per-job release times
+  std::vector<std::int32_t> mproc32;    ///< narrow twins, empty otherwise
+  std::vector<std::int32_t> release32;
+};
+
+/// Reusable scratch for the flow-shop batch kernels, capacity only: the
+/// front array is block-major [machine * block + lane-in-block] for the
+/// fixed-width lane block the kernel advances at a time, so every inner
+/// loop is unit-stride with a compile-time trip count.
+struct FlowShopBatchScratch {
   std::vector<Time> front;      ///< completion front, [m * block + lane]
   std::vector<Time> completion;  ///< [lane * jobs + job] (criteria paths; whole batch)
   std::vector<Time> makespans;   ///< per-lane makespans (objective entry)
-  // 32-bit twins of the packed matrix and working rows (narrow path).
-  std::vector<std::int32_t> mproc32;
-  std::vector<std::int32_t> release32;
-  std::vector<std::int32_t> front32;
+  std::vector<std::int32_t> front32;  ///< narrow twin of front
 };
 
 /// Makespans of B full permutations in lockstep: out[l] is bit-identical
-/// to flow_shop_makespan(inst, perms[l]). Throws std::invalid_argument
-/// when any perms[l].size() != inst.jobs (shared length check — the same
-/// contract the scalar entry points enforce).
+/// to flow_shop_makespan(inst, perms[l]). `pack` must be built from
+/// `inst`. Throws std::invalid_argument when any perms[l].size() !=
+/// inst.jobs (shared length check — the same contract the scalar entry
+/// points enforce).
 void flow_shop_makespan_batch(const FlowShopInstance& inst,
+                              const FlowShopPack& pack,
                               std::span<const std::span<const int>> perms,
                               std::span<Time> out,
                               FlowShopBatchScratch& scratch);
@@ -73,6 +82,7 @@ void flow_shop_makespan_batch(const FlowShopInstance& inst,
 /// Criterion values of B full permutations; equals
 /// flow_shop_objective(inst, perms[l], criterion) per lane bit-for-bit.
 void flow_shop_objective_batch(const FlowShopInstance& inst,
+                               const FlowShopPack& pack,
                                std::span<const std::span<const int>> perms,
                                Criterion criterion, std::span<double> out,
                                FlowShopBatchScratch& scratch);

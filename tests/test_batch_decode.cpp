@@ -15,6 +15,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -67,6 +68,7 @@ std::vector<std::span<const int>> as_lanes(
 
 TEST(FlowShopBatchKernel, MakespanBitIdenticalToScalarForEveryBatchSize) {
   const sched::FlowShopInstance inst = taillard_instance();
+  const sched::FlowShopPack pack(inst);
   sched::FlowShopScratch scalar;
   sched::FlowShopBatchScratch batch;
   for (int size : {1, 2, 7, 16, 33}) {
@@ -74,7 +76,7 @@ TEST(FlowShopBatchKernel, MakespanBitIdenticalToScalarForEveryBatchSize) {
     const auto perms = random_permutations(size, inst.jobs, 11 + size);
     const auto lanes = as_lanes(perms);
     std::vector<Time> got(lanes.size(), -1);
-    sched::flow_shop_makespan_batch(inst, lanes, got, batch);
+    sched::flow_shop_makespan_batch(inst, pack, lanes, got, batch);
     for (std::size_t l = 0; l < lanes.size(); ++l) {
       EXPECT_EQ(got[l], sched::flow_shop_makespan(inst, lanes[l], scalar))
           << "lane " << l;
@@ -93,6 +95,7 @@ TEST(FlowShopBatchKernel, ObjectiveMatchesScalarForEveryCriterion) {
   }
   const auto perms = random_permutations(9, inst.jobs, 23);
   const auto lanes = as_lanes(perms);
+  const sched::FlowShopPack pack(inst);
   sched::FlowShopScratch scalar;
   sched::FlowShopBatchScratch batch;
   for (Criterion c :
@@ -101,7 +104,7 @@ TEST(FlowShopBatchKernel, ObjectiveMatchesScalarForEveryCriterion) {
         Criterion::kMaxTardiness}) {
     SCOPED_TRACE(sched::to_string(c));
     std::vector<double> got(lanes.size(), -1.0);
-    sched::flow_shop_objective_batch(inst, lanes, c, got, batch);
+    sched::flow_shop_objective_batch(inst, pack, lanes, c, got, batch);
     for (std::size_t l = 0; l < lanes.size(); ++l) {
       EXPECT_EQ(got[l], sched::flow_shop_objective(inst, lanes[l], c, scalar))
           << "lane " << l;
@@ -119,12 +122,61 @@ TEST(FlowShopBatchKernel, ScratchRepacksWhenTheInstanceChanges) {
   sched::FlowShopScratch scalar;
   sched::FlowShopBatchScratch batch;
   std::vector<Time> got(lanes.size());
-  // Same scratch, alternating instances: the pack must follow the
+  // Same scratch, alternating instances: the answer must follow the
   // instance, not stick to whichever was seen first.
   for (const sched::FlowShopInstance* inst : {&a, &b, &a}) {
-    sched::flow_shop_makespan_batch(*inst, lanes, got, batch);
+    sched::flow_shop_makespan_batch(*inst, sched::FlowShopPack(*inst), lanes,
+                                    got, batch);
     for (std::size_t l = 0; l < lanes.size(); ++l) {
       EXPECT_EQ(got[l], sched::flow_shop_makespan(*inst, lanes[l], scalar));
+    }
+  }
+
+  // Two instances built one after the other at one address, through the
+  // problem adapters, one workspace: nothing may be keyed on the
+  // instance's address. A pack tagged with it returned the first
+  // instance's makespans for the second.
+  std::vector<Genome> genomes;
+  for (const auto& perm : perms) genomes.push_back(Genome{perm, {}, {}});
+  std::vector<double> objectives(genomes.size());
+  const sched::FlowShopInstance second = [] {
+    sched::FlowShopInstance inst = taillard_instance();
+    for (auto& row : inst.proc) {
+      for (auto& t : row) t = t % 7 + 1;  // far shorter than the first
+    }
+    return inst;
+  }();
+  std::optional<FlowShopProblem> problem(std::in_place, a);
+  const auto workspace = problem->make_workspace();
+  for (const sched::FlowShopInstance* inst : {&a, &second}) {
+    problem.reset();
+    problem.emplace(*inst);
+    problem->objective_batch(genomes, objectives, *workspace);
+    for (std::size_t l = 0; l < lanes.size(); ++l) {
+      EXPECT_EQ(objectives[l], static_cast<double>(sched::flow_shop_makespan(
+                                   *inst, lanes[l], scalar)))
+          << "lane " << l;
+    }
+  }
+  std::optional<RandomKeyFlowShopProblem> keyed(std::in_place, a);
+  const auto key_workspace = keyed->make_workspace();
+  std::vector<Genome> keys(perms.size());
+  for (std::size_t l = 0; l < perms.size(); ++l) {
+    // Key rank = position, so argsort recovers the permutation.
+    keys[l].keys.resize(perms[l].size());
+    for (std::size_t p = 0; p < perms[l].size(); ++p) {
+      keys[l].keys[static_cast<std::size_t>(perms[l][p])] =
+          static_cast<double>(p);
+    }
+  }
+  for (const sched::FlowShopInstance* inst : {&a, &second}) {
+    keyed.reset();
+    keyed.emplace(*inst);
+    keyed->objective_batch(keys, objectives, *key_workspace);
+    for (std::size_t l = 0; l < lanes.size(); ++l) {
+      EXPECT_EQ(objectives[l], static_cast<double>(sched::flow_shop_makespan(
+                                   *inst, lanes[l], scalar)))
+          << "random-key lane " << l;
     }
   }
 }
@@ -139,10 +191,12 @@ TEST(FlowShopBatchKernel, WideInstancesFallBackToExactInt64Lanes) {
   }
   const auto perms = random_permutations(7, inst.jobs, 13);
   const auto lanes = as_lanes(perms);
+  const sched::FlowShopPack pack(inst);
+  ASSERT_FALSE(pack.narrow);
   sched::FlowShopScratch scalar;
   sched::FlowShopBatchScratch batch;
   std::vector<Time> got(lanes.size());
-  sched::flow_shop_makespan_batch(inst, lanes, got, batch);
+  sched::flow_shop_makespan_batch(inst, pack, lanes, got, batch);
   for (std::size_t l = 0; l < lanes.size(); ++l) {
     EXPECT_EQ(got[l], sched::flow_shop_makespan(inst, lanes[l], scalar));
     EXPECT_GT(got[l], std::numeric_limits<std::int32_t>::max());
@@ -151,17 +205,18 @@ TEST(FlowShopBatchKernel, WideInstancesFallBackToExactInt64Lanes) {
 
 TEST(FlowShopBatchKernel, ThrowsOnWrongLaneLength) {
   const sched::FlowShopInstance inst = taillard_instance();
+  const sched::FlowShopPack pack(inst);
   sched::FlowShopBatchScratch batch;
   auto perms = random_permutations(3, inst.jobs, 7);
   perms[1].pop_back();
   std::vector<Time> out(perms.size());
   EXPECT_THROW(
-      sched::flow_shop_makespan_batch(inst, as_lanes(perms), out, batch),
+      sched::flow_shop_makespan_batch(inst, pack, as_lanes(perms), out, batch),
       std::invalid_argument);
   perms[1].push_back(0);
   perms[1].push_back(0);  // now one too long
   EXPECT_THROW(
-      sched::flow_shop_makespan_batch(inst, as_lanes(perms), out, batch),
+      sched::flow_shop_makespan_batch(inst, pack, as_lanes(perms), out, batch),
       std::invalid_argument);
 }
 

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <numeric>
 #include <set>
+#include <span>
 #include <thread>
 
 #include "src/ga/problems.h"
@@ -298,18 +299,25 @@ GenomeTraits golden_traits(SeqKind kind, int n) {
   return rep_traits(repeats);
 }
 
+constexpr int kGoldenSizes[] = {100, 2, 7, 3};
+
+/// The sizes where order crossovers draw take sets over both 32-bit words
+/// of a 64-value set (50, 33, 64) and just past it (65).
+constexpr int kMidSizes[] = {50, 33, 64, 65};
+
 /// Folds both children's genome_hash and the next RNG draw of 40 rounds
-/// over n in {100, 2, 7, 3}. The sizes interleave so per-thread scratch
-/// shrinks and grows, and the reused children always arrive holding
-/// genomes of another length.
-std::uint64_t golden_digest(const std::string& name, SeqKind kind) {
+/// over `sizes`. The sizes interleave so per-thread scratch shrinks and
+/// grows, and the reused children always arrive holding genomes of
+/// another length.
+std::uint64_t golden_digest(const std::string& name, SeqKind kind,
+                            std::span<const int> sizes = kGoldenSizes) {
   const CrossoverPtr cx = make_crossover(name);
   par::Rng rng(0x5eed);
   Genome c1;
   Genome c2;
   std::uint64_t digest = 0;
   for (int round = 0; round < 40; ++round) {
-    for (int n : {100, 2, 7, 3}) {
+    for (int n : sizes) {
       const GenomeTraits traits = golden_traits(kind, n);
       const Genome a = random_genome(traits, rng);
       const Genome b = random_genome(traits, rng);
@@ -346,20 +354,55 @@ constexpr GoldenCrossover kGoldenCrossovers[] = {
     {"thx", SeqKind::kJobRepetition, 0xe88f8772726257abULL},
 };
 
+/// Recorded from the scalar keep-and-fill; like kGoldenCrossovers, never
+/// re-recorded.
+constexpr GoldenCrossover kMidSizeGoldenCrossovers[] = {
+    {"one-point", SeqKind::kPermutation, 0x4663a601696bfbfeULL},
+    {"two-point", SeqKind::kPermutation, 0xf9a5ab57765b9019ULL},
+    {"pmx", SeqKind::kPermutation, 0xdf3e07ef04e43050ULL},
+    {"ox", SeqKind::kPermutation, 0x922cb7fc16f1b644ULL},
+    {"cycle", SeqKind::kPermutation, 0x1040482c9a17e1a4ULL},
+    {"jox", SeqKind::kPermutation, 0xb6dd4cb04a4d405eULL},
+    {"position-based", SeqKind::kPermutation, 0x58bdf9e20b184b40ULL},
+    {"ppx", SeqKind::kPermutation, 0xb9a426e096baaa54ULL},
+    {"thx", SeqKind::kPermutation, 0xcc372538fe99329fULL},
+    {"one-point", SeqKind::kJobRepetition, 0x4e59aed87fc3b948ULL},
+    {"two-point", SeqKind::kJobRepetition, 0xee12de72f6c4e13cULL},
+    {"jox", SeqKind::kJobRepetition, 0x7912ce54b1175c65ULL},
+    {"ppx", SeqKind::kJobRepetition, 0x5343c00581ef6986ULL},
+    {"thx", SeqKind::kJobRepetition, 0xc89f7b3fb39887f4ULL},
+};
+
 TEST(CrossoverGolden, TableCoversEverySequencingCrossover) {
   for (SeqKind kind : {SeqKind::kPermutation, SeqKind::kJobRepetition}) {
+    const auto names = crossover_names(kind);
+    const std::set<std::string> expected(names.begin(), names.end());
     std::set<std::string> pinned;
     for (const auto& golden : kGoldenCrossovers) {
       if (golden.kind == kind) pinned.insert(golden.name);
     }
-    const auto names = crossover_names(kind);
-    EXPECT_EQ(pinned, std::set<std::string>(names.begin(), names.end()));
+    EXPECT_EQ(pinned, expected);
+    std::set<std::string> mid_pinned;
+    for (const auto& golden : kMidSizeGoldenCrossovers) {
+      if (golden.kind == kind) mid_pinned.insert(golden.name);
+    }
+    EXPECT_EQ(mid_pinned, expected);
   }
 }
 
 TEST(CrossoverGolden, ChildrenAndDrawsPinned) {
   for (const auto& golden : kGoldenCrossovers) {
     EXPECT_EQ(golden_digest(golden.name, golden.kind), golden.digest)
+        << golden.name << " on "
+        << (golden.kind == SeqKind::kPermutation ? "permutation"
+                                                 : "job repetition");
+  }
+}
+
+TEST(CrossoverGolden, MidSizeChildrenAndDrawsPinned) {
+  for (const auto& golden : kMidSizeGoldenCrossovers) {
+    EXPECT_EQ(golden_digest(golden.name, golden.kind, kMidSizes),
+              golden.digest)
         << golden.name << " on "
         << (golden.kind == SeqKind::kPermutation ? "permutation"
                                                  : "job repetition");

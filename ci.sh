@@ -2,10 +2,10 @@
 # Tier-1 verify + perf smoke for psga.
 #
 #   ./ci.sh            build, run the full ctest suite, rebuild the
-#                      cache/sweep/service/session/obs suites under
-#                      ASan/UBSan and run them, run the same binary
-#                      under TSan, run a psga_sweep smoke
-#                      sweep (JSONL + summary validated), run a psgad
+#                      cache/sweep/service/session/obs/decode-kernel/
+#                      crossover suites under ASan/UBSan and run them,
+#                      run the same binary under TSan, run a psga_sweep
+#                      smoke sweep (JSONL + summary validated), run a psgad
 #                      service smoke (submit/watch/cancel/size tokens
 #                      that crashed engines/a 200 KB line of '['/a 2 MiB
 #                      line/drain over a temp socket) and
@@ -48,9 +48,12 @@ cmake --build "$BUILD_DIR" -j "$JOBS"
 # Sanitizer leg: psga_pipeline_tests holds the suites that race threads
 # against shared state — islands and cluster ranks sharing one sharded
 # evaluation cache, sweeps running whole solver runs across lanes, the
-# service and session suites racing clients against the psgad core, and
-# metric scrapes racing the write path — so run exactly that binary
-# under ASan/UBSan.
+# service and session suites racing clients against the psgad core,
+# metric scrapes racing the write path, and four threads crossing
+# through shared const operators on thread_local scratch — plus the
+# register kernels' oracle fuzzes (GT decode, keep-and-fill crossover,
+# whose full-width buffer reads ASan checks), so run exactly that
+# binary under ASan/UBSan.
 if [[ "${SKIP_SAN:-0}" != "1" ]]; then
   SAN_DIR=${SAN_DIR:-build-asan}
   cmake -B "$SAN_DIR" -S . -DPSGA_SANITIZE=ON \
@@ -70,7 +73,8 @@ if [[ "${SKIP_SAN:-0}" != "1" ]]; then
   # ThreadSanitizer leg: the whole pipeline binary — pool lanes writing
   # one objective vector, islands and cluster ranks sharing one
   # evaluation cache, callers sharing session solve slots, readers racing
-  # close(), clients racing daemon connection threads. No thread runs
+  # close(), clients racing daemon connection threads, threads crossing
+  # through shared const operators on per-thread scratch. No thread runs
   # uninstrumented runtime code (there is no OpenMP dependency), so any
   # report fails the leg.
   TSAN_DIR=${TSAN_DIR:-build-tsan}

@@ -3,6 +3,14 @@
 #include <algorithm>
 #include <numeric>
 #include <span>
+#include <stdexcept>
+
+#include "src/ga/keep_fill.h"
+#include "src/par/cpu.h"
+
+#if defined(__x86_64__) && defined(__GNUC__)
+#include <immintrin.h>
+#endif
 
 namespace psga::ga {
 
@@ -53,29 +61,121 @@ void one_point_multiset(const std::vector<int>& keep,
   fill_in_donor_order(donor, remaining, holes, child);
 }
 
-/// Buffers of the keep-and-fill kernel. Operators are `const` and shared
-/// by island and cell threads, so the buffers live per thread; one thread
-/// serves genomes of every length, so each call resizes them.
-struct KeepFillScratch {
-  std::vector<unsigned char> take;  ///< per value: 1 = supplied by the donor
-  std::vector<std::size_t> holes;   ///< positions to refill, in visit order
-  std::vector<int> fill;            ///< donor-supplied values, in visit order
-};
-
 thread_local KeepFillScratch keep_fill_scratch;
 
-/// Order-preserving keep-and-fill, shared by JOX, OX and position-based.
-/// `child` arrives equal to `keep`. A value v is supplied by the donor iff
-/// take[v]; every position of `keep` holding a supplied value is a hole,
-/// and the holes receive the donor's supplied values in order. Holes and
-/// donor are both visited from position `start`, wrapping around. No
-/// branch per gene: each visit writes its candidates unconditionally and
-/// advances the cursors by the flags.
+constexpr std::size_t kKeepFillLanes = 16;  ///< int32 lanes of a register
+
+/// A child that leaves the sequencing chromosome alone keeps its
+/// parent's: cross_seq writes the whole chromosome on every path.
+void keep_parent_sequences(const Genome& a, const Genome& b, Genome& child1,
+                           Genome& child2) {
+  child1.seq = a.seq;
+  child2.seq = b.seq;
+}
+
+#if defined(__x86_64__) && defined(__GNUC__)
+
+// GCC 12's AVX-512 intrinsics hand an uninitialized _mm512_undefined_*()
+// pass-through to their masked builtins, and -Wmaybe-uninitialized then
+// reports it at every inlined call. Every lane those builtins return is
+// written, so the reports are false; later GCCs do not emit them.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#pragma GCC diagnostic ignored "-Wuninitialized"
+
+/// Lanes of `genes` whose value is in the take set, held as its low and
+/// high 32-bit words broadcast to every lane. A variable shift by 32 or
+/// more yields 0, so each value tests one word, and values of 64 and above
+/// (or negative) test neither.
+[[gnu::target("avx512f"), gnu::always_inline]] inline __mmask16 taken_lanes(
+    __m512i genes, __m512i low, __m512i high) {
+  const __m512i bits = _mm512_or_si512(
+      _mm512_srlv_epi32(low, genes),
+      _mm512_srlv_epi32(high, _mm512_sub_epi32(genes, _mm512_set1_epi32(32))));
+  return _mm512_test_epi32_mask(bits, _mm512_set1_epi32(1));
+}
+
+/// Pass 1 on one register of donor genes: stores its taken genes, packed,
+/// at `fill` and returns how many there are.
+[[gnu::target("avx512f,popcnt"), gnu::always_inline]] inline std::size_t
+pack_taken(__m512i genes, __mmask16 lanes, __m512i low, __m512i high,
+           int* fill) {
+  const __mmask16 taken = taken_lanes(genes, low, high) & lanes;
+  _mm512_storeu_si512(fill, _mm512_maskz_compress_epi32(taken, genes));
+  return static_cast<std::size_t>(_mm_popcnt_u32(taken));
+}
+
+/// Pass 2 on one register of kept genes: its holes take the fill values
+/// from `used` on, and `used` moves past them.
+[[gnu::target("avx512f,popcnt"), gnu::always_inline]] inline __m512i refill(
+    __m512i genes, __mmask16 lanes, __m512i low, __m512i high,
+    const int* fill, std::size_t& used) {
+  const __mmask16 holes = taken_lanes(genes, low, high) & lanes;
+  const __m512i child =
+      _mm512_mask_expand_epi32(genes, holes, _mm512_loadu_si512(fill + used));
+  used += static_cast<std::size_t>(_mm_popcnt_u32(holes));
+  return child;
+}
+
+/// keep_and_fill_registers' loop over raw rows of n genes. Each pass walks
+/// both segments of the visiting order in whole registers, then one
+/// masked tail. `fill` holds n + 16 ints: pass 1 stores 16 lanes at its
+/// cursor and pass 2 loads 16.
+[[gnu::target("avx512f,popcnt")]] void keep_and_fill_avx512(
+    const int* keep, const int* donor, std::uint64_t take, std::size_t n,
+    std::size_t start, int* fill, int* child) {
+  const __m512i low = _mm512_set1_epi32(static_cast<int>(take & 0xffffffffu));
+  const __m512i high = _mm512_set1_epi32(static_cast<int>(take >> 32));
+  constexpr __mmask16 kAll = 0xffff;
+  const std::size_t segments[2][2] = {{start, n}, {0, start}};
+  std::size_t filled = 0;
+  for (const auto& [begin, end] : segments) {
+    std::size_t i = begin;
+    for (; i + kKeepFillLanes <= end; i += kKeepFillLanes) {
+      filled += pack_taken(_mm512_loadu_si512(donor + i), kAll, low, high,
+                           fill + filled);
+    }
+    if (i < end) {
+      const auto lanes = static_cast<__mmask16>((1u << (end - i)) - 1);
+      filled += pack_taken(_mm512_maskz_loadu_epi32(lanes, donor + i), lanes,
+                           low, high, fill + filled);
+    }
+  }
+  std::size_t used = 0;
+  for (const auto& [begin, end] : segments) {
+    std::size_t i = begin;
+    for (; i + kKeepFillLanes <= end; i += kKeepFillLanes) {
+      _mm512_storeu_si512(child + i, refill(_mm512_loadu_si512(keep + i),
+                                            kAll, low, high, fill, used));
+    }
+    if (i < end) {
+      const auto lanes = static_cast<__mmask16>((1u << (end - i)) - 1);
+      _mm512_mask_storeu_epi32(
+          child + i, lanes,
+          refill(_mm512_maskz_loadu_epi32(lanes, keep + i), lanes, low, high,
+                 fill, used));
+    }
+  }
+}
+
+#pragma GCC diagnostic pop
+
+#endif
+
+}  // namespace
+
+bool keep_fill_in_registers(std::size_t values) {
+  return par::cpu_features().avx512f && values <= kRegisterTakeValues;
+}
+
+/// No branch per gene: each visit writes its candidates unconditionally
+/// and advances the cursors by the flags.
 void keep_and_fill(KeepFillScratch& s, std::span<const int> keep,
                    std::span<const int> donor,
                    std::span<const unsigned char> take, std::size_t start,
                    std::vector<int>& child) {
   const std::size_t n = keep.size();
+  child.assign(keep.begin(), keep.end());
   s.holes.resize(n);
   s.fill.resize(n);
   std::size_t holes = 0;
@@ -91,14 +191,30 @@ void keep_and_fill(KeepFillScratch& s, std::span<const int> keep,
   for (std::size_t k = 0; k < holes; ++k) child[s.holes[k]] = s.fill[k];
 }
 
-}  // namespace
+void keep_and_fill_registers(KeepFillScratch& s, std::span<const int> keep,
+                             std::span<const int> donor, std::uint64_t take,
+                             std::size_t start, std::vector<int>& child) {
+  const std::size_t n = keep.size();
+  child.resize(n);
+  if (s.fill.size() < n + kKeepFillLanes) s.fill.resize(n + kKeepFillLanes);
+#if defined(__x86_64__) && defined(__GNUC__)
+  keep_and_fill_avx512(keep.data(), donor.data(), take, n, start,
+                       s.fill.data(), child.data());
+#else
+  (void)donor, (void)take, (void)start;
+  throw std::logic_error("keep_and_fill_registers: built without AVX-512");
+#endif
+}
 
 void Crossover::cross(const Genome& a, const Genome& b,
                       const GenomeTraits& traits, Genome& child1,
                       Genome& child2, par::Rng& rng) const {
-  child1 = a;
-  child2 = b;
-  // Auxiliary channels first (sequencing operators may overwrite them).
+  // Auxiliary channels first (sequencing operators may overwrite them);
+  // cross_seq writes the whole sequencing chromosome.
+  child1.assign = a.assign;
+  child2.assign = b.assign;
+  child1.keys = a.keys;
+  child2.keys = b.keys;
   if (!traits.assign_domain.empty()) {
     for (std::size_t i = 0; i < child1.assign.size(); ++i) {
       if (rng.chance(0.5)) std::swap(child1.assign[i], child2.assign[i]);
@@ -130,7 +246,7 @@ void OnePointOrderCrossover::cross_seq(const Genome& a, const Genome& b,
                                        Genome& child1, Genome& child2,
                                        par::Rng& rng) const {
   const std::size_t n = a.seq.size();
-  if (n < 2) return;
+  if (n < 2) return keep_parent_sequences(a, b, child1, child2);
   const std::size_t cut = 1 + rng.below(n - 1);
   one_point_multiset(a.seq, b.seq, traits, cut, child1.seq);
   one_point_multiset(b.seq, a.seq, traits, cut, child2.seq);
@@ -147,11 +263,11 @@ void TwoPointOrderCrossover::cross_seq(const Genome& a, const Genome& b,
                                        Genome& child1, Genome& child2,
                                        par::Rng& rng) const {
   const std::size_t n = a.seq.size();
-  if (n < 2) return;
+  if (n < 2) return keep_parent_sequences(a, b, child1, child2);
   std::size_t lo = rng.below(n);
   std::size_t hi = rng.below(n);
   if (lo > hi) std::swap(lo, hi);
-  if (lo == hi) return;  // degenerate window: children stay parent copies
+  if (lo == hi) return keep_parent_sequences(a, b, child1, child2);
 
   auto build = [&](const std::vector<int>& keep, const std::vector<int>& donor,
                    std::vector<int>& child) {
@@ -174,7 +290,7 @@ void PmxCrossover::cross_seq(const Genome& a, const Genome& b,
                              const GenomeTraits& traits, Genome& child1,
                              Genome& child2, par::Rng& rng) const {
   const std::size_t n = a.seq.size();
-  if (n < 2) return;
+  if (n < 2) return keep_parent_sequences(a, b, child1, child2);
   std::size_t lo = rng.below(n);
   std::size_t hi = rng.below(n);
   if (lo > hi) std::swap(lo, hi);
@@ -209,16 +325,27 @@ void OxCrossover::cross_seq(const Genome& a, const Genome& b,
                             const GenomeTraits& /*traits*/, Genome& child1,
                             Genome& child2, par::Rng& rng) const {
   const std::size_t n = a.seq.size();
-  if (n < 2) return;
+  if (n < 2) return keep_parent_sequences(a, b, child1, child2);
   std::size_t lo = rng.below(n);
   std::size_t hi = rng.below(n);
   if (lo > hi) std::swap(lo, hi);
   ++hi;  // window [lo, hi)
 
   // Each child keeps its parent's window and takes every other value in
-  // donor order, read and written from just after the window. take[0, n)
-  // flags child1's donor values, take[n, 2n) child2's.
+  // donor order, read and written from just after the window.
   KeepFillScratch& s = keep_fill_scratch;
+  if (keep_fill_in_registers(n)) {
+    std::uint64_t window_a = 0;
+    std::uint64_t window_b = 0;
+    for (std::size_t i = lo; i < hi; ++i) {
+      window_a |= std::uint64_t{1} << a.seq[i];
+      window_b |= std::uint64_t{1} << b.seq[i];
+    }
+    keep_and_fill_registers(s, a.seq, b.seq, ~window_a, hi % n, child1.seq);
+    keep_and_fill_registers(s, b.seq, a.seq, ~window_b, hi % n, child2.seq);
+    return;
+  }
+  // take[0, n) flags child1's donor values, take[n, 2n) child2's.
   s.take.assign(2 * n, 1);
   for (std::size_t i = lo; i < hi; ++i) {
     s.take[static_cast<std::size_t>(a.seq[i])] = 0;
@@ -235,7 +362,7 @@ void CycleCrossover::cross_seq(const Genome& a, const Genome& b,
                                const GenomeTraits& /*traits*/, Genome& child1,
                                Genome& child2, par::Rng& /*rng*/) const {
   const std::size_t n = a.seq.size();
-  if (n < 2) return;
+  if (n < 2) return keep_parent_sequences(a, b, child1, child2);
   std::vector<int> pos_in_a(n);
   for (std::size_t i = 0; i < n; ++i) {
     pos_in_a[static_cast<std::size_t>(a.seq[i])] = static_cast<int>(i);
@@ -267,7 +394,7 @@ void PositionBasedCrossover::cross_seq(const Genome& a, const Genome& b,
                                        Genome& child1, Genome& child2,
                                        par::Rng& rng) const {
   const std::size_t n = a.seq.size();
-  if (n < 2) return;
+  if (n < 2) return keep_parent_sequences(a, b, child1, child2);
   // One coin per position, shared by both children: a kept position keeps
   // its parent's value, every other value comes in donor order. take[0, n)
   // flags child1's donor values, take[n, 2n) child2's.
@@ -293,11 +420,21 @@ void JoxCrossover::cross_seq(const Genome& a, const Genome& b,
                              const GenomeTraits& traits, Genome& child1,
                              Genome& child2, par::Rng& rng) const {
   const std::size_t n = a.seq.size();
-  if (n < 2) return;
+  if (n < 2) return keep_parent_sequences(a, b, child1, child2);
   // One coin per job: a chosen job keeps its positions in both children,
   // the other jobs' operations come in donor order.
   KeepFillScratch& s = keep_fill_scratch;
-  s.take.resize(static_cast<std::size_t>(max_value(traits)));
+  const auto values = static_cast<std::size_t>(max_value(traits));
+  if (keep_fill_in_registers(values)) {
+    std::uint64_t take = 0;
+    for (std::size_t v = 0; v < values; ++v) {
+      take |= std::uint64_t{!rng.chance(0.5)} << v;
+    }
+    keep_and_fill_registers(s, a.seq, b.seq, take, 0, child1.seq);
+    keep_and_fill_registers(s, b.seq, a.seq, take, 0, child2.seq);
+    return;
+  }
+  s.take.resize(values);
   for (auto& flag : s.take) flag = !rng.chance(0.5);
   keep_and_fill(s, a.seq, b.seq, s.take, 0, child1.seq);
   keep_and_fill(s, b.seq, a.seq, s.take, 0, child2.seq);
@@ -313,7 +450,7 @@ void PpxCrossover::cross_seq(const Genome& a, const Genome& b,
                              const GenomeTraits& traits, Genome& child1,
                              Genome& child2, par::Rng& rng) const {
   const std::size_t n = a.seq.size();
-  if (n < 2) return;
+  if (n < 2) return keep_parent_sequences(a, b, child1, child2);
   const int values = max_value(traits);
   std::vector<bool> mask(n);
   for (auto&& bit : mask) bit = rng.chance(0.5);
@@ -372,7 +509,7 @@ void ThxCrossover::cross_seq(const Genome& a, const Genome& b,
                              const GenomeTraits& traits, Genome& child1,
                              Genome& child2, par::Rng& rng) const {
   const std::size_t n = a.seq.size();
-  if (n < 3) return;
+  if (n < 3) return keep_parent_sequences(a, b, child1, child2);
   // "Time horizon": a cut in the middle third of the chromosome — the
   // prefix approximates the early part of the schedule.
   const std::size_t third = n / 3;
@@ -387,6 +524,7 @@ void UniformKeyCrossover::cross_seq(const Genome& a, const Genome& b,
                                     const GenomeTraits& /*traits*/,
                                     Genome& child1, Genome& child2,
                                     par::Rng& rng) const {
+  keep_parent_sequences(a, b, child1, child2);
   for (std::size_t i = 0; i < child1.keys.size(); ++i) {
     const bool from_a = rng.chance(bias_);
     child1.keys[i] = from_a ? a.keys[i] : b.keys[i];
@@ -400,6 +538,7 @@ void ArithmeticKeyCrossover::cross_seq(const Genome& a, const Genome& b,
                                        const GenomeTraits& /*traits*/,
                                        Genome& child1, Genome& child2,
                                        par::Rng& rng) const {
+  keep_parent_sequences(a, b, child1, child2);
   const double alpha = rng.uniform();
   for (std::size_t i = 0; i < child1.keys.size(); ++i) {
     child1.keys[i] = alpha * a.keys[i] + (1.0 - alpha) * b.keys[i];

@@ -22,6 +22,13 @@
 // mutable state. Operators that need buffers (JOX, OX, position-based)
 // keep them thread-local and resize them per call; once grown they
 // allocate nothing. Children must not alias either parent.
+//
+// JOX, OX and position-based share one keep-and-fill core
+// (src/ga/keep_fill.h). For JOX on up to 64 jobs and OX on permutations
+// of up to 64 values, an AVX-512 loop writes each child when the CPU
+// reports AVX-512F; otherwise (and for position-based) the scalar loop,
+// its oracle, does. Both paths draw the same random numbers and write the
+// same children.
 #pragma once
 
 #include <memory>
@@ -48,8 +55,11 @@ class Crossover {
              Genome& child1, Genome& child2, par::Rng& rng) const;
 
  protected:
-  /// Sequencing-channel recombination; children arrive as copies of the
-  /// parents (child1 = a, child2 = b) and implementations rewrite seq.
+  /// Sequencing-channel recombination. Children arrive with `assign` and
+  /// `keys` already recombined and `seq` holding anything (a genome of
+  /// another length, or nothing). Every implementation writes the whole
+  /// `seq` of both children; one that leaves the chromosome alone (an
+  /// early return) assigns the parents' sequences.
   virtual void cross_seq(const Genome& a, const Genome& b,
                          const GenomeTraits& traits, Genome& child1,
                          Genome& child2, par::Rng& rng) const = 0;

@@ -8,6 +8,8 @@
 #include <string>
 #include <type_traits>
 
+#include "src/par/cpu.h"
+
 #if defined(__x86_64__) && defined(__GNUC__)
 #include <immintrin.h>
 #endif
@@ -299,24 +301,11 @@ constexpr std::int32_t kSentinelMachine = kLanes - 1;
 constexpr std::int32_t kNever = std::numeric_limits<std::int32_t>::max();
 constexpr int kLockstep = 4;  ///< genomes whose step chains overlap
 
-bool cpu_runs_registers() {
-#if defined(__x86_64__) && defined(__GNUC__)
-  // Safe before main: a static initializer may build a JobShopProblem
-  // ahead of libgcc's own CPU probe.
-  static const bool supported = [] {
-    __builtin_cpu_init();
-    return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("bmi");
-  }();
-  return supported;
-#else
-  return false;
-#endif
-}
-
 }  // namespace
 
 GtRouteTable::GtRouteTable(const JobShopInstance& inst) {
-  if (!cpu_runs_registers() || inst.jobs > kLanes ||
+  const par::CpuFeatures& cpu = par::cpu_features();
+  if (!cpu.avx512f || !cpu.bmi || inst.jobs > kLanes ||
       inst.machines > kLanes - 1 ||
       static_cast<int>(inst.ops.size()) != inst.jobs) {
     return;

@@ -453,5 +453,142 @@ TEST(CrossoverGolden, EngineRunsPinned) {
   }
 }
 
+// --- the cross_seq contract ----------------------------------------------
+//
+// cross() copies and recombines only `assign` and `keys`; every cross_seq
+// writes the whole sequencing chromosome, so children may arrive holding
+// any genome at all.
+
+constexpr int kSentinel = -7;
+
+/// A pure objective over any traits, for the operators that search (MSXF,
+/// path relinking): position-weighted gene sum.
+class PositionWeightProblem final : public Problem {
+ public:
+  explicit PositionWeightProblem(GenomeTraits traits)
+      : traits_(std::move(traits)) {}
+  const GenomeTraits& traits() const override { return traits_; }
+  Genome random_genome(par::Rng& rng) const override {
+    return ga::random_genome(traits_, rng);
+  }
+  double objective(const Genome& genome) const override {
+    double sum = 0;
+    for (std::size_t i = 0; i < genome.seq.size(); ++i) {
+      sum += static_cast<double>(i + 1) * genome.seq[i];
+    }
+    return sum;
+  }
+
+ private:
+  GenomeTraits traits_;
+};
+
+/// A genome of `length` sentinel genes in every channel.
+Genome sentinel_genome(std::size_t length) {
+  Genome g;
+  g.seq.assign(length, kSentinel);
+  g.assign.assign(length, kSentinel);
+  g.keys.assign(length, kSentinel);
+  return g;
+}
+
+/// `kind` traits over n genes, with an assignment and a keys channel.
+GenomeTraits contract_traits(SeqKind kind, int n) {
+  GenomeTraits traits;
+  if (kind == SeqKind::kNone) {
+    traits.seq_kind = SeqKind::kNone;
+  } else {
+    traits = golden_traits(kind, n);
+  }
+  for (int i = 0; i < n; ++i) traits.assign_domain.push_back(2 + i % 3);
+  traits.key_length = n;
+  return traits;
+}
+
+/// Every registry crossover for `kind`, plus MSXF and path relinking on
+/// the sequencing kinds.
+std::vector<CrossoverPtr> contract_crossovers(SeqKind kind,
+                                              const GenomeTraits& traits) {
+  std::vector<CrossoverPtr> crossovers;
+  for (const std::string& name : crossover_names(kind)) {
+    crossovers.push_back(make_crossover(name));
+  }
+  if (kind != SeqKind::kNone) {
+    const auto problem = std::make_shared<PositionWeightProblem>(traits);
+    crossovers.push_back(std::make_shared<MsxfCrossover>(problem, 4));
+    crossovers.push_back(std::make_shared<PathRelinkCrossover>(problem, 3));
+  }
+  return crossovers;
+}
+
+TEST(CrossoverContract, ChildrenArrivingWithAnyGenomeKeepNoSentinel) {
+  par::Rng rng(0xc0de);
+  for (SeqKind kind :
+       {SeqKind::kPermutation, SeqKind::kJobRepetition, SeqKind::kNone}) {
+    for (int n : {0, 1, 2, 3, 7, 50, 100}) {
+      const GenomeTraits traits = contract_traits(kind, n);
+      for (const CrossoverPtr& cx : contract_crossovers(kind, traits)) {
+        SCOPED_TRACE(cx->name() + " n " + std::to_string(n));
+        for (int trial = 0; trial < 4; ++trial) {
+          const Genome a = random_genome(traits, rng);
+          const Genome b = random_genome(traits, rng);
+          const auto size = static_cast<std::size_t>(n);
+          Genome c1 = sentinel_genome(size + 5);
+          Genome c2 = sentinel_genome(size >= 2 ? size / 2 : size + 1);
+          cx->cross(a, b, traits, c1, c2, rng);
+          for (const Genome* child : {&c1, &c2}) {
+            const auto& [seq, assign, keys] = *child;
+            ASSERT_EQ(seq.size(), a.seq.size());
+            ASSERT_EQ(assign.size(), a.assign.size());
+            ASSERT_EQ(keys.size(), a.keys.size());
+            EXPECT_EQ(std::count(seq.begin(), seq.end(), kSentinel), 0);
+            EXPECT_EQ(std::count(assign.begin(), assign.end(), kSentinel), 0);
+            EXPECT_EQ(std::count(keys.begin(), keys.end(), double{kSentinel}),
+                      0);
+          }
+          if (kind != SeqKind::kNone) {
+            EXPECT_TRUE(genome_valid(c1, traits));
+            EXPECT_TRUE(genome_valid(c2, traits));
+          }
+          // Early returns (n < 2; THX below 3) keep the parents' sequences.
+          if (n < 2 || (cx->name() == "thx" && n < 3) ||
+              kind == SeqKind::kNone) {
+            EXPECT_EQ(c1.seq, a.seq);
+            EXPECT_EQ(c2.seq, b.seq);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(CrossoverContract, DegenerateTwoPointWindowKeepsTheParentSequences) {
+  // With no auxiliary channel, two-point's first two draws are its window
+  // ends; when they coincide it returns early.
+  const CrossoverPtr cx = make_crossover("two-point");
+  par::Rng rng(0xd0d);
+  int degenerate = 0;
+  for (SeqKind kind : {SeqKind::kPermutation, SeqKind::kJobRepetition}) {
+    for (int n : {2, 3, 7}) {
+      const GenomeTraits traits = golden_traits(kind, n);
+      for (int trial = 0; trial < 20; ++trial) {
+        const Genome a = random_genome(traits, rng);
+        const Genome b = random_genome(traits, rng);
+        par::Rng probe = rng;
+        const std::uint64_t lo = probe.below(static_cast<std::uint64_t>(n));
+        const std::uint64_t hi = probe.below(static_cast<std::uint64_t>(n));
+        Genome c1 = sentinel_genome(static_cast<std::size_t>(n) + 3);
+        Genome c2;
+        cx->cross(a, b, traits, c1, c2, rng);
+        if (lo != hi) continue;
+        ++degenerate;
+        EXPECT_EQ(c1, a);
+        EXPECT_EQ(c2, b);
+      }
+    }
+  }
+  EXPECT_GT(degenerate, 0);
+}
+
 }  // namespace
 }  // namespace psga::ga

@@ -2,7 +2,9 @@
 // channels valid — assignment values inside their per-position domains
 // and key values a blend/selection of the parents' keys. The flexible
 // shops depend on this (their genomes carry sequencing + assignment, lot
-// streaming carries sequencing + keys).
+// streaming carries sequencing + keys). Each sweep also runs at n = 50,
+// where JOX and OX take sets span both words of the register
+// keep-and-fill loop.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -40,20 +42,22 @@ class AuxChannelSweep : public ::testing::TestWithParam<std::string> {};
 TEST_P(AuxChannelSweep, AssignChannelStaysInDomainAndFromParents) {
   const CrossoverPtr cx = make_crossover(GetParam());
   if (!cx->supports(SeqKind::kPermutation)) GTEST_SKIP();
-  const GenomeTraits traits = traits_with_channels(12, true, false);
   par::Rng rng(101);
-  for (int trial = 0; trial < 30; ++trial) {
-    const Genome a = random_genome(traits, rng);
-    const Genome b = random_genome(traits, rng);
-    Genome c1;
-    Genome c2;
-    cx->cross(a, b, traits, c1, c2, rng);
-    ASSERT_TRUE(genome_valid(c1, traits)) << GetParam();
-    ASSERT_TRUE(genome_valid(c2, traits)) << GetParam();
-    for (std::size_t i = 0; i < c1.assign.size(); ++i) {
-      EXPECT_TRUE(c1.assign[i] == a.assign[i] || c1.assign[i] == b.assign[i]);
-      // Complementary: what child1 did not take, child2 holds.
-      EXPECT_TRUE(c2.assign[i] == a.assign[i] || c2.assign[i] == b.assign[i]);
+  for (int n : {12, 50}) {
+    const GenomeTraits traits = traits_with_channels(n, true, false);
+    for (int trial = 0; trial < 30; ++trial) {
+      const Genome a = random_genome(traits, rng);
+      const Genome b = random_genome(traits, rng);
+      Genome c1;
+      Genome c2;
+      cx->cross(a, b, traits, c1, c2, rng);
+      ASSERT_TRUE(genome_valid(c1, traits)) << GetParam() << " n " << n;
+      ASSERT_TRUE(genome_valid(c2, traits)) << GetParam() << " n " << n;
+      for (std::size_t i = 0; i < c1.assign.size(); ++i) {
+        EXPECT_TRUE(c1.assign[i] == a.assign[i] || c1.assign[i] == b.assign[i]);
+        // Complementary: what child1 did not take, child2 holds.
+        EXPECT_TRUE(c2.assign[i] == a.assign[i] || c2.assign[i] == b.assign[i]);
+      }
     }
   }
 }
@@ -61,20 +65,22 @@ TEST_P(AuxChannelSweep, AssignChannelStaysInDomainAndFromParents) {
 TEST_P(AuxChannelSweep, KeyChannelStaysInParentRange) {
   const CrossoverPtr cx = make_crossover(GetParam());
   if (!cx->supports(SeqKind::kPermutation)) GTEST_SKIP();
-  const GenomeTraits traits = traits_with_channels(10, false, true);
   par::Rng rng(102);
-  for (int trial = 0; trial < 30; ++trial) {
-    const Genome a = random_genome(traits, rng);
-    const Genome b = random_genome(traits, rng);
-    Genome c1;
-    Genome c2;
-    cx->cross(a, b, traits, c1, c2, rng);
-    ASSERT_TRUE(genome_valid(c1, traits)) << GetParam();
-    for (std::size_t i = 0; i < c1.keys.size(); ++i) {
-      const double lo = std::min(a.keys[i], b.keys[i]) - 1e-12;
-      const double hi = std::max(a.keys[i], b.keys[i]) + 1e-12;
-      EXPECT_GE(c1.keys[i], lo) << GetParam();
-      EXPECT_LE(c1.keys[i], hi) << GetParam();
+  for (int n : {10, 50}) {
+    const GenomeTraits traits = traits_with_channels(n, false, true);
+    for (int trial = 0; trial < 30; ++trial) {
+      const Genome a = random_genome(traits, rng);
+      const Genome b = random_genome(traits, rng);
+      Genome c1;
+      Genome c2;
+      cx->cross(a, b, traits, c1, c2, rng);
+      ASSERT_TRUE(genome_valid(c1, traits)) << GetParam() << " n " << n;
+      for (std::size_t i = 0; i < c1.keys.size(); ++i) {
+        const double lo = std::min(a.keys[i], b.keys[i]) - 1e-12;
+        const double hi = std::max(a.keys[i], b.keys[i]) + 1e-12;
+        EXPECT_GE(c1.keys[i], lo) << GetParam();
+        EXPECT_LE(c1.keys[i], hi) << GetParam();
+      }
     }
   }
 }
@@ -82,16 +88,18 @@ TEST_P(AuxChannelSweep, KeyChannelStaysInParentRange) {
 TEST_P(AuxChannelSweep, BothChannelsTogether) {
   const CrossoverPtr cx = make_crossover(GetParam());
   if (!cx->supports(SeqKind::kPermutation)) GTEST_SKIP();
-  const GenomeTraits traits = traits_with_channels(8, true, true);
   par::Rng rng(103);
-  for (int trial = 0; trial < 20; ++trial) {
-    const Genome a = random_genome(traits, rng);
-    const Genome b = random_genome(traits, rng);
-    Genome c1;
-    Genome c2;
-    cx->cross(a, b, traits, c1, c2, rng);
-    ASSERT_TRUE(genome_valid(c1, traits)) << GetParam();
-    ASSERT_TRUE(genome_valid(c2, traits)) << GetParam();
+  for (int n : {8, 50}) {
+    const GenomeTraits traits = traits_with_channels(n, true, true);
+    for (int trial = 0; trial < 20; ++trial) {
+      const Genome a = random_genome(traits, rng);
+      const Genome b = random_genome(traits, rng);
+      Genome c1;
+      Genome c2;
+      cx->cross(a, b, traits, c1, c2, rng);
+      ASSERT_TRUE(genome_valid(c1, traits)) << GetParam() << " n " << n;
+      ASSERT_TRUE(genome_valid(c2, traits)) << GetParam() << " n " << n;
+    }
   }
 }
 

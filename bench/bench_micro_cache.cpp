@@ -111,15 +111,14 @@ std::vector<Genome> random_genomes(const Problem& problem, std::size_t count) {
 constexpr std::size_t kBatch = 256;
 
 // Raw cache-layer cost of a hit: key, lookup and recency touch on a full
-// batch, per genome. A hit must cost less than the decode it saves.
+// batch, per genome. A hit must cost less than the decode it saves. The
+// capacity is far above the batch, so every shard holds its share.
 void BM_CacheHitBatch(benchmark::State& state, Shape shape) {
   const ProblemPtr problem = shape_problem(shape);
   const std::vector<Genome> population = random_genomes(*problem, kBatch);
   std::vector<double> objectives(kBatch, 0.0);
-  Evaluator evaluator(problem, EvalBackend::kSerial);
-  EvalCacheConfig cache_cfg;
-  cache_cfg.mode = EvalCacheMode::kUnbounded;
-  evaluator.set_cache(std::make_shared<EvalCache>(cache_cfg));
+  Evaluator evaluator(problem, EvalBackend::kSerial, nullptr,
+                      std::make_shared<EvalCache>(256 * kBatch));
   evaluator.evaluate(population, objectives);  // warm: everything misses once
   for (auto _ : state) {
     evaluator.evaluate(population, objectives);  // all hits
@@ -140,15 +139,8 @@ void BM_CacheMissBatch(benchmark::State& state, Shape shape, bool cached) {
   const std::size_t capacity = 4096;
   const std::vector<Genome> pool = random_genomes(*problem, 2 * capacity);
   std::vector<double> objectives(kBatch, 0.0);
-  Evaluator evaluator(problem, EvalBackend::kSerial);
-  EvalCachePtr cache;
-  if (cached) {
-    EvalCacheConfig cache_cfg;
-    cache_cfg.mode = EvalCacheMode::kLru;
-    cache_cfg.capacity = capacity;
-    cache = std::make_shared<EvalCache>(cache_cfg);
-    evaluator.set_cache(cache);
-  }
+  const EvalCachePtr cache = EvalCache::make(cached ? capacity : 0);
+  Evaluator evaluator(problem, EvalBackend::kSerial, nullptr, cache);
   const std::span<const Genome> genomes(pool);
   std::size_t begin = 0;
   const auto next_batch = [&] {

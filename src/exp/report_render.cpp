@@ -10,6 +10,7 @@
 #include <stdexcept>
 
 #include "src/exp/json.h"
+#include "src/exp/telemetry.h"
 #include "src/stats/descriptive.h"
 
 namespace psga::exp {
@@ -82,12 +83,7 @@ ReportCell parse_cell(const Json& record) {
     }
   }
   if (const Json* cache = record.find("cache"); cache != nullptr) {
-    ga::EvalCacheStats stats;
-    stats.hits = cache->integer_or("hits", 0LL);
-    stats.misses = cache->integer_or("misses", 0LL);
-    stats.inserts = cache->integer_or("inserts", 0LL);
-    stats.evictions = cache->integer_or("evictions", 0LL);
-    cell.cache = stats;
+    cell.cache = cache_from_json(*cache);
   }
   return cell;
 }

@@ -168,13 +168,8 @@ Json cell_record(const SweepSpec& spec, const CellResult& result,
   // when no cache is configured), so downstream consumers never branch
   // on their presence. value_or covers results resumed from pre-schema
   // telemetry files, which may predate the unconditional field.
-  const ga::EvalCacheStats cache =
-      result.result.cache.value_or(ga::EvalCacheStats{});
-  line.set("cache", Json::object()
-                        .set("hits", Json::integer(cache.hits))
-                        .set("misses", Json::integer(cache.misses))
-                        .set("inserts", Json::integer(cache.inserts))
-                        .set("evictions", Json::integer(cache.evictions)));
+  line.set("cache", cache_to_json(
+                        result.result.cache.value_or(ga::EvalCacheStats{})));
   return line;
 }
 
@@ -243,12 +238,7 @@ CellResult cell_result_from_record(const SweepCell& cell, const Json& record) {
       record.integer_or("evaluations", result.result.evaluations);
   result.result.problem = record.string_or("problem", "");
   if (const Json* cache = record.find("cache")) {
-    ga::EvalCacheStats stats;
-    stats.hits = cache->integer_or("hits", 0LL);
-    stats.misses = cache->integer_or("misses", 0LL);
-    stats.inserts = cache->integer_or("inserts", 0LL);
-    stats.evictions = cache->integer_or("evictions", 0LL);
-    result.result.cache = stats;
+    result.result.cache = cache_from_json(*cache);
   }
   return result;
 }

@@ -28,13 +28,30 @@ long long TelemetrySink::lines() const {
   return lines_;
 }
 
+Json cache_to_json(const ga::EvalCacheStats& stats) {
+  return Json::object()
+      .set("hits", Json::integer(stats.hits))
+      .set("misses", Json::integer(stats.misses))
+      .set("inserts", Json::integer(stats.inserts))
+      .set("evictions", Json::integer(stats.evictions));
+}
+
+ga::EvalCacheStats cache_from_json(const Json& json) {
+  ga::EvalCacheStats stats;
+  stats.hits = json.integer_or("hits", 0LL);
+  stats.misses = json.integer_or("misses", 0LL);
+  stats.inserts = json.integer_or("inserts", 0LL);
+  stats.evictions = json.integer_or("evictions", 0LL);
+  return stats;
+}
+
 bool CellObserver::on_generation(const ga::Engine& engine,
                                  const ga::GenerationEvent& event) {
   (void)engine;
   if (every_ > 0 && event.generation % every_ == 0) {
     sink_->write(Json::object()
                      .set("event", Json::string("generation"))
-                     .set("cell", Json::integer(cell_))
+                     .set(id_key_, Json::integer(id_))
                      .set("generation", Json::integer(event.generation))
                      .set("best", Json::number(event.best_objective))
                      .set("evaluations", Json::integer(event.evaluations))
@@ -48,7 +65,7 @@ void CellObserver::on_improvement(const ga::Engine& engine,
   (void)engine;
   sink_->write(Json::object()
                    .set("event", Json::string("improvement"))
-                   .set("cell", Json::integer(cell_))
+                   .set(id_key_, Json::integer(id_))
                    .set("generation", Json::integer(event.generation))
                    .set("best", Json::number(event.best_objective)));
 }
@@ -56,7 +73,7 @@ void CellObserver::on_improvement(const ga::Engine& engine,
 void CellObserver::on_migration(const ga::MigrationEvent& event) {
   sink_->write(Json::object()
                    .set("event", Json::string("migration"))
-                   .set("cell", Json::integer(cell_))
+                   .set(id_key_, Json::integer(id_))
                    .set("epoch", Json::integer(event.epoch))
                    .set("from", Json::integer(event.from))
                    .set("to", Json::integer(event.to))

@@ -19,7 +19,9 @@
 //   sweep_end    sweep, ok, failed, seconds
 //
 // The solver service (src/svc) reuses the same record shapes with `job`
-// in place of `cell` and a final `job_end` record (docs/service.md).
+// in place of `cell` and a final `job_end` record (docs/service.md): its
+// event lines come from CellObserver too, and every `cache` object, in
+// cell, job_end and job status records alike, from cache_to_json.
 //
 // Cell seeds are full-range uint64 and render as exact JSON integers.
 // Lines from concurrent cells interleave, but each line is written
@@ -72,13 +74,21 @@ class TelemetrySink {
   long long lines_ = 0;
 };
 
-/// RunObserver streaming one cell's events into a sink. `every` thins the
-/// per-generation stream (1 = every generation, 0 = none; improvements
-/// and migrations always stream).
-class CellObserver final : public ga::RunObserver {
+/// The `cache{hits,misses,inserts,evictions}` object of the records
+/// above, and its reader (a missing counter reads 0).
+Json cache_to_json(const ga::EvalCacheStats& stats);
+ga::EvalCacheStats cache_from_json(const Json& json);
+
+/// RunObserver streaming one run's events into a sink, each line keyed
+/// `id_key: id` (`cell` in sweeps, `job` in the daemon). `every` thins
+/// the per-generation stream (1 = every generation, 0 = none;
+/// improvements and migrations always stream). on_generation never stops
+/// the run; the daemon's override adds its cancel check.
+class CellObserver : public ga::RunObserver {
  public:
-  CellObserver(TelemetrySink& sink, int cell_index, int every = 1)
-      : sink_(&sink), cell_(cell_index), every_(every) {}
+  CellObserver(TelemetrySink& sink, long long id, int every = 1,
+               const char* id_key = "cell")
+      : sink_(&sink), id_key_(id_key), id_(id), every_(every) {}
 
   bool on_generation(const ga::Engine& engine,
                      const ga::GenerationEvent& event) override;
@@ -88,7 +98,8 @@ class CellObserver final : public ga::RunObserver {
 
  private:
   TelemetrySink* sink_;
-  int cell_;
+  const char* id_key_;
+  long long id_;
   int every_;
 };
 

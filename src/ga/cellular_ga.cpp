@@ -12,16 +12,14 @@ CellularGa::CellularGa(ProblemPtr problem, CellularConfig config,
     : problem_(std::move(problem)),
       config_(std::move(config)),
       pool_(pool != nullptr ? pool : &par::default_pool()),
-      evaluator_(problem_, config_.eval_backend, pool_) {
+      evaluator_(problem_, config_.eval_backend, pool_, config_.eval_cache) {
   if (!config_.crossover || !config_.mutation) {
     OperatorConfig defaults = default_operators(*problem_);
     if (!config_.crossover) config_.crossover = defaults.crossover;
     if (!config_.mutation) config_.mutation = defaults.mutation;
   }
-  evaluator_.set_cache(
-      EvalCache::make(config_.eval_cache, config_.shared_eval_cache));
   obs::ensure_registry(config_.metrics);
-  attach_obs(config_.metrics, config_.tracer);
+  attach(config_.metrics, config_.tracer, config_.eval_cache);
   evaluator_.set_obs(config_.metrics, config_.tracer);
 }
 

@@ -40,10 +40,9 @@ struct CellularConfig {
   /// Fitness batches for the whole grid; the torus is the survey's
   /// fine-grained parallel model, so the parallel pool is the default.
   EvalBackend eval_backend = EvalBackend::kThreadPool;
-  /// Objective memoization (see eval_cache.h); off by default.
-  EvalCacheConfig eval_cache;
-  /// Pre-built cache shared across islands (islands-of-cellular).
-  EvalCachePtr shared_eval_cache;
+  /// Objective memoization (see GaConfig::eval_cache); null = off. The
+  /// islands-of-cellular engine hands one handle to every torus.
+  EvalCachePtr eval_cache;
   Termination termination;
   std::uint64_t seed = 1;
   /// Injected initial individuals (warm start): they occupy the leading
@@ -78,9 +77,6 @@ class CellularGa : public Engine {
   }
   double objective_of(int cell) const override {
     return objectives_[static_cast<std::size_t>(cell)];
-  }
-  EvalCachePtr eval_cache_shared() const override {
-    return evaluator_.cache_ptr();
   }
   StopCondition stop_default() const override { return config_.termination; }
   bool seed_population(std::vector<Genome> genomes) override {

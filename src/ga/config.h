@@ -43,11 +43,11 @@ struct GaConfig;
 
 /// Demotes `base` for an inner engine stepped from a pool thread (an
 /// island, a cluster rank): the non-reentrant ThreadPool must not be
-/// entered again, so every backend becomes kSerial; `shared_cache` (may
-/// be null) is wired in so all inner engines memoize into one table.
+/// entered again, so every backend becomes kSerial. The cache handle is
+/// copied with the rest, so all inner engines memoize into one table.
 /// Island-structured engines MUST build their inner configs through this
 /// helper.
-GaConfig inner_engine_config(GaConfig base, EvalCachePtr shared_cache);
+GaConfig inner_engine_config(GaConfig base);
 
 struct GaConfig {
   int population = 100;
@@ -74,14 +74,13 @@ struct GaConfig {
   /// that already parallelize at a coarser level (islands, cluster ranks)
   /// force this to kSerial for their inner engines.
   EvalBackend eval_backend = EvalBackend::kSerial;
-  /// Objective memoization by genome key (see eval_cache.h); off by
-  /// default. Traces are bit-identical with the cache on or off.
-  EvalCacheConfig eval_cache;
-  /// Pre-built cache to share across engines — island-structured engines
-  /// set this on their inner configs so elites and migrants hit across
-  /// subpopulations. When null and eval_cache.mode != kOff, the engine
-  /// builds its own cache from eval_cache.
-  EvalCachePtr shared_eval_cache;
+  /// Objective memoization by genome key (see eval_cache.h): the cache
+  /// this engine evaluates through, null (the default) for none. Engines
+  /// never build one; Solver::build makes one per spec. Island-structured
+  /// engines hand the same handle to their inner engines, so elites and
+  /// migrants hit across subpopulations. Traces are bit-identical with
+  /// the cache on or off.
+  EvalCachePtr eval_cache;
   FitnessTransform transform = FitnessTransform::kInverse;
   double reference_objective = 0.0;  ///< Fbar for FitnessTransform::kReference
   Termination termination;

@@ -550,13 +550,16 @@ void ArithmeticKeyCrossover::cross_seq(const Genome& a, const Genome& b,
 
 namespace {
 
-/// One guided walk from `from` toward `to` by distance-reducing swaps,
-/// keeping the best objective seen. Shared by MSXF and path relinking.
+/// One guided walk of the sequencing chromosome from `from` toward `to`
+/// by distance-reducing swaps, keeping the best objective seen. `out`
+/// arrives with the auxiliary channels Crossover::cross recombined; the
+/// walk starts from them under `from`'s sequence and changes only `seq`.
+/// Shared by MSXF and path relinking.
 void guided_walk(const Problem& problem, const Genome& from, const Genome& to,
                  int max_steps, int eval_stride, Genome& out, par::Rng& rng) {
-  Genome current = from;
-  out = from;
-  double best_obj = problem.objective(from);
+  out.seq = from.seq;
+  Genome current = out;
+  double best_obj = problem.objective(out);
   int step = 0;
   const std::size_t n = current.seq.size();
   while (step < max_steps) {
@@ -583,7 +586,7 @@ void guided_walk(const Problem& problem, const Genome& from, const Genome& to,
       const double obj = problem.objective(current);
       if (obj < best_obj) {
         best_obj = obj;
-        out = current;
+        out.seq = current.seq;
       }
     }
   }

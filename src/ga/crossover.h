@@ -202,6 +202,9 @@ class ArithmeticKeyCrossover final : public Crossover {
 
 /// Multi-Step Crossover Fusion ([30]): walk from parent A toward parent B
 /// by swap moves that reduce distance, keeping the best objective seen.
+/// The walk moves only the sequencing chromosome, and its child is never
+/// worse than its start: the starting parent's sequence under the
+/// auxiliary channels cross() recombined.
 class MsxfCrossover final : public Crossover {
  public:
   MsxfCrossover(ProblemPtr problem, int steps = 16)
@@ -221,7 +224,8 @@ class MsxfCrossover final : public Crossover {
 };
 
 /// Path relinking ([29]): evaluate every intermediate on the swap path
-/// from A to B at a sampling stride; child = best intermediate.
+/// from A to B at a sampling stride; child = best intermediate, never
+/// worse than its start (as MSXF's).
 class PathRelinkCrossover final : public Crossover {
  public:
   PathRelinkCrossover(ProblemPtr problem, int samples = 8)

@@ -32,25 +32,10 @@ RunResult Engine::run(const StopCondition& stop) {
   };
 
   prepare_run(stop);
-  // Snapshot cache counters so RunResult::cache reports this run's delta
-  // even when the cache outlives the run (engine reuse, a shared cache
-  // handed to several engines). Engines build their cache once, at
-  // construction; the held handle and the identity comparison below
-  // guard the delta should one ever swap it mid-run (a freed address
-  // cannot be reused while the handle lives, and a cache that was not
-  // there before init() is fresh, so its zero baseline is correct).
-  const EvalCachePtr pre_run_cache = eval_cache_shared();
-  const EvalCacheStats cache_baseline =
-      pre_run_cache != nullptr ? pre_run_cache->stats() : EvalCacheStats{};
-  // Same baseline idiom for the metrics registry: the run reports its own
-  // delta even when the registry outlives the run (engine reuse, a daemon
-  // registry shared across jobs).
-  const obs::RegistryPtr metrics = metrics_shared();
-  const obs::MetricsSnapshot metrics_baseline =
-      metrics != nullptr ? metrics->snapshot() : obs::MetricsSnapshot{};
+  const RunBaseline baseline = run_baseline();
   obs::Histogram* generation_ns =
-      metrics != nullptr ? &metrics->histogram("engine.generation_ns")
-                         : nullptr;
+      metrics_ != nullptr ? &metrics_->histogram("engine.generation_ns")
+                          : nullptr;
   obs::Tracer* const tracer = tracer_.get();
   init();
 
@@ -119,32 +104,38 @@ RunResult Engine::run(const StopCondition& stop) {
   result.generations = generation();
   result.seconds = elapsed();
   fill_sections(result);
-  if (const EvalCachePtr cache = eval_cache_shared()) {
-    EvalCacheStats stats = cache->stats();
-    if (cache == pre_run_cache) stats -= cache_baseline;
-    result.cache = stats;
-  } else {
-    // Always engage the section: dashboards and reports read zeros
-    // instead of special-casing a missing field.
-    result.cache = EvalCacheStats{};
-  }
-  if (metrics != nullptr) {
-    obs::MetricsSnapshot snapshot = metrics->snapshot();
-    snapshot.subtract(metrics_baseline);
-    // Fold the cache's own exact counters in so one snapshot carries the
-    // whole story (no separate hot-path counting — the cache already
-    // tallies these).
-    snapshot.set_counter("eval.cache.hits",
-                         static_cast<std::uint64_t>(result.cache->hits));
-    snapshot.set_counter("eval.cache.misses",
-                         static_cast<std::uint64_t>(result.cache->misses));
-    snapshot.set_counter("eval.cache.inserts",
-                         static_cast<std::uint64_t>(result.cache->inserts));
-    snapshot.set_counter("eval.cache.evictions",
-                         static_cast<std::uint64_t>(result.cache->evictions));
-    result.metrics = std::move(snapshot);
-  }
+  finish_run(result, baseline);
   return result;
+}
+
+Engine::RunBaseline Engine::run_baseline() const {
+  RunBaseline baseline;
+  if (eval_cache_ != nullptr) baseline.cache = eval_cache_->stats();
+  if (metrics_ != nullptr) baseline.metrics = metrics_->snapshot();
+  return baseline;
+}
+
+void Engine::finish_run(RunResult& result, const RunBaseline& baseline) const {
+  EvalCacheStats cache;
+  if (eval_cache_ != nullptr) {
+    cache = eval_cache_->stats();
+    cache -= baseline.cache;
+  }
+  result.cache = cache;
+  if (metrics_ == nullptr) return;
+  obs::MetricsSnapshot snapshot = metrics_->snapshot();
+  snapshot.subtract(baseline.metrics);
+  // The cache tallies these exactly already, so the hot path counts
+  // nothing twice.
+  snapshot.set_counter("eval.cache.hits",
+                       static_cast<std::uint64_t>(cache.hits));
+  snapshot.set_counter("eval.cache.misses",
+                       static_cast<std::uint64_t>(cache.misses));
+  snapshot.set_counter("eval.cache.inserts",
+                       static_cast<std::uint64_t>(cache.inserts));
+  snapshot.set_counter("eval.cache.evictions",
+                       static_cast<std::uint64_t>(cache.evictions));
+  result.metrics = std::move(snapshot);
 }
 
 }  // namespace psga::ga

@@ -123,18 +123,11 @@ class Engine {
   PopulationSection population_snapshot() const;
 
   /// The evaluation cache behind this engine's evaluators (null when
-  /// caching is off), as a shared handle. Engines build it at
-  /// construction, so it is the same cache before init() and after every
-  /// run. The run loop snapshots it before init(), holds it across the
-  /// run and checks its identity afterwards, so a swapped cache could
-  /// never alias the old address and corrupt the per-run counter delta.
-  /// Overrides MUST return a handle to a cache the engine itself keeps
-  /// alive (a copy of a live member), never a freshly created or
-  /// sole-owner snapshot — eval_cache() hands out the raw pointer after
-  /// the handle dies.
-  virtual EvalCachePtr eval_cache_shared() const { return nullptr; }
-  /// Raw-pointer convenience over eval_cache_shared().
-  const EvalCache* eval_cache() const { return eval_cache_shared().get(); }
+  /// caching is off): the handle its config carried at construction,
+  /// kept for the engine's lifetime, so it is the same cache before
+  /// init() and after every run.
+  EvalCachePtr eval_cache_shared() const { return eval_cache_; }
+  const EvalCache* eval_cache() const { return eval_cache_.get(); }
 
   /// The metrics registry this engine records into (never null once the
   /// engine is constructed — every engine ensures one on its config) and
@@ -176,17 +169,35 @@ class Engine {
   virtual void fill_sections(RunResult& result) const { (void)result; }
 
   /// Engines call this from their constructor after ensuring a registry
-  /// on their config (obs::ensure_registry); run() snapshots/deltas
-  /// these into RunResult::metrics.
-  void attach_obs(obs::RegistryPtr metrics,
-                  std::shared_ptr<obs::Tracer> tracer) {
+  /// on their config (obs::ensure_registry), with the cache handle their
+  /// config carries (null when off); run() reports per-run deltas of
+  /// both in RunResult::metrics and RunResult::cache.
+  void attach(obs::RegistryPtr metrics, std::shared_ptr<obs::Tracer> tracer,
+              EvalCachePtr eval_cache) {
     metrics_ = std::move(metrics);
     tracer_ = std::move(tracer);
+    eval_cache_ = std::move(eval_cache);
   }
+
+  /// The cache and registry counters at the start of a run. A result
+  /// reports the deltas since then, so it is this run's share even when
+  /// the cache or registry outlives the run (engine reuse, one cache
+  /// handed to several engines, a daemon registry shared across jobs).
+  struct RunBaseline {
+    EvalCacheStats cache;
+    obs::MetricsSnapshot metrics;
+  };
+  RunBaseline run_baseline() const;
+  /// The run finalization every run() ends with: fills result.cache
+  /// (all zeros without a cache, so readers never branch on it) and
+  /// result.metrics, with the cache's own exact counters folded in as
+  /// eval.cache.*.
+  void finish_run(RunResult& result, const RunBaseline& baseline) const;
 
   RunObserver* observer_ = nullptr;
   obs::RegistryPtr metrics_;
   std::shared_ptr<obs::Tracer> tracer_;
+  EvalCachePtr eval_cache_;
 };
 
 using EnginePtr = std::unique_ptr<Engine>;

@@ -193,20 +193,11 @@ std::uint64_t EvalCache::key(const Genome& genome) {
   return h ^ (h >> 31);
 }
 
-EvalCache::EvalCache(EvalCacheConfig config) : config_(config) {
-  std::size_t limit = kMaxEvalCacheShards;
-  if (config_.mode == EvalCacheMode::kLru) {
-    limit = std::clamp<std::size_t>(config_.capacity, 1, limit);
-  }
-  shard_count_ = std::clamp<std::size_t>(
-      static_cast<std::size_t>(std::max(1, config_.shards)), 1, limit);
-  shard_budget_ =
-      config_.mode == EvalCacheMode::kLru
-          ? static_cast<std::uint32_t>(std::clamp<std::size_t>(
-                config_.capacity / shard_count_, 1, kMaxSlots))
-          : kMaxSlots;
-  shards_ = std::make_unique<Shard[]>(shard_count_);
-}
+EvalCache::EvalCache(std::size_t capacity)
+    : shard_count_(std::clamp<std::size_t>(capacity, 1, kShards)),
+      shard_budget_(static_cast<std::uint32_t>(std::clamp<std::size_t>(
+          capacity / shard_count_, 1, kMaxSlots))),
+      shards_(std::make_unique<Shard[]>(shard_count_)) {}
 
 EvalCache::~EvalCache() = default;
 
@@ -249,7 +240,7 @@ std::optional<double> EvalCache::lookup(std::uint64_t key,
   if (pos != Shard::npos) {
     const std::uint32_t slot = shard.index[pos];
     if (shape_.equal(shard.words.data() + slot * shape_.stride(), genome)) {
-      if (config_.mode == EvalCacheMode::kLru) shard.touch(slot);
+      shard.touch(slot);
       ++shard.stats.hits;
       return shard.slots[slot].objective;
     }
@@ -270,7 +261,7 @@ void EvalCache::insert(std::uint64_t key, const Genome& genome,
   std::uint32_t slot = 0;
   if (pos != Shard::npos) {
     slot = shard.index[pos];
-    if (config_.mode == EvalCacheMode::kLru) shard.touch(slot);
+    shard.touch(slot);
   } else {
     slot = shard.claim(shard_budget_, shape_.stride());
     shard.slots[slot].key = key;

@@ -4,8 +4,9 @@
 // unchanged into every generation, migrants cloned across islands and
 // cluster ranks, crossover-skipped children that are verbatim parent
 // copies. Each duplicate re-runs a full schedule decode today. EvalCache
-// memoizes objective values by a 64-bit key (EvalCache::key) so the
-// Evaluator decodes each distinct genome once.
+// memoizes objective values by a 64-bit key (EvalCache::key) in a bounded
+// LRU table, so the Evaluator decodes a genome again only once the table
+// has evicted it.
 //
 // Correctness over trust-the-key: every entry stores the genome itself
 // and a lookup only hits when the stored words equal the genome's, so a
@@ -37,37 +38,6 @@
 
 namespace psga::ga {
 
-/// Memoization policy (GaConfig::eval_cache, spec token `eval_cache=`).
-enum class EvalCacheMode {
-  kOff,        ///< no cache: every evaluation decodes
-  kUnbounded,  ///< memoize everything, never evict
-  kLru,        ///< bounded: evict the least-recently-used entries
-};
-
-/// Upper bound on the shards a cache builds (and the spec accepts).
-inline constexpr int kMaxEvalCacheShards = 64;
-
-struct EvalCacheConfig {
-  EvalCacheMode mode = EvalCacheMode::kOff;
-  /// Total entry budget across all shards (kLru only).
-  std::size_t capacity = 1 << 16;
-  /// Lock shards. EvalCache clamps the count it builds to
-  /// [1, min(kMaxEvalCacheShards, capacity)] for kLru and
-  /// [1, kMaxEvalCacheShards] otherwise, so the budget holds. The default
-  /// is plenty below ~32 lanes.
-  int shards = 8;
-
-  /// Semantic equality: fields that cannot affect behavior under `mode`
-  /// (everything for kOff, capacity for kUnbounded) are ignored, so the
-  /// SolverSpec round-trip contract holds for every reachable state.
-  friend bool operator==(const EvalCacheConfig& a, const EvalCacheConfig& b) {
-    if (a.mode != b.mode) return false;
-    if (a.mode == EvalCacheMode::kOff) return true;
-    if (a.shards != b.shards) return false;
-    return a.mode != EvalCacheMode::kLru || a.capacity == b.capacity;
-  }
-};
-
 /// Exact lifetime counters, aggregated over shards (RunResult::cache).
 struct EvalCacheStats {
   long long hits = 0;       ///< lookups answered from the table
@@ -90,17 +60,20 @@ using EvalCachePtr = std::shared_ptr<EvalCache>;
 
 class EvalCache {
  public:
-  explicit EvalCache(EvalCacheConfig config);
+  /// Lock shards per cache. A cache holding fewer entries builds one
+  /// shard per entry, so the budget holds (lru:3 keeps 3 entries). The
+  /// count is plenty below ~32 lanes.
+  static constexpr std::size_t kShards = 8;
+
+  /// A cache of at most `capacity` entries across its shards (spec token
+  /// `eval_cache=lru:<capacity>`). Nothing is sized from the capacity up
+  /// front: shards grow on demand.
+  explicit EvalCache(std::size_t capacity);
   ~EvalCache();  // Shard is complete only in eval_cache.cpp
 
-  /// The one construction idiom every engine uses: a pre-built shared
-  /// cache wins, otherwise `config` decides between a fresh cache and
-  /// none at all.
-  static EvalCachePtr make(const EvalCacheConfig& config,
-                           EvalCachePtr shared = nullptr) {
-    if (shared != nullptr) return shared;
-    if (config.mode == EvalCacheMode::kOff) return nullptr;
-    return std::make_shared<EvalCache>(config);
+  /// The cache of `capacity` entries, or null (no cache) for 0.
+  static EvalCachePtr make(std::size_t capacity) {
+    return capacity > 0 ? std::make_shared<EvalCache>(capacity) : nullptr;
   }
 
   /// The cache key of `genome`: each chromosome is length-prefixed and
@@ -111,11 +84,13 @@ class EvalCache {
   static std::uint64_t key(const Genome& genome);
 
   /// Memoized objective of `genome` (whose key is `key`), or nullopt. A
-  /// key match with a different stored genome is a miss, and so is a
-  /// genome whose chromosome lengths differ from the cache's shape.
+  /// hit makes the entry the most recently used. A key match with a
+  /// different stored genome is a miss, and so is a genome whose
+  /// chromosome lengths differ from the cache's shape.
   std::optional<double> lookup(std::uint64_t key, const Genome& genome);
 
-  /// Records `objective` for `genome`. An equal entry is refreshed in
+  /// Records `objective` for `genome`, evicting the shard's least
+  /// recently used entry once it is full. An equal entry is refreshed in
   /// place; a colliding one (same key, different genome) is replaced.
   /// The first insert fixes the cache's shape (the three chromosome
   /// lengths); a genome of any other shape is never stored.
@@ -124,7 +99,6 @@ class EvalCache {
   EvalCacheStats stats() const;
   /// Entries currently stored (sums the shards).
   std::size_t size() const;
-  const EvalCacheConfig& config() const { return config_; }
 
  private:
   struct Shard;
@@ -146,7 +120,6 @@ class EvalCache {
   /// Fixes the shape from `genome` unless another insert already did.
   void publish_shape(const Genome& genome);
 
-  EvalCacheConfig config_;
   std::size_t shard_count_ = 1;
   std::uint32_t shard_budget_ = 0;  ///< per-shard entry bound
   std::unique_ptr<Shard[]> shards_;

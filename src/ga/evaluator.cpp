@@ -17,7 +17,7 @@ std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point start) {
 }  // namespace
 
 Evaluator::Evaluator(ProblemPtr problem, EvalBackend backend,
-                     par::ThreadPool* pool)
+                     par::ThreadPool* pool, EvalCachePtr cache)
     : problem_(std::move(problem)),
       backend_(backend),
       // Only the pool backend needs a pool; don't materialize the
@@ -25,7 +25,8 @@ Evaluator::Evaluator(ProblemPtr problem, EvalBackend backend,
       // evaluators.
       pool_(backend == EvalBackend::kThreadPool && pool == nullptr
                 ? &par::default_pool()
-                : pool) {
+                : pool),
+      cache_(std::move(cache)) {
   const int lanes =
       backend_ == EvalBackend::kThreadPool ? pool_->thread_count() : 1;
   workspaces_.reserve(static_cast<std::size_t>(lanes));
@@ -145,8 +146,6 @@ double Evaluator::evaluate_one(const Genome& genome) {
   ++decode_calls_;
   return problem_->objective(genome, workspace(0));
 }
-
-void Evaluator::set_cache(EvalCachePtr cache) { cache_ = std::move(cache); }
 
 void Evaluator::set_obs(obs::RegistryPtr metrics,
                         std::shared_ptr<obs::Tracer> tracer) {

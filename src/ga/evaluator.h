@@ -14,12 +14,12 @@
 // counts; Workspaces only recycle allocations, never carry state between
 // genomes.
 //
-// An optional EvalCache (set_cache) memoizes objectives by EvalCache::key;
-// lookups and inserts happen on the calling thread in genome order, only
-// the misses reach the backend, and decode_calls() reports how many
-// genomes were actually decoded. Several evaluators may share one cache
-// (islands, cluster ranks): cached values come from the same pure
-// objectives, so sharing never perturbs a trace.
+// An optional EvalCache (the last constructor argument) memoizes
+// objectives by EvalCache::key; lookups and inserts happen on the calling
+// thread in genome order, only the misses reach the backend, and
+// decode_calls() reports how many genomes were actually decoded. Several
+// evaluators may share one cache (islands, cluster ranks): cached values
+// come from the same pure objectives, so sharing never perturbs a trace.
 //
 // An Evaluator instance is NOT re-entrant: it owns one Workspace per lane.
 // Engines that evaluate from several threads at once (islands stepping in
@@ -47,10 +47,12 @@ enum class EvalBackend {
 class Evaluator {
  public:
   /// `pool` may be null — the library default pool is used (only relevant
-  /// for the thread-pool backend).
+  /// for the thread-pool backend). `cache` may be null (no memoization)
+  /// and may be shared with other evaluators.
   explicit Evaluator(ProblemPtr problem,
                      EvalBackend backend = EvalBackend::kSerial,
-                     par::ThreadPool* pool = nullptr);
+                     par::ThreadPool* pool = nullptr,
+                     EvalCachePtr cache = nullptr);
 
   /// Fills objectives[i] = problem objective of genomes[i]. Spans must
   /// have equal size. Counts toward evaluations().
@@ -60,10 +62,6 @@ class Evaluator {
   /// comparisons). Counts toward evaluations().
   double evaluate_one(const Genome& genome);
 
-  /// Attaches (or clears) the memoization cache. The cache may be shared
-  /// with other evaluators.
-  void set_cache(EvalCachePtr cache);
-
   /// Attaches the observability sinks (both may be null). Handles into
   /// `metrics` are resolved once, here — the hot path then costs two
   /// clock reads plus a few relaxed adds per *batch*, never per genome.
@@ -72,9 +70,6 @@ class Evaluator {
   /// inserts, decode excluded) once per evaluate() call with a cache.
   /// Spans: decode, cache_filter.
   void set_obs(obs::RegistryPtr metrics, std::shared_ptr<obs::Tracer> tracer);
-  const EvalCache* cache() const { return cache_.get(); }
-  /// Shared handle for per-run stat snapshots (Engine::eval_cache_shared).
-  EvalCachePtr cache_ptr() const { return cache_; }
 
   /// Total genomes evaluated through this Evaluator — the *logical*
   /// count: a cache hit counts exactly once, same as a decode, so

@@ -12,13 +12,8 @@ IslandsOfCellularGa::IslandsOfCellularGa(ProblemPtr problem,
       config_(std::move(config)),
       pool_(pool != nullptr ? pool : &par::default_pool()),
       migration_rng_(0) {
-  // Shared memoization across the tori: migrants are cloned island to
-  // island, so one cache catches the duplicates. Built here (not in
-  // init()) so run() can snapshot per-run counter deltas.
-  cache_ =
-      EvalCache::make(config_.cell.eval_cache, config_.cell.shared_eval_cache);
   obs::ensure_registry(config_.cell.metrics);
-  attach_obs(config_.cell.metrics, config_.cell.tracer);
+  attach(config_.cell.metrics, config_.cell.tracer, config_.cell.eval_cache);
   migrants_ = &config_.cell.metrics->counter("engine.migrants");
 }
 
@@ -28,10 +23,11 @@ void IslandsOfCellularGa::init() {
   islands_.clear();
   islands_.reserve(static_cast<std::size_t>(config_.islands));
   // The islands step sequentially (each internally parallel over
-  // cells), so their evaluators may keep any backend.
+  // cells), so their evaluators may keep any backend. The copy carries
+  // the one cache handle: migrants are cloned island to island, so one
+  // cache catches the duplicates.
   for (int i = 0; i < config_.islands; ++i) {
     CellularConfig cell = config_.cell;
-    cell.shared_eval_cache = cache_;
     cell.seed = root.split(static_cast<std::uint64_t>(i + 1))();
     cell.termination = config_.termination;
     islands_.emplace_back(problem_, cell, pool_);

@@ -43,8 +43,6 @@ class IslandsOfCellularGa : public Engine {
   int population_size() const override;
   const Genome& individual(int i) const override;
   double objective_of(int i) const override;
-  /// One cache shared by every torus island (null when caching is off).
-  EvalCachePtr eval_cache_shared() const override { return cache_; }
   StopCondition stop_default() const override { return config_.termination; }
 
   using Engine::run;
@@ -62,7 +60,6 @@ class IslandsOfCellularGa : public Engine {
 
   // Run state (rebuilt by init()).
   std::vector<CellularGa> islands_;
-  EvalCachePtr cache_;  ///< shared by all islands' evaluators
   obs::Counter* migrants_ = nullptr;  ///< engine.migrants (delivered)
   par::Rng migration_rng_;
   int generation_ = 0;

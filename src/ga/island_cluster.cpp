@@ -42,15 +42,9 @@ void unpack(const par::Message& msg, Genome& genome, double& objective) {
 }  // namespace
 
 ClusterIslandGa::ClusterIslandGa(ProblemPtr problem, ClusterIslandConfig config)
-    : problem_(std::move(problem)),
-      config_(std::move(config)),
-      // One cache across ranks: neighbor/broadcast migrants are verbatim
-      // clones, and memoized objectives are pure values, so the sharing
-      // is deterministic exactly like the in-process island engine's.
-      cache_(EvalCache::make(config_.base.eval_cache,
-                             config_.base.shared_eval_cache)) {
+    : problem_(std::move(problem)), config_(std::move(config)) {
   obs::ensure_registry(config_.base.metrics);
-  attach_obs(config_.base.metrics, config_.base.tracer);
+  attach(config_.base.metrics, config_.base.tracer, config_.base.eval_cache);
   migrants_ = &config_.base.metrics->counter("engine.migrants");
 }
 
@@ -80,13 +74,9 @@ RunResult ClusterIslandGa::run(const StopCondition& stop) {
   long long total_evaluations = 0;
   int max_generations_run = 0;
 
-  // Cache counters are snapshotted so result.cache is this run's delta
-  // even when the cache is shared or the engine reruns.
-  const EvalCacheStats cache_baseline =
-      cache_ != nullptr ? cache_->stats() : EvalCacheStats{};
-  // Mirror the base run loop's per-run metrics delta (this engine
-  // overrides run() wholesale).
-  const obs::MetricsSnapshot metrics_baseline = metrics_->snapshot();
+  // This engine overrides run() wholesale but reports like the base run
+  // loop: per-run cache and metrics deltas.
+  const RunBaseline baseline = run_baseline();
 
   par::Rng root(config_.base.seed);
   std::vector<std::uint64_t> rank_seeds;
@@ -105,8 +95,11 @@ RunResult ClusterIslandGa::run(const StopCondition& stop) {
 
   cluster.run([&](par::Rank& rank) {
     // Ranks are concurrent threads; inner_engine_config keeps their
-    // evaluation off the shared pool — serial on-rank.
-    GaConfig cfg = inner_engine_config(config_.base, cache_);
+    // evaluation off the shared pool — serial on-rank. All ranks share
+    // the base's cache: neighbor/broadcast migrants are verbatim clones,
+    // and memoized objectives are pure values, so sharing is
+    // deterministic exactly like the in-process island engine's.
+    GaConfig cfg = inner_engine_config(config_.base);
     cfg.seed = rank_seeds[static_cast<std::size_t>(rank.id())];
     cfg.termination = stop;
     SimpleGa island(problem_, cfg);
@@ -218,26 +211,7 @@ RunResult ClusterIslandGa::run(const StopCondition& stop) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
   result.islands = std::move(section);
-  if (cache_ != nullptr) {
-    EvalCacheStats stats = cache_->stats();
-    stats -= cache_baseline;
-    result.cache = stats;
-  } else {
-    result.cache = EvalCacheStats{};
-  }
-  {
-    obs::MetricsSnapshot snapshot = metrics_->snapshot();
-    snapshot.subtract(metrics_baseline);
-    snapshot.set_counter("eval.cache.hits",
-                         static_cast<std::uint64_t>(result.cache->hits));
-    snapshot.set_counter("eval.cache.misses",
-                         static_cast<std::uint64_t>(result.cache->misses));
-    snapshot.set_counter("eval.cache.inserts",
-                         static_cast<std::uint64_t>(result.cache->inserts));
-    snapshot.set_counter("eval.cache.evictions",
-                         static_cast<std::uint64_t>(result.cache->evictions));
-    result.metrics = std::move(snapshot);
-  }
+  finish_run(result, baseline);
   last_ = result;
   return result;
 }

@@ -47,8 +47,6 @@ class ClusterIslandGa : public Engine {
   int population_size() const override { return 0; }
   [[noreturn]] const Genome& individual(int i) const override;
   [[noreturn]] double objective_of(int i) const override;
-  /// The cache every run's ranks share (null when off).
-  EvalCachePtr eval_cache_shared() const override { return cache_; }
   StopCondition stop_default() const override {
     return config_.base.termination;
   }
@@ -58,8 +56,6 @@ class ClusterIslandGa : public Engine {
  private:
   ProblemPtr problem_;
   ClusterIslandConfig config_;
-  /// Cache shared across ranks, built once so it persists across runs.
-  EvalCachePtr cache_;
   obs::Counter* migrants_ = nullptr;  ///< engine.migrants (adopted)
   /// Gathered result of the last run (introspection after the fact).
   RunResult last_;

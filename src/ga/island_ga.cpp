@@ -13,14 +13,8 @@ IslandGa::IslandGa(ProblemPtr problem, IslandGaConfig config,
       config_(std::move(config)),
       pool_(pool != nullptr ? pool : &par::default_pool()),
       migration_rng_(0) {
-  // One cache for the whole archipelago: migration and merging duplicate
-  // genomes *across* islands, and memoized objectives are pure values, so
-  // sharing is deterministic and strictly increases the hit rate. Built
-  // here (not in init()) so run() can snapshot per-run counter deltas.
-  cache_ =
-      EvalCache::make(config_.base.eval_cache, config_.base.shared_eval_cache);
   obs::ensure_registry(config_.base.metrics);
-  attach_obs(config_.base.metrics, config_.base.tracer);
+  attach(config_.base.metrics, config_.base.tracer, config_.base.eval_cache);
   migrants_ = &config_.base.metrics->counter("engine.migrants");
 }
 
@@ -169,8 +163,10 @@ void IslandGa::init() {
     // Islands step concurrently on the pool; inner_engine_config keeps
     // their evaluators off it (the pool is not re-entrant) — serial on
     // the stepping thread. The fan-out parallelism of this model lives
-    // at the island level.
-    GaConfig cfg = inner_engine_config(config_.base, cache_);
+    // at the island level. Every island gets the base's cache handle:
+    // migration and merging duplicate genomes *across* islands, and
+    // memoized objectives are pure values, so sharing is deterministic.
+    GaConfig cfg = inner_engine_config(config_.base);
     // Deal an injected population round-robin: genome j seeds island
     // j mod k (the copy from base above would otherwise clone the whole
     // set onto every island).

@@ -96,9 +96,6 @@ class IslandGa : public Engine {
   int population_size() const override;
   const Genome& individual(int i) const override;
   double objective_of(int i) const override;
-  /// One cache shared by every island, so elites *and* migrants hit
-  /// across subpopulations (null when caching is off).
-  EvalCachePtr eval_cache_shared() const override { return cache_; }
   StopCondition stop_default() const override {
     return config_.base.termination;
   }
@@ -147,7 +144,6 @@ class IslandGa : public Engine {
 
   // Run state (rebuilt by init()).
   std::vector<SimpleGa> islands_;
-  EvalCachePtr cache_;  ///< shared by all islands' evaluators
   std::vector<int> alive_;
   obs::Counter* migrants_ = nullptr;  ///< engine.migrants (delivered)
   par::Rng migration_rng_;

@@ -117,11 +117,9 @@ QuantumGa::QuantumGa(ProblemPtr problem, QuantumGaConfig config,
       config_(std::move(config)),
       pool_(pool != nullptr ? pool : &par::default_pool()),
       planned_generations_(config_.generations),
-      evaluator_(problem_, config_.eval_backend, pool_) {
-  evaluator_.set_cache(
-      EvalCache::make(config_.eval_cache, config_.shared_eval_cache));
+      evaluator_(problem_, config_.eval_backend, pool_, config_.eval_cache) {
   obs::ensure_registry(config_.metrics);
-  attach_obs(config_.metrics, config_.tracer);
+  attach(config_.metrics, config_.tracer, config_.eval_cache);
   evaluator_.set_obs(config_.metrics, config_.tracer);
 }
 

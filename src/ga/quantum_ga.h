@@ -42,9 +42,9 @@ struct QuantumGaConfig {
   /// Backend for the per-generation batch evaluation of all measured
   /// individuals (k × population genomes at once).
   EvalBackend eval_backend = EvalBackend::kThreadPool;
-  /// Objective memoization for the measured genomes (see eval_cache.h).
-  EvalCacheConfig eval_cache;
-  EvalCachePtr shared_eval_cache;  ///< pre-built cache to share
+  /// Objective memoization for the measured genomes (see
+  /// GaConfig::eval_cache); null = off.
+  EvalCachePtr eval_cache;
   std::uint64_t seed = 1;
   /// Observability sinks (see GaConfig::metrics/tracer).
   obs::RegistryPtr metrics;
@@ -71,9 +71,6 @@ class QuantumGa : public Engine {
   int population_size() const override;
   const Genome& individual(int i) const override;
   double objective_of(int i) const override;
-  EvalCachePtr eval_cache_shared() const override {
-    return evaluator_.cache_ptr();
-  }
   StopCondition stop_default() const override {
     return StopCondition::generations(config_.generations);
   }

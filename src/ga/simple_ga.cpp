@@ -31,9 +31,8 @@ OperatorConfig default_operators(const Problem& problem) {
   return ops;
 }
 
-GaConfig inner_engine_config(GaConfig base, EvalCachePtr shared_cache) {
+GaConfig inner_engine_config(GaConfig base) {
   base.eval_backend = EvalBackend::kSerial;
-  base.shared_eval_cache = std::move(shared_cache);
   return base;
 }
 
@@ -41,17 +40,15 @@ SimpleGa::SimpleGa(ProblemPtr problem, GaConfig config, par::ThreadPool* pool)
     : problem_(std::move(problem)),
       config_(std::move(config)),
       rng_(config_.seed),
-      evaluator_(problem_, config_.eval_backend, pool) {
+      evaluator_(problem_, config_.eval_backend, pool, config_.eval_cache) {
   if (!config_.ops.selection || !config_.ops.crossover || !config_.ops.mutation) {
     OperatorConfig defaults = default_operators(*problem_);
     if (!config_.ops.selection) config_.ops.selection = defaults.selection;
     if (!config_.ops.crossover) config_.ops.crossover = defaults.crossover;
     if (!config_.ops.mutation) config_.ops.mutation = defaults.mutation;
   }
-  evaluator_.set_cache(
-      EvalCache::make(config_.eval_cache, config_.shared_eval_cache));
   obs::ensure_registry(config_.metrics);
-  attach_obs(config_.metrics, config_.tracer);
+  attach(config_.metrics, config_.tracer, config_.eval_cache);
   evaluator_.set_obs(config_.metrics, config_.tracer);
 }
 

@@ -52,9 +52,6 @@ class SimpleGa : public Engine {
   double objective_of(int i) const override {
     return objectives_[static_cast<std::size_t>(i)];
   }
-  EvalCachePtr eval_cache_shared() const override {
-    return evaluator_.cache_ptr();
-  }
   StopCondition stop_default() const override { return config_.termination; }
   bool seed_population(std::vector<Genome> genomes) override {
     config_.initial_population = std::move(genomes);

@@ -82,42 +82,21 @@ std::uint64_t parse_u64(const std::string& value, const std::string& token) {
   return spec::parse_u64("SolverSpec", value, token);
 }
 
-EvalCacheConfig parse_eval_cache(std::string value, const std::string& token) {
-  EvalCacheConfig cache;
-  if (value == "off") {
-    cache.mode = EvalCacheMode::kOff;
-    return cache;
+/// The cache capacity of `eval_cache=off|lru:<capacity>`, 0 for off. The
+/// removed forms (unbounded, a trailing :<shards>) are refused, never
+/// read as another configuration.
+std::size_t parse_eval_cache(const std::string& value,
+                             const std::string& token) {
+  if (value == "off") return 0;
+  const std::string capacity =
+      value.rfind("lru:", 0) == 0 ? value.substr(4) : "";
+  if (capacity.empty() ||
+      capacity.find_first_not_of("0123456789") != std::string::npos) {
+    bad_token(token, "unknown eval cache (off | lru:<capacity>)");
   }
-  // Optional trailing ":<shards>" on the cached modes.
-  auto take_shards = [&](std::string rest) {
-    const std::size_t colon = rest.find(':');
-    if (colon != std::string::npos) {
-      cache.shards = parse_int(rest.substr(colon + 1), token);
-      if (cache.shards < 1 || cache.shards > kMaxEvalCacheShards) {
-        bad_token(token, "shard count must be in [1, " +
-                             std::to_string(kMaxEvalCacheShards) + "]");
-      }
-      rest = rest.substr(0, colon);
-    }
-    return rest;
-  };
-  if (value.rfind("unbounded", 0) == 0) {
-    cache.mode = EvalCacheMode::kUnbounded;
-    if (!take_shards(value.substr(9)).empty()) {
-      bad_token(token, "expected unbounded[:<shards>]");
-    }
-    return cache;
-  }
-  if (value.rfind("lru:", 0) == 0) {
-    cache.mode = EvalCacheMode::kLru;
-    const std::string capacity = take_shards(value.substr(4));
-    cache.capacity = static_cast<std::size_t>(parse_u64(capacity, token));
-    if (cache.capacity == 0) bad_token(token, "lru capacity must be positive");
-    return cache;
-  }
-  bad_token(token,
-            "unknown eval cache (off | unbounded[:<shards>] | "
-            "lru:<capacity>[:<shards>])");
+  const std::uint64_t entries = parse_u64(capacity, token);
+  if (entries == 0) bad_token(token, "lru capacity must be positive");
+  return static_cast<std::size_t>(entries);
 }
 
 }  // namespace
@@ -244,19 +223,8 @@ const char* transform_name(FitnessTransform transform) {
   return transform == FitnessTransform::kReference ? "reference" : "inverse";
 }
 
-std::string eval_cache_value(const EvalCacheConfig& cache) {
-  // A non-default shard count rides along as ":<shards>" so programmatic
-  // configs survive the parse(to_string()) round-trip too.
-  const std::string shards = cache.shards != EvalCacheConfig{}.shards
-                                 ? ":" + std::to_string(cache.shards)
-                                 : "";
-  switch (cache.mode) {
-    case EvalCacheMode::kOff: return "off";
-    case EvalCacheMode::kUnbounded: return "unbounded" + shards;
-    case EvalCacheMode::kLru:
-      return "lru:" + std::to_string(cache.capacity) + shards;
-  }
-  return "off";
+std::string eval_cache_value(std::size_t capacity) {
+  return capacity == 0 ? "off" : "lru:" + std::to_string(capacity);
 }
 
 }  // namespace
@@ -309,7 +277,7 @@ GaConfig base_config(const SolverSpec& spec) {
   if (spec.elites) cfg.elites = *spec.elites;
   if (spec.seed) cfg.seed = *spec.seed;
   if (spec.eval) cfg.eval_backend = *spec.eval;
-  if (spec.eval_cache) cfg.eval_cache = *spec.eval_cache;
+  cfg.eval_cache = EvalCache::make(spec.eval_cache.value_or(0));
   if (spec.selection) cfg.ops.selection = make_selection(*spec.selection);
   if (spec.crossover) cfg.ops.crossover = make_crossover(*spec.crossover);
   if (spec.mutation) cfg.ops.mutation = make_mutation(*spec.mutation);
@@ -345,7 +313,7 @@ CellularConfig cellular_config(const SolverSpec& spec) {
   if (spec.crossover_rate) cell.crossover_rate = *spec.crossover_rate;
   if (spec.mutation_rate) cell.mutation_rate = *spec.mutation_rate;
   if (spec.eval) cell.eval_backend = *spec.eval;
-  if (spec.eval_cache) cell.eval_cache = *spec.eval_cache;
+  cell.eval_cache = EvalCache::make(spec.eval_cache.value_or(0));
   if (spec.seed) cell.seed = *spec.seed;
   if (spec.trace.value_or(false)) {
     cell.tracer = std::make_shared<obs::Tracer>();
@@ -412,7 +380,8 @@ std::map<std::string, EngineEntry>& registry() {
                           cfg.migration_interval = *spec.interval;
                         }
                         if (spec.eval) cfg.eval_backend = *spec.eval;
-                        if (spec.eval_cache) cfg.eval_cache = *spec.eval_cache;
+                        cfg.eval_cache =
+                            EvalCache::make(spec.eval_cache.value_or(0));
                         if (spec.seed) cfg.seed = *spec.seed;
                         if (spec.trace.value_or(false)) {
                           cfg.tracer = std::make_shared<obs::Tracer>();

@@ -54,9 +54,10 @@ struct SolverSpec {
   std::optional<std::uint64_t> seed;   ///< seed=
   /// eval=serial|pool
   std::optional<EvalBackend> eval;
-  /// eval_cache=off|unbounded|lru:<capacity> — both cached modes accept
-  /// an optional trailing :<shards> in [1, 64] (e.g. lru:65536:16)
-  std::optional<EvalCacheConfig> eval_cache;
+  /// eval_cache=off|lru:<capacity> — the LRU entry budget, 0 for off.
+  /// Solver::build makes at most one EvalCache per spec, and every inner
+  /// island, rank or torus of the engine evaluates through it.
+  std::optional<std::size_t> eval_cache;
   std::optional<std::string> selection;  ///< sel= (make_selection names)
   std::optional<std::string> crossover;  ///< xover= (make_crossover names)
   std::optional<std::string> mutation;   ///< mut= (make_mutation names)

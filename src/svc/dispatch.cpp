@@ -38,8 +38,8 @@ SubmitOptions submit_options(const ga::StopCondition& stop) {
 }
 
 /// Rewrites a daemon watch line into the sweep schema: the `job` key
-/// becomes `cell` (same position — the layouts are otherwise identical,
-/// see JobObserver vs CellObserver), everything else passes through.
+/// becomes `cell` (same position — both lines come from CellObserver),
+/// everything else passes through.
 Json translate_line(const Json& line, int cell_index) {
   Json out = Json::object();
   for (const Json::Member& member : line.members()) {

@@ -61,14 +61,7 @@ Json job_to_json(const JobRecord& record) {
         .set("evaluations", Json::integer(record.evaluations));
   }
   if (record.seconds > 0) job.set("seconds", Json::number(record.seconds));
-  if (record.cache) {
-    job.set("cache",
-            Json::object()
-                .set("hits", Json::integer(record.cache->hits))
-                .set("misses", Json::integer(record.cache->misses))
-                .set("inserts", Json::integer(record.cache->inserts))
-                .set("evictions", Json::integer(record.cache->evictions)));
-  }
+  if (record.cache) job.set("cache", exp::cache_to_json(*record.cache));
   return job;
 }
 
@@ -95,12 +88,7 @@ JobRecord job_from_json(const Json& json) {
   record.evaluations = json.integer_or("evaluations", 0LL);
   record.seconds = json.number_or("seconds", 0.0);
   if (const Json* cache = json.find("cache"); cache != nullptr) {
-    ga::EvalCacheStats stats;
-    stats.hits = cache->integer_or("hits", 0LL);
-    stats.misses = cache->integer_or("misses", 0LL);
-    stats.inserts = cache->integer_or("inserts", 0LL);
-    stats.evictions = cache->integer_or("evictions", 0LL);
-    record.cache = stats;
+    record.cache = exp::cache_from_json(*cache);
   }
   if (const Json* stop = json.find("stop"); stop != nullptr) {
     record.stop.max_generations =

@@ -50,54 +50,22 @@ class JobLogSink final : public exp::TelemetrySink {
   JobPtr job_;
 };
 
-/// CellObserver's service twin: streams generation / improvement /
-/// migration events keyed by `job`, and stops the engine at the next
+/// The sweep's event lines keyed by `job`, plus a stop at the next
 /// generation boundary once the job's cancel flag is up (the
 /// RunObserver early-stop hook is the whole cancellation mechanism).
-class JobObserver final : public ga::RunObserver {
+class JobObserver final : public exp::CellObserver {
  public:
   JobObserver(exp::TelemetrySink& sink, const JobPtr& job, int every)
-      : sink_(&sink), job_(job.get()), every_(every) {}
+      : CellObserver(sink, job->record.id, every, "job"), job_(job.get()) {}
 
   bool on_generation(const ga::Engine& engine,
                      const ga::GenerationEvent& event) override {
-    (void)engine;
-    if (every_ > 0 && event.generation % every_ == 0) {
-      sink_->write(Json::object()
-                       .set("event", Json::string("generation"))
-                       .set("job", Json::integer(job_->record.id))
-                       .set("generation", Json::integer(event.generation))
-                       .set("best", Json::number(event.best_objective))
-                       .set("evaluations", Json::integer(event.evaluations))
-                       .set("seconds", Json::number(event.seconds)));
-    }
+    CellObserver::on_generation(engine, event);
     return !job_->cancel.load(std::memory_order_relaxed);
   }
 
-  void on_improvement(const ga::Engine& engine,
-                      const ga::GenerationEvent& event) override {
-    (void)engine;
-    sink_->write(Json::object()
-                     .set("event", Json::string("improvement"))
-                     .set("job", Json::integer(job_->record.id))
-                     .set("generation", Json::integer(event.generation))
-                     .set("best", Json::number(event.best_objective)));
-  }
-
-  void on_migration(const ga::MigrationEvent& event) override {
-    sink_->write(Json::object()
-                     .set("event", Json::string("migration"))
-                     .set("job", Json::integer(job_->record.id))
-                     .set("epoch", Json::integer(event.epoch))
-                     .set("from", Json::integer(event.from))
-                     .set("to", Json::integer(event.to))
-                     .set("objective", Json::number(event.objective)));
-  }
-
  private:
-  exp::TelemetrySink* sink_;
   Job* job_;
-  int every_;
 };
 
 }  // namespace
@@ -332,13 +300,8 @@ void Server::run_job(const JobPtr& job) {
         .set("seconds", Json::number(seconds));
     // Cache counters are always engaged (Engine::run fills zeros when no
     // cache is configured), matching the in-process cell record.
-    const ga::EvalCacheStats cache = result.cache.value_or(ga::EvalCacheStats{});
-    end.set("cache",
-            Json::object()
-                .set("hits", Json::integer(cache.hits))
-                .set("misses", Json::integer(cache.misses))
-                .set("inserts", Json::integer(cache.inserts))
-                .set("evictions", Json::integer(cache.evictions)));
+    end.set("cache", exp::cache_to_json(
+                         result.cache.value_or(ga::EvalCacheStats{})));
   }
   sink.write(std::move(end));
   table_.finish(job, state, result, std::move(error), seconds);

@@ -562,6 +562,45 @@ TEST(CrossoverContract, ChildrenArrivingWithAnyGenomeKeepNoSentinel) {
   }
 }
 
+TEST(CrossoverContract, SearchOperatorsKeepTheRecombinedChannels) {
+  // cross() recombines `assign` and `keys` with the same draws for every
+  // operator before cross_seq runs. MSXF and path relinking walk only the
+  // sequence, so from one RNG state their children carry JOX's channels.
+  par::Rng rng(0x5eed);
+  for (SeqKind kind : {SeqKind::kPermutation, SeqKind::kJobRepetition}) {
+    for (int n : {2, 7, 50}) {
+      const GenomeTraits traits = contract_traits(kind, n);
+      const auto problem = std::make_shared<PositionWeightProblem>(traits);
+      const MsxfCrossover msxf(problem, 4);
+      const PathRelinkCrossover relink(problem, 3);
+      const CrossoverPtr jox = make_crossover("jox");
+      for (int trial = 0; trial < 10; ++trial) {
+        const Genome a = random_genome(traits, rng);
+        const Genome b = random_genome(traits, rng);
+        par::Rng jox_rng = rng;
+        Genome want1;
+        Genome want2;
+        jox->cross(a, b, traits, want1, want2, jox_rng);
+        for (const Crossover* cx : {static_cast<const Crossover*>(&msxf),
+                                    static_cast<const Crossover*>(&relink)}) {
+          SCOPED_TRACE(cx->name() + " n " + std::to_string(n));
+          par::Rng same = rng;
+          Genome c1;
+          Genome c2;
+          cx->cross(a, b, traits, c1, c2, same);
+          EXPECT_EQ(c1.assign, want1.assign);
+          EXPECT_EQ(c1.keys, want1.keys);
+          EXPECT_EQ(c2.assign, want2.assign);
+          EXPECT_EQ(c2.keys, want2.keys);
+          EXPECT_TRUE(genome_valid(c1, traits));
+          EXPECT_TRUE(genome_valid(c2, traits));
+        }
+        rng = jox_rng;
+      }
+    }
+  }
+}
+
 TEST(CrossoverContract, DegenerateTwoPointWindowKeepsTheParentSequences) {
   // With no auxiliary channel, two-point's first two draws are its window
   // ends; when they coincide it returns early.

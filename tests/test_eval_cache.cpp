@@ -3,8 +3,8 @@
 // the uncached run on every backend, only the number of decode calls
 // changes. These tests pin that down, plus genome_hash, the key the
 // cache computes, exact counter accounting (identical on every backend
-// and pool width), evaluation budgets, the shard and shape rules, and the
-// flat table against a reference LRU.
+// and pool width), evaluation budgets, the capacity and shape rules, and
+// the flat table against a reference LRU.
 #include "src/ga/eval_cache.h"
 
 #include <gtest/gtest.h>
@@ -164,16 +164,8 @@ TEST(EvalCacheKey, SingleSwapChangesKey) {
 
 // --- cache unit behavior -----------------------------------------------------
 
-EvalCacheConfig one_shard(EvalCacheMode mode, std::size_t capacity) {
-  EvalCacheConfig cfg;
-  cfg.mode = mode;
-  cfg.capacity = capacity;
-  cfg.shards = 1;  // deterministic eviction order for the unit tests
-  return cfg;
-}
-
 TEST(EvalCacheUnit, MissInsertHitAndCounters) {
-  EvalCache cache(one_shard(EvalCacheMode::kUnbounded, 16));
+  EvalCache cache(16);
   const Genome g = perm_genome({2, 0, 1});
   const std::uint64_t h = genome_hash(g);
   EXPECT_FALSE(cache.lookup(h, g).has_value());
@@ -192,7 +184,7 @@ TEST(EvalCacheUnit, MissInsertHitAndCounters) {
 TEST(EvalCacheUnit, HashCollisionIsAMissAndInsertReplaces) {
   // Force a collision through the explicit-hash API: same key, different
   // genomes. The cache must never serve the wrong objective.
-  EvalCache cache(one_shard(EvalCacheMode::kUnbounded, 16));
+  EvalCache cache(16);
   const Genome a = perm_genome({0, 1, 2});
   const Genome b = perm_genome({2, 1, 0});
   const std::uint64_t shared_hash = 0xdeadbeefcafef00dULL;
@@ -207,42 +199,33 @@ TEST(EvalCacheUnit, HashCollisionIsAMissAndInsertReplaces) {
 }
 
 TEST(EvalCacheUnit, LruEvictsLeastRecentlyUsed) {
-  EvalCache cache(one_shard(EvalCacheMode::kLru, 3));
+  // 24 entries over the 8 shards: 3 per shard. The keys' high halves
+  // pick the shard, so keys below 2^32 all land in shard 0 and its
+  // eviction order is deterministic.
+  EvalCache cache(24);
   const Genome a = perm_genome({0, 1, 2});
   const Genome b = perm_genome({1, 2, 0});
   const Genome c = perm_genome({2, 0, 1});
   const Genome d = perm_genome({0, 2, 1});
-  cache.insert(genome_hash(a), a, 1.0);
-  cache.insert(genome_hash(b), b, 2.0);
-  cache.insert(genome_hash(c), c, 3.0);
+  cache.insert(1, a, 1.0);
+  cache.insert(2, b, 2.0);
+  cache.insert(3, c, 3.0);
   EXPECT_EQ(cache.size(), 3u);
   // Touch a: recency becomes a, c, b — so the next insert evicts b.
-  EXPECT_TRUE(cache.lookup(genome_hash(a), a).has_value());
-  cache.insert(genome_hash(d), d, 4.0);
+  EXPECT_TRUE(cache.lookup(1, a).has_value());
+  cache.insert(4, d, 4.0);
   EXPECT_EQ(cache.size(), 3u);
   EXPECT_EQ(cache.stats().evictions, 1);
-  EXPECT_FALSE(cache.lookup(genome_hash(b), b).has_value()) << "b survived";
-  EXPECT_TRUE(cache.lookup(genome_hash(a), a).has_value());
-  EXPECT_TRUE(cache.lookup(genome_hash(c), c).has_value());
-  EXPECT_TRUE(cache.lookup(genome_hash(d), d).has_value());
-}
-
-TEST(EvalCacheUnit, UnboundedNeverEvicts) {
-  EvalCache cache(one_shard(EvalCacheMode::kUnbounded, 2));
-  par::Rng rng(5);
-  const ProblemPtr problem = flow_shop();
-  for (int i = 0; i < 50; ++i) {
-    const Genome g = problem->random_genome(rng);
-    cache.insert(genome_hash(g), g, static_cast<double>(i));
-  }
-  EXPECT_EQ(cache.stats().evictions, 0);
-  EXPECT_GT(cache.size(), 2u);
+  EXPECT_FALSE(cache.lookup(2, b).has_value()) << "b survived";
+  EXPECT_TRUE(cache.lookup(1, a).has_value());
+  EXPECT_TRUE(cache.lookup(3, c).has_value());
+  EXPECT_TRUE(cache.lookup(4, d).has_value());
 }
 
 TEST(EvalCacheUnit, OffShapeGenomeIsACountedMissAndNeverStored) {
   // The first insert fixes the shape (chromosome lengths); a genome of any
   // other shape misses, and inserting it changes nothing.
-  EvalCache cache(one_shard(EvalCacheMode::kLru, 16));
+  EvalCache cache(16);
   const Genome a = perm_genome({2, 0, 1});
   cache.insert(EvalCache::key(a), a, 1.0);
   Genome longer = perm_genome({2, 0, 1, 3});
@@ -263,29 +246,26 @@ TEST(EvalCacheUnit, OffShapeGenomeIsACountedMissAndNeverStored) {
 }
 
 TEST(EvalCacheUnit, LruSizeNeverExceedsCapacity) {
-  // EvalCacheConfig::capacity is the total budget across all shards, so
-  // the shard count is clamped to the capacity.
+  // The capacity is the total budget across all shards, so the shard
+  // count is clamped to the capacity.
   const ProblemPtr problem = flow_shop();
   par::Rng rng(23);
   std::vector<Genome> genomes;
   for (int i = 0; i < 1000; ++i) genomes.push_back(problem->random_genome(rng));
   for (std::size_t capacity = 1; capacity <= 16; ++capacity) {
-    for (int shards = 1; shards <= 16; ++shards) {
-      SCOPED_TRACE("capacity=" + std::to_string(capacity) +
-                   " shards=" + std::to_string(shards));
-      EvalCache cache(EvalCacheConfig{EvalCacheMode::kLru, capacity, shards});
-      for (const Genome& g : genomes) {
-        cache.insert(EvalCache::key(g), g, 1.0);
-        ASSERT_LE(cache.size(), capacity);
-      }
-      EXPECT_GE(cache.size(), 1u);
+    SCOPED_TRACE("capacity=" + std::to_string(capacity));
+    EvalCache cache(capacity);
+    for (const Genome& g : genomes) {
+      cache.insert(EvalCache::key(g), g, 1.0);
+      ASSERT_LE(cache.size(), capacity);
     }
+    EXPECT_GE(cache.size(), 1u);
   }
 }
 
 TEST(EvalCacheUnit, HugeCapacityBuildsCheaply) {
   // Nothing is sized from the capacity up front: shards grow on demand.
-  EvalCache cache(EvalCacheConfig{EvalCacheMode::kLru, 1'000'000'000'000, 8});
+  EvalCache cache(1'000'000'000'000);
   const Genome g = perm_genome({1, 0, 2});
   cache.insert(EvalCache::key(g), g, 3.0);
   EXPECT_EQ(cache.lookup(EvalCache::key(g), g), 3.0);
@@ -302,14 +282,9 @@ TEST(EvalCacheUnit, HugeCapacityBuildsCheaply) {
 // high 32 bits, and their count is clamped like EvalCache's.
 class ReferenceCache {
  public:
-  explicit ReferenceCache(const EvalCacheConfig& config)
-      : lru_(config.mode == EvalCacheMode::kLru) {
-    std::size_t limit = kMaxEvalCacheShards;
-    if (lru_) limit = std::min(limit, std::max<std::size_t>(1, config.capacity));
-    shards_.resize(std::min(
-        static_cast<std::size_t>(std::max(1, config.shards)), limit));
-    budget_ = std::max<std::size_t>(1, config.capacity / shards_.size());
-  }
+  explicit ReferenceCache(std::size_t capacity)
+      : shards_(std::clamp<std::size_t>(capacity, 1, EvalCache::kShards)),
+        budget_(std::max<std::size_t>(1, capacity / shards_.size())) {}
 
   std::optional<double> lookup(std::uint64_t key, const Genome& genome) {
     Shard& shard = shard_for(key);
@@ -319,7 +294,7 @@ class ReferenceCache {
       ++stats_.misses;
       return std::nullopt;
     }
-    if (lru_) shard.order.splice(shard.order.begin(), shard.order, it->second.lru);
+    shard.order.splice(shard.order.begin(), shard.order, it->second.lru);
     ++stats_.hits;
     return it->second.objective;
   }
@@ -335,12 +310,12 @@ class ReferenceCache {
     if (it != shard.map.end()) {
       it->second.genome = genome;
       it->second.objective = objective;
-      if (lru_) shard.order.splice(shard.order.begin(), shard.order, it->second.lru);
+      shard.order.splice(shard.order.begin(), shard.order, it->second.lru);
       return;
     }
     shard.order.push_front(key);
     shard.map.emplace(key, Entry{genome, objective, shard.order.begin()});
-    if (lru_ && shard.map.size() > budget_) {
+    if (shard.map.size() > budget_) {
       shard.map.erase(shard.order.back());
       shard.order.pop_back();
       ++stats_.evictions;
@@ -374,108 +349,102 @@ class ReferenceCache {
            genome.keys.size() == std::get<2>(*shape_);
   }
 
-  bool lru_;
-  std::size_t budget_ = 0;
   std::vector<Shard> shards_;
+  std::size_t budget_ = 0;
   std::optional<std::tuple<std::size_t, std::size_t, std::size_t>> shape_;
   EvalCacheStats stats_;
 };
 
+/// One model run: the cache's capacity. Capacities 1, 2 and 3 build
+/// that many shards; from 8 up the clamp builds EvalCache::kShards, with
+/// budgets that split evenly (8, 64, 4096) or not (20 keeps 16).
 struct ModelCase {
-  EvalCacheMode mode;
-  int shards;
+  std::size_t capacity;
 };
 
 class EvalCacheModel : public ::testing::TestWithParam<ModelCase> {};
 
 TEST_P(EvalCacheModel, MatchesTheReferenceLruOnRandomTraffic) {
-  const ModelCase param = GetParam();
-  for (const std::size_t capacity : {1u, 2u, 3u, 7u, 64u, 4096u}) {
-    SCOPED_TRACE("capacity=" + std::to_string(capacity));
-    const EvalCacheConfig config{param.mode, capacity, param.shards};
-    par::Rng rng(1000 * capacity + static_cast<std::uint64_t>(param.shards));
+  const std::size_t capacity = GetParam().capacity;
+  const std::size_t shards = std::min(capacity, EvalCache::kShards);
+  par::Rng rng(1000 * capacity + shards);
 
-    // A small pool of genomes with all three chromosomes: four bases, each
-    // with a twin differing only in `assign` and one only in `keys`, so
-    // every chromosome takes part in the equality check. Plus two genomes
-    // of other shapes that must never be stored.
-    std::vector<Genome> pool;
-    for (int g = 0; g < 4; ++g) {
-      Genome genome;
-      for (int i = 0; i < 6; ++i) genome.seq.push_back(static_cast<int>(rng.below(4)));
-      for (int i = 0; i < 3; ++i) genome.assign.push_back(static_cast<int>(rng.below(3)));
-      for (int i = 0; i < 2; ++i) genome.keys.push_back(rng.below(4) * 0.25);
-      Genome assign_twin = genome;
-      assign_twin.assign[rng.below(3)] += 1;
-      Genome keys_twin = genome;
-      keys_twin.keys[rng.below(2)] += 0.125;
-      pool.push_back(std::move(genome));
-      pool.push_back(std::move(assign_twin));
-      pool.push_back(std::move(keys_twin));
-    }
-    Genome short_seq = pool[0];
-    short_seq.seq.pop_back();
-    Genome no_keys = pool[1];
-    no_keys.keys.clear();
+  // A small pool of genomes with all three chromosomes: four bases, each
+  // with a twin differing only in `assign` and one only in `keys`, so
+  // every chromosome takes part in the equality check. Plus two genomes
+  // of other shapes that must never be stored.
+  std::vector<Genome> pool;
+  for (int g = 0; g < 4; ++g) {
+    Genome genome;
+    for (int i = 0; i < 6; ++i) genome.seq.push_back(static_cast<int>(rng.below(4)));
+    for (int i = 0; i < 3; ++i) genome.assign.push_back(static_cast<int>(rng.below(3)));
+    for (int i = 0; i < 2; ++i) genome.keys.push_back(rng.below(4) * 0.25);
+    Genome assign_twin = genome;
+    assign_twin.assign[rng.below(3)] += 1;
+    Genome keys_twin = genome;
+    keys_twin.keys[rng.below(2)] += 0.125;
+    pool.push_back(std::move(genome));
+    pool.push_back(std::move(assign_twin));
+    pool.push_back(std::move(keys_twin));
+  }
+  Genome short_seq = pool[0];
+  short_seq.seq.pop_back();
+  Genome no_keys = pool[1];
+  no_keys.keys.clear();
 
-    // Keys from a small space: random high halves spread them over the
-    // shards; half of them share a few low halves, so index probe runs
-    // collide and deletions shift. Most traffic pairs key k with genome
-    // k % 12; the rest is a same-key, different-genome collision.
-    const std::size_t key_space = std::min<std::size_t>(2 * capacity + 8, 512);
-    std::vector<std::uint64_t> keys;
-    for (std::size_t k = 0; k < key_space; ++k) {
-      const std::uint64_t low = rng.chance(0.5) ? rng.below(8) : (rng() & 0xffffffffu);
-      keys.push_back((rng() & 0xffffffff00000000ULL) | low);
-    }
+  // Keys from a small space: random high halves spread them over the
+  // shards; half of them share a few low halves, so index probe runs
+  // collide and deletions shift. Most traffic pairs key k with genome
+  // k % 12; the rest is a same-key, different-genome collision.
+  const std::size_t key_space = std::min<std::size_t>(2 * capacity + 8, 512);
+  std::vector<std::uint64_t> keys;
+  for (std::size_t k = 0; k < key_space; ++k) {
+    const std::uint64_t low = rng.chance(0.5) ? rng.below(8) : (rng() & 0xffffffffu);
+    keys.push_back((rng() & 0xffffffff00000000ULL) | low);
+  }
 
-    EvalCache cache(config);
-    ReferenceCache model(config);
-    long long mismatches = 0;
-    for (int op = 0; op < 100'000; ++op) {
-      const std::size_t k = rng.below(keys.size());
-      const Genome* genome = &pool[k % pool.size()];
-      if (rng.chance(0.2)) genome = &pool[rng.below(pool.size())];
-      if (rng.chance(0.02)) genome = rng.chance(0.5) ? &short_seq : &no_keys;
-      if (rng.chance(0.5)) {
-        const std::optional<double> got = cache.lookup(keys[k], *genome);
-        const std::optional<double> want = model.lookup(keys[k], *genome);
-        mismatches += got != want;
-      } else {
-        const double objective = static_cast<double>(rng.below(1000));
-        cache.insert(keys[k], *genome, objective);
-        model.insert(keys[k], *genome, objective);
-      }
-    }
-    EXPECT_EQ(mismatches, 0);
-    const EvalCacheStats got = cache.stats();
-    const EvalCacheStats& want = model.stats();
-    EXPECT_EQ(got.hits, want.hits);
-    EXPECT_EQ(got.misses, want.misses);
-    EXPECT_EQ(got.inserts, want.inserts);
-    EXPECT_EQ(got.evictions, want.evictions);
-    EXPECT_EQ(cache.size(), model.size());
-    EXPECT_GT(want.hits, 0);
-    if (param.mode == EvalCacheMode::kLru && capacity < key_space) {
-      EXPECT_GT(want.evictions, 0);
+  EvalCache cache(capacity);
+  ReferenceCache model(capacity);
+  long long mismatches = 0;
+  for (int op = 0; op < 100'000; ++op) {
+    const std::size_t k = rng.below(keys.size());
+    const Genome* genome = &pool[k % pool.size()];
+    if (rng.chance(0.2)) genome = &pool[rng.below(pool.size())];
+    if (rng.chance(0.02)) genome = rng.chance(0.5) ? &short_seq : &no_keys;
+    if (rng.chance(0.5)) {
+      const std::optional<double> got = cache.lookup(keys[k], *genome);
+      const std::optional<double> want = model.lookup(keys[k], *genome);
+      mismatches += got != want;
+    } else {
+      const double objective = static_cast<double>(rng.below(1000));
+      cache.insert(keys[k], *genome, objective);
+      model.insert(keys[k], *genome, objective);
     }
   }
-}
-
-std::vector<ModelCase> model_cases() {
-  std::vector<ModelCase> cases;
-  for (const EvalCacheMode mode : {EvalCacheMode::kLru, EvalCacheMode::kUnbounded}) {
-    for (const int shards : {1, 2, 3, 8}) cases.push_back({mode, shards});
+  EXPECT_EQ(mismatches, 0);
+  const EvalCacheStats got = cache.stats();
+  const EvalCacheStats& want = model.stats();
+  EXPECT_EQ(got.hits, want.hits);
+  EXPECT_EQ(got.misses, want.misses);
+  EXPECT_EQ(got.inserts, want.inserts);
+  EXPECT_EQ(got.evictions, want.evictions);
+  EXPECT_EQ(cache.size(), model.size());
+  EXPECT_GT(want.hits, 0);
+  if (capacity < key_space) {
+    EXPECT_GT(want.evictions, 0);
   }
-  return cases;
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    ShardsAndModes, EvalCacheModel, ::testing::ValuesIn(model_cases()),
+    ShardsAndModes, EvalCacheModel,
+    ::testing::Values(ModelCase{1}, ModelCase{2}, ModelCase{3}, ModelCase{8},
+                      ModelCase{20}, ModelCase{64}, ModelCase{4096}),
     [](const ::testing::TestParamInfo<ModelCase>& info) {
-      return std::string(info.param.mode == EvalCacheMode::kLru ? "lru"
-                                                                 : "unbounded") +
-             "_shards" + std::to_string(info.param.shards);
+      const std::size_t capacity = info.param.capacity;
+      const std::size_t shards = std::min(capacity, EvalCache::kShards);
+      return "lru_shards" + std::to_string(shards) +
+             (capacity > shards ? "_capacity" + std::to_string(capacity)
+                                : std::string());
     });
 
 // --- evaluator integration: exact accounting ---------------------------------
@@ -488,10 +457,8 @@ TEST(EvaluatorCache, BatchCountersMatchHandComputedDuplicates) {
   batch.push_back(batch[0]);  // two in-batch duplicates
   batch.push_back(batch[1]);
 
-  Evaluator evaluator(problem, EvalBackend::kSerial);
-  auto cache = std::make_shared<EvalCache>(
-      one_shard(EvalCacheMode::kUnbounded, 1024));
-  evaluator.set_cache(cache);
+  auto cache = std::make_shared<EvalCache>(1024);
+  Evaluator evaluator(problem, EvalBackend::kSerial, nullptr, cache);
   std::vector<double> out(batch.size());
   // First pass: nothing is memoized yet; in-batch duplicates decode
   // independently (inserts land after the batch), so all 8 miss.
@@ -524,7 +491,7 @@ TEST(EvaluatorCache, HeavyElitismCloneOnlyRunDecodesEachGenomeOnce) {
   cfg.ops.crossover_rate = 0.0;
   cfg.ops.mutation_rate = 0.0;
   cfg.seed = 41;
-  cfg.eval_cache.mode = EvalCacheMode::kUnbounded;
+  cfg.eval_cache = std::make_shared<EvalCache>(1024);
   par::Rng seeder(17);
   std::set<std::uint64_t> distinct;
   while (static_cast<int>(cfg.initial_population.size()) < pop) {
@@ -551,7 +518,7 @@ TEST(EvaluatorCache, SharedAndReusedCachesReportPerRunDeltas) {
   const StopCondition stop = StopCondition::generations(5);
   Solver solver = Solver::build(
       SolverSpec::parse("engine=simple pop=12 elites=4 seed=51 "
-                        "eval_cache=unbounded"),
+                        "eval_cache=lru:65536"),
       problem);
   const RunResult first = solver.run(stop);
   const RunResult second = solver.run(stop);  // warm cache, same engine
@@ -566,7 +533,7 @@ TEST(EvaluatorCache, SharedAndReusedCachesReportPerRunDeltas) {
   // rerun, local-search climbs included, is a hit.
   Solver memetic = Solver::build(
       SolverSpec::parse("engine=memetic pop=12 interval=2 refine=2 budget=30 "
-                        "seed=55 eval_cache=unbounded"),
+                        "seed=55 eval_cache=lru:65536"),
       problem);
   (void)memetic.run(stop);
   const RunResult rerun = memetic.run(stop);
@@ -575,13 +542,12 @@ TEST(EvaluatorCache, SharedAndReusedCachesReportPerRunDeltas) {
   EXPECT_EQ(rerun.cache->misses, 0);
   EXPECT_EQ(rerun.cache->hits, rerun.evaluations);
 
-  auto shared = std::make_shared<EvalCache>(
-      one_shard(EvalCacheMode::kUnbounded, 1024));
+  auto shared = std::make_shared<EvalCache>(1024);
   for (const std::uint64_t seed : {61ull, 61ull}) {
     GaConfig cfg;
     cfg.population = 12;
     cfg.seed = seed;
-    cfg.shared_eval_cache = shared;
+    cfg.eval_cache = shared;
     IslandGaConfig island_cfg;
     island_cfg.islands = 2;
     island_cfg.base = cfg;
@@ -603,7 +569,7 @@ TEST(EvaluatorCache, EvaluationBudgetCountsCacheHitsExactlyOnce) {
       Solver::build(SolverSpec::parse(base + " eval=serial"), problem)
           .run(budget);
   EXPECT_GE(reference.evaluations, 95);
-  for (const char* variant : {" eval=serial eval_cache=unbounded",
+  for (const char* variant : {" eval=serial eval_cache=lru:65536",
                               " eval=pool eval_cache=lru:4096"}) {
     SCOPED_TRACE(variant);
     const RunResult got =
@@ -630,8 +596,7 @@ TEST(AsyncPipeline, StressOneToSixteenThreadsRepeatedSeeds) {
     SimpleGa serial(problem, cfg);
     const RunResult expect = serial.run(stop);
     GaConfig cached_cfg = cfg;
-    cached_cfg.eval_cache.mode = EvalCacheMode::kLru;
-    cached_cfg.eval_cache.capacity = 4096;
+    cached_cfg.eval_cache = std::make_shared<EvalCache>(4096);
     SimpleGa serial_cached(problem, cached_cfg);
     const RunResult expect_cached = serial_cached.run(stop);
     ASSERT_TRUE(expect_cached.cache.has_value());
@@ -649,6 +614,7 @@ TEST(AsyncPipeline, StressOneToSixteenThreadsRepeatedSeeds) {
 
       GaConfig pool_cached_cfg = cached_cfg;
       pool_cached_cfg.eval_backend = EvalBackend::kThreadPool;
+      pool_cached_cfg.eval_cache = std::make_shared<EvalCache>(4096);
       SimpleGa pooled_cached(problem, pool_cached_cfg, &pool);
       const RunResult got_cached = pooled_cached.run(stop);
       EXPECT_EQ(expect.history, got_cached.history);
@@ -693,32 +659,29 @@ TEST_P(CacheEquivalence, BitIdenticalTracesAcrossBackendsAndCacheModes) {
   const std::string base = GetParam();
   const StopCondition stop = StopCondition::generations(6);
   const ProblemPtr problem = flow_shop();
-  // Serial-run counters per cache mode. Both backends look up and
-  // insert on the evaluating thread in genome order, so the pool must
-  // record exactly the same hits, misses and inserts.
-  std::map<std::string, EvalCacheStats> serial_counts;
+  // The serial run's counters. Both backends look up and insert on the
+  // evaluating thread in genome order, so the pool must record exactly
+  // the same hits, misses and inserts.
+  std::optional<EvalCacheStats> serial;
   for (const char* eval : {" eval=serial", " eval=pool"}) {
     SCOPED_TRACE(base + eval);
     const RunResult off =
         Solver::build(SolverSpec::parse(base + eval), problem).run(stop);
-    for (const char* cache : {" eval_cache=lru:4096", " eval_cache=unbounded"}) {
-      SCOPED_TRACE(cache);
-      const RunResult on =
-          Solver::build(SolverSpec::parse(base + eval + cache), problem)
-              .run(stop);
-      EXPECT_EQ(off.history, on.history);
-      EXPECT_EQ(off.best.seq, on.best.seq);
-      EXPECT_EQ(off.best_objective, on.best_objective);
-      EXPECT_EQ(off.evaluations, on.evaluations)
-          << "cache hits must count like decodes";
-      ASSERT_TRUE(on.cache.has_value());
-      EXPECT_EQ(on.cache->hits + on.cache->misses, on.evaluations);
-      const EvalCacheStats& serial =
-          serial_counts.try_emplace(cache, *on.cache).first->second;
-      EXPECT_EQ(on.cache->hits, serial.hits);
-      EXPECT_EQ(on.cache->misses, serial.misses);
-      EXPECT_EQ(on.cache->inserts, serial.inserts);
-    }
+    const RunResult on =
+        Solver::build(SolverSpec::parse(base + eval + " eval_cache=lru:4096"),
+                      problem)
+            .run(stop);
+    EXPECT_EQ(off.history, on.history);
+    EXPECT_EQ(off.best.seq, on.best.seq);
+    EXPECT_EQ(off.best_objective, on.best_objective);
+    EXPECT_EQ(off.evaluations, on.evaluations)
+        << "cache hits must count like decodes";
+    ASSERT_TRUE(on.cache.has_value());
+    EXPECT_EQ(on.cache->hits + on.cache->misses, on.evaluations);
+    if (!serial) serial = *on.cache;
+    EXPECT_EQ(on.cache->hits, serial->hits);
+    EXPECT_EQ(on.cache->misses, serial->misses);
+    EXPECT_EQ(on.cache->inserts, serial->inserts);
   }
 }
 

@@ -329,7 +329,7 @@ TEST(ObsCache, ZeroCountersAlwaysEngagedWithoutACache) {
   EXPECT_EQ(result.cache->evictions, 0);
   // With a cache the counters fold into the metrics snapshot too.
   const ga::RunResult cached = run_observed(
-      "engine=simple pop=10 seed=9 eval_cache=unbounded", true, false);
+      "engine=simple pop=10 seed=9 eval_cache=lru:65536", true, false);
   ASSERT_TRUE(cached.cache.has_value());
   EXPECT_GT(cached.cache->misses, 0);
   ASSERT_TRUE(cached.metrics.has_value());
@@ -453,7 +453,7 @@ TEST(ObsJson, MetricsSnapshotRoundTripsThroughJson) {
 
 exp::SweepSpec tiny_sweep() {
   return exp::SweepSpec::parse(
-      "engine=simple pop=8 eval_cache=unbounded\n"
+      "engine=simple pop=8 eval_cache=lru:65536\n"
       "@instances=ta001 @reps=2 @generations=3 @seed=11\n");
 }
 

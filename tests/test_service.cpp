@@ -314,10 +314,13 @@ TEST(Service, MalformedRequestsGetStructuredErrors) {
       EXPECT_FALSE(refused.find("ok")->as_bool());
       EXPECT_FALSE(refused.string_or("error", "").empty());
     }
-    // Specs naming the deleted OpenMP runtime, chunk knob or eval_backend=
-    // alias are refused, never run as another configuration.
+    // Specs naming the deleted OpenMP runtime, chunk knob, eval_backend=
+    // alias or removed cache forms are refused, never run as another
+    // configuration.
     for (const char* token :
-         {"eval=omp", "eval_batch=16", "eval_backend=pool"}) {
+         {"eval=omp", "eval_batch=16", "eval_backend=pool",
+          "eval_cache=unbounded", "eval_cache=unbounded:8",
+          "eval_cache=lru:4096:16"}) {
       SCOPED_TRACE(token);
       Json stale = round_trip(
           std::string(R"({"op":"submit","spec":"problem=flowshop )") +
@@ -498,6 +501,60 @@ TEST(Service, WatchStreamsTelemetryToJobEnd) {
     for (std::size_t i = 0; i < lines.size(); ++i) {
       EXPECT_EQ(replay[i].dump(), lines[i].dump());
     }
+  }
+  server.stop();
+}
+
+TEST(Service, CacheCountersReadBackExactlyFromEveryRecord) {
+  // One writer and one reader (exp::cache_to_json, exp::cache_from_json)
+  // carry the cache counters in a job's job_end line, its status record
+  // and a sweep's cell record: each reads back the in-process run's
+  // counters exactly, in the same bytes.
+  const std::string spec =
+      "problem=flowshop instance=ta001 engine=simple pop=16 elites=6 "
+      "eval_cache=lru:24 seed=3";
+  const ga::RunResult direct = ga::Solver::build(ga::RunSpec::parse(spec))
+                                   .run(ga::StopCondition::generations(6));
+  ASSERT_TRUE(direct.cache.has_value());
+  EXPECT_GT(direct.cache->hits, 0);
+  EXPECT_GT(direct.cache->evictions, 0);
+  const auto expect_counters = [&direct](const ga::EvalCacheStats& got) {
+    EXPECT_EQ(got.hits, direct.cache->hits);
+    EXPECT_EQ(got.misses, direct.cache->misses);
+    EXPECT_EQ(got.inserts, direct.cache->inserts);
+    EXPECT_EQ(got.evictions, direct.cache->evictions);
+  };
+
+  exp::CellResult cell;
+  cell.ok = true;
+  cell.result = direct;
+  const Json record =
+      exp::cell_record(exp::SweepSpec::parse(spec), cell, "");
+  const ga::RunResult resumed =
+      exp::cell_result_from_record(cell.cell, record).result;
+  ASSERT_TRUE(resumed.cache.has_value());
+  expect_counters(*resumed.cache);
+
+  ServerConfig config = test_config();
+  Server server(config);
+  server.start();
+  {
+    Client client(config.socket_path);
+    SubmitOptions options;
+    options.generations = 6;
+    const long long id = client.submit(spec, options);
+    std::vector<Json> lines;
+    client.watch(id, [&](const Json& line) { lines.push_back(line); });
+    ASSERT_FALSE(lines.empty());
+    const Json& end = lines.back();
+    ASSERT_EQ(end.string_or("event", ""), "job_end");
+    expect_counters(exp::cache_from_json(*end.find("cache")));
+    const JobRecord status = client.status(id);
+    ASSERT_TRUE(status.cache.has_value());
+    expect_counters(*status.cache);
+    EXPECT_EQ(end.find("cache")->dump(), record.find("cache")->dump());
+    EXPECT_EQ(job_to_json(status).find("cache")->dump(),
+              record.find("cache")->dump());
   }
   server.stop();
 }

@@ -253,7 +253,7 @@ TEST(SolverSpecRoundTrip, CanonicalStringReparsesToTheSameSpec) {
         "interval=5 eval=serial eval_cache=lru:65536",
         "engine=island eval=pool eval_cache=lru:65536",
         "engine=quantum islands=4 pop=20 eval=pool",
-        "engine=cluster ranks=6 interval=5 broadcast=25 eval_cache=unbounded",
+        "engine=cluster ranks=6 interval=5 broadcast=25 eval_cache=lru:4096",
         "engine=memetic pop=60 interval=5 refine=2 budget=150 "
         "eval_cache=off xover-rate=0.85 mut-rate=0.15"}) {
     SCOPED_TRACE(text);
@@ -269,7 +269,7 @@ TEST(SolverSpecRoundTrip, RandomSpecsSurviveParsePrintParse) {
   par::Rng rng(4242);
   const std::vector<std::string> engines = engine_names();
   const char* evals[] = {"serial", "pool"};
-  const char* caches[] = {"off", "unbounded", "lru:16", "lru:65536"};
+  const char* caches[] = {"off", "lru:1", "lru:16", "lru:65536"};
   const char* topologies[] = {"ring", "grid",  "torus",     "full",
                               "star", "hypercube", "random"};
   const char* policies[] = {"best-worst", "best-random", "random-random"};
@@ -312,7 +312,7 @@ TEST(SolverSpecRoundTrip, SpecToSolverToSpecIsTheIdentity) {
   // The full loop the satellite asks for: spec -> Solver -> spec.
   for (const char* text :
        {"engine=simple pop=12 seed=3 eval=pool eval_cache=lru:512",
-        "engine=island islands=2 pop=8 interval=2 eval_cache=unbounded",
+        "engine=island islands=2 pop=8 interval=2 eval_cache=lru:64",
         "engine=cellular width=4 height=3 eval=serial"}) {
     SCOPED_TRACE(text);
     const SolverSpec spec = SolverSpec::parse(text);
@@ -355,46 +355,46 @@ TEST(SolverSpecRoundTrip, MalformedTokenFuzzAlwaysThrows) {
 }
 
 TEST(SolverSpecRoundTrip, ProgrammaticEvalCacheConfigsSurviveToString) {
-  // A spec built in code (not parsed) must round-trip too — including a
-  // non-default shard count, which rides as lru:<capacity>:<shards>.
+  // A spec built in code (not parsed) must round-trip too: a capacity
+  // prints as lru:<capacity>, and 0 as off.
   SolverSpec spec;
   spec.engine = "island";
-  spec.eval_cache = EvalCacheConfig{EvalCacheMode::kLru, 1024, 16};
-  EXPECT_EQ(SolverSpec::parse(spec.to_string()), spec);
-  spec.eval_cache = EvalCacheConfig{EvalCacheMode::kUnbounded, 0, 3};
-  EXPECT_EQ(SolverSpec::parse(spec.to_string()), spec);
-  const SolverSpec sharded =
-      SolverSpec::parse("engine=simple eval_cache=lru:1024:16");
-  EXPECT_EQ(sharded.eval_cache->shards, 16);
-  EXPECT_EQ(sharded.eval_cache->capacity, 1024u);
-  EXPECT_THROW(SolverSpec::parse("engine=simple eval_cache=lru:1024:0"),
-               std::invalid_argument);
-  EXPECT_THROW(SolverSpec::parse("engine=simple eval_cache=unbounded:x"),
-               std::invalid_argument);
+  for (const std::size_t capacity : {1024, 1, 0}) {
+    spec.eval_cache = capacity;
+    EXPECT_EQ(SolverSpec::parse(spec.to_string()), spec);
+  }
+  EXPECT_NE(spec.to_string().find("eval_cache=off"), std::string::npos);
 }
 
-TEST(SolverSpec, EvalCacheShardCountIsBounded) {
-  // Every shard is a lock and its arrays, and psgad takes specs from any
-  // client, so the grammar caps the shard count.
-  for (const char* text : {"engine=simple eval_cache=lru:16:65",
-                           "engine=simple eval_cache=unbounded:65",
-                           "engine=simple eval_cache=lru:16:2000000"}) {
-    SCOPED_TRACE(text);
+TEST(SolverSpec, RemovedEvalCacheFormsAreRefused) {
+  // The unbounded mode and the :<shards> suffix are gone. A spec naming
+  // them fails loudly, naming the token and listing the two forms left;
+  // no alias runs it as another configuration. psgad takes specs from
+  // any client, so no shard count gets through either.
+  for (const char* token :
+       {"eval_cache=unbounded", "eval_cache=unbounded:8",
+        "eval_cache=lru:4096:16", "eval_cache=lru:16:2000000",
+        "eval_cache=unbounded:x", "eval_cache=lru:-1"}) {
+    SCOPED_TRACE(token);
     try {
-      SolverSpec::parse(text);
-      ADD_FAILURE() << "expected std::invalid_argument";
-    } catch (const std::invalid_argument& error) {
-      EXPECT_NE(std::string(error.what()).find("eval_cache="),
-                std::string::npos)
-          << error.what();
+      SolverSpec::parse(std::string("engine=simple ") + token);
+      FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(token), std::string::npos) << what;
+      EXPECT_NE(what.find("(off | lru:<capacity>)"), std::string::npos)
+          << what;
+    }
+    try {
+      RunSpec::parse(
+          std::string("problem=flowshop instance=ta001 engine=simple ") +
+          token);
+      FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(token), std::string::npos)
+          << e.what();
     }
   }
-  const SolverSpec widest =
-      SolverSpec::parse("engine=simple eval_cache=lru:16:64");
-  EXPECT_EQ(widest.eval_cache->shards, 64);
-  const SolverSpec sharded =
-      SolverSpec::parse("engine=simple eval_cache=lru:1024:16");
-  EXPECT_EQ(SolverSpec::parse(sharded.to_string()), sharded);
 }
 
 TEST(SolverSpec, EvalCacheAndBackendTokensParse) {
@@ -402,14 +402,9 @@ TEST(SolverSpec, EvalCacheAndBackendTokensParse) {
       "engine=island eval=pool eval_cache=lru:65536");
   ASSERT_TRUE(spec.eval.has_value());
   EXPECT_EQ(*spec.eval, EvalBackend::kThreadPool);
-  ASSERT_TRUE(spec.eval_cache.has_value());
-  EXPECT_EQ(spec.eval_cache->mode, EvalCacheMode::kLru);
-  EXPECT_EQ(spec.eval_cache->capacity, 65536u);
-  EXPECT_EQ(SolverSpec::parse("engine=simple eval_cache=off").eval_cache->mode,
-            EvalCacheMode::kOff);
-  EXPECT_EQ(
-      SolverSpec::parse("engine=simple eval_cache=unbounded").eval_cache->mode,
-      EvalCacheMode::kUnbounded);
+  EXPECT_EQ(spec.eval_cache, 65536u);
+  EXPECT_EQ(SolverSpec::parse("engine=simple eval_cache=off").eval_cache, 0u);
+  EXPECT_EQ(SolverSpec::parse("engine=simple").eval_cache, std::nullopt);
 }
 
 // --- error reporting ---------------------------------------------------------

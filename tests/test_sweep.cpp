@@ -505,6 +505,28 @@ TEST(SweepRunner, MalformedCellSpecIsCapturedNotFatal) {
   EXPECT_NE(table.to_string().find("failed"), std::string::npos);
 }
 
+TEST(SweepRunner, RemovedEvalCacheFormsFailTheirCellsOnly) {
+  // The removed cache forms fail their own cells, naming the token; the
+  // off and lru cells of the same sweep still run.
+  const char* removed[] = {"eval_cache=unbounded", "eval_cache=unbounded:8",
+                           "eval_cache=lru:4096:16"};
+  SweepSpec spec = SweepSpec::parse(
+      std::string("engine=simple pop=8 {eval_cache=off,") + removed[0] + "," +
+      removed[1] + "," + removed[2] +
+      ",eval_cache=lru:64}\n@instances=ta001 @reps=1 @generations=2");
+  const SweepResult result = run_sweep(spec);
+  ASSERT_EQ(result.cells.size(), 5u);
+  EXPECT_EQ(result.failed, 3);
+  EXPECT_TRUE(result.cells[0].ok);
+  EXPECT_TRUE(result.cells[4].ok);
+  for (std::size_t i = 0; i < 3; ++i) {
+    SCOPED_TRACE(removed[i]);
+    EXPECT_FALSE(result.cells[i + 1].ok);
+    EXPECT_NE(result.cells[i + 1].error.find(removed[i]), std::string::npos)
+        << result.cells[i + 1].error;
+  }
+}
+
 TEST(SweepRunner, MissingInstanceFileIsCapturedNotFatal) {
   SweepSpec spec = SweepSpec::parse("engine=simple pop=8 @generations=2");
   spec.instances = {data_path("ta001.fsp"), data_path("missing.fsp")};
@@ -613,7 +635,7 @@ TEST(SweepRunner, DefaultResolverRoutesThroughProblemRegistry) {
 
 TEST(Telemetry, JsonlRoundTripsCellRecords) {
   SweepSpec spec = SweepSpec::parse(
-      "engine=island islands=2 pop=8 eval_cache=unbounded\n"
+      "engine=island islands=2 pop=8 eval_cache=lru:65536\n"
       "topology={ring,full}\n"
       "@instances=ta001 @reps=2 @generations=3 @seed=5");
   std::ostringstream telemetry;
@@ -1044,7 +1066,7 @@ TEST(SweepResume, CallerFilledUnreadableRecordIsRerunOnTwoThreads) {
 
 TEST(ReportRender, ParsesTelemetryIntoCellsAndCurves) {
   SweepSpec spec = SweepSpec::parse(
-      "engine=island islands=2 pop=8 eval_cache=unbounded\n"
+      "engine=island islands=2 pop=8 eval_cache=lru:65536\n"
       "topology={ring,full}\n"
       "@instances=ta001 @reps=2 @generations=3 @seed=5 @reference=1278");
   std::ostringstream telemetry;

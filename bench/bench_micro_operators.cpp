@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "src/ga/registry.h"
+#include "src/ga/solver.h"
 #include "src/par/rng.h"
 
 namespace {
@@ -151,6 +152,37 @@ void BM_SusPickMany(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 256);
 }
 BENCHMARK(BM_SusPickMany);
+
+/// One item is one SimpleGa generation (selection, crossover, mutation
+/// and evaluation) of an end-to-end workload's solve spec. The engine is
+/// built and initialised outside the timed loop, and each row runs a
+/// fixed number of generations, so every process times the same
+/// deterministic trajectory from the same first population.
+void BM_EngineStep(benchmark::State& state, const char* spec) {
+  Solver solver = Solver::build(RunSpec::parse(spec));
+  Engine& engine = solver.engine();
+  engine.init();
+  for (auto _ : state) engine.step();
+  state.SetItemsProcessed(state.iterations());
+}
+// ft10-gt's and ft10-breed's solves, and one island of serve-mixed's
+// flow-shop job spec (each island is a SimpleGa of pop=32 on the cache).
+BENCHMARK_CAPTURE(BM_EngineStep, ft10_gt_pop256,
+                  "problem=jobshop instance=ft10 decoder=active "
+                  "engine=simple pop=256 eval=serial seed=7")
+    ->Iterations(200)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_EngineStep, ft10_semi_active_pop100,
+                  "problem=jobshop instance=ft10 decoder=semi-active "
+                  "engine=simple pop=100 eval=serial seed=7")
+    ->Iterations(2000)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_EngineStep, flowshop_50x10_island,
+                  "problem=flowshop instance=gen:jobs=50,machines=10 "
+                  "engine=simple pop=32 eval=serial eval_cache=lru:4096 "
+                  "seed=7")
+    ->Iterations(6000)
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -559,7 +559,7 @@ BENCH_TABLE=(
   "bench_micro_decoders Decode,SemiActive,GifflerThompson,Makespan,Flexible,LotStreaming,OpenShop,HybridFlowShop"
   "bench_micro_cache BM_Cache"
   "bench_session_latency SessionEvent"
-  "bench_micro_operators BM_Crossover"
+  "bench_micro_operators BM_Crossover,BM_EngineStep"
 )
 PSGA_BUILD_TYPE=$(sed -n 's/^CMAKE_BUILD_TYPE:[^=]*=//p' "$BUILD_DIR/CMakeCache.txt")
 if [[ "${SKIP_BENCH:-0}" == "1" ]]; then

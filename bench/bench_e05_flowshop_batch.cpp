@@ -1,8 +1,8 @@
 // E05 — Akhshabi et al. [18]: master-slave GA for the flow shop with
 // partial-replacement selection, cycle crossover and swap mutation; fitness
 // evaluations dispatched to slave processors in batches. Paper: up to 9x
-// faster than the serial reference (a Lingo 8 run — substituted here by
-// the serial engine + NEH reference; see DESIGN.md §2).
+// faster than the serial reference (a Lingo 8 run; Lingo is commercial
+// and not available here, so the serial engine + NEH stand in for it).
 //
 // Reproduction: the same operator set on ta001; serial vs batched parallel
 // evaluation across worker counts, and solution quality vs NEH.

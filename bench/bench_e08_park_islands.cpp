@@ -5,9 +5,10 @@
 // GA on MT (FT), ORB and ABZ benchmarks.
 //
 // Reproduction: single GA vs 2-island vs 4-island (heterogeneous
-// operators, ring migration) on the embedded FT family + Taillard-style
-// substitutes for ABZ/ORB (DESIGN.md §2), at equal total evaluation
-// budget; best and average over replications.
+// operators, ring migration) on the embedded FT family + seeded random
+// 10 x 10 job shops standing in for ABZ/ORB, whose data is not available
+// offline, at equal total evaluation budget; best and average over
+// replications.
 #include "bench/bench_util.h"
 #include "src/ga/solver.h"
 #include "src/ga/problem_registry.h"

@@ -4,8 +4,8 @@
 // generations (GN << LN). Paper: fast convergence to good solutions, with
 // speedup between 2.28x and 2.89x for large instances on 5 machines.
 //
-// Reproduction: the cluster-layer island GA (the MPI substitute of
-// DESIGN.md §2) on 1..5 ranks at fixed per-rank budget; wall-clock for the
+// Reproduction: the cluster-layer island GA (par::Cluster, the in-process
+// MPI substitute) on 1..5 ranks at fixed per-rank budget; wall-clock for the
 // same TOTAL work (5 islands' worth) versus rank count.
 #include "bench/bench_util.h"
 #include "src/ga/solver.h"

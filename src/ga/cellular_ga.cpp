@@ -91,6 +91,9 @@ void CellularGa::step() {
   const int n = cells();
   next_grid_.resize(static_cast<std::size_t>(n));
   next_objectives_.assign(static_cast<std::size_t>(n), 0.0);
+  // One byte per cell, since pool lanes write it: an offspring that is an
+  // untouched clone of its cell inherits the cell's objective.
+  next_known_.assign(static_cast<std::size_t>(n), 0);
   const GenomeTraits& traits = problem_->traits();
 
   // Phase 1 — breeding: every cell produces its candidate offspring from
@@ -112,21 +115,25 @@ void CellularGa::step() {
     const int mate = pick_neighbor();
     Genome child1;
     Genome child2;
-    if (rng.chance(config_.crossover_rate)) {
+    const bool crossed = rng.chance(config_.crossover_rate);
+    if (crossed) {
       config_.crossover->cross(grid_[c],
                                grid_[static_cast<std::size_t>(mate)], traits,
                                child1, child2, rng);
     } else {
       child1 = grid_[c];
     }
-    if (rng.chance(config_.mutation_rate)) {
-      config_.mutation->mutate(child1, traits, rng);
+    const bool mutated = rng.chance(config_.mutation_rate);
+    if (mutated) config_.mutation->mutate(child1, traits, rng);
+    if (!crossed && !mutated) {
+      next_objectives_[c] = objectives_[c];
+      next_known_[c] = 1;
     }
     next_grid_[c] = std::move(child1);
   });
 
-  // Phase 2 — one batched fitness evaluation for the whole grid.
-  evaluator_.evaluate(next_grid_, next_objectives_);
+  // Phase 2 — one batched fitness evaluation for the cells that changed.
+  evaluator_.evaluate(next_grid_, next_objectives_, next_known_);
 
   // Phase 3 — synchronous replacement.
   for (std::size_t c = 0; c < static_cast<std::size_t>(n); ++c) {

@@ -9,6 +9,7 @@
 // any worker-thread count.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "src/ga/config.h"
@@ -109,6 +110,7 @@ class CellularGa : public Engine {
   std::vector<double> objectives_;
   std::vector<Genome> next_grid_;
   std::vector<double> next_objectives_;
+  std::vector<std::uint8_t> next_known_;  ///< 1 = objective inherited
   std::vector<par::Rng> cell_rngs_;
   std::vector<std::vector<int>> neighbor_table_;
   Genome best_;

@@ -35,7 +35,7 @@ Evaluator::Evaluator(ProblemPtr problem, EvalBackend backend,
   }
 }
 
-void Evaluator::raw_evaluate(std::span<const Genome> genomes,
+void Evaluator::raw_evaluate(GenomeViews genomes,
                              std::span<double> objectives) {
   if (decode_ns_ == nullptr && tracer_ == nullptr) {
     raw_evaluate_impl(genomes, objectives);
@@ -51,7 +51,7 @@ void Evaluator::raw_evaluate(std::span<const Genome> genomes,
   }
 }
 
-void Evaluator::raw_evaluate_impl(std::span<const Genome> genomes,
+void Evaluator::raw_evaluate_impl(GenomeViews genomes,
                                   std::span<double> objectives) {
   // One objective_batch call per lane over its whole slice; the batched
   // kernels block their working set themselves. The lane captures one
@@ -59,7 +59,7 @@ void Evaluator::raw_evaluate_impl(std::span<const Genome> genomes,
   // the pool allocates nothing.
   const struct {
     Evaluator& self;
-    std::span<const Genome> genomes;
+    GenomeViews genomes;
     std::span<double> objectives;
   } batch{*this, genomes, objectives};
   const auto lane = [&batch](std::size_t k, std::size_t begin,
@@ -76,75 +76,81 @@ void Evaluator::raw_evaluate_impl(std::span<const Genome> genomes,
 }
 
 void Evaluator::evaluate(std::span<const Genome> genomes,
-                         std::span<double> objectives) {
+                         std::span<double> objectives,
+                         std::span<const std::uint8_t> known) {
   const std::size_t n = genomes.size();
   evaluations_ += static_cast<long long>(n);
-  if (cache_ == nullptr) {
-    raw_evaluate(genomes, objectives);
-    decode_calls_ += static_cast<long long>(n);
-    return;
-  }
   // eval.cache_ns times the filter and the inserts, not the decode.
-  const bool timed = cache_ns_ != nullptr;
+  const bool timed = cache_ != nullptr && cache_ns_ != nullptr;
   auto start = timed ? std::chrono::steady_clock::now()
                      : std::chrono::steady_clock::time_point{};
-  // Filter hits on the calling thread, decode only the misses (still
-  // batched through the backend), then publish the fresh values.
-  if (cache_keys_.size() < n) cache_keys_.resize(n);
-  miss_slots_.clear();
+  // Gather the slots to decode as views, on the calling thread in genome
+  // order: a known slot keeps the caller's objective, and with a cache a
+  // hit takes the memoized one.
+  miss_views_.clear();
+  miss_keys_.clear();
+  std::size_t inherited = 0;
   {
-    const obs::Span span(tracer_.get(), "cache_filter");
+    const obs::Span span(cache_ != nullptr ? tracer_.get() : nullptr,
+                         "cache_filter");
     for (std::size_t i = 0; i < n; ++i) {
-      cache_keys_[i] = EvalCache::key(genomes[i]);
-      if (const auto value = cache_->lookup(cache_keys_[i], genomes[i])) {
-        objectives[i] = *value;
-      } else {
-        miss_slots_.push_back(i);
+      if (!known.empty() && known[i] != 0) {
+        ++inherited;
+        continue;
+      }
+      if (cache_ != nullptr) {
+        const std::uint64_t key = EvalCache::key(genomes[i]);
+        if (const auto value = cache_->lookup(key, genomes[i])) {
+          objectives[i] = *value;
+          continue;
+        }
+        miss_keys_.push_back(key);
+      }
+      miss_views_.push_back(&genomes[i]);
+    }
+  }
+  if (inherited > 0 && inherited_ != nullptr) inherited_->add(inherited);
+  std::uint64_t spent = timed ? elapsed_ns(start) : 0;
+  const std::size_t misses = miss_views_.size();
+  if (misses > 0) {
+    // A batch that decodes every slot writes the caller's span in place;
+    // otherwise the values land in a buffer and are scattered to their
+    // slots (a view's offset into `genomes` is its slot).
+    const bool in_place = misses == n;
+    if (!in_place && miss_values_.size() < misses) miss_values_.resize(misses);
+    const std::span<double> values =
+        in_place ? objectives : std::span(miss_values_.data(), misses);
+    raw_evaluate(miss_views_, values);
+    decode_calls_ += static_cast<long long>(misses);
+    if (!in_place) {
+      for (std::size_t j = 0; j < misses; ++j) {
+        objectives[static_cast<std::size_t>(miss_views_[j] - genomes.data())] =
+            values[j];
       }
     }
-  }
-  const std::size_t misses = miss_slots_.size();
-  // An all-miss batch decodes the caller's span in place; a mixed one
-  // copy-assigns its misses into buffers that only ever grow, so their
-  // genomes keep their capacity from batch to batch.
-  std::span<const Genome> miss_genomes = genomes;
-  std::span<double> miss_values = objectives;
-  if (misses < n) {
-    if (miss_genomes_.size() < misses) miss_genomes_.resize(misses);
-    if (miss_values_.size() < misses) miss_values_.resize(misses);
-    for (std::size_t j = 0; j < misses; ++j) {
-      miss_genomes_[j] = genomes[miss_slots_[j]];
+    if (cache_ != nullptr) {
+      if (timed) start = std::chrono::steady_clock::now();
+      for (std::size_t j = 0; j < misses; ++j) {
+        cache_->insert(miss_keys_[j], *miss_views_[j], values[j]);
+      }
+      if (timed) spent += elapsed_ns(start);
     }
-    miss_genomes = {miss_genomes_.data(), misses};
-    miss_values = {miss_values_.data(), misses};
-  }
-  std::uint64_t spent = timed ? elapsed_ns(start) : 0;
-  if (misses > 0) {
-    raw_evaluate(miss_genomes, miss_values);
-    decode_calls_ += static_cast<long long>(misses);
-    if (timed) start = std::chrono::steady_clock::now();
-    for (std::size_t j = 0; j < misses; ++j) {
-      const std::size_t i = miss_slots_[j];
-      cache_->insert(cache_keys_[i], miss_genomes[j], miss_values[j]);
-      objectives[i] = miss_values[j];
-    }
-    if (timed) spent += elapsed_ns(start);
   }
   if (timed) cache_ns_->record(spent);
 }
 
 double Evaluator::evaluate_one(const Genome& genome) {
   ++evaluations_;
+  std::uint64_t key = 0;
   if (cache_ != nullptr) {
-    const std::uint64_t key = EvalCache::key(genome);
+    key = EvalCache::key(genome);
     if (const auto value = cache_->lookup(key, genome)) return *value;
-    const double objective = problem_->objective(genome, workspace(0));
-    ++decode_calls_;
-    cache_->insert(key, genome, objective);
-    return objective;
   }
+  const double objective = problem_->objective(genome, workspace(0));
   ++decode_calls_;
-  return problem_->objective(genome, workspace(0));
+  if (decoded_genomes_ != nullptr) decoded_genomes_->add();
+  if (cache_ != nullptr) cache_->insert(key, genome, objective);
+  return objective;
 }
 
 void Evaluator::set_obs(obs::RegistryPtr metrics,
@@ -155,11 +161,13 @@ void Evaluator::set_obs(obs::RegistryPtr metrics,
     decode_ns_ = &metrics_->histogram("eval.decode_ns");
     batch_size_hist_ = &metrics_->histogram("eval.batch_size");
     decoded_genomes_ = &metrics_->counter("eval.decoded_genomes");
+    inherited_ = &metrics_->counter("eval.inherited");
     cache_ns_ = &metrics_->histogram("eval.cache_ns");
   } else {
     decode_ns_ = nullptr;
     batch_size_hist_ = nullptr;
     decoded_genomes_ = nullptr;
+    inherited_ = nullptr;
     cache_ns_ = nullptr;
   }
 }

@@ -14,18 +14,24 @@
 // counts; Workspaces only recycle allocations, never carry state between
 // genomes.
 //
-// An optional EvalCache (the last constructor argument) memoizes
-// objectives by EvalCache::key; lookups and inserts happen on the calling
-// thread in genome order, only the misses reach the backend, and
-// decode_calls() reports how many genomes were actually decoded. Several
-// evaluators may share one cache (islands, cluster ranks): cached values
-// come from the same pure objectives, so sharing never perturbs a trace.
+// evaluate() is the one place that decides what to decode. A slot the
+// caller marks known (an elite, or a child that neither crossed nor
+// mutated) keeps the objective the caller wrote: the engine already holds
+// it, so it is neither looked up nor decoded. The other slots go, as
+// views, through the optional EvalCache (the last constructor argument),
+// which memoizes objectives by EvalCache::key; lookups and inserts happen
+// on the calling thread in genome order, only the misses reach the
+// backend, and decode_calls() reports how many genomes were actually
+// decoded. Several evaluators may share one cache (islands, cluster
+// ranks): cached and inherited values come from the same pure objectives,
+// so neither ever perturbs a trace.
 //
 // An Evaluator instance is NOT re-entrant: it owns one Workspace per lane.
 // Engines that evaluate from several threads at once (islands stepping in
 // parallel) give each inner engine its own serial Evaluator instead.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
@@ -55,29 +61,36 @@ class Evaluator {
                      EvalCachePtr cache = nullptr);
 
   /// Fills objectives[i] = problem objective of genomes[i]. Spans must
-  /// have equal size. Counts toward evaluations().
-  void evaluate(std::span<const Genome> genomes, std::span<double> objectives);
+  /// have equal size; `known` is empty or holds one byte per genome. A
+  /// slot whose known byte is nonzero keeps the objective the caller wrote
+  /// into objectives[i]; it skips the cache and the decoder and counts
+  /// toward eval.inherited. Every slot counts toward evaluations().
+  void evaluate(std::span<const Genome> genomes, std::span<double> objectives,
+                std::span<const std::uint8_t> known = {});
 
   /// Single-genome convenience on lane 0's Workspace (local search, B&B
-  /// comparisons). Counts toward evaluations().
+  /// comparisons). Counts toward evaluations(), and a decode toward
+  /// eval.decoded_genomes.
   double evaluate_one(const Genome& genome);
 
   /// Attaches the observability sinks (both may be null). Handles into
   /// `metrics` are resolved once, here — the hot path then costs two
   /// clock reads plus a few relaxed adds per *batch*, never per genome.
   /// Metric names: eval.decode_ns / eval.batch_size / eval.decoded_genomes
-  /// on every decode batch, and eval.cache_ns (the filter plus the
-  /// inserts, decode excluded) once per evaluate() call with a cache.
-  /// Spans: decode, cache_filter.
+  /// on every decode batch (eval.decoded_genomes also on each decode of
+  /// evaluate_one), eval.inherited per evaluate() call with known slots,
+  /// and eval.cache_ns (the filter plus the inserts, decode
+  /// excluded) once per evaluate() call with a cache. Spans: decode,
+  /// cache_filter.
   void set_obs(obs::RegistryPtr metrics, std::shared_ptr<obs::Tracer> tracer);
 
   /// Total genomes evaluated through this Evaluator — the *logical*
-  /// count: a cache hit counts exactly once, same as a decode, so
-  /// evaluation budgets see identical numbers with the cache on or off.
+  /// count: an inherited slot or a cache hit counts exactly once, same as
+  /// a decode, so evaluation budgets see identical numbers however many
+  /// genomes are decoded.
   long long evaluations() const noexcept { return evaluations_; }
 
-  /// Genomes actually decoded (cache misses reaching the backend).
-  /// Equals evaluations() when no cache is attached.
+  /// Genomes actually decoded (neither inherited nor cache hits).
   long long decode_calls() const noexcept { return decode_calls_; }
 
   EvalBackend backend() const noexcept { return backend_; }
@@ -90,10 +103,8 @@ class Evaluator {
   Workspace& workspace(std::size_t lane) { return *workspaces_[lane]; }
   /// Backend dispatch without cache filtering (the decode path).
   /// Instrumented wrapper over raw_evaluate_impl.
-  void raw_evaluate(std::span<const Genome> genomes,
-                    std::span<double> objectives);
-  void raw_evaluate_impl(std::span<const Genome> genomes,
-                         std::span<double> objectives);
+  void raw_evaluate(GenomeViews genomes, std::span<double> objectives);
+  void raw_evaluate_impl(GenomeViews genomes, std::span<double> objectives);
 
   ProblemPtr problem_;
   EvalBackend backend_;
@@ -102,12 +113,13 @@ class Evaluator {
   EvalCachePtr cache_;
   long long evaluations_ = 0;
   long long decode_calls_ = 0;
-  // Reusable scratch for the cache-filtering path. The key and miss
-  // buffers only ever grow, so a warmed filter allocates nothing.
-  std::vector<std::uint64_t> cache_keys_;  ///< per genome of the batch
-  std::vector<std::size_t> miss_slots_;
-  std::vector<Genome> miss_genomes_;
+  // The slots evaluate() decodes, as views into the caller's genomes (a
+  // view's offset is its slot), their decoded values and (with a cache)
+  // their keys. Reused across calls, so a warmed Evaluator allocates
+  // nothing.
+  std::vector<const Genome*> miss_views_;
   std::vector<double> miss_values_;
+  std::vector<std::uint64_t> miss_keys_;
   // Observability sinks (set_obs). The shared handles keep the registry
   // and tracer alive; the raw pointers are the pre-resolved hot-path
   // handles (stable for the registry's lifetime).
@@ -116,6 +128,7 @@ class Evaluator {
   obs::Histogram* decode_ns_ = nullptr;
   obs::Histogram* batch_size_hist_ = nullptr;
   obs::Counter* decoded_genomes_ = nullptr;
+  obs::Counter* inherited_ = nullptr;
   obs::Histogram* cache_ns_ = nullptr;
 };
 

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 #include "src/ga/local_search.h"
+#include "src/ga/solver.h"
 
 namespace psga::ga {
 
@@ -13,7 +16,15 @@ MemeticGa::MemeticGa(ProblemPtr problem, MemeticConfig config)
       refine_count_(config.refine_count),
       search_budget_(config.search_budget),
       use_redirect_(config.use_redirect),
-      climbs_(&metrics_->counter("engine.climbs")) {}
+      climbs_(&metrics_->counter("engine.climbs")) {
+  // A negative count would hand partial_sort a middle before begin().
+  if (refine_count_ < 0 || refine_count_ > SolverSpec::kMaxPopulation) {
+    throw std::invalid_argument(
+        "MemeticGa: refine_count must be in [0, " +
+        std::to_string(SolverSpec::kMaxPopulation) + "], got " +
+        std::to_string(refine_count_));
+  }
+}
 
 void MemeticGa::init() {
   climb_rng_ = par::Rng(config().seed ^ 0x5eedu);

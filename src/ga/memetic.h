@@ -14,7 +14,9 @@ namespace psga::ga {
 struct MemeticConfig {
   GaConfig base;
   int interval = 5;           ///< generations between local-search waves
-  int refine_count = 2;       ///< individuals refined per wave (best ones)
+  /// Individuals refined per wave (the best ones); in [0,
+  /// SolverSpec::kMaxPopulation], or the constructor throws.
+  int refine_count = 2;
   int search_budget = 100;    ///< objective evaluations per climb
   bool use_redirect = true;   ///< Redirect-restart a stuck climb ([38])
 };

@@ -5,14 +5,16 @@
 //
 // Evaluation is batched: engines hand whole populations to
 // psga::ga::Evaluator, which calls objective_batch() once per worker lane
-// with a lane-private Workspace. Heavy decoders keep their schedule
-// scratch (matrices, frontier vectors, the decoded Schedule itself) inside
-// the Workspace so it is allocated once per run instead of once per
-// genome.
+// with a lane-private Workspace, over views of the genomes it must decode
+// (slots whose objective the engine already holds never get here). Heavy
+// decoders keep their schedule scratch (matrices, frontier vectors, the
+// decoded Schedule itself) inside the Workspace so it is allocated once
+// per run instead of once per genome.
 #pragma once
 
 #include <memory>
 #include <span>
+#include <vector>
 
 #include "src/ga/genome.h"
 #include "src/par/rng.h"
@@ -27,6 +29,10 @@ class Workspace {
  public:
   virtual ~Workspace() = default;
 };
+
+/// Genomes handed to a batch decode: each entry points at a genome that
+/// the caller keeps alive for the call.
+using GenomeViews = std::span<const Genome* const>;
 
 class Problem {
  public:
@@ -56,19 +62,30 @@ class Problem {
     return objective(genome);
   }
 
-  /// Batch entry point: fills objectives[i] = objective(genomes[i]) using
-  /// one shared Workspace for the lane's whole slice (the Evaluator makes
-  /// one call per lane). The default loop is correct for every problem;
-  /// override only to exploit cross-genome structure.
-  virtual void objective_batch(std::span<const Genome> genomes,
+  /// Batch entry point: fills objectives[i] = objective(*genomes[i])
+  /// using one shared Workspace for the lane's whole slice (the Evaluator
+  /// makes one call per lane). The genomes come as views, so the
+  /// Evaluator hands over the slots it must decode without copying a
+  /// genome. The default loop is correct for every problem; override only
+  /// to exploit cross-genome structure.
+  virtual void objective_batch(GenomeViews genomes,
                                std::span<double> objectives,
                                Workspace& workspace) const {
     for (std::size_t i = 0; i < genomes.size(); ++i) {
-      objectives[i] = objective(genomes[i], workspace);
+      objectives[i] = objective(*genomes[i], workspace);
     }
   }
 };
 
 using ProblemPtr = std::shared_ptr<const Problem>;
+
+/// One view per genome of `genomes`, in order: a whole population as
+/// objective_batch takes it.
+inline std::vector<const Genome*> views_of(std::span<const Genome> genomes) {
+  std::vector<const Genome*> views;
+  views.reserve(genomes.size());
+  for (const Genome& genome : genomes) views.push_back(&genome);
+  return views;
+}
 
 }  // namespace psga::ga

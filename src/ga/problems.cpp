@@ -92,7 +92,7 @@ double FlowShopProblem::objective_with(const Genome& genome,
   return sched::flow_shop_objective(inst_, genome.seq, criterion_, scratch.fs);
 }
 
-void FlowShopProblem::objective_batch(std::span<const Genome> genomes,
+void FlowShopProblem::objective_batch(GenomeViews genomes,
                                       std::span<double> objectives,
                                       Workspace& workspace) const {
   auto* s = detail::scratch_of<FlowShopEvalScratch>(workspace);
@@ -102,7 +102,7 @@ void FlowShopProblem::objective_batch(std::span<const Genome> genomes,
   }
   s->lanes.clear();
   s->lanes.reserve(genomes.size());
-  for (const Genome& g : genomes) s->lanes.emplace_back(g.seq);
+  for (const Genome* g : genomes) s->lanes.emplace_back(g->seq);
   sched::flow_shop_objective_batch(inst_, pack_, s->lanes, criterion_,
                                    objectives, s->batch);
 }
@@ -139,7 +139,7 @@ double RandomKeyFlowShopProblem::objective_with(
                                     scratch.fs);
 }
 
-void RandomKeyFlowShopProblem::objective_batch(std::span<const Genome> genomes,
+void RandomKeyFlowShopProblem::objective_batch(GenomeViews genomes,
                                                std::span<double> objectives,
                                                Workspace& workspace) const {
   auto* s = detail::scratch_of<RandomKeyFlowScratch>(workspace);
@@ -152,16 +152,16 @@ void RandomKeyFlowShopProblem::objective_batch(std::span<const Genome> genomes,
   // are sized by each genome's key count so a malformed genome reaches the
   // kernel's length check instead of reading out of bounds here.
   std::size_t total = 0;
-  for (const Genome& g : genomes) total += g.keys.size();
+  for (const Genome* g : genomes) total += g->keys.size();
   s->perm_storage.resize(total);
   s->lanes.clear();
   s->lanes.reserve(genomes.size());
   std::size_t offset = 0;
-  for (const Genome& g : genomes) {
-    const std::span<int> slot(s->perm_storage.data() + offset, g.keys.size());
-    keys_to_permutation_into(g.keys, slot);
+  for (const Genome* g : genomes) {
+    const std::span<int> slot(s->perm_storage.data() + offset, g->keys.size());
+    keys_to_permutation_into(g->keys, slot);
     s->lanes.emplace_back(slot);
-    offset += g.keys.size();
+    offset += g->keys.size();
   }
   sched::flow_shop_objective_batch(inst_, pack_, s->lanes, criterion_,
                                    objectives, s->batch);
@@ -208,8 +208,9 @@ double JobShopProblem::objective(const Genome& genome) const {
 double JobShopProblem::objective_with(const Genome& genome,
                                       JobShopEvalScratch& scratch) const {
   if (decoder_ == Decoder::kGifflerThompson) {
+    const Genome* const view = &genome;
     double value = 0;
-    active_objectives(std::span(&genome, 1), std::span(&value, 1), scratch);
+    active_objectives(std::span(&view, 1), std::span(&value, 1), scratch);
     return value;
   }
   const auto expected = static_cast<std::size_t>(traits_.seq_length);
@@ -227,7 +228,7 @@ double JobShopProblem::objective_with(const Genome& genome,
       inst_.attrs);
 }
 
-void JobShopProblem::objective_batch(std::span<const Genome> genomes,
+void JobShopProblem::objective_batch(GenomeViews genomes,
                                      std::span<double> objectives,
                                      Workspace& workspace) const {
   if (decoder_ == Decoder::kGifflerThompson) {
@@ -239,12 +240,12 @@ void JobShopProblem::objective_batch(std::span<const Genome> genomes,
   WorkspaceProblem::objective_batch(genomes, objectives, workspace);
 }
 
-void JobShopProblem::active_objectives(std::span<const Genome> genomes,
+void JobShopProblem::active_objectives(GenomeViews genomes,
                                        std::span<double> objectives,
                                        JobShopEvalScratch& scratch) const {
   scratch.lanes.clear();
   scratch.lanes.reserve(genomes.size());
-  for (const Genome& g : genomes) scratch.lanes.emplace_back(g.seq);
+  for (const Genome* g : genomes) scratch.lanes.emplace_back(g->seq);
   sched::giffler_thompson_objective_batch(inst_, routes_, scratch.lanes,
                                           criterion_, objectives, scratch.js);
 }

@@ -65,13 +65,12 @@ class WorkspaceProblem : public Problem {
     return derived().objective(genome);
   }
 
-  void objective_batch(std::span<const Genome> genomes,
-                       std::span<double> objectives,
+  void objective_batch(GenomeViews genomes, std::span<double> objectives,
                        Workspace& workspace) const override {
     // Resolve the typed scratch once per batch, not once per genome.
     if (auto* s = detail::scratch_of<Scratch>(workspace)) {
       for (std::size_t i = 0; i < genomes.size(); ++i) {
-        objectives[i] = derived().objective_with(genomes[i], *s);
+        objectives[i] = derived().objective_with(*genomes[i], *s);
       }
       return;
     }
@@ -106,8 +105,7 @@ class FlowShopProblem final
   double objective(const Genome& genome) const override;
   double objective_with(const Genome& genome,
                         FlowShopEvalScratch& scratch) const;
-  void objective_batch(std::span<const Genome> genomes,
-                       std::span<double> objectives,
+  void objective_batch(GenomeViews genomes, std::span<double> objectives,
                        Workspace& workspace) const override;
 
   const sched::FlowShopInstance& instance() const { return inst_; }
@@ -146,8 +144,7 @@ class RandomKeyFlowShopProblem final
   double objective(const Genome& genome) const override;
   double objective_with(const Genome& genome,
                         RandomKeyFlowScratch& scratch) const;
-  void objective_batch(std::span<const Genome> genomes,
-                       std::span<double> objectives,
+  void objective_batch(GenomeViews genomes, std::span<double> objectives,
                        Workspace& workspace) const override;
 
   /// The decoded permutation (exposed for inspection).
@@ -194,8 +191,7 @@ class JobShopProblem final
                         JobShopEvalScratch& scratch) const;
   /// The active decoder hands the whole slice to the batch entry, which
   /// decodes four genomes in lockstep on the register path.
-  void objective_batch(std::span<const Genome> genomes,
-                       std::span<double> objectives,
+  void objective_batch(GenomeViews genomes, std::span<double> objectives,
                        Workspace& workspace) const override;
 
   const sched::JobShopInstance& instance() const { return inst_; }
@@ -206,8 +202,7 @@ class JobShopProblem final
 
  private:
   /// The active decoder's one entry: giffler_thompson_objective_batch.
-  void active_objectives(std::span<const Genome> genomes,
-                         std::span<double> objectives,
+  void active_objectives(GenomeViews genomes, std::span<double> objectives,
                          JobShopEvalScratch& scratch) const;
 
   sched::JobShopInstance inst_;

@@ -78,9 +78,10 @@ struct RunResult {
   std::optional<PopulationSection> population;
   /// Evaluation-cache counters accrued by THIS run (a delta, not the
   /// cache's lifetime totals — a shared or reused cache reports clean
-  /// per-run numbers). hits + misses == evaluations for the cached
-  /// evaluation paths. Always engaged: all-zero when no cache is
-  /// configured, so telemetry consumers never special-case the field.
+  /// per-run numbers). hits + misses + eval.inherited == evaluations
+  /// for the cached evaluation paths. Always engaged: all-zero when no
+  /// cache is configured, so telemetry consumers never special-case the
+  /// field.
   std::optional<EvalCacheStats> cache;
   /// Per-run observability snapshot (decode timing, batch sizes,
   /// generation latency, cache counters — see docs/observability.md for

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 namespace psga::ga {
 
@@ -46,6 +48,18 @@ SimpleGa::SimpleGa(ProblemPtr problem, GaConfig config, par::ThreadPool* pool)
     if (!config_.ops.selection) config_.ops.selection = defaults.selection;
     if (!config_.ops.crossover) config_.ops.crossover = defaults.crossover;
     if (!config_.ops.mutation) config_.ops.mutation = defaults.mutation;
+  }
+  // A fraction outside [0, 1] (or NaN) would breed more children than
+  // the population has slots.
+  if (!(config_.immigration_fraction >= 0.0 &&
+        config_.immigration_fraction <= 1.0)) {
+    throw std::invalid_argument(
+        "SimpleGa: immigration_fraction must be in [0, 1], got " +
+        std::to_string(config_.immigration_fraction));
+  }
+  if (config_.elites < 0) {
+    throw std::invalid_argument("SimpleGa: elites must be >= 0, got " +
+                                std::to_string(config_.elites));
   }
   obs::ensure_registry(config_.metrics);
   attach(config_.metrics, config_.tracer, config_.eval_cache);
@@ -144,8 +158,13 @@ void SimpleGa::step() {
   next_objectives_.assign(static_cast<std::size_t>(population), 0.0);
   std::size_t filled = 0;
 
-  // Elitism: best `elites` individuals survive unchanged (all cache hits
-  // when memoization is on — they were decoded last generation).
+  // A slot holding a verbatim copy of a current individual (an elite, or
+  // a child that neither crossed nor mutated) inherits that individual's
+  // objective, so the Evaluator decodes only the other slots. Nothing is
+  // compared: the breeding branch alone says which slots are copies.
+  next_known_.assign(static_cast<std::size_t>(population), 0);
+
+  // Elitism: best `elites` individuals survive unchanged.
   std::vector<int> order(population_.size());
   std::iota(order.begin(), order.end(), 0);
   std::partial_sort(order.begin(),
@@ -155,8 +174,10 @@ void SimpleGa::step() {
                              objectives_[static_cast<std::size_t>(b)];
                     });
   for (int e = 0; e < elites; ++e) {
-    next_population_[filled++] =
-        population_[static_cast<std::size_t>(order[static_cast<std::size_t>(e)])];
+    const auto source = static_cast<std::size_t>(order[static_cast<std::size_t>(e)]);
+    next_population_[filled] = population_[source];
+    next_objectives_[filled] = objectives_[source];
+    next_known_[filled++] = 1;
   }
 
   // Breeding: selection (possibly SUS batch), crossover, mutation.
@@ -166,24 +187,33 @@ void SimpleGa::step() {
   const double mutation_rate = current_mutation_rate();
   const std::size_t last_bred_slot = static_cast<std::size_t>(elites + bred);
   for (int p = 0; p < pairs; ++p) {
-    const Genome& a = population_[static_cast<std::size_t>(parents[static_cast<std::size_t>(2 * p)])];
-    const Genome& b = population_[static_cast<std::size_t>(parents[static_cast<std::size_t>(2 * p + 1)])];
+    const auto pa = static_cast<std::size_t>(parents[static_cast<std::size_t>(2 * p)]);
+    const auto pb = static_cast<std::size_t>(parents[static_cast<std::size_t>(2 * p + 1)]);
+    const Genome& a = population_[pa];
+    const Genome& b = population_[pb];
     // The odd-count tail pair still breeds (and draws for) a second
     // child; it just lands in the spare buffer instead of a slot.
     const bool has_room2 = filled + 1 < last_bred_slot;
     Genome& child1 = next_population_[filled];
     Genome& child2 = has_room2 ? next_population_[filled + 1] : spare_child_;
-    if (rng_.chance(config_.ops.crossover_rate)) {
+    const bool crossed = rng_.chance(config_.ops.crossover_rate);
+    if (crossed) {
       config_.ops.crossover->cross(a, b, traits, child1, child2, rng_);
     } else {
       child1 = a;
       child2 = b;
     }
-    if (rng_.chance(mutation_rate)) {
-      config_.ops.mutation->mutate(child1, traits, rng_);
+    const bool mutated1 = rng_.chance(mutation_rate);
+    if (mutated1) config_.ops.mutation->mutate(child1, traits, rng_);
+    const bool mutated2 = rng_.chance(mutation_rate);
+    if (mutated2) config_.ops.mutation->mutate(child2, traits, rng_);
+    if (!crossed && !mutated1) {
+      next_objectives_[filled] = objectives_[pa];
+      next_known_[filled] = 1;
     }
-    if (rng_.chance(mutation_rate)) {
-      config_.ops.mutation->mutate(child2, traits, rng_);
+    if (!crossed && !mutated2 && has_room2) {
+      next_objectives_[filled + 1] = objectives_[pb];
+      next_known_[filled + 1] = 1;
     }
     filled += has_room2 ? 2 : 1;
   }
@@ -196,7 +226,7 @@ void SimpleGa::step() {
     tracer->record("breed", breed_start, tracer->now_ns() - breed_start);
   }
 
-  evaluator_.evaluate(next_population_, next_objectives_);
+  evaluator_.evaluate(next_population_, next_objectives_, next_known_);
   population_.swap(next_population_);
   objectives_.swap(next_objectives_);
   ++generation_;

@@ -9,9 +9,12 @@
 // GaConfig::eval_backend; since objectives are pure and chunking is
 // deterministic, the evolutionary trace is identical for every backend
 // and thread count. That is the master-slave invariance of Table III:
-// make_master_slave_engine returns a SimpleGa on the pool.
+// make_master_slave_engine returns a SimpleGa on the pool. Elites and
+// children that neither crossed nor mutated inherit their source's
+// objective, so only the other slots are decoded.
 #pragma once
 
+#include <cstdint>
 #include <span>
 
 #include "src/ga/config.h"
@@ -26,7 +29,9 @@ namespace psga::ga {
 class SimpleGa : public Engine {
  public:
   /// `pool` may be null — the library default pool is used when the
-  /// config selects the thread-pool backend.
+  /// config selects the thread-pool backend. Throws std::invalid_argument
+  /// unless config.immigration_fraction is in [0, 1] and config.elites is
+  /// not negative.
   SimpleGa(ProblemPtr problem, GaConfig config,
            par::ThreadPool* pool = nullptr);
 
@@ -58,8 +63,8 @@ class SimpleGa : public Engine {
     return true;
   }
 
-  /// Genomes actually decoded (cache misses); == evaluations() without a
-  /// cache. Telemetry for benches and the cache tests.
+  /// Genomes actually decoded: evaluations() less the inherited slots
+  /// and the cache hits. Telemetry for benches and the cache tests.
   long long decode_calls() const { return evaluator_.decode_calls(); }
 
   /// The engine's evaluation path — the memetic engine routes its
@@ -114,6 +119,7 @@ class SimpleGa : public Engine {
   /// with population_/objectives_.
   std::vector<Genome> next_population_;
   std::vector<double> next_objectives_;
+  std::vector<std::uint8_t> next_known_;  ///< 1 = objective inherited
   Genome spare_child_;  ///< discarded second child of the last odd pair
   Genome best_;
   double best_objective_ = 0.0;

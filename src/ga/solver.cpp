@@ -78,6 +78,16 @@ double parse_double(const std::string& value, const std::string& token) {
   return spec::parse_double("SolverSpec", value, token);
 }
 
+/// parse_double, refusing a value outside [0, 1] (NaN and the infinities
+/// included) with an error naming the token.
+double parse_fraction(const std::string& value, const std::string& token) {
+  const double x = parse_double(value, token);
+  if (!(x >= 0.0 && x <= 1.0)) {
+    bad_token(token, token.substr(0, token.find('=')) + " must be in [0, 1]");
+  }
+  return x;
+}
+
 std::uint64_t parse_u64(const std::string& value, const std::string& token) {
   return spec::parse_u64("SolverSpec", value, token);
 }
@@ -135,7 +145,7 @@ SolverSpec SolverSpec::parse(const std::string& text) {
     } else if (key == "mut-rate") {
       spec.mutation_rate = parse_double(value, token);
     } else if (key == "immigration") {
-      spec.immigration = parse_double(value, token);
+      spec.immigration = parse_fraction(value, token);
     } else if (key == "transform") {
       spec.transform = parse_transform(value, token);
     } else if (key == "reference") {
@@ -161,7 +171,7 @@ SolverSpec SolverSpec::parse(const std::string& text) {
     } else if (key == "radius") {
       spec.radius = parse_int_in(value, token, 1, kMaxRadius);
     } else if (key == "refine") {
-      spec.refine = parse_int(value, token);
+      spec.refine = parse_int_in(value, token, 0, kMaxPopulation);
     } else if (key == "budget") {
       spec.budget = parse_int(value, token);
     } else if (key == "ranks") {

@@ -95,8 +95,9 @@ struct SolverSpec {
   // for thousands of threads or millions of genomes. Each rank is one
   // std::thread: ranks= is in [1, kMaxRanks].
   static constexpr int kMaxRanks = 256;
-  /// pop= is in [1, kMaxPopulation]; elites= and migrants= count
-  /// individuals too and are in [0, kMaxPopulation].
+  /// pop= is in [1, kMaxPopulation]; elites=, migrants= and refine=
+  /// count individuals too and are in [0, kMaxPopulation]. immigration=
+  /// is a fraction of the population, in [0, 1].
   static constexpr int kMaxPopulation = 1 << 16;
   /// islands= is in [1, kMaxIslands].
   static constexpr int kMaxIslands = 256;

@@ -43,10 +43,15 @@ inline double parse_double(const std::string& who, const std::string& value,
   }
 }
 
+/// An unsigned value: it must start with a digit, since std::stoull
+/// would read "-1" as 2^64 - 1.
 inline std::uint64_t parse_u64(const std::string& who,
                                const std::string& value,
                                const std::string& token) {
   try {
+    if (value.empty() || value[0] < '0' || value[0] > '9') {
+      throw std::invalid_argument(value);
+    }
     std::size_t used = 0;
     const unsigned long long parsed = std::stoull(value, &used);
     if (used != value.size()) throw std::invalid_argument(value);

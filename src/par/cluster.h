@@ -6,8 +6,9 @@
 // rank/mailbox layer with the same *semantics*: each rank runs on its own
 // thread with private state and communicates only through explicit
 // messages. Island-GA code written against this layer is line-for-line
-// the code one would write against MPI_Send/MPI_Recv, which is what makes
-// the substitution behaviour-preserving (see DESIGN.md §2).
+// the code one would write against MPI_Send/MPI_Recv: each rank's state,
+// the messages and their order are what an MPI run would have, and only
+// the transport (shared memory instead of a network) differs.
 #pragma once
 
 #include <condition_variable>

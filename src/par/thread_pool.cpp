@@ -78,15 +78,10 @@ void ThreadPool::parallel_lanes(
   done_.wait(lock, [&] { return pending_ == 0; });
 }
 
-void ThreadPool::parallel_chunks(
-    std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn) {
-  parallel_lanes(n, [&fn](std::size_t /*lane*/, std::size_t begin,
-                          std::size_t end) { fn(begin, end); });
-}
-
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& fn) {
-  parallel_chunks(n, [&fn](std::size_t begin, std::size_t end) {
+  parallel_lanes(n, [&fn](std::size_t /*lane*/, std::size_t begin,
+                          std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) fn(i);
   });
 }

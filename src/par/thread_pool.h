@@ -35,13 +35,9 @@ class ThreadPool {
   /// fn terminate (GA kernels are noexcept by design); keep kernels clean.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
-  /// Runs fn(begin, end) once per contiguous chunk — cheaper when the body
-  /// wants to hoist per-worker state out of the loop.
-  void parallel_chunks(std::size_t n,
-                       const std::function<void(std::size_t, std::size_t)>& fn);
-
-  /// Like parallel_chunks, but also passes the lane index (0-based, lane 0
-  /// is the calling thread). Lane k always receives the k-th static chunk
+  /// Runs fn(lane, begin, end) once per contiguous chunk, blocking until
+  /// all finish; the lane index is 0-based, and lane 0 is the calling
+  /// thread. Lane k always receives the k-th static chunk
   /// [k*n/lanes, (k+1)*n/lanes), so per-lane state (e.g. an evaluation
   /// Workspace) is reused deterministically across calls.
   void parallel_lanes(

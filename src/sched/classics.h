@@ -4,9 +4,9 @@
 // families. The FT (MT) instances and LA01 are embedded verbatim below —
 // they are short and universally reproduced in the literature, each with
 // its proven optimal makespan. The ABZ/ORB data files are not available
-// offline; experiments that would use them substitute additional Taillard
-// generator instances (documented in DESIGN.md §2) rather than ship
-// unverifiable data.
+// offline; experiments that would use them substitute seeded random job
+// shops of the same 10 x 10 shape (sched::random_job_shop, as E08 does)
+// rather than ship unverifiable data.
 #pragma once
 
 #include "src/sched/job_shop.h"

@@ -1,8 +1,9 @@
 // Constructive reference heuristics. They provide (a) the heuristic
 // objective value F̄ used by the survey's fitness transform Eq. (1), (b)
 // warm-start individuals for the GAs, and (c) the serial reference that
-// substitutes the commercial solver baseline of Akhshabi et al. [18]
-// (Lingo 8 — unavailable; see DESIGN.md §2).
+// stands in for the commercial solver baseline of Akhshabi et al. [18]:
+// Lingo 8 is not available here, so E05 compares against NEH and the
+// serial engine instead.
 #pragma once
 
 #include <vector>

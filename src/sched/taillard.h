@@ -40,8 +40,9 @@ JobShopInstance taillard_job_shop(int jobs, int machines,
                                   std::int32_t machine_seed);
 
 /// A published Taillard flow-shop benchmark entry: its generator seed and
-/// the best-known makespan from the literature (used as the RPD reference;
-/// see DESIGN.md — we reproduce shapes, not absolute records).
+/// the best-known makespan from the literature, the RPD reference. The
+/// generator rebuilds the published instance from its seed; best_known is
+/// the literature's record, which the GAs here are not expected to reach.
 struct TaillardBenchmark {
   const char* name;
   int jobs;

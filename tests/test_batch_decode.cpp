@@ -148,10 +148,11 @@ TEST(FlowShopBatchKernel, ScratchRepacksWhenTheInstanceChanges) {
   }();
   std::optional<FlowShopProblem> problem(std::in_place, a);
   const auto workspace = problem->make_workspace();
+  const std::vector<const Genome*> views = views_of(genomes);
   for (const sched::FlowShopInstance* inst : {&a, &second}) {
     problem.reset();
     problem.emplace(*inst);
-    problem->objective_batch(genomes, objectives, *workspace);
+    problem->objective_batch(views, objectives, *workspace);
     for (std::size_t l = 0; l < lanes.size(); ++l) {
       EXPECT_EQ(objectives[l], static_cast<double>(sched::flow_shop_makespan(
                                    *inst, lanes[l], scalar)))
@@ -169,10 +170,11 @@ TEST(FlowShopBatchKernel, ScratchRepacksWhenTheInstanceChanges) {
           static_cast<double>(p);
     }
   }
+  const std::vector<const Genome*> key_views = views_of(keys);
   for (const sched::FlowShopInstance* inst : {&a, &second}) {
     keyed.reset();
     keyed.emplace(*inst);
-    keyed->objective_batch(keys, objectives, *key_workspace);
+    keyed->objective_batch(key_views, objectives, *key_workspace);
     for (std::size_t l = 0; l < lanes.size(); ++l) {
       EXPECT_EQ(objectives[l], static_cast<double>(sched::flow_shop_makespan(
                                    *inst, lanes[l], scalar)))
@@ -279,9 +281,10 @@ std::vector<double> batch_objectives(const JobShopProblem& problem,
   for (const auto& seq : seqs) genomes.push_back(genome_of(seq));
   std::vector<double> out(genomes.size(), -1.0);
   const auto workspace = problem.make_workspace();
+  const std::vector<const Genome*> views = views_of(genomes);
   for (std::size_t at = 0; at < genomes.size(); at += chunk) {
     const std::size_t size = std::min(chunk, genomes.size() - at);
-    problem.objective_batch(std::span(genomes).subspan(at, size),
+    problem.objective_batch(std::span(views).subspan(at, size),
                             std::span(out).subspan(at, size), *workspace);
   }
   return out;
@@ -939,13 +942,14 @@ int register_batch_mismatches(const sched::JobShopInstance& inst,
     genomes.push_back(genome_of(seq));
   }
   int mismatches = 0;
+  const std::vector<const Genome*> views = views_of(genomes);
   for (Criterion c : kAllCriteria) {
     const JobShopProblem problem(
         inst, JobShopProblem::Decoder::kGifflerThompson, c);
     const auto workspace = problem.make_workspace();
     std::vector<double> got(genomes.size(), -1.0);
     for (std::size_t at = 0, size = 1; size <= 9; at += size, ++size) {
-      problem.objective_batch(std::span(genomes).subspan(at, size),
+      problem.objective_batch(std::span(views).subspan(at, size),
                               std::span(got).subspan(at, size), *workspace);
     }
     for (std::size_t l = 0; l < genomes.size(); ++l) {
@@ -996,6 +1000,7 @@ TEST(GifflerThompsonRegisters, MalformedThirdGenomeThrowsTheScalarError) {
   }
   const JobShopProblem problem(inst, JobShopProblem::Decoder::kGifflerThompson);
   const auto workspace = problem.make_workspace();
+  const std::vector<const Genome*> good_views = views_of(good);
   for (const std::vector<int>& bad : {swapped, out_of_range, short_one}) {
     std::string scalar_error;
     try {
@@ -1006,8 +1011,9 @@ TEST(GifflerThompsonRegisters, MalformedThirdGenomeThrowsTheScalarError) {
     }
     ASSERT_FALSE(scalar_error.empty());
     SCOPED_TRACE(scalar_error);
-    std::vector<Genome> group = good;
-    group[2] = genome_of(bad);
+    const Genome malformed = genome_of(bad);
+    std::vector<const Genome*> group = good_views;
+    group[2] = &malformed;
     std::vector<double> got(group.size(), -1.0);
     try {
       problem.objective_batch(group, got, *workspace);
@@ -1016,7 +1022,7 @@ TEST(GifflerThompsonRegisters, MalformedThirdGenomeThrowsTheScalarError) {
       EXPECT_EQ(std::string(e.what()), scalar_error);
     }
     // The same workspace decodes the next group.
-    problem.objective_batch(good, got, *workspace);
+    problem.objective_batch(good_views, got, *workspace);
     EXPECT_EQ(got, expect);
   }
 }

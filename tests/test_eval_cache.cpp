@@ -12,14 +12,18 @@
 #include <algorithm>
 #include <list>
 #include <map>
+#include <mutex>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "src/ga/problems.h"
 #include "src/ga/solver.h"
+#include "src/obs/metrics.h"
+#include "src/par/thread_pool.h"
 #include "src/sched/classics.h"
 #include "src/sched/taillard.h"
 
@@ -35,6 +39,23 @@ Genome perm_genome(std::vector<int> seq) {
   Genome g;
   g.seq = std::move(seq);
   return g;
+}
+
+/// A counter of a run's metrics snapshot; every engine attaches a
+/// registry, so a missing counter is a failure.
+long long counter_of(const RunResult& r, const char* name) {
+  const std::uint64_t* value =
+      r.metrics ? r.metrics->counter(name) : nullptr;
+  if (value == nullptr) {
+    ADD_FAILURE() << "no " << name << " in the run's metrics";
+    return 0;
+  }
+  return static_cast<long long>(*value);
+}
+
+/// Slots that kept their objective without a lookup or a decode.
+long long inherited_of(const RunResult& r) {
+  return counter_of(r, "eval.inherited");
 }
 
 // --- genome hash -------------------------------------------------------------
@@ -480,8 +501,9 @@ TEST(EvaluatorCache, HeavyElitismCloneOnlyRunDecodesEachGenomeOnce) {
   // crossover_rate = mutation_rate = 0 makes every child a verbatim copy
   // of a parent, and distinct seed genomes make the initial population
   // the complete genome universe: after the first generation decode,
-  // every evaluation is a cache hit — the hand-computable extreme of the
-  // heavy-elitism duplication the cache exists for.
+  // every evaluation is inherited or a cache hit — the hand-computable
+  // extreme of the heavy-elitism duplication. Elites and untouched clones
+  // inherit their source's objective, so none of them reaches the cache.
   const ProblemPtr problem = flow_shop();
   const int pop = 12;
   const int generations = 5;
@@ -505,7 +527,8 @@ TEST(EvaluatorCache, HeavyElitismCloneOnlyRunDecodesEachGenomeOnce) {
   ASSERT_TRUE(r.cache.has_value());
   EXPECT_EQ(r.cache->misses, pop);
   EXPECT_EQ(r.cache->inserts, pop);
-  EXPECT_EQ(r.cache->hits, pop * generations);
+  EXPECT_EQ(r.cache->hits + inherited_of(r), pop * generations);
+  EXPECT_EQ(r.cache->hits, 0);
   EXPECT_EQ(engine.decode_calls(), pop);
   EXPECT_EQ(r.evaluations, pop * (generations + 1));
 }
@@ -513,7 +536,8 @@ TEST(EvaluatorCache, HeavyElitismCloneOnlyRunDecodesEachGenomeOnce) {
 TEST(EvaluatorCache, SharedAndReusedCachesReportPerRunDeltas) {
   // RunResult::cache must be this run's delta, not cache-lifetime
   // totals: rerun the same engine, and hand one pre-built cache to two
-  // engines in sequence — every result keeps hits+misses==evaluations.
+  // engines in sequence — every result keeps
+  // hits + misses + inherited == evaluations.
   const ProblemPtr problem = flow_shop();
   const StopCondition stop = StopCondition::generations(5);
   Solver solver = Solver::build(
@@ -525,12 +549,14 @@ TEST(EvaluatorCache, SharedAndReusedCachesReportPerRunDeltas) {
   ASSERT_TRUE(second.cache.has_value());
   // The per-run delta invariant: lifetime totals span both runs, so
   // without the baseline snapshot the second result would double-count.
-  EXPECT_EQ(first.cache->hits + first.cache->misses, first.evaluations);
-  EXPECT_EQ(second.cache->hits + second.cache->misses, second.evaluations);
+  EXPECT_EQ(first.cache->hits + first.cache->misses + inherited_of(first),
+            first.evaluations);
+  EXPECT_EQ(second.cache->hits + second.cache->misses + inherited_of(second),
+            second.evaluations);
 
   // An engine keeps the cache it built at construction, so a rerun
   // replays the first run into it: every evaluation of the memetic
-  // rerun, local-search climbs included, is a hit.
+  // rerun that is not inherited, local-search climbs included, is a hit.
   Solver memetic = Solver::build(
       SolverSpec::parse("engine=memetic pop=12 interval=2 refine=2 budget=30 "
                         "seed=55 eval_cache=lru:65536"),
@@ -538,9 +564,10 @@ TEST(EvaluatorCache, SharedAndReusedCachesReportPerRunDeltas) {
   (void)memetic.run(stop);
   const RunResult rerun = memetic.run(stop);
   ASSERT_TRUE(rerun.cache.has_value());
-  EXPECT_EQ(rerun.cache->hits + rerun.cache->misses, rerun.evaluations);
+  EXPECT_EQ(rerun.cache->hits + rerun.cache->misses + inherited_of(rerun),
+            rerun.evaluations);
   EXPECT_EQ(rerun.cache->misses, 0);
-  EXPECT_EQ(rerun.cache->hits, rerun.evaluations);
+  EXPECT_EQ(rerun.cache->hits + inherited_of(rerun), rerun.evaluations);
 
   auto shared = std::make_shared<EvalCache>(1024);
   for (const std::uint64_t seed : {61ull, 61ull}) {
@@ -554,7 +581,8 @@ TEST(EvaluatorCache, SharedAndReusedCachesReportPerRunDeltas) {
     IslandGa engine(problem, island_cfg);
     const RunResult r = engine.run(stop);
     ASSERT_TRUE(r.cache.has_value());
-    EXPECT_EQ(r.cache->hits + r.cache->misses, r.evaluations);
+    EXPECT_EQ(r.cache->hits + r.cache->misses + inherited_of(r),
+              r.evaluations);
   }
 }
 
@@ -635,8 +663,9 @@ TEST(EvaluatorCache, HitsPlusMissesEqualsEvaluations) {
       flow_shop());
   const RunResult r = solver.run(StopCondition::generations(8));
   ASSERT_TRUE(r.cache.has_value());
-  EXPECT_EQ(r.cache->hits + r.cache->misses, r.evaluations);
-  EXPECT_GE(r.cache->hits, 6 * 8) << "elites alone guarantee this many hits";
+  EXPECT_EQ(r.cache->hits + r.cache->misses + inherited_of(r), r.evaluations);
+  EXPECT_GE(inherited_of(r), 6 * 8)
+      << "elites alone guarantee this many inherited slots";
   EXPECT_NE(solver.engine().eval_cache(), nullptr);
 }
 
@@ -677,7 +706,8 @@ TEST_P(CacheEquivalence, BitIdenticalTracesAcrossBackendsAndCacheModes) {
     EXPECT_EQ(off.evaluations, on.evaluations)
         << "cache hits must count like decodes";
     ASSERT_TRUE(on.cache.has_value());
-    EXPECT_EQ(on.cache->hits + on.cache->misses, on.evaluations);
+    EXPECT_EQ(on.cache->hits + on.cache->misses + inherited_of(on),
+              on.evaluations);
     if (!serial) serial = *on.cache;
     EXPECT_EQ(on.cache->hits, serial->hits);
     EXPECT_EQ(on.cache->misses, serial->misses);
@@ -686,6 +716,189 @@ TEST_P(CacheEquivalence, BitIdenticalTracesAcrossBackendsAndCacheModes) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllEngines, CacheEquivalence,
+                         ::testing::ValuesIn(kEngineSpecs));
+
+// --- inherited objectives: known slots skip the cache and the decoder --------
+
+/// Records the genomes each objective_batch call saw, by the id every
+/// genome carries in seq[0]; a genome's objective is its id.
+class ViewRecordingProblem final : public Problem {
+ public:
+  ViewRecordingProblem() {
+    traits_.seq_kind = SeqKind::kPermutation;
+    traits_.seq_length = 1;
+  }
+  const GenomeTraits& traits() const override { return traits_; }
+  Genome random_genome(par::Rng&) const override { return perm_genome({0}); }
+  double objective(const Genome& genome) const override {
+    return genome.seq.front();
+  }
+  void objective_batch(GenomeViews genomes, std::span<double> objectives,
+                       Workspace& workspace) const override {
+    std::vector<int> ids;
+    for (const Genome* genome : genomes) ids.push_back(genome->seq.front());
+    {
+      const std::lock_guard lock(mutex_);
+      calls_.push_back(std::move(ids));
+    }
+    Problem::objective_batch(genomes, objectives, workspace);
+  }
+  /// The calls since the last take, in slot order.
+  std::vector<std::vector<int>> take_calls() const {
+    const std::lock_guard lock(mutex_);
+    std::vector<std::vector<int>> calls = std::move(calls_);
+    calls_.clear();
+    std::sort(calls.begin(), calls.end());
+    return calls;
+  }
+
+ private:
+  GenomeTraits traits_;
+  mutable std::mutex mutex_;
+  mutable std::vector<std::vector<int>> calls_;
+};
+
+TEST(EvaluatorInheritance, KnownSlotsAreNeitherLookedUpNorDecoded) {
+  const auto problem = std::make_shared<ViewRecordingProblem>();
+  constexpr std::size_t n = 33;
+  std::vector<Genome> population;
+  for (std::size_t i = 0; i < n; ++i) {
+    population.push_back(perm_genome({static_cast<int>(i)}));
+  }
+  // Every third slot is known, holding a value its decode would not give.
+  std::vector<std::uint8_t> known(n, 0);
+  std::vector<int> unknown;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i % 3 == 0) {
+      known[i] = 1;
+    } else {
+      unknown.push_back(static_cast<int>(i));
+    }
+  }
+  const auto inherited_value = [](std::size_t i) { return 1000.0 + i; };
+  par::ThreadPool pool(3);
+  for (const EvalBackend backend :
+       {EvalBackend::kSerial, EvalBackend::kThreadPool}) {
+    for (const std::size_t capacity : {0, 4096}) {
+      SCOPED_TRACE("lanes=" + std::to_string(backend == EvalBackend::kSerial
+                                                 ? 1
+                                                 : pool.thread_count()) +
+                   " capacity=" + std::to_string(capacity));
+      const EvalCachePtr cache =
+          capacity > 0 ? std::make_shared<EvalCache>(capacity) : nullptr;
+      obs::RegistryPtr metrics;
+      obs::ensure_registry(metrics);
+      Evaluator evaluator(problem, backend, &pool, cache);
+      evaluator.set_obs(metrics, nullptr);
+      const std::size_t lanes = static_cast<std::size_t>(evaluator.lanes());
+      for (int pass = 0; pass < 2; ++pass) {
+        SCOPED_TRACE("pass " + std::to_string(pass));
+        std::vector<double> got(n, -1.0);
+        for (std::size_t i = 0; i < n; ++i) {
+          if (known[i] != 0) got[i] = inherited_value(i);
+        }
+        evaluator.evaluate(population, got, known);
+        for (std::size_t i = 0; i < n; ++i) {
+          EXPECT_EQ(got[i], known[i] != 0 ? inherited_value(i)
+                                          : static_cast<double>(i))
+              << "slot " << i;
+        }
+        // One call per lane over its static slice of the unknown views;
+        // with a cache, the second pass hits every one of them.
+        std::vector<std::vector<int>> slices;
+        if (cache == nullptr || pass == 0) {
+          const std::size_t m = unknown.size();
+          for (std::size_t k = 0; k < lanes; ++k) {
+            const auto begin = static_cast<std::ptrdiff_t>(k * m / lanes);
+            const auto end = static_cast<std::ptrdiff_t>((k + 1) * m / lanes);
+            if (begin < end) {
+              slices.emplace_back(unknown.begin() + begin,
+                                  unknown.begin() + end);
+            }
+          }
+        }
+        EXPECT_EQ(problem->take_calls(), slices);
+        if (cache != nullptr) {
+          const EvalCacheStats stats = cache->stats();
+          const auto looked_up = static_cast<long long>(unknown.size());
+          EXPECT_EQ(stats.hits + stats.misses, looked_up * (pass + 1));
+          EXPECT_EQ(stats.hits, looked_up * pass);
+        }
+      }
+      // A batch with every slot known decodes nothing and looks nothing up.
+      std::vector<double> all_known(n, 7.0);
+      const std::vector<std::uint8_t> every(n, 1);
+      const EvalCacheStats before = cache ? cache->stats() : EvalCacheStats{};
+      evaluator.evaluate(population, all_known, every);
+      EXPECT_EQ(all_known, std::vector<double>(n, 7.0));
+      EXPECT_TRUE(problem->take_calls().empty());
+      if (cache != nullptr) {
+        EXPECT_EQ(cache->stats().hits, before.hits);
+        EXPECT_EQ(cache->stats().misses, before.misses);
+      }
+
+      const auto inherited_per_pass = static_cast<long long>(n - unknown.size());
+      EXPECT_EQ(evaluator.evaluations(), 3 * static_cast<long long>(n));
+      EXPECT_EQ(evaluator.decode_calls(),
+                static_cast<long long>(unknown.size()) * (cache ? 1 : 2));
+      const obs::MetricsSnapshot snapshot = metrics->snapshot();
+      ASSERT_NE(snapshot.counter("eval.inherited"), nullptr);
+      EXPECT_EQ(static_cast<long long>(*snapshot.counter("eval.inherited")),
+                2 * inherited_per_pass + static_cast<long long>(n));
+      ASSERT_NE(snapshot.counter("eval.decoded_genomes"), nullptr);
+      EXPECT_EQ(static_cast<long long>(
+                    *snapshot.counter("eval.decoded_genomes")),
+                evaluator.decode_calls());
+    }
+  }
+}
+
+TEST(EvaluatorInheritance, CloneOnlySimpleRunDecodesOnlyItsFirstPopulation) {
+  // xover-rate=0 mut-rate=0: every child is an untouched clone of a
+  // parent, so after the first population every slot inherits.
+  constexpr int kPop = 16;
+  constexpr int kGenerations = 7;
+  for (const char* eval : {" eval=serial", " eval=pool"}) {
+    SCOPED_TRACE(eval);
+    const RunResult r =
+        Solver::build(SolverSpec::parse(std::string("engine=simple pop=16 "
+                                                    "seed=5 xover-rate=0 "
+                                                    "mut-rate=0") +
+                                        eval),
+                      flow_shop())
+            .run(StopCondition::generations(kGenerations));
+    EXPECT_EQ(counter_of(r, "eval.decoded_genomes"), kPop);
+    EXPECT_EQ(inherited_of(r), kPop * kGenerations);
+    EXPECT_EQ(r.evaluations, kPop * (kGenerations + 1));
+  }
+}
+
+class InheritedAccounting : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(InheritedAccounting, EveryEvaluationIsDecodedHitOrInherited) {
+  // Every evaluation an engine counts is exactly one of: decoded, a cache
+  // hit, or inherited from the breeding loop.
+  const std::string base = GetParam();
+  const StopCondition stop = StopCondition::generations(6);
+  const ProblemPtr problem = flow_shop();
+  for (const char* eval : {" eval=serial", " eval=pool"}) {
+    SCOPED_TRACE(base + eval);
+    const RunResult off =
+        Solver::build(SolverSpec::parse(base + eval), problem).run(stop);
+    EXPECT_EQ(counter_of(off, "eval.decoded_genomes") + inherited_of(off),
+              off.evaluations);
+    const RunResult on =
+        Solver::build(SolverSpec::parse(base + eval + " eval_cache=lru:4096"),
+                      problem)
+            .run(stop);
+    ASSERT_TRUE(on.cache.has_value());
+    EXPECT_EQ(on.cache->hits + on.cache->misses + inherited_of(on),
+              on.evaluations);
+    EXPECT_EQ(counter_of(on, "eval.decoded_genomes"), on.cache->misses);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllEngines, InheritedAccounting,
                          ::testing::ValuesIn(kEngineSpecs));
 
 // --- engine lifecycle: a rerun replays against one cache ---------------------
@@ -714,7 +927,8 @@ TEST_P(EngineLifecycle, RerunReplaysAgainstOneCache) {
   // Construction builds the evaluator and the cache; init() re-seeds and
   // rebuilds only the population. So a second run() of one engine
   // replays the first exactly, against the same cache, and decodes
-  // nothing: every genome it meets was memoized by the first run.
+  // nothing: every genome it meets was memoized by the first run, or
+  // inherited its objective without a lookup.
   Solver solver = Solver::build(RunSpec::parse(lifecycle_spec(GetParam())));
   const StopCondition stop = StopCondition::generations(6);
   const EvalCachePtr cache = solver.engine().eval_cache_shared();
@@ -732,7 +946,7 @@ TEST_P(EngineLifecycle, RerunReplaysAgainstOneCache) {
   ASSERT_TRUE(second.cache.has_value());
   EXPECT_EQ(first.cache->evictions, 0) << "the spec must fit the cache";
   EXPECT_EQ(second.cache->misses, 0);
-  EXPECT_EQ(second.cache->hits, second.evaluations);
+  EXPECT_EQ(second.cache->hits + inherited_of(second), second.evaluations);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllEngines, EngineLifecycle,

@@ -216,13 +216,12 @@ class SliceRecordingProblem final : public Problem {
   double objective(const Genome& genome) const override {
     return genome.seq.front();
   }
-  void objective_batch(std::span<const Genome> genomes,
-                       std::span<double> objectives,
+  void objective_batch(GenomeViews genomes, std::span<double> objectives,
                        Workspace& workspace) const override {
     {
       const std::lock_guard lock(mutex_);
-      calls_.emplace_back(genomes.front().seq.front(),
-                          genomes.back().seq.front());
+      calls_.emplace_back(genomes.front()->seq.front(),
+                          genomes.back()->seq.front());
     }
     Problem::objective_batch(genomes, objectives, workspace);
   }

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "src/ga/problems.h"
+#include "src/ga/solver.h"
 #include "src/sched/classics.h"
 #include "src/sched/taillard.h"
 
@@ -38,6 +41,22 @@ TEST(MemeticGa, Deterministic) {
   MemeticGa a(problem(), config(9));
   MemeticGa b(problem(), config(9));
   EXPECT_EQ(a.run().history, b.run().history);
+}
+
+TEST(MemeticGa, RefineCountOutsideItsRangeThrows) {
+  // A negative count handed std::partial_sort a middle before begin() on
+  // the first local-search wave.
+  for (const int refine : {-3, -1, SolverSpec::kMaxPopulation + 1}) {
+    SCOPED_TRACE(refine);
+    MemeticConfig cfg = config();
+    cfg.refine_count = refine;
+    EXPECT_THROW(MemeticGa(problem(), cfg), std::invalid_argument);
+  }
+  MemeticConfig none = config();
+  none.refine_count = 0;
+  none.interval = 1;
+  MemeticGa ga(problem(), none);
+  EXPECT_EQ(ga.run(StopCondition::generations(2)).generations, 2);
 }
 
 TEST(MemeticGa, AccountsLocalSearchEvaluations) {

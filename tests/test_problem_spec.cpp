@@ -252,6 +252,12 @@ TEST(ProblemSpec, MalformedTokensThrow) {
   EXPECT_THROW(ProblemSpec::parse("criterion=speed"), std::invalid_argument);
   EXPECT_THROW(ProblemSpec::parse("scenarios=many"), std::invalid_argument);
   EXPECT_THROW(ProblemSpec::parse("spread=wide"), std::invalid_argument);
+  // Unsigned values refuse a sign rather than wrap: -1 is not 2^64 - 1.
+  EXPECT_THROW(ProblemSpec::parse("instance-seed=-1"), std::invalid_argument);
+  EXPECT_THROW(
+      ProblemSpec::parse("problem=jobshop instance=gen:jobs=3,machines=3,seed=-1")
+          .build(),
+      std::invalid_argument);
 }
 
 TEST(ProblemSpec, UnknownGenKeysNameTheFamily) {

@@ -358,6 +358,27 @@ TEST(Service, MalformedRequestsGetStructuredErrors) {
       EXPECT_TRUE(round_trip(R"({"op":"ping"})").find("ok")->as_bool());
     }
 
+    // Values that killed psgad from one submit: immigration=-1 made
+    // SimpleGa::step write past its next generation (SIGSEGV), and
+    // refine=-3 with interval=1 handed partial_sort a middle before
+    // begin() (SIGABRT). Both are refused at submit, naming the token.
+    const struct {
+      const char* spec;
+      const char* token;
+    } values[] = {{"engine=simple immigration=-1", "immigration=-1"},
+                  {"engine=memetic refine=-3 interval=1", "refine=-3"}};
+    for (const auto& value : values) {
+      SCOPED_TRACE(value.spec);
+      Json refused = round_trip(
+          std::string(R"({"op":"submit","spec":"problem=flowshop )") +
+          "instance=ta001 " + value.spec + R"("})");
+      EXPECT_FALSE(refused.find("ok")->as_bool());
+      EXPECT_NE(refused.string_or("error", "").find(value.token),
+                std::string::npos)
+          << refused.string_or("error", "");
+      EXPECT_TRUE(round_trip(R"({"op":"ping"})").find("ok")->as_bool());
+    }
+
     // After all that abuse the connection still serves good requests.
     Json ping = round_trip(R"({"op":"ping"})");
     EXPECT_TRUE(ping.find("ok")->as_bool());
@@ -807,6 +828,8 @@ TEST(ServerConfigTest, TokensParseAndUnknownKeysThrow) {
   EXPECT_EQ(config.socket_path, "/tmp/x.sock");
   EXPECT_THROW(config.apply_tokens("warp=9"), std::invalid_argument);
   EXPECT_THROW(config.apply_tokens("workers=lots"), std::invalid_argument);
+  EXPECT_THROW(config.apply_tokens("max_evaluations=-1"),
+               std::invalid_argument);
 }
 
 TEST(ServerConfigTest, ClampCapsEveryBudgetAxis) {

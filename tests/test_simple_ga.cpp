@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
+#include <stdexcept>
 
 #include "src/ga/problems.h"
 #include "src/sched/classics.h"
@@ -133,6 +135,33 @@ TEST(SimpleGa, ImmigrationKeepsPopulationSize) {
   SimpleGa ga(ta001_problem(), cfg);
   ga.init();
   for (int g = 0; g < 5; ++g) {
+    ga.step();
+    EXPECT_EQ(ga.population().size(), 40u);
+  }
+}
+
+TEST(SimpleGa, OutOfRangeImmigrationOrElitesThrow) {
+  // A negative immigration fraction made step() breed more children than
+  // the population has slots and write past the next generation; the
+  // constructor refuses it, and every other value outside [0, 1], for
+  // configs built in code as the spec parser does for text.
+  for (const double fraction :
+       {-1.0, -0.5, 1.5, std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(fraction);
+    GaConfig cfg = small_config();
+    cfg.immigration_fraction = fraction;
+    EXPECT_THROW(SimpleGa(ta001_problem(), cfg), std::invalid_argument);
+  }
+  GaConfig negative_elites = small_config();
+  negative_elites.elites = -1;
+  EXPECT_THROW(SimpleGa(ta001_problem(), negative_elites),
+               std::invalid_argument);
+  for (const double fraction : {0.0, 1.0}) {
+    GaConfig cfg = small_config();
+    cfg.immigration_fraction = fraction;
+    SimpleGa ga(ta001_problem(), cfg);
+    ga.init();
     ga.step();
     EXPECT_EQ(ga.population().size(), 40u);
   }

@@ -558,6 +558,62 @@ TEST(SolverSpec, SizeTokensOutsideTheirBoundsAreRefused) {
   }
 }
 
+TEST(SolverSpec, ImmigrationAndRefineOutsideTheirRangesAreRefused) {
+  // immigration=-1 (SIGSEGV) and refine=-3 with interval=1 (SIGABRT)
+  // each killed psgad from one submit. immigration= is a fraction in
+  // [0, 1]; refine= counts individuals, in [0, kMaxPopulation].
+  const std::string refine_range =
+      "[0, " + std::to_string(SolverSpec::kMaxPopulation) + "]";
+  const struct {
+    const char* token;
+    std::string range;
+  } refused[] = {{"immigration=-1", "[0, 1]"},   {"immigration=-0.5", "[0, 1]"},
+                 {"immigration=1.5", "[0, 1]"},  {"immigration=nan", "[0, 1]"},
+                 {"immigration=inf", "[0, 1]"},  {"immigration=-inf", "[0, 1]"},
+                 {"refine=-3", refine_range},    {"refine=-1", refine_range},
+                 {"refine=65537", refine_range}};
+  for (const auto& row : refused) {
+    SCOPED_TRACE(row.token);
+    for (const std::string& text :
+         {std::string("engine=memetic interval=1 ") + row.token,
+          std::string("problem=flowshop instance=ta001 engine=memetic ") +
+              row.token}) {
+      try {
+        if (text.rfind("problem=", 0) == 0) {
+          RunSpec::parse(text);
+        } else {
+          SolverSpec::parse(text);
+        }
+        ADD_FAILURE() << "accepted: " << text;
+      } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(std::string("'") + row.token + "'"),
+                  std::string::npos)
+            << what;
+        EXPECT_NE(what.find(row.range), std::string::npos) << what;
+      }
+    }
+  }
+  EXPECT_EQ(SolverSpec::parse("immigration=0").immigration, 0.0);
+  EXPECT_EQ(SolverSpec::parse("immigration=1").immigration, 1.0);
+  EXPECT_EQ(SolverSpec::parse("refine=0").refine, 0);
+  EXPECT_EQ(SolverSpec::parse("refine=65536").refine,
+            SolverSpec::kMaxPopulation);
+}
+
+TEST(SolverSpec, SignedSeedIsRefused) {
+  // std::stoull negates a leading '-': seed=-1 read as 2^64 - 1.
+  try {
+    SolverSpec::parse("engine=simple seed=-1");
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("seed=-1"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(SolverSpec::parse("seed=18446744073709551615").seed,
+            18446744073709551615ull);
+}
+
 TEST(Solver, UnknownEngineThrowsListingRegistered) {
   try {
     Solver::build(SolverSpec::parse("engine=annealing"), flow_shop());

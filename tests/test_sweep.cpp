@@ -228,6 +228,7 @@ TEST(SweepSpec, RejectsMalformedGrids) {
   EXPECT_THROW(SweepSpec::parse("@bogus=1"), std::invalid_argument);
   EXPECT_THROW(SweepSpec::parse("@reps=0"), std::invalid_argument);
   EXPECT_THROW(SweepSpec::parse("@reps=abc"), std::invalid_argument);
+  EXPECT_THROW(SweepSpec::parse("@seed=-1"), std::invalid_argument);
   EXPECT_THROW(SweepSpec::parse("loneword"), std::invalid_argument);
   EXPECT_THROW(SweepSpec::parse("{ring,grid}"), std::invalid_argument);
   try {

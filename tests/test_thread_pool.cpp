@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <mutex>
 #include <numeric>
+#include <tuple>
 #include <vector>
 
 namespace psga::par {
@@ -39,18 +42,24 @@ TEST(ThreadPool, MoreThreadsThanWork) {
 }
 
 TEST(ThreadPool, ChunksPartitionRange) {
+  // parallel_lanes hands lane k the k-th static chunk, and the chunks
+  // tile the range.
   ThreadPool pool(6);
   std::mutex mutex;
-  std::vector<std::pair<std::size_t, std::size_t>> chunks;
-  pool.parallel_chunks(103, [&](std::size_t begin, std::size_t end) {
+  std::vector<std::tuple<std::size_t, std::size_t, std::size_t>> chunks;
+  pool.parallel_lanes(103, [&](std::size_t lane, std::size_t begin,
+                               std::size_t end) {
     std::lock_guard lock(mutex);
-    chunks.emplace_back(begin, end);
+    chunks.emplace_back(begin, end, lane);
   });
   std::sort(chunks.begin(), chunks.end());
+  ASSERT_EQ(chunks.size(), 6u);
   std::size_t expected_begin = 0;
-  for (const auto& [begin, end] : chunks) {
+  std::size_t expected_lane = 0;
+  for (const auto& [begin, end, lane] : chunks) {
     EXPECT_EQ(begin, expected_begin);
     EXPECT_LT(begin, end);
+    EXPECT_EQ(lane, expected_lane++);
     expected_begin = end;
   }
   EXPECT_EQ(expected_begin, 103u);
